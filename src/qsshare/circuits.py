@@ -181,8 +181,8 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
         eta_u=[], eta_v=[], step3_exponents=[], step6_exponents=[],
     )
     for i in range(k):
-        u, w = symplectic.localize_x(code, code.logical_x[i], available)
-        v, y = symplectic.localize_z(code, code.logical_z[i], available)
+        u, w = symplectic.split_on_missing(code, code.logical_x[i], missing)
+        v, y = symplectic.split_on_missing(code, code.logical_z[i], missing)
         beta = pauli.relative_phase(code.logical_x[i], w, u, p)
         gamma = pauli.relative_phase(code.logical_z[i], y, v, p)
         eta_u = pauli.stabilizer_eigenvalue(gens, u, p) if gens else 0

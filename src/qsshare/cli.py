@@ -36,10 +36,12 @@ def _load(path):
 
 def _parse_share_list(text: str, n: int):
     try:
-        members = [int(tok) for tok in text.replace(",", " ").split()]
+        members = symplectic.share_set([int(tok) for tok in text.replace(",", " ").split()], n)
     except ValueError as exc:
-        raise QssError(f"bad share list {text!r}") from exc
-    return symplectic.share_set(members, n)
+        raise QssError(f"bad share list {text!r}: {exc}") from exc
+    if not members:
+        raise QssError(f"bad share list {text!r}: no share index")
+    return members
 
 
 def _format_set(members) -> str:
@@ -77,15 +79,18 @@ def cmd_synthesize(args) -> int:
     circuit = circuits.synthesize_reconstruction(plan, code)
     text = circuits.emit_circuit(circuit)
     directory = os.path.dirname(os.path.abspath(args.output)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, args.output)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_path, args.output)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise QssError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     counts = circuit.counts()
     print(f"wrote {args.output}")
     print(
@@ -97,6 +102,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise QssError(f"--trials must be >= 0, got {args.trials}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
     report = {
@@ -112,7 +119,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(report, indent=2))
         return EXIT_OK
     conv = pauli.make_convention(code)
-    if args.set:
+    if args.set is not None:
         sets = [_parse_share_list(args.set, n)]
         missing = symplectic.complement(sets[0], n)
         if not symplectic.erasure_correctable(code, missing):

@@ -93,12 +93,6 @@ def row_space_contains(A, v, p: int) -> bool:
     return rank(stacked, p) == rank(A, p)
 
 
-def row_space_equal(A, B, p: int) -> bool:
-    a = row_basis(A, p)
-    b = row_basis(B, p)
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
 def nullspace(A, p: int) -> np.ndarray:
     """Basis of {x : A x = 0}, one row per basis vector.
 
@@ -138,19 +132,3 @@ def solve_linear(A, b, p: int) -> tuple[np.ndarray, np.ndarray]:
         x[c] = R[r, cols]
     return x, nullspace(A, p)
 
-
-def intersect_spans(A, B, p: int) -> np.ndarray:
-    """Canonical basis of rowspace(A) ∩ rowspace(B)."""
-    A = row_basis(A, p)
-    B = row_basis(B, p)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("spans live in different ambient spaces")
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return empty_basis(A.shape[1])
-    # (x | y) with xᵀA + yᵀB = 0 gives xᵀA = -yᵀB, a vector in both spaces.
-    stacked = np.vstack([A, B])
-    kernel = nullspace(stacked.T, p)
-    if kernel.shape[0] == 0:
-        return empty_basis(A.shape[1])
-    combos = (kernel[:, : A.shape[0]] @ A) % p
-    return row_basis(combos, p)

@@ -133,10 +133,6 @@ def pauli_pow(P: PhasedPauli, j: int) -> PhasedPauli:
     return PhasedPauli(p, phase, (j * P.vec) % p)
 
 
-def pauli_inverse(P: PhasedPauli) -> PhasedPauli:
-    return pauli_pow(P, -1)
-
-
 def commutation_phase(x, y, p: int) -> int:
     """Exponent c (mod p) with M(x) M(y) = w_p^c M(y) M(x), w_p = exp(2*pi*i/p).
 

@@ -18,14 +18,19 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import circuits, pauli
-from .errors import IndexOutOfRangeError, PreparationFailedError, TooLargeError
+from .errors import IndexOutOfRangeError, PreparationFailedError, QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
 
 
 def max_amplitudes() -> int:
     value = os.environ.get("QSS_MAX_AMPLITUDES")
-    return int(value) if value else DEFAULT_MAX_AMPLITUDES
+    if not value:
+        return DEFAULT_MAX_AMPLITUDES
+    try:
+        return int(value)
+    except ValueError:
+        raise QssError(f"QSS_MAX_AMPLITUDES must be an integer, got {value!r}") from None
 
 
 def _guard(p: int, m: int) -> None:
@@ -67,13 +72,6 @@ def basis_state(p: int, m: int, digits=None) -> StateVector:
             idx = idx * p + int(d) % p
     amps[idx] = 1.0
     return StateVector(p, m, amps)
-
-
-def kron_states(left: StateVector, right: StateVector) -> StateVector:
-    if left.p != right.p:
-        raise ValueError("qudit dimensions differ")
-    _guard(left.p, left.m + right.m)
-    return StateVector(left.p, left.m + right.m, np.kron(left.amps, right.amps))
 
 
 def fix_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpecParseError, ValidationError
+from .linalg import SUPPORTED_PRIMES
 from .symplectic import CodeSpec, build_code
 
 
@@ -63,6 +64,8 @@ def parse_code_document(text: str) -> CodeSpec:
                 header[key] = int(rest)
             except ValueError as exc:
                 raise SpecParseError(line_no, f"'{key}' needs an integer") from exc
+            if key == "p" and header[key] not in SUPPORTED_PRIMES:
+                raise SpecParseError(line_no, f"unsupported field size {header[key]}; expected a prime <= 13")
         elif key in rows:
             if not rest:
                 raise SpecParseError(line_no, f"'{key}' needs a row")

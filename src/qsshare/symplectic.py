@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -94,20 +95,6 @@ def dual(basis, n: int, p: int) -> np.ndarray:
     return linalg.nullspace(twisted, p)
 
 
-def coordinate_section(basis, members, n: int, p: int) -> np.ndarray:
-    """Canonical basis of rowspace(basis) ∩ F_p^J for J = members."""
-    basis = linalg.as_field(basis, p)
-    if basis.shape[0] == 0:
-        return linalg.empty_basis(2 * n)
-    outside = _coordinate_columns(complement(members, n), n)
-    if not outside:
-        return linalg.row_basis(basis, p)
-    kernel = linalg.nullspace(basis[:, outside].T, p)
-    if kernel.shape[0] == 0:
-        return linalg.empty_basis(2 * n)
-    return linalg.row_basis((kernel @ basis) % p, p)
-
-
 def project_vector(vec, members, n: int) -> np.ndarray:
     """Restrict (a|b) to the given shares, preserving order, as (a_J|b_J)."""
     a, b = split_parts(vec, n)
@@ -115,21 +102,11 @@ def project_vector(vec, members, n: int) -> np.ndarray:
     return np.concatenate([a[idx], b[idx]])
 
 
-def project_rows(basis, members, n: int, p: int) -> np.ndarray:
-    """Canonical basis of the projection of a row space onto given shares."""
-    basis = linalg.as_field(basis, p)
-    members = share_set(members, n)
-    if basis.shape[0] == 0:
-        return linalg.empty_basis(2 * len(members))
-    rows = [project_vector(row, members, n) for row in basis]
-    return linalg.row_basis(np.array(rows, dtype=np.int64), p)
-
-
 # ---------------------------------------------------------------------------
 # code specifications
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSpec:
     """A prime-qudit stabilizer share code.
 
@@ -148,7 +125,14 @@ class CodeSpec:
     logical_z: np.ndarray
 
     def dual_basis(self) -> np.ndarray:
-        return dual(self.stabilizer, self.n, self.p)
+        """Basis of dual(C), computed on first use and kept read-only."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> np.ndarray:
+        out = dual(self.stabilizer, self.n, self.p)
+        out.flags.writeable = False
+        return out
 
 
 def validate_code(code: CodeSpec) -> None:
@@ -233,18 +217,9 @@ def self_dual_completion(
     """
     stab = linalg.row_basis(stabilizer, p)
     _check_self_orthogonal(stab, p, what="input")
-    dual_basis = dual(stab, n, p)
     # Coset representatives: dual-basis rows independent modulo C.
-    working = stab.copy()
-    cosets = []
-    for row in dual_basis:
-        if not linalg.row_space_contains(working, row, p):
-            cosets.append(row)
-            working = np.vstack([working, row])
+    remaining = _extend_basis(stab, dual(stab, n, p), p)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    remaining = (
-        np.array(cosets, dtype=np.int64) if cosets else linalg.empty_basis(2 * n)
-    )
     while remaining.shape[0]:
         x = remaining[0]
         partner = None
@@ -259,12 +234,39 @@ def self_dual_completion(
         rest = np.delete(remaining, [0, partner], axis=0)
         remaining = _hyperbolic_reduce(rest, x, z, p)
         pairs.append((x, z))
-    z_rows = (
-        np.array([z for _, z in pairs], dtype=np.int64)
-        if pairs
-        else linalg.empty_basis(2 * n)
-    )
-    return np.vstack([stab, z_rows]), pairs
+    return np.vstack([stab, *(z for _, z in pairs)]), pairs
+
+
+def _extend_basis(base: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The rows, in order, that are independent of span(base) and of the
+    rows kept before them."""
+    working, rank = base, linalg.rank(base, p)
+    kept = []
+    for row in rows:
+        grown = np.vstack([working, row])
+        if linalg.rank(grown, p) > rank:
+            kept.append(row)
+            working, rank = grown, rank + 1
+    return np.array(kept, dtype=np.int64).reshape(len(kept), base.shape[1])
+
+
+def _solve_rows(A: np.ndarray, p: int) -> np.ndarray:
+    """Rows c_j with A c_j = e_j, free variables zero; NoSolutionError if none."""
+    eye = np.eye(A.shape[0], dtype=np.int64)
+    rows = [linalg.solve_linear(A, e, p)[0] for e in eye]
+    return np.array(rows, dtype=np.int64).reshape(A.shape[0], A.shape[1])
+
+
+def _biorthogonalize(cand: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
+    """Rows x_i with <x_i, o_j> = delta_ij and <x_i, x_j> = 0.
+
+    The rows of `other` must be mutually orthogonal. x = G^-1 cand for the
+    Gram matrix G = <cand, other>; then x_i += sum_{j>i} <x_i, x_j> o_j
+    zeroes the x-x products (<o_j, x_j> = -1 cancels the upper triangle,
+    antisymmetry the lower) and keeps the pairing with `other`.
+    """
+    x = (_solve_rows(symplectic_gram(cand, other, p).T, p) @ cand) % p
+    return (x + np.triu(symplectic_gram(x, x, p), 1) @ other) % p
 
 
 def _pairs_for_fixed_self_dual(
@@ -274,50 +276,21 @@ def _pairs_for_fixed_self_dual(
 
     The z_i extend C to Cm; candidate x_i extend Cm to dual(C) and are then
     biorthogonalized against the z_i (the pairing between the two quotients
-    is nondegenerate, so the Gram matrix below is invertible).
+    is nondegenerate, so their Gram matrix is invertible).
     """
-    k = n - stab.shape[0]
-    if k == 0:
-        return linalg.empty_basis(2 * n), linalg.empty_basis(2 * n)
-    z_rows = []
-    working = stab.copy()
-    for row in cm:
-        if not linalg.row_space_contains(working, row, p):
-            z_rows.append(row)
-            working = np.vstack([working, row])
-    z = np.array(z_rows, dtype=np.int64)
-    dual_basis = dual(stab, n, p)
-    candidates = []
-    working = linalg.row_basis(cm, p)
-    for row in dual_basis:
-        if not linalg.row_space_contains(working, row, p):
-            candidates.append(row)
-            working = np.vstack([working, row])
-    cand = np.array(candidates, dtype=np.int64)
-    gram = symplectic_gram(cand, z, p)  # k x k, invertible
-    x = np.zeros((k, 2 * n), dtype=np.int64)
-    for i in range(k):
-        coeff, _ = linalg.solve_linear(gram.T, np.eye(k, dtype=np.int64)[i], p)
-        x[i] = (coeff @ cand) % p
-    # Zero the x-x products by adding z corrections; the pairing with the
-    # z_i is unchanged because the z_i are mutually orthogonal.
-    skew = symplectic_gram(x, x, p)
-    for i in range(k):
-        for j in range(i + 1, k):
-            x[i] = (x[i] + skew[i, j] * z[j]) % p
-        skew = symplectic_gram(x, x, p)
-    return x, z
+    z = _extend_basis(stab, cm, p)
+    return _biorthogonalize(_extend_basis(cm, dual(stab, n, p), p), z, p), z
 
 
-def _derive_logical_z(stab, cm, lx, n: int, p: int) -> np.ndarray:
-    """Partners z_i ∈ Cm with <x_i, z_j> = delta_ij for given x rows."""
-    k = lx.shape[0]
-    gram = symplectic_gram(lx, cm, p)  # k x n
-    z = np.zeros((k, 2 * n), dtype=np.int64)
-    for j in range(k):
-        coeff, _ = linalg.solve_linear(gram, np.eye(k, dtype=np.int64)[j], p)
-        z[j] = (coeff @ cm) % p
-    return z
+def _partners_of_x(stab: np.ndarray, lx: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Partners z_i ∈ dual(C) with <x_i, z_j> = delta_ij, mutually orthogonal.
+
+    Candidates extend span(C ∪ x) to dual(C); x spans a Lagrangian of
+    dual(C)/C and the candidates a complement, so their pairing is
+    nondegenerate. C + span(z) is then a self-dual space.
+    """
+    cand = _extend_basis(np.vstack([stab, lx]), dual(stab, n, p), p)
+    return (-_biorthogonalize(cand, lx, p)) % p
 
 
 def build_code(
@@ -351,23 +324,23 @@ def build_code(
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
 
+    if cm is None and lz is None and lx is not None:
+        lz = _partners_of_x(stab, lx, n, p)
     if cm is None and lz is not None:
         cm = np.vstack([stab, lz])
     if cm is None:
         cm, pairs = self_dual_completion(stab, n, p)
-        if lx is None and lz is None and pairs:
-            lx = np.array([x for x, _ in pairs], dtype=np.int64)
-            lz = np.array([z for _, z in pairs], dtype=np.int64)
+        lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
+        lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
     if lx is None and lz is None:
         lx, lz = _pairs_for_fixed_self_dual(stab, cm, n, p)
     elif lz is None:
-        lz = _derive_logical_z(stab, cm, lx, n, p)
+        lz = (_solve_rows(symplectic_gram(lx, cm, p), p) @ cm) % p
     elif lx is None:
-        lx, _ = _pairs_for_fixed_self_dual(stab, cm, n, p)
-        lx = _rebalance_x_against_z(stab, cm, lx, lz, n, p)
+        # Two steps: x paired with Cm's own z rows, then against the given z
+        # rows (one step from the candidates would give other x rows).
+        lx = _biorthogonalize(_pairs_for_fixed_self_dual(stab, cm, n, p)[0], lz, p)
 
-    lx = lx if lx is not None else linalg.empty_basis(2 * n)
-    lz = lz if lz is not None else linalg.empty_basis(2 * n)
     if k and lx.shape[0] == k and lz.shape[0] == k:
         pairing = symplectic_gram(lx, lz, p)
         off = pairing - np.diag(np.diag(pairing))
@@ -387,22 +360,6 @@ def build_code(
     return code
 
 
-def _rebalance_x_against_z(stab, cm, lx, lz, n, p):
-    """Fix up derived x rows so they pair as delta_ij with given z rows."""
-    k = lz.shape[0]
-    gram = symplectic_gram(lx, lz, p)
-    out = np.zeros_like(lx)
-    for i in range(k):
-        coeff, _ = linalg.solve_linear(gram.T, np.eye(k, dtype=np.int64)[i], p)
-        out[i] = (coeff @ lx) % p
-    skew = symplectic_gram(out, out, p)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i] = (out[i] + skew[i, j] * lz[j]) % p
-        skew = symplectic_gram(out, out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # erasure structure
 
@@ -410,13 +367,19 @@ def _rebalance_x_against_z(stab, cm, lx, lz, n, p):
 def erasure_correctable(code: CodeSpec, missing) -> bool:
     """True when erasures at the given shares are correctable.
 
-    Tests dim(dual(C) ∩ F^missing) == dim(C ∩ F^missing); the nested
+    Tests dim(dual(C) ∩ F^M) == dim(C ∩ F^M) for M = missing; the nested
     self-dual section is squeezed to the same dimension whenever this holds.
+    For a space S with basis G, the vectors cG supported on M are those with
+    c in the left kernel of G restricted to the columns outside M, so
+    dim(S ∩ F^M) = dim S - rank(G restricted to the columns outside M):
+    one rank for C and one for dual(C).
     """
-    missing = share_set(missing, code.n)
-    inner = coordinate_section(code.stabilizer, missing, code.n, code.p)
-    outer = coordinate_section(code.dual_basis(), missing, code.n, code.p)
-    return inner.shape[0] == outer.shape[0]
+    outside = _coordinate_columns(complement(missing, code.n), code.n)
+    inner, outer = (
+        basis.shape[0] - linalg.rank(basis[:, outside], code.p)
+        for basis in (code.stabilizer, code.dual_basis())
+    )
+    return inner == outer
 
 
 def localize_x(code: CodeSpec, x, available) -> tuple[np.ndarray, np.ndarray]:
@@ -424,45 +387,50 @@ def localize_x(code: CodeSpec, x, available) -> tuple[np.ndarray, np.ndarray]:
     the available shares; x must lie in dual(C).
 
     The split exists whenever the complementary erasures are correctable.
-    Deterministic via the linear solver's tie-break.
     """
-    p, n = code.p, code.n
-    x = linalg.as_field_vector(x, p)
-    available = share_set(available, n)
-    if not linalg.row_space_contains(code.dual_basis(), x, p):
+    x = linalg.as_field_vector(x, code.p)
+    if not linalg.row_space_contains(code.dual_basis(), x, code.p):
         raise NotInDualError("vector outside the dual of the stabilizer space")
-    missing = complement(available, n)
-    if not erasure_correctable(code, missing):
-        raise NotCorrectableError(f"shares {available} cannot reconstruct")
-    u = _match_on_missing(code.stabilizer, x, missing, n, p)
-    w = (x - u) % p
-    return u, w
+    return split_on_missing(code, x, _qualified_complement(code, available))
 
 
 def localize_z(code: CodeSpec, z, available) -> tuple[np.ndarray, np.ndarray]:
     """Split z = v + y with v in the stabilizer space and y supported on the
     available shares; z must lie in the self-dual space."""
-    p, n = code.p, code.n
-    z = linalg.as_field_vector(z, p)
-    available = share_set(available, n)
-    if not linalg.row_space_contains(code.self_dual, z, p):
+    z = linalg.as_field_vector(z, code.p)
+    if not linalg.row_space_contains(code.self_dual, z, code.p):
         raise NotInSelfDualError("vector outside the self-dual space")
-    missing = complement(available, n)
+    return split_on_missing(code, z, _qualified_complement(code, available))
+
+
+def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
+    available = share_set(available, code.n)
+    missing = complement(available, code.n)
     if not erasure_correctable(code, missing):
         raise NotCorrectableError(f"shares {available} cannot reconstruct")
-    v = _match_on_missing(code.stabilizer, z, missing, n, p)
-    y = (z - v) % p
-    return v, y
+    return missing
 
 
-def _match_on_missing(basis, target, missing, n: int, p: int) -> np.ndarray:
-    """Stabilizer element whose restriction to the missing shares matches."""
+def split_on_missing(code: CodeSpec, vec: np.ndarray, missing) -> tuple[np.ndarray, np.ndarray]:
+    """Split a field vector vec = s + r with s in the stabilizer space equal
+    to vec on the missing shares, so r is supported on the others.
+
+    Unchecked: the caller has established that vec lies in dual(C) and that
+    the erasure of `missing` is correctable (localize_x/localize_z do).
+    Deterministic via the linear solver's tie-break.
+    """
+    p, n = code.p, code.n
     cols = _coordinate_columns(missing, n)
-    if not cols:
-        return np.zeros(2 * n, dtype=np.int64)
-    A = linalg.as_field(basis, p)[:, cols].T
-    coeff, _ = linalg.solve_linear(A, target[cols], p)
-    return (coeff @ basis) % p
+    s = np.zeros(2 * n, dtype=np.int64)
+    if cols:
+        coeff, _ = linalg.solve_linear(code.stabilizer[:, cols].T, vec[cols], p)
+        s = (coeff @ code.stabilizer) % p
+    return s, (vec - s) % p
+
+
+def _contains_any(members, sets) -> bool:
+    members = set(members)
+    return any(members.issuperset(m) for m in sets)
 
 
 def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[int, ...]]:
@@ -474,7 +442,7 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
     minimal: list[tuple[int, ...]] = []
     for size in range(1, limit + 1):
         for members in combinations(range(1, n + 1), size):
-            if any(set(m) <= set(members) for m in minimal):
+            if _contains_any(members, minimal):
                 continue
             if erasure_correctable(code, complement(members, n)):
                 minimal.append(members)
@@ -482,16 +450,24 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
 
 
 def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
-    """Every qualified share set (not only the minimal ones)."""
+    """Every qualified share set (not only the minimal ones), smallest first
+    then lexicographic.
+
+    This is the up-closure of qualified_sets, with no further checks.
+    Correctability is monotone: erasing M is correctable iff
+    dual(C) ∩ F^M ⊆ C (C ∩ F^M lies inside it, so equal dimensions mean
+    equal spaces), and for M' ⊆ M, dual(C) ∩ F^M' ⊆ dual(C) ∩ F^M ⊆ C.
+    So every superset of a qualified set is qualified, and every qualified
+    set contains a minimal one.
+    """
+    minimal = qualified_sets(code)
     n = code.n
-    if n > MAX_ENUMERATION_SHARES:
-        raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
-    out = []
-    for size in range(1, n + 1):
-        for members in combinations(range(1, n + 1), size):
-            if erasure_correctable(code, complement(members, n)):
-                out.append(members)
-    return out
+    return [
+        members
+        for size in range(1, n + 1)
+        for members in combinations(range(1, n + 1), size)
+        if _contains_any(members, minimal)
+    ]
 
 
 # ---------------------------------------------------------------------------

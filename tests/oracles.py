@@ -1,0 +1,101 @@
+"""Slow, independent reference routines the tests check the package against.
+
+None of these is on a path of the package itself: each computes a fact the
+package obtains another way (span intersections and coordinate sections by
+explicit kernels, where the package uses column-restricted ranks).
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+
+from qsshare import linalg, symplectic
+
+
+def row_space_equal(A, B, p: int) -> bool:
+    a = linalg.row_basis(A, p)
+    b = linalg.row_basis(B, p)
+    return a.shape == b.shape and bool(np.array_equal(a, b))
+
+
+def intersect_spans(A, B, p: int) -> np.ndarray:
+    """Canonical basis of rowspace(A) ∩ rowspace(B)."""
+    A = linalg.row_basis(A, p)
+    B = linalg.row_basis(B, p)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError("spans live in different ambient spaces")
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return linalg.empty_basis(A.shape[1])
+    # (x | y) with xᵀA + yᵀB = 0 gives xᵀA = -yᵀB, a vector in both spaces.
+    stacked = np.vstack([A, B])
+    kernel = linalg.nullspace(stacked.T, p)
+    if kernel.shape[0] == 0:
+        return linalg.empty_basis(A.shape[1])
+    combos = (kernel[:, : A.shape[0]] @ A) % p
+    return linalg.row_basis(combos, p)
+
+
+def coordinate_section(basis, members, n: int, p: int) -> np.ndarray:
+    """Canonical basis of rowspace(basis) ∩ F_p^J for J = members."""
+    basis = linalg.as_field(basis, p)
+    if basis.shape[0] == 0:
+        return linalg.empty_basis(2 * n)
+    outside = [
+        c
+        for i in symplectic.complement(members, n)
+        for c in (i - 1, i - 1 + n)
+    ]
+    if not outside:
+        return linalg.row_basis(basis, p)
+    kernel = linalg.nullspace(basis[:, sorted(outside)].T, p)
+    if kernel.shape[0] == 0:
+        return linalg.empty_basis(2 * n)
+    return linalg.row_basis((kernel @ basis) % p, p)
+
+
+def project_rows(basis, members, n: int, p: int) -> np.ndarray:
+    """Canonical basis of the projection of a row space onto given shares."""
+    basis = linalg.as_field(basis, p)
+    members = symplectic.share_set(members, n)
+    if basis.shape[0] == 0:
+        return linalg.empty_basis(2 * len(members))
+    rows = [symplectic.project_vector(row, members, n) for row in basis]
+    return linalg.row_basis(np.array(rows, dtype=np.int64), p)
+
+
+def biorthogonalize_loop(cand, other, p: int) -> np.ndarray:
+    """Rows x_i with <x_i, o_j> = delta_ij and <x_i, x_j> = 0: one solve per
+    row, then the x-x products zeroed row by row, recomputing the Gram
+    matrix after each row."""
+    k = other.shape[0]
+    gram = symplectic.symplectic_gram(cand, other, p)
+    x = np.zeros((k, cand.shape[1]), dtype=np.int64)
+    for i in range(k):
+        coeff, _ = linalg.solve_linear(gram.T, np.eye(k, dtype=np.int64)[i], p)
+        x[i] = (coeff @ cand) % p
+    skew = symplectic.symplectic_gram(x, x, p)
+    for i in range(k):
+        for j in range(i + 1, k):
+            x[i] = (x[i] + skew[i, j] * other[j]) % p
+        skew = symplectic.symplectic_gram(x, x, p)
+    return x
+
+
+def section_correctable(code, missing) -> bool:
+    """Erasure correctability as dim(C ∩ F^M) == dim(dual(C) ∩ F^M), by sections."""
+    inner = coordinate_section(code.stabilizer, missing, code.n, code.p)
+    outer = coordinate_section(code.dual_basis(), missing, code.n, code.p)
+    return inner.shape[0] == outer.shape[0]
+
+
+def brute_force_qualified_sets(code) -> list[tuple[int, ...]]:
+    """Every nonempty share set whose complement is correctable, by size then lexicographic."""
+    n = code.n
+    return [
+        members
+        for size in range(1, n + 1)
+        for members in combinations(range(1, n + 1), size)
+        if section_correctable(code, symplectic.complement(members, n))
+    ]

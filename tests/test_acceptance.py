@@ -14,6 +14,7 @@ import pytest
 from qsshare import circuits, cli, linalg, pauli, sim, symplectic
 from qsshare.errors import NotCorrectableError
 
+import oracles
 from conftest import (
     AVAILABLE,
     H_ROWS,
@@ -47,8 +48,8 @@ def test_criterion_1_reference_code_reproduction(hexcode):
     dual_basis = code.dual_basis()
     assert dual_basis.shape[0] == 8
 
-    assert symplectic.coordinate_section(code.stabilizer, (1, 2), 6, 3).shape[0] == 0
-    assert symplectic.coordinate_section(dual_basis, (1, 2), 6, 3).shape[0] == 0
+    assert oracles.coordinate_section(code.stabilizer, (1, 2), 6, 3).shape[0] == 0
+    assert oracles.coordinate_section(dual_basis, (1, 2), 6, 3).shape[0] == 0
 
     # membership validators for the known-good reconstruction data (exact)
     missing = (1, 2)
@@ -185,10 +186,10 @@ def test_criterion_6a_projection_dual_identity():
         D = rng.integers(0, p, size=(int(rng.integers(1, n + 2)), 2 * n))
         size = int(rng.integers(1, n + 1))
         members = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False)))
-        section = symplectic.coordinate_section(D, members, n, p)
-        lhs = symplectic.dual(symplectic.project_rows(section, members, n, p), len(members), p)
-        rhs = symplectic.project_rows(symplectic.dual(D, n, p), members, n, p)
-        assert linalg.row_space_equal(lhs, rhs, p)
+        section = oracles.coordinate_section(D, members, n, p)
+        lhs = symplectic.dual(oracles.project_rows(section, members, n, p), len(members), p)
+        rhs = oracles.project_rows(symplectic.dual(D, n, p), members, n, p)
+        assert oracles.row_space_equal(lhs, rhs, p)
         checked += 1
     _announce(6, f"a: projection/dual identity on {checked} instances", started, 60.0)
 
@@ -206,11 +207,11 @@ def test_criterion_6b_projected_space_equality_when_correctable():
             for missing in combinations(range(1, n + 1), size):
                 if not symplectic.erasure_correctable(code, missing):
                     continue
-                pc = symplectic.project_rows(code.stabilizer, missing, n, p)
-                pd = symplectic.project_rows(code.dual_basis(), missing, n, p)
-                pm = symplectic.project_rows(code.self_dual, missing, n, p)
-                assert linalg.row_space_equal(pc, pd, p)
-                assert linalg.row_space_equal(pc, pm, p)
+                pc = oracles.project_rows(code.stabilizer, missing, n, p)
+                pd = oracles.project_rows(code.dual_basis(), missing, n, p)
+                pm = oracles.project_rows(code.self_dual, missing, n, p)
+                assert oracles.row_space_equal(pc, pd, p)
+                assert oracles.row_space_equal(pc, pm, p)
                 checked += 1
         if checked >= 200:
             break

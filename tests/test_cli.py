@@ -150,3 +150,46 @@ def test_demo_output(capsys):
     assert "beta1 = w^2" in out
     assert "fidelity 1.000000000" in out
     assert "untouched shares: [1, 2]" in out
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "{spec}", "--trials", "-3"], None),
+        (["verify", "{spec}", "--set", ""], None),
+        (["verify", "{spec}", "--set", "0,1,2,3"], None),
+        (["analyze", "{p4}"], None),
+        (["synthesize", "{spec}", "--set", "3,4,5,6", "-o", "{tmp}/absent/x.qsscirc"], None),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "abc"),
+    ],
+    ids=["negative-trials", "empty-set", "share-zero", "p4-spec", "missing-out-dir", "bad-max-amplitudes"],
+)
+def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
+    p4 = tmp_path / "p4.qss"
+    p4.write_text("p 4\nn 1\nk 0\nstab 0|1\n", encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("QSS_MAX_AMPLITUDES", env)
+    argv = [arg.format(spec=spec_path, p4=p4, tmp=tmp_path) for arg in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
+    text = "".join(
+        line + "\n"
+        for line in SIX_SHARE_QUTRIT_DOCUMENT.splitlines()
+        if not line.startswith(("selfdual", "logicalz"))
+    )
+    assert "logicalx" in text and "logicalz" not in text
+    path = tmp_path / "xonly.qss"
+    path.write_text(text, encoding="utf-8")
+    rc, out, _ = run(capsys, "analyze", str(path))
+    assert rc == 0
+    assert "x1 000000|101100" in out and "x2 000000|100021" in out
+    rc, out, _ = run(capsys, "verify", str(path), "--trials", "2", "--seed", "4")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["summary"]["qualified_sets"] == 22
+    assert report["summary"]["min_fidelity"] >= 1 - 1e-9

