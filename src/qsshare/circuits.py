@@ -38,6 +38,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.is_two_qudit() and self.qudits[0] == self.qudits[1]:
+            raise ValueError("control and target must differ")
 
     def is_two_qudit(self) -> bool:
         return self.kind in ("CPAULI", "CPAULIINV")
@@ -56,14 +58,10 @@ def phase_pow(q: int, e: int) -> Gate:
 
 
 def controlled_pauli(c: int, t: int, a: int, b: int) -> Gate:
-    if c == t:
-        raise ValueError("control and target must differ")
     return Gate("CPAULI", (c, t), (int(a), int(b)))
 
 
 def controlled_pauli_inv(c: int, t: int, a: int, b: int) -> Gate:
-    if c == t:
-        raise ValueError("control and target must differ")
     return Gate("CPAULIINV", (c, t), (int(a), int(b)))
 
 
@@ -284,11 +282,15 @@ _GATE_ARITY = {
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the QSSCIRC text format; '#' starts a comment."""
-    p = None
-    num = None
-    roles: dict[int, tuple[str, int]] = {}
-    gates: list[Gate] = []
+    """Parse the QSSCIRC text format; '#' starts a comment.
+
+    Strict, so emitting a parsed circuit is canonical: 'p', 'qudits' and each
+    'role q' appear once, roles and gates address qudits in 1..qudits, a and
+    b lie in [0, p) and PPOW exponents in [0, phase_order(p)).
+    """
+    header: dict[str, int] = {}
+    roles: dict[int, tuple[int, tuple[str, int]]] = {}
+    gates: list[tuple[int, Gate]] = []
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -302,13 +304,15 @@ def parse_circuit(text: str) -> Circuit:
             continue
         key = fields[0]
         try:
-            if key == "p":
-                p = int(fields[1])
-            elif key == "qudits":
-                num = int(fields[1])
+            if key in ("p", "qudits"):
+                if key in header:
+                    raise CircuitParseError(line_no, f"repeated {key!r} directive")
+                header[key] = linalg.check_prime(int(fields[1])) if key == "p" else int(fields[1])
             elif key == "role":
                 q = int(fields[1])
-                roles[q] = (fields[2], int(fields[3]))
+                if q in roles:
+                    raise CircuitParseError(line_no, f"repeated role for qudit {q}")
+                roles[q] = (line_no, (fields[2], int(fields[3])))
             elif key == "gate":
                 kind = fields[1]
                 if kind not in _GATE_ARITY:
@@ -317,19 +321,27 @@ def parse_circuit(text: str) -> Circuit:
                 args = [int(v) for v in fields[2:]]
                 if len(args) != nq + np_:
                     raise CircuitParseError(line_no, f"{kind} takes {nq + np_} integers")
-                gates.append(Gate(kind, tuple(args[:nq]), tuple(args[nq:])))
+                gates.append((line_no, Gate(kind, tuple(args[:nq]), tuple(args[nq:]))))
             else:
                 raise CircuitParseError(line_no, f"unknown directive {key!r}")
         except CircuitParseError:
             raise
         except (ValueError, IndexError) as exc:
             raise CircuitParseError(line_no, f"malformed line: {exc}") from exc
-    if p is None or num is None:
+    if "p" not in header or "qudits" not in header:
         raise CircuitParseError(0, "missing 'p' or 'qudits' directive")
-    linalg.check_prime(p)
-    role_list = []
-    for q in range(1, num + 1):
-        if q not in roles:
-            raise CircuitParseError(0, f"missing role for qudit {q}")
-        role_list.append(roles[q])
-    return Circuit(p=p, num_qudits=num, roles=tuple(role_list), gates=tuple(gates))
+    p, num = header["p"], header["qudits"]
+    for q, (line_no, _) in roles.items():
+        if not 1 <= q <= num:
+            raise CircuitParseError(line_no, f"role for qudit {q} outside 1..{num}")
+    if len(roles) != num:
+        missing = min(set(range(1, num + 1)) - set(roles))
+        raise CircuitParseError(0, f"missing role for qudit {missing}")
+    for line_no, g in gates:
+        if not all(1 <= q <= num for q in g.qudits):
+            raise CircuitParseError(line_no, f"gate {g.kind} addresses a qudit outside 1..{num}")
+        bound = pauli.phase_order(p) if g.kind == "PPOW" else p
+        if not all(0 <= v < bound for v in g.params):
+            raise CircuitParseError(line_no, f"gate {g.kind} parameters must lie in [0, {bound})")
+    role_list = tuple(roles[q][1] for q in range(1, num + 1))
+    return Circuit(p=p, num_qudits=num, roles=role_list, gates=tuple(g for _, g in gates))

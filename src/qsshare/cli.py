@@ -49,6 +49,8 @@ def _format_set(members) -> str:
 
 
 def cmd_analyze(args) -> int:
+    if args.max_size is not None and args.max_size < 1:
+        raise QssError(f"--max-size must be >= 1, got {args.max_size}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
     print(f"p {p}  n {n}  k {k}")
@@ -114,12 +116,10 @@ def cmd_verify(args) -> int:
         "trials": args.trials,
         "rows": [],
     }
-    if k == 0 or args.trials == 0:
-        report["summary"] = {"qualified_sets": 0, "min_fidelity": 1.0, "max_purity_deviation": 0.0}
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
     conv = pauli.make_convention(code)
-    if args.set is not None:
+    if k == 0 or args.trials == 0:
+        sets = []
+    elif args.set is not None:
         sets = [_parse_share_list(args.set, n)]
         missing = symplectic.complement(sets[0], n)
         if not symplectic.erasure_correctable(code, missing):
@@ -129,36 +129,27 @@ def cmd_verify(args) -> int:
         sets = symplectic.all_qualified_sets(code)
     rng = np.random.default_rng(args.seed)
     secrets = [sim.random_secret(p, k, rng) for _ in range(args.trials)]
-    zero = sim.logical_zero(code, conv)
-    min_fid = 1.0
-    max_dev = 0.0
     failure = None
-    for members in sets:
-        fid = 1.0
-        dev = 0.0
-        gates = (0, 0)
-        for trial, secret in enumerate(secrets):
-            rep = sim.verify_reconstruction(code, conv, members, secret, zero=zero)
-            fid = min(fid, rep.fidelity)
-            dev = max(dev, abs(1.0 - rep.purity))
-            gates = (rep.two_qudit_gates, rep.single_qudit_gates)
-            if rep.fidelity < 1.0 - FIDELITY_SLACK or abs(1.0 - rep.purity) > FIDELITY_SLACK:
-                failure = failure or (members, trial)
+    for rep in sim.verify_reconstruction(code, conv, sets, secrets) if sets else ():
+        devs = [abs(1.0 - value) for value in rep.purity]
+        for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
+            if failure is None and (fid < 1.0 - FIDELITY_SLACK or dev > FIDELITY_SLACK):
+                failure = (rep.available, trial)
         report["rows"].append(
             {
-                "J": list(members),
-                "min_fidelity": round(fid, 12),
-                "max_purity_deviation": round(dev, 12),
-                "two_qudit_gates": gates[0],
-                "single_qudit_gates": gates[1],
+                "J": list(rep.available),
+                "min_fidelity": round(min(rep.fidelity), 12),
+                "max_purity_deviation": round(max(devs), 12),
+                "two_qudit_gates": rep.two_qudit_gates,
+                "single_qudit_gates": rep.single_qudit_gates,
             }
         )
-        min_fid = min(min_fid, fid)
-        max_dev = max(max_dev, dev)
+    # round() is monotone: the extremes of the rounded rows are the rounded extremes
+    rows = report["rows"]
     report["summary"] = {
         "qualified_sets": len(sets),
-        "min_fidelity": round(min_fid, 12),
-        "max_purity_deviation": round(max_dev, 12),
+        "min_fidelity": min([1.0] + [row["min_fidelity"] for row in rows]),
+        "max_purity_deviation": max([0.0] + [row["max_purity_deviation"] for row in rows]),
     }
     print(json.dumps(report, indent=2))
     if failure is not None:

@@ -111,12 +111,12 @@ def nullspace(A, p: int) -> np.ndarray:
     return basis
 
 
-def solve_linear(A, b, p: int) -> tuple[np.ndarray, np.ndarray]:
+def solve_linear(A, b, p: int) -> np.ndarray:
     """Solve A x = b over F_p.
 
-    Returns (x, kernel) where x is the particular solution with every free
-    variable set to zero and kernel is a nullspace basis of A (rows).
-    Raises NoSolutionError when b is outside the column space of A.
+    Returns the particular solution with every free variable set to zero;
+    nullspace(A, p) gives the rest. Raises NoSolutionError when b is outside
+    the column space of A.
     """
     A = as_field(A, p)
     b = as_field_vector(b, p)
@@ -130,5 +130,5 @@ def solve_linear(A, b, p: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.zeros(cols, dtype=np.int64)
     for r, c in enumerate(pivots):
         x[c] = R[r, cols]
-    return x, nullspace(A, p)
+    return x
 

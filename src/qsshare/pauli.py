@@ -119,18 +119,15 @@ def pauli_mul(P: PhasedPauli, Q: PhasedPauli) -> PhasedPauli:
 
 
 def pauli_pow(P: PhasedPauli, j: int) -> PhasedPauli:
-    """P^j, valid for any integer j (negative powers are exact inverses)."""
+    """P^j, valid for any integer j (negative powers are exact inverses).
+
+    P^i P adds pauli_mul's cross term c i (a.b), c = 2 at p = 2 and 1 otherwise,
+    so P^j = w^{j e + c (a.b) j(j-1)/2} M(j a | j b), j modulo the ring order.
+    """
     p = P.p
-    if p == 2:
-        j = int(j) % 4
-        out = identity_pauli(p, P.n)
-        for _ in range(j):
-            out = pauli_mul(out, P)
-        return out
-    j = int(j) % p
-    ab = int(P.x_part() @ P.z_part())
-    phase = j * P.phase + ab * (j * (j - 1) // 2)
-    return PhasedPauli(p, phase, (j * P.vec) % p)
+    j = int(j) % phase_order(p)
+    cross = int(P.x_part() @ P.z_part()) * (2 if p == 2 else 1)
+    return PhasedPauli(p, j * P.phase + cross * (j * (j - 1) // 2), (j * P.vec) % p)
 
 
 def commutation_phase(x, y, p: int) -> int:
@@ -193,7 +190,7 @@ def stabilizer_eigenvalue(generators: list[PhasedPauli], u, p: int) -> int:
     u = linalg.as_field_vector(u, p)
     rows = np.array([g.vec for g in generators], dtype=np.int64)
     try:
-        coeff, _ = linalg.solve_linear(rows.T, u, p)
+        coeff = linalg.solve_linear(rows.T, u, p)
     except NoSolutionError as exc:
         raise NotInStabilizerError("vector outside the generated space") from exc
     out = identity_pauli(p, generators[0].n)

@@ -5,6 +5,11 @@ significant digit of the index. Erased shares are modeled by never applying a
 gate to them: the global state stays pure and the reduced state on a subset
 is only materialized by the diagnostic partial-trace helper.
 
+Every gate but the Fourier gate is monomial: X^a Z^b on a qudit is a phase
+vector w_p^{b t} and a roll by a; a controlled Pauli applies its j-th power
+to the control-j slice. No dense operator is built: pauli.dense_matrix is a
+test oracle.
+
 The default size guard admits up to 2^24 amplitudes; the environment
 variable QSS_MAX_AMPLITUDES overrides it.
 """
@@ -84,20 +89,26 @@ def fix_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:
     return StateVector(state.p, state.m, amps * (abs(pivot) / pivot))
 
 
+def _pauli_on_axis(tensor: np.ndarray, a: int, b: int, p: int, axis: int) -> np.ndarray:
+    """X^a Z^b on one axis: multiply by w_p^{b t}, then roll t -> t + a."""
+    if b:
+        w_p = np.exp(2j * np.pi / p)
+        phases = w_p ** ((b * np.arange(p)) % p)
+        tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (tensor.ndim - axis - 1))
+    if a:
+        tensor = np.roll(tensor, a, axis=axis)
+    return tensor
+
+
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
     """Apply w^e M(a|b): a permutation of indices plus diagonal phases."""
     p, m = state.p, state.m
     if op.p != p or op.n != m:
         raise ValueError("operator register does not match the state")
-    w_p = np.exp(2j * np.pi / p)
     a, b = op.x_part(), op.z_part()
     tensor = state.tensor()
     for q in range(m):
-        if b[q]:
-            phases = w_p ** ((b[q] * np.arange(p)) % p)
-            tensor = tensor * phases.reshape((1,) * q + (p,) + (1,) * (m - q - 1))
-        if a[q]:
-            tensor = np.roll(tensor, int(a[q]), axis=q)
+        tensor = _pauli_on_axis(tensor, int(a[q]), int(b[q]), p, q)
     amps = tensor.reshape(-1) * pauli.phase_value(op.phase, p)
     return StateVector(p, m, amps)
 
@@ -108,44 +119,30 @@ def _fourier_matrix(p: int) -> np.ndarray:
     return w**grid / np.sqrt(p)
 
 
-def _apply_one_qudit(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
-
-
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     p, m = state.p, state.m
     for q in gate.qudits:
         if not 1 <= q <= m:
             raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {m}-qudit state")
     tensor = state.tensor()
-    if gate.kind == "F":
-        tensor = _apply_one_qudit(tensor, _fourier_matrix(p), gate.qudits[0] - 1)
-    elif gate.kind == "FINV":
-        tensor = _apply_one_qudit(tensor, _fourier_matrix(p).conj().T, gate.qudits[0] - 1)
+    axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
+    if gate.kind in ("F", "FINV"):
+        mat = _fourier_matrix(p) if gate.kind == "F" else _fourier_matrix(p).conj().T
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
     elif gate.kind == "PPOW":
-        (e,) = gate.params
-        axis = gate.qudits[0] - 1
-        phases = np.array([pauli.phase_value(e * j, p) for j in range(p)])
+        phases = np.array([pauli.phase_value(gate.params[0] * j, p) for j in range(p)])
         tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (m - axis - 1))
     elif gate.kind in ("CPAULI", "CPAULIINV"):
-        c, t = gate.qudits
-        a, b = gate.params
         sign = -1 if gate.kind == "CPAULIINV" else 1
-        site = pauli.PhasedPauli(p, 0, [a, b])
-        tensor = np.moveaxis(tensor, c - 1, 0)
-        # moving the control to the front shifts axes that preceded it up by one
-        t_axis = t if t < c else t - 1
-        slices = []
-        for j in range(p):
+        site = pauli.PhasedPauli(p, 0, gate.params)
+        tensor = tensor.copy()
+        # a view of tensor with the control axis first and the target second
+        pair = np.moveaxis(tensor, (axis, gate.qudits[1] - 1), (0, 1))
+        for j in range(1, p):
             power = pauli.pauli_pow(site, sign * j)
-            mat = pauli.dense_matrix(power)
-            slices.append(_apply_one_qudit(tensor[j], mat, t_axis - 1))
-        tensor = np.moveaxis(np.stack(slices, axis=0), 0, c - 1)
+            pair[j] = _pauli_on_axis(pair[j], *power.vec, p, 0) * pauli.phase_value(power.phase, p)
     elif gate.kind == "PAULI":
-        a, b = gate.params
-        site = pauli.PhasedPauli(p, 0, [a, b])
-        tensor = _apply_one_qudit(tensor, pauli.dense_matrix(site), gate.qudits[0] - 1)
+        tensor = _pauli_on_axis(tensor, *gate.params, p, axis)
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind}")
     return StateVector(p, m, tensor.reshape(-1))
@@ -199,13 +196,6 @@ def logical_zero(code, convention) -> StateVector:
     raise PreparationFailedError("no reference state survived the projectors")
 
 
-def _logical_x_ops(code, convention) -> list[pauli.PhasedPauli]:
-    return [
-        pauli.PhasedPauli(code.p, convention.alpha_exponents[i], code.logical_x[i])
-        for i in range(code.k)
-    ]
-
-
 def encode_secret(code, convention, secret, zero: StateVector | None = None) -> StateVector:
     """Encode a k-qudit secret into an n-share codeword state.
 
@@ -219,7 +209,7 @@ def encode_secret(code, convention, secret, zero: StateVector | None = None) -> 
     _guard(p, n)
     if zero is None:
         zero = logical_zero(code, convention)
-    xs = _logical_x_ops(code, convention)
+    xs = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
     out = np.zeros(p**n, dtype=np.complex128)
     for idx, digits in enumerate(iter_product(range(p), repeat=k)):
         if abs(secret[idx]) < 1e-15:
@@ -286,37 +276,47 @@ def fidelity_with_pure(rho: np.ndarray, psi) -> float:
 
 @dataclass
 class ReconstructionReport:
+    """One share set's result: one fidelity and one purity per secret."""
+
     available: tuple[int, ...]
-    fidelity: float
-    purity: float
+    fidelity: tuple[float, ...]
+    purity: tuple[float, ...]
     two_qudit_gates: int
     single_qudit_gates: int
 
 
-def verify_reconstruction(code, convention, available, secret, *, zero=None) -> ReconstructionReport:
+def verify_reconstruction(code, convention, sets, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
-    Simulates n + k qudits: the encoded shares (missing ones present but
-    never addressed) plus a fresh |0...0> ancilla register that the
-    reconstruction circuit drives to the secret.
+    Plans each set and encodes each secret once, then runs every circuit on
+    n + k qudits: the encoded shares (missing ones never addressed) plus a
+    fresh |0...0> ancilla register the circuit drives to the secret. One
+    joint state exists at a time. Returns one report per set, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, n + k)
-    plan = circuits.plan_reconstruction(code, convention, available)
-    circuit = circuits.synthesize_reconstruction(plan, code)
-    secret = np.asarray(secret, dtype=np.complex128).reshape(-1)
-    encoded = encode_secret(code, convention, secret, zero=zero)
-    joint = StateVector(p, n + k, np.kron(encoded.amps, basis_state(p, k).amps))
-    joint = apply_circuit(joint, circuit)
-    matrix = joint.amps.reshape(p**n, p**k)
-    rho = matrix.T @ matrix.conj()  # ancilla reduced state
-    return ReconstructionReport(
-        available=plan.available,
-        fidelity=fidelity_with_pure(rho, secret),
-        purity=purity(rho),
-        two_qudit_gates=circuit.two_qudit_count(),
-        single_qudit_gates=circuit.single_qudit_count(),
-    )
+    plans = [circuits.plan_reconstruction(code, convention, members) for members in sets]
+    circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
+    zero = logical_zero(code, convention)
+    ancilla = basis_state(p, k).amps
+    results = [[] for _ in circs]
+    for secret in secrets:
+        encoded = encode_secret(code, convention, secret, zero=zero).amps
+        for circuit, result in zip(circs, results):
+            joint = apply_circuit(StateVector(p, n + k, np.kron(encoded, ancilla)), circuit)
+            matrix = joint.amps.reshape(p**n, p**k)
+            rho = matrix.T @ matrix.conj()  # ancilla reduced state
+            result.append((fidelity_with_pure(rho, secret), purity(rho)))
+    return [
+        ReconstructionReport(
+            available=plan.available,
+            fidelity=tuple(fid for fid, _ in result),
+            purity=tuple(pur for _, pur in result),
+            two_qudit_gates=circuit.two_qudit_count(),
+            single_qudit_gates=circuit.single_qudit_count(),
+        )
+        for plan, circuit, result in zip(plans, circs, results)
+    ]
 
 
 def random_secret(p: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -253,7 +253,7 @@ def _extend_basis(base: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 def _solve_rows(A: np.ndarray, p: int) -> np.ndarray:
     """Rows c_j with A c_j = e_j, free variables zero; NoSolutionError if none."""
     eye = np.eye(A.shape[0], dtype=np.int64)
-    rows = [linalg.solve_linear(A, e, p)[0] for e in eye]
+    rows = [linalg.solve_linear(A, e, p) for e in eye]
     return np.array(rows, dtype=np.int64).reshape(A.shape[0], A.shape[1])
 
 
@@ -423,7 +423,7 @@ def split_on_missing(code: CodeSpec, vec: np.ndarray, missing) -> tuple[np.ndarr
     cols = _coordinate_columns(missing, n)
     s = np.zeros(2 * n, dtype=np.int64)
     if cols:
-        coeff, _ = linalg.solve_linear(code.stabilizer[:, cols].T, vec[cols], p)
+        coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vec[cols], p)
         s = (coeff @ code.stabilizer) % p
     return s, (vec - s) % p
 

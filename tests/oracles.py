@@ -73,7 +73,7 @@ def biorthogonalize_loop(cand, other, p: int) -> np.ndarray:
     gram = symplectic.symplectic_gram(cand, other, p)
     x = np.zeros((k, cand.shape[1]), dtype=np.int64)
     for i in range(k):
-        coeff, _ = linalg.solve_linear(gram.T, np.eye(k, dtype=np.int64)[i], p)
+        coeff = linalg.solve_linear(gram.T, np.eye(k, dtype=np.int64)[i], p)
         x[i] = (coeff @ cand) % p
     skew = symplectic.symplectic_gram(x, x, p)
     for i in range(k):

@@ -133,7 +133,6 @@ def test_criterion_3_circuit_shape(hexcode, hexconv):
 
 def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     started = time.monotonic()
-    zero = sim.logical_zero(hexcode, hexconv)
     rng = np.random.default_rng(20240607)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(20)]
     share_sets = [
@@ -144,11 +143,12 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     assert len(share_sets) == 22
     worst_fidelity = 1.0
     worst_purity_dev = 0.0
-    for members in share_sets:
-        for secret in secrets:
-            report = sim.verify_reconstruction(hexcode, hexconv, members, secret, zero=zero)
-            worst_fidelity = min(worst_fidelity, report.fidelity)
-            worst_purity_dev = max(worst_purity_dev, abs(1 - report.purity))
+    reports = sim.verify_reconstruction(hexcode, hexconv, share_sets, secrets)
+    assert [report.available for report in reports] == share_sets
+    for report in reports:
+        assert len(report.fidelity) == len(report.purity) == 20
+        worst_fidelity = min(worst_fidelity, *report.fidelity)
+        worst_purity_dev = max(worst_purity_dev, *(abs(1 - value) for value in report.purity))
     assert worst_fidelity >= 1 - TOL_END_TO_END, worst_fidelity
     assert worst_purity_dev <= TOL_END_TO_END, worst_purity_dev
     _announce(4, f"end-to-end sweep (min fidelity {worst_fidelity:.12f})", started, 120.0)
@@ -165,13 +165,14 @@ def test_criterion_5_qubit_path(hexcode):
         fourth_root_seen = fourth_root_seen or any(
             g.phase % 2 for g in conv.generators
         ) or any(e % 2 for e in conv.alpha_exponents)
-        zero = sim.logical_zero(code, conv)
         secrets = [sim.random_secret(p, k, rng) for _ in range(3)]
-        for members in symplectic.all_qualified_sets(code):
-            for secret in secrets:
-                report = sim.verify_reconstruction(code, conv, members, secret, zero=zero)
-                assert report.fidelity >= 1 - TOL_END_TO_END, (seed, members)
-                assert abs(1 - report.purity) <= TOL_END_TO_END, (seed, members)
+        sets = symplectic.all_qualified_sets(code)
+        for report in sim.verify_reconstruction(code, conv, sets, secrets):
+            members = report.available
+            assert len(report.fidelity) == len(report.purity) == 3, (seed, members)
+            for fidelity, purity in zip(report.fidelity, report.purity):
+                assert fidelity >= 1 - TOL_END_TO_END, (seed, members)
+                assert abs(1 - purity) <= TOL_END_TO_END, (seed, members)
     assert fourth_root_seen  # the sqrt(-1) calibrations were actually exercised
     _announce(5, "qubit path with fourth-root calibration", started, 60.0)
 

@@ -227,3 +227,46 @@ def test_parse_allows_comments(hexconv, hexcode):
     text = "QSSCIRC 1\n# comment\np 3\nqudits 1\nrole 1 share 1\ngate F 1  # fourier\n"
     circ = circuits.parse_circuit(text)
     assert circ.gates == (circuits.fourier(1),)
+
+
+_ROLES = "role 1 share 1\nrole 2 share 2\n"
+
+
+@pytest.mark.parametrize(
+    "body, line_no",
+    [
+        ("p 3\nqudits 2\n" + _ROLES + "role 3 share 3\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "role 0 share 0\n", 6),
+        ("p 3\np 3\nqudits 2\n" + _ROLES, 3),
+        ("p 3\nqudits 2\nqudits 2\n" + _ROLES, 4),
+        ("p 3\nqudits 2\n" + _ROLES + "role 2 ancilla 1\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate CPAULI 1 2 3 0\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate CPAULIINV 1 2 0 -1\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate PAULI 1 1 5\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate PPOW 1 -4\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate PPOW 1 3\n", 6),
+        ("p 2\nqudits 2\n" + _ROLES + "gate PPOW 1 4\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate CPAULI 1 1 1 0\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate F 3\n", 6),
+    ],
+    ids=[
+        "role-past-register", "role-zero", "repeated-p", "repeated-qudits", "repeated-role",
+        "a-equals-p", "b-negative", "pauli-b-past-p", "ppow-negative", "ppow-equals-p",
+        "ppow-past-ring-p2", "control-equals-target", "gate-past-register",
+    ],
+)
+def test_parse_rejects_noncanonical_documents(body, line_no):
+    with pytest.raises(CircuitParseError) as err:
+        circuits.parse_circuit("QSSCIRC 1\n" + body)
+    assert err.value.line_no == line_no
+
+
+def test_parse_accepts_qubit_phase_ring():
+    circ = circuits.parse_circuit("QSSCIRC 1\np 2\nqudits 2\n" + _ROLES + "gate PPOW 1 3\n")
+    assert circ.gates == (circuits.phase_pow(1, 3),)
+
+
+def test_control_equal_target_rejected_by_gate():
+    for kind in ("CPAULI", "CPAULIINV"):
+        with pytest.raises(ValueError):
+            circuits.Gate(kind, (2, 2), (1, 0))

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import warnings
 
 import pytest
 
-from qsshare import circuits, cli
+from qsshare import circuits, cli, sim
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -161,8 +162,13 @@ def test_demo_output(capsys):
         (["analyze", "{p4}"], None),
         (["synthesize", "{spec}", "--set", "3,4,5,6", "-o", "{tmp}/absent/x.qsscirc"], None),
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "abc"),
+        (["analyze", "{spec}", "--max-size", "0"], None),
+        (["analyze", "{spec}", "--max-size", "-2"], None),
     ],
-    ids=["negative-trials", "empty-set", "share-zero", "p4-spec", "missing-out-dir", "bad-max-amplitudes"],
+    ids=[
+        "negative-trials", "empty-set", "share-zero", "p4-spec", "missing-out-dir",
+        "bad-max-amplitudes", "max-size-zero", "max-size-negative",
+    ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
     p4 = tmp_path / "p4.qss"
@@ -193,3 +199,40 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
     report = json.loads(out)
     assert report["summary"]["qualified_sets"] == 22
     assert report["summary"]["min_fidelity"] >= 1 - 1e-9
+
+
+def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path):
+    calls = {"plan": 0, "encode": 0}
+    plan, encode = circuits.plan_reconstruction, sim.encode_secret
+
+    def counting_plan(*args, **kwargs):
+        calls["plan"] += 1
+        return plan(*args, **kwargs)
+
+    def counting_encode(*args, **kwargs):
+        calls["encode"] += 1
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
+    monkeypatch.setattr(sim, "encode_secret", counting_encode)
+    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
+    assert rc == 0
+    assert json.loads(out)["summary"]["qualified_sets"] == 22
+    assert calls == {"plan": 22, "encode": 3}
+
+
+def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):
+    synthesize = circuits.synthesize_reconstruction
+
+    def off_by_one(plan, code):
+        circuit = synthesize(plan, code)
+        gates = list(circuit.gates)
+        i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
+        gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
+        return dataclasses.replace(circuit, gates=tuple(gates))
+
+    monkeypatch.setattr(circuits, "synthesize_reconstruction", off_by_one)
+    rc, out, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
+    assert rc == 4
+    assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
+    assert any("J={3,4,5,6}" in line and "seed 9" in line for line in err.splitlines())

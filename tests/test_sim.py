@@ -61,30 +61,54 @@ def test_apply_phased_pauli_matches_dense():
         assert np.abs(got - expected).max() < 1e-12
 
 
-def test_controlled_gate_matches_dense_on_random_states():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        p = int(rng.choice([2, 3]))
-        a, b = int(rng.integers(0, p)), int(rng.integers(0, p))
-        kind = circuits.controlled_pauli if rng.integers(2) else circuits.controlled_pauli_inv
-        c, t = (1, 2) if rng.integers(2) else (2, 1)
-        gate = kind(c, t, a, b)
-        amps = rng.normal(size=p * p) + 1j * rng.normal(size=p * p)
-        amps /= np.linalg.norm(amps)
-        st = sim.StateVector(p, 2, amps)
-        got = sim.apply_gate(st, gate).amps
-        # independent dense construction, qudit 1 most significant
-        dim = p * p
-        expected = np.zeros((dim, dim), dtype=complex)
-        site = pauli.PhasedPauli(p, 0, [a, b])
+def _dense_gate(gate, p, m):
+    """Independent dense operator of a Pauli-type gate, qudit 1 most significant."""
+    site = pauli.PhasedPauli(p, 0, list(gate.params))
+    if gate.kind == "PAULI":
+        terms = [{gate.qudits[0]: pauli.dense_matrix(site)}]
+    else:
+        c, t = gate.qudits
         sign = -1 if gate.kind == "CPAULIINV" else 1
+        terms = []
         for j in range(p):
             proj = np.zeros((p, p))
             proj[j, j] = 1
-            u = pauli.dense_matrix(pauli.pauli_pow(site, sign * j))
-            term = np.kron(proj, u) if c == 1 else np.kron(u, proj)
-            expected += term
-        assert np.abs(got - expected @ amps).max() < 1e-12
+            terms.append({c: proj, t: pauli.dense_matrix(pauli.pauli_pow(site, sign * j))})
+    out = np.zeros((p**m, p**m), dtype=complex)
+    for factors in terms:
+        term = np.ones((1, 1))
+        for q in range(1, m + 1):
+            term = np.kron(term, factors.get(q, np.eye(p)))
+        out += term
+    return out
+
+
+def test_controlled_gate_matches_dense_on_random_states():
+    rng = np.random.default_rng(17)
+    checked = set()
+    for p in (2, 3, 5):
+        for m in (2, 3):
+            pairs = [(c, t) for c in range(1, m + 1) for t in range(1, m + 1) if c != t]
+            gates = [
+                kind(c, t, int(rng.integers(0, p)), int(rng.integers(1, p)))
+                for c, t in pairs
+                for kind in (circuits.controlled_pauli, circuits.controlled_pauli_inv)
+            ]
+            gates += [
+                circuits.pauli_gate(q, int(rng.integers(0, p)), int(rng.integers(0, p)))
+                for q in range(1, m + 1)
+            ]
+            gates.append(circuits.controlled_pauli(m, 1, 1, 0))  # pure shift
+            for gate in gates:
+                amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
+                amps /= np.linalg.norm(amps)
+                st = sim.StateVector(p, m, amps)
+                got = sim.apply_gate(st, gate).amps
+                assert np.abs(got - _dense_gate(gate, p, m) @ amps).max() < 1e-12, (p, m, gate)
+                assert np.array_equal(st.amps, amps)  # the input state is left untouched
+                checked.add((p, m, gate.kind, gate.qudits))
+    # every kind, both control orders and the non-adjacent pairs (1,3), (3,1) ran
+    assert {(3, 3, "CPAULIINV", (1, 3)), (5, 3, "CPAULI", (3, 1)), (2, 3, "PAULI", (2,))} <= checked
 
 
 def test_norm_preserved_through_long_circuit(hexcode, hexconv):
@@ -204,12 +228,13 @@ def test_encoded_share_subset_is_mixed(hexcode, hexconv):
 
 
 def test_verify_reconstruction_reference(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
-    report = sim.verify_reconstruction(
-        hexcode, hexconv, AVAILABLE, sim.basis_state(3, 2).amps, zero=zero
+    (report,) = sim.verify_reconstruction(
+        hexcode, hexconv, [AVAILABLE], [sim.basis_state(3, 2).amps]
     )
-    assert report.fidelity > 1 - 1e-9
-    assert abs(report.purity - 1) < 1e-9
+    assert report.available == AVAILABLE
+    (fidelity,), (purity,) = report.fidelity, report.purity
+    assert fidelity > 1 - 1e-9
+    assert abs(purity - 1) < 1e-9
     assert report.two_qudit_gates == 15
     assert report.single_qudit_gates == 8
 
@@ -217,14 +242,16 @@ def test_verify_reconstruction_reference(hexcode, hexconv):
 def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
     from itertools import combinations
 
-    zero = sim.logical_zero(hexcode, hexconv)
     rng = np.random.default_rng(37)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(3)]
-    for members in combinations(range(1, 7), 4):
-        for secret in secrets:
-            report = sim.verify_reconstruction(hexcode, hexconv, members, secret, zero=zero)
-            assert report.fidelity > 1 - 1e-9, members
-            assert abs(report.purity - 1) < 1e-9, members
+    quads = list(combinations(range(1, 7), 4))
+    reports = sim.verify_reconstruction(hexcode, hexconv, quads, secrets)
+    assert [report.available for report in reports] == quads
+    for members, report in zip(quads, reports):
+        assert len(report.fidelity) == len(report.purity) == 3, members
+        for fidelity, purity in zip(report.fidelity, report.purity):
+            assert fidelity > 1 - 1e-9, members
+            assert abs(purity - 1) < 1e-9, members
 
 
 def test_size_guard_env_override(monkeypatch):
