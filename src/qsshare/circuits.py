@@ -285,8 +285,9 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the QSSCIRC text format; '#' starts a comment.
 
     Strict, so emitting a parsed circuit is canonical: 'p', 'qudits' and each
-    'role q' appear once, roles and gates address qudits in 1..qudits, a and
-    b lie in [0, p) and PPOW exponents in [0, phase_order(p)).
+    'role q' appear once, roles and gates address qudits in 1..qudits, a role
+    is 'share i' or 'ancilla i' with i >= 1, a and b lie in [0, p) and PPOW
+    exponents in [0, phase_order(p)).
     """
     header: dict[str, int] = {}
     roles: dict[int, tuple[int, tuple[str, int]]] = {}
@@ -312,7 +313,10 @@ def parse_circuit(text: str) -> Circuit:
                 q = int(fields[1])
                 if q in roles:
                     raise CircuitParseError(line_no, f"repeated role for qudit {q}")
-                roles[q] = (line_no, (fields[2], int(fields[3])))
+                role = (fields[2], int(fields[3]))
+                if role[0] not in ("share", "ancilla") or role[1] < 1:
+                    raise CircuitParseError(line_no, "role must be 'share i' or 'ancilla i' with i >= 1")
+                roles[q] = (line_no, role)
             elif key == "gate":
                 kind = fields[1]
                 if kind not in _GATE_ARITY:

@@ -104,8 +104,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 0:
-        raise QssError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials < 1:
+        raise QssError(f"--trials must be >= 1, got {args.trials}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
     report = {
@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
         "rows": [],
     }
     conv = pauli.make_convention(code)
-    if k == 0 or args.trials == 0:
+    if k == 0:
         sets = []
     elif args.set is not None:
         sets = [_parse_share_list(args.set, n)]

@@ -9,6 +9,8 @@ solution picks and basis outputs are reproducible across runs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NoSolutionError, ZeroInverseError
@@ -45,29 +47,42 @@ def fp_inv(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """Table t with t[x] = x^-1 mod p for x in 1..p-1, and t[0] = 0."""
+    table = np.zeros(p, dtype=np.int64)
+    table[1:] = [pow(x, -1, p) for x in range(1, p)]
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
 def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Reduced row-echelon form of A over F_p.
 
     Returns (R, pivots, rank) where pivots are the pivot column indices in
     increasing order. The row space of R equals the row space of A.
+    Each pivot clears its column in every other row with one rank-one update.
     """
     R = as_field(A, p)
     rows, cols = R.shape
+    inv = _inverses(p)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
+        # Rows r.. are zero left of c, so only columns c.. change.
+        pivot = R[i, c:] * inv[R[i, c]] % p
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * fp_inv(R[r, c], p)) % p
-        for j in range(rows):
-            if j != r and R[j, c]:
-                R[j] = (R[j] - R[j, c] * R[r]) % p
+            R[i] = R[r]
+        # Clearing column c in every row also zeroes row r; it then gets the pivot.
+        R[:, c:] -= R[:, c, None] * pivot
+        R[:, c:] %= p
+        R[r, c:] = pivot
         pivots.append(c)
         r += 1
     return R, tuple(pivots), len(pivots)
@@ -75,6 +90,39 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
 
 def rank(A, p: int) -> int:
     return rref(A, p)[2]
+
+
+def ranks(stack, p: int) -> np.ndarray:
+    """Ranks over F_p of every matrix in a (B, rows, cols) stack, as a length-B array.
+
+    One elimination runs over the whole stack: per column, each matrix takes
+    its first row with a nonzero entry there as pivot and subtracts multiples
+    of it from all its rows, the pivot row included, so a used row is zero
+    in later columns and never pivots again. Each rank is a pivot count.
+    """
+    # int16 holds every intermediate: |x - y*z| < p^2 <= 169.
+    S = (np.asarray(stack) % check_prime(p)).astype(np.int16)
+    if S.ndim != 3:
+        raise ValueError(f"expected a (B, rows, cols) stack, got shape {S.shape}")
+    if S.shape[2] > S.shape[1]:
+        S = S.transpose(0, 2, 1)  # rank(A) = rank(A^T): loop over the shorter side
+    count, rows, cols = S.shape
+    out = np.zeros(count, dtype=np.int64)
+    if count == 0 or rows == 0:
+        return out
+    inv = _inverses(p).astype(np.int16)
+    which = np.arange(count)
+    for c in range(cols):
+        column = S[:, :, c]
+        first = (column != 0).argmax(axis=1)
+        lead = column[which, first]
+        out += lead != 0
+        # Column c is never read again, so only the columns right of it change.
+        # A matrix with no pivot here has lead 0, and inv[0] = 0 leaves it alone.
+        pivot = S[which, first, c + 1 :] * inv[lead][:, None] % p
+        S[:, :, c + 1 :] -= column[:, :, None] * pivot[:, None, :]
+        S[:, :, c + 1 :] %= p
+    return out
 
 
 def row_basis(A, p: int) -> np.ndarray:

@@ -160,18 +160,11 @@ def validate_code(code: CodeSpec) -> None:
         raise ValidationError("self-dual space must have dimension n")
     if symplectic_gram(cm, cm, p).any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
-    for i, row in enumerate(stab):
-        if not linalg.row_space_contains(cm, row, p):
-            raise ValidationError(f"stabilizer row {i + 1} outside the self-dual space")
+    _check_rows_inside(cm, stab, p, "stabilizer row {} outside the self-dual space")
     if k == 0:
         return
-    dual_basis = code.dual_basis()
-    for i, row in enumerate(lx):
-        if not linalg.row_space_contains(dual_basis, row, p):
-            raise ValidationError(f"logical x {i + 1} outside the dual space")
-    for i, row in enumerate(lz):
-        if not linalg.row_space_contains(cm, row, p):
-            raise ValidationError(f"logical z {i + 1} outside the self-dual space")
+    _check_rows_inside(code.dual_basis(), lx, p, "logical x {} outside the dual space")
+    _check_rows_inside(cm, lz, p, "logical z {} outside the self-dual space")
     pairing = symplectic_gram(lx, lz, p)
     if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
         raise ValidationError(f"logical pairing is not the identity matrix:\n{pairing}")
@@ -181,6 +174,17 @@ def validate_code(code: CodeSpec) -> None:
         raise ValidationError("logical z representatives do not mutually commute")
     if linalg.rank(np.vstack([cm, lx]), p) != n + k:
         raise ValidationError("logical x cosets are dependent modulo the self-dual space")
+
+
+def _check_rows_inside(basis: np.ndarray, rows: np.ndarray, p: int, message: str) -> None:
+    """Raise ValidationError, naming the first offending row, unless every row
+    lies in the span of the linearly independent rows of `basis`; one rank
+    decides the whole block, the row-by-row search runs only on failure."""
+    if linalg.rank(np.vstack([basis, rows]), p) == basis.shape[0]:
+        return
+    for i, row in enumerate(rows):
+        if not linalg.row_space_contains(basis, row, p):
+            raise ValidationError(message.format(i + 1))
 
 
 def _check_self_orthogonal(rows: np.ndarray, p: int, what: str = "stabilizer") -> None:
@@ -434,18 +438,31 @@ def _contains_any(members, sets) -> bool:
 
 
 def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[int, ...]]:
-    """Minimal qualified share sets, smallest first then lexicographic."""
-    n = code.n
+    """Minimal qualified share sets, smallest first then lexicographic.
+
+    A set J is qualified when erasing its complement is correctable, which
+    erasure_correctable decides by the ranks of the C and dual(C) bases
+    restricted to J's columns. Here every candidate of one size is decided at
+    once, by one batched rank per space. Candidates containing a smaller
+    qualified set are skipped; two sets of one size never contain each other,
+    so only the smaller levels prune.
+    """
+    n, p = code.n, code.p
     if n > MAX_ENUMERATION_SHARES:
         raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
     limit = n if max_size is None else min(max_size, n)
+    # Transposed so one gather by column indices restricts every candidate;
+    # int8 (entries < p <= 13) keeps that per-level stack small.
+    spaces = [basis.T.astype(np.int8) for basis in (code.stabilizer, code.dual_basis())]
     minimal: list[tuple[int, ...]] = []
     for size in range(1, limit + 1):
-        for members in combinations(range(1, n + 1), size):
-            if _contains_any(members, minimal):
-                continue
-            if erasure_correctable(code, complement(members, n)):
-                minimal.append(members)
+        level = [m for m in combinations(range(1, n + 1), size) if not _contains_any(m, minimal)]
+        if not level:
+            continue
+        shares = np.array(level) - 1
+        columns = np.hstack([shares, shares + n])  # a and b parts; order does not change a rank
+        inner, outer = (space.shape[1] - linalg.ranks(space[columns], p) for space in spaces)
+        minimal.extend(m for m, ok in zip(level, inner == outer) if ok)
     return minimal
 
 

@@ -2,7 +2,9 @@
 
 None of these is on a path of the package itself: each computes a fact the
 package obtains another way (span intersections and coordinate sections by
-explicit kernels, where the package uses column-restricted ranks).
+explicit kernels, where the package uses column-restricted ranks; reduced
+forms by a per-row elimination loop, where the package updates all rows of a
+pivot at once).
 """
 
 from __future__ import annotations
@@ -12,6 +14,31 @@ from itertools import combinations
 import numpy as np
 
 from qsshare import linalg, symplectic
+
+
+def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Reduced row-echelon form over F_p, one Python-level update per row and
+    pivot, with the package's pivot rule (lowest column, then lowest row)."""
+    R = linalg.as_field(A, p)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * linalg.fp_inv(R[r, c], p)) % p
+        for j in range(rows):
+            if j != r and R[j, c]:
+                R[j] = (R[j] - R[j, c] * R[r]) % p
+        pivots.append(c)
+        r += 1
+    return R, tuple(pivots), len(pivots)
 
 
 def row_space_equal(A, B, p: int) -> bool:

@@ -248,11 +248,15 @@ _ROLES = "role 1 share 1\nrole 2 share 2\n"
         ("p 2\nqudits 2\n" + _ROLES + "gate PPOW 1 4\n", 6),
         ("p 3\nqudits 2\n" + _ROLES + "gate CPAULI 1 1 1 0\n", 6),
         ("p 3\nqudits 2\n" + _ROLES + "gate F 3\n", 6),
+        ("p 3\nqudits 2\nrole 1 share 1\nrole 2 bogus 2\n", 5),
+        ("p 3\nqudits 2\nrole 1 share -7\nrole 2 share 2\n", 4),
+        ("p 3\nqudits 2\nrole 1 share 1\nrole 2 ancilla 0\n", 5),
     ],
     ids=[
         "role-past-register", "role-zero", "repeated-p", "repeated-qudits", "repeated-role",
         "a-equals-p", "b-negative", "pauli-b-past-p", "ppow-negative", "ppow-equals-p",
         "ppow-past-ring-p2", "control-equals-target", "gate-past-register",
+        "role-kind-unknown", "role-index-negative", "role-index-zero",
     ],
 )
 def test_parse_rejects_noncanonical_documents(body, line_no):

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import warnings
+from itertools import combinations
 
 import pytest
 
-from qsshare import circuits, cli, sim
+from qsshare import circuits, cli, linalg, sim, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -92,10 +93,11 @@ def test_verify_single_set(capsys, spec_path):
 
 
 def test_verify_zero_trials(capsys, spec_path):
-    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "0")
-    assert rc == 0
-    report = json.loads(out)
-    assert report["rows"] == []
+    # zero secrets certify nothing, so no report is printed
+    rc, out, err = run(capsys, "verify", spec_path, "--trials", "0")
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_unqualified_set_exit_3(capsys, spec_path):
@@ -157,6 +159,7 @@ def test_demo_output(capsys):
     "argv, env",
     [
         (["verify", "{spec}", "--trials", "-3"], None),
+        (["verify", "{spec}", "--trials", "0", "--set", "1,2"], None),
         (["verify", "{spec}", "--set", ""], None),
         (["verify", "{spec}", "--set", "0,1,2,3"], None),
         (["analyze", "{p4}"], None),
@@ -166,8 +169,8 @@ def test_demo_output(capsys):
         (["analyze", "{spec}", "--max-size", "-2"], None),
     ],
     ids=[
-        "negative-trials", "empty-set", "share-zero", "p4-spec", "missing-out-dir",
-        "bad-max-amplitudes", "max-size-zero", "max-size-negative",
+        "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
+        "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
@@ -219,6 +222,35 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
     assert calls == {"plan": 22, "encode": 3}
+
+
+def test_qualified_sets_ranks_each_level_once(monkeypatch):
+    code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
+    calls = {"ranks": 0, "rank": 0, "rref": 0}
+    originals = {name: getattr(linalg, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name))
+    minimal = symplectic.qualified_sets(code)
+    assert calls["ranks"] <= 2 * code.n
+    assert calls["rank"] == calls["rref"] == 0
+    # an antichain whose up-closure is what one erasure_correctable query
+    # per subset finds qualified, so exactly its minimal sets
+    monkeypatch.undo()
+    assert not any(set(a) < set(b) for a in minimal for b in minimal)
+    assert symplectic.all_qualified_sets(code) == [
+        members
+        for size in range(1, code.n + 1)
+        for members in combinations(range(1, code.n + 1), size)
+        if symplectic.erasure_correctable(code, symplectic.complement(members, code.n))
+    ]
 
 
 def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):

@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsshare import linalg
 from qsshare.errors import NoSolutionError, ZeroInverseError
@@ -151,3 +153,69 @@ def test_intersect_by_enumeration():
 
 def test_row_space_contains_zero_vector():
     assert linalg.row_space_contains(np.array(H_ROWS), np.zeros(12, dtype=int), 3)
+
+
+@st.composite
+def field_matrices(draw, max_rows=24, max_cols=24):
+    """(p, A): a matrix over F_p, 0..24 x 0..24, often with zero, repeated
+    or scaled-copy rows and zero columns, so pivots get skipped."""
+    p = draw(st.sampled_from(linalg.SUPPORTED_PRIMES))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(rows, cols))
+    if rows and cols:
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("zero-row", "zero-col", "copy-row")))
+            i = draw(st.integers(0, rows - 1))
+            if kind == "zero-row":
+                A[i] = 0
+            elif kind == "zero-col":
+                A[:, draw(st.integers(0, cols - 1))] = 0
+            else:
+                A[i] = (A[draw(st.integers(0, rows - 1))] * draw(st.integers(0, p - 1))) % p
+    return p, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_rref_equals_rowloop_oracle(case):
+    p, A = case
+    R, pivots, rk = linalg.rref(A, p)
+    R0, pivots0, rk0 = oracles.rref_rowloop(A, p)
+    assert np.array_equal(R, R0)
+    assert R.dtype == R0.dtype and R.shape == R0.shape
+    assert (pivots, rk) == (pivots0, rk0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(linalg.SUPPORTED_PRIMES),
+    st.integers(0, 6),
+    st.integers(0, 24),
+    st.integers(0, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_ranks_equals_rank_per_matrix(p, count, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, p, size=(count, rows, cols))
+    for b in range(count):
+        if rows and rng.random() < 0.5:  # low rank: rows from a few rows
+            basis = rng.integers(0, p, size=(int(rng.integers(0, 4)), cols))
+            stack[b] = rng.integers(0, p, size=(rows, basis.shape[0])) @ basis % p
+        if rows > 1 and rng.random() < 0.3:
+            stack[b, -1] = stack[b, 0]
+        if cols and rng.random() < 0.3:
+            stack[b, :, int(rng.integers(0, cols))] = 0
+    out = linalg.ranks(stack, p)
+    assert out.shape == (count,)
+    assert out.tolist() == [linalg.rank(m, p) for m in stack]
+
+
+def test_ranks_of_empty_stacks_and_matrices():
+    assert linalg.ranks(np.zeros((0, 3, 4), dtype=int), 5).shape == (0,)
+    assert linalg.ranks(np.zeros((3, 0, 4), dtype=int), 5).tolist() == [0, 0, 0]
+    assert linalg.ranks(np.zeros((2, 4, 0), dtype=int), 5).tolist() == [0, 0]
+    stack = np.array([np.array(H_ROWS), np.zeros((4, 12), dtype=int), np.array(H_ROWS) * 2])
+    assert linalg.ranks(stack, 3).tolist() == [4, 0, 4]

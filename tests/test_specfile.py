@@ -1,8 +1,11 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qsshare import specfile, symplectic
-from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
+from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT, six_share_qutrit_code
 from qsshare.errors import SpecParseError, ValidationError
 
 from conftest import H_ROWS, X_ROWS, Z_ROWS
@@ -15,6 +18,20 @@ def test_parse_reference_document():
     assert np.array_equal(code.stabilizer, np.array(H_ROWS))
     assert np.array_equal(code.logical_x, np.array(X_ROWS))
     symplectic.validate_code(code)
+
+
+BUNDLED_CODES = sorted((Path(__file__).resolve().parent.parent / "codes").glob("*.qss"))
+
+
+@pytest.mark.parametrize("path", BUNDLED_CODES, ids=[path.name for path in BUNDLED_CODES])
+def test_bundled_code_loads_without_warning(path):
+    # the bundled file lists the normalized z rows the demo document's load derives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = specfile.load_code(str(path))
+    expected = six_share_qutrit_code()
+    for part in ("stabilizer", "self_dual", "logical_x", "logical_z"):
+        assert np.array_equal(getattr(code, part), getattr(expected, part)), part
 
 
 def test_parse_minimal_document_completes_missing_rows():

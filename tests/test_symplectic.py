@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -270,6 +271,37 @@ def test_validate_rejects_bad_pairing(hexcode):
     )
     with pytest.raises(ValidationError):
         symplectic.validate_code(broken)
+
+
+def _corrupt_row_2(code, part):
+    """The code with row 2 of one part moved out of the space it must lie in,
+    keeping every check that runs before that part's membership check."""
+    rows = {name: getattr(code, name).copy() for name in ("stabilizer", "logical_x", "logical_z")}
+    x1 = code.logical_x[0]
+    if part == "stabilizer":
+        rows[part][1] = x1  # in dual(C) so still isotropic with C, but outside Cm
+    elif part == "logical_x":
+        outside_dual = next(e for e in np.eye(2 * code.n, dtype=np.int64)
+                            if symplectic.symplectic_gram(code.stabilizer, e, code.p).any())
+        rows[part][1] = (rows[part][1] + outside_dual) % code.p
+    else:
+        rows[part][1] = (rows[part][1] + x1) % code.p  # x1 pairs with z1, so outside Cm
+    return dataclasses.replace(code, **rows)
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("stabilizer", "stabilizer row 2 outside the self-dual space"),
+        ("logical_x", "logical x 2 outside the dual space"),
+        ("logical_z", "logical z 2 outside the self-dual space"),
+    ],
+)
+def test_validate_names_first_row_outside_its_space(hexcode, part, message):
+    symplectic.validate_code(hexcode)
+    with pytest.raises(ValidationError) as err:
+        symplectic.validate_code(_corrupt_row_2(hexcode, part))
+    assert str(err.value) == message
 
 
 def test_build_code_normalizes_reference_pairing():
