@@ -178,9 +178,13 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
         w=[], y=[], u=[], v=[], beta=[], gamma=[],
         eta_u=[], eta_v=[], step3_exponents=[], step6_exponents=[],
     )
+    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z
+    stab_parts, local_parts = symplectic.split_on_missing(
+        code, np.vstack([code.logical_x, code.logical_z]), missing
+    )
     for i in range(k):
-        u, w = symplectic.split_on_missing(code, code.logical_x[i], missing)
-        v, y = symplectic.split_on_missing(code, code.logical_z[i], missing)
+        u, w = stab_parts[i], local_parts[i]
+        v, y = stab_parts[k + i], local_parts[k + i]
         beta = pauli.relative_phase(code.logical_x[i], w, u, p)
         gamma = pauli.relative_phase(code.logical_z[i], y, v, p)
         eta_u = pauli.stabilizer_eigenvalue(gens, u, p) if gens else 0

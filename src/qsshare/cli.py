@@ -130,7 +130,8 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     secrets = [sim.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
-    for rep in sim.verify_reconstruction(code, conv, sets, secrets) if sets else ():
+    plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
+    for rep in sim.verify_reconstruction(code, conv, plans, secrets) if plans else ():
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
             if failure is None and (fid < 1.0 - FIDELITY_SLACK or dev > FIDELITY_SLACK):

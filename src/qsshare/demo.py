@@ -106,7 +106,7 @@ def run_demo(stream=None) -> str:
 
     rng = np.random.default_rng(20240521)
     secrets = (sim.basis_state(p, k).amps, sim.random_secret(p, k, rng))
-    (report,) = sim.verify_reconstruction(code, conv, [members], secrets)
+    (report,) = sim.verify_reconstruction(code, conv, [plan], secrets)
     fid, pur = min(report.fidelity), min(report.purity)
     print(f"verification: fidelity {fid:.9f}  purity {pur:.9f}", file=out)
     return out.getvalue() if isinstance(out, io.StringIO) else ""

@@ -58,7 +58,8 @@ class IndexOutOfRangeError(QssError):
 
 
 class PreparationFailedError(QssError):
-    """No reference state survived the stabilizer projector (defensive)."""
+    """The generators have no common +1 eigenvector: the message names the
+    generator that does not fix the prepared state and its residual norm."""
 
 
 class CircuitParseError(QssError):

@@ -162,21 +162,23 @@ def nullspace(A, p: int) -> np.ndarray:
 def solve_linear(A, b, p: int) -> np.ndarray:
     """Solve A x = b over F_p.
 
-    Returns the particular solution with every free variable set to zero;
-    nullspace(A, p) gives the rest. Raises NoSolutionError when b is outside
+    b is one right-hand side, or a (rows, q) matrix of q of them that one
+    elimination solves together; x has the matching shape. Returns the
+    particular solution with every free variable set to zero; nullspace(A, p)
+    gives the rest. Raises NoSolutionError when a right-hand side is outside
     the column space of A.
     """
     A = as_field(A, p)
-    b = as_field_vector(b, p)
+    b = np.asarray(b, dtype=np.int64) % p
     rows, cols = A.shape
     if b.shape[0] != rows:
         raise NoSolutionError(f"right-hand side length {b.shape[0]} != {rows} rows")
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, pivots, _ = rref(aug, p)
-    if cols in pivots:
+    rhs = b.reshape(-1, 1) if b.ndim == 1 else b
+    # With every pivot among A's columns the row operations are A's alone, so
+    # each column of b gets the same solution a separate elimination gives.
+    R, pivots, rk = rref(np.hstack([A, rhs]), p)
+    if rk and pivots[-1] >= cols:
         raise NoSolutionError("right-hand side outside the column space")
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, cols]
-    return x
-
+    x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+    x[list(pivots)] = R[:rk, cols:]
+    return x if b.ndim == 2 else x[:, 0]

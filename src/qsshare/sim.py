@@ -5,10 +5,13 @@ significant digit of the index. Erased shares are modeled by never applying a
 gate to them: the global state stays pure and the reduced state on a subset
 is only materialized by the diagnostic partial-trace helper.
 
-Every gate but the Fourier gate is monomial: X^a Z^b on a qudit is a phase
-vector w_p^{b t} and a roll by a; a controlled Pauli applies its j-th power
-to the control-j slice. No dense operator is built: pauli.dense_matrix is a
-test oracle.
+Every gate but the Fourier gate is monomial: w^e X^a Z^b on a qudit writes
+block t of the state, times w^{e + c b t}, to block t + a of a fresh array
+(c = 2 at p = 2 and 1 otherwise); a controlled Pauli writes the j-th power
+of its Pauli, applied to the control-j slice, into that slice of the output.
+No dense operator is built: pauli.dense_matrix is a test oracle. The
+logical zero is built in closed form, as a phased uniform superposition over
+an affine subspace.
 
 The default size guard admits up to 2^24 amplitudes; the environment
 variable QSS_MAX_AMPLITUDES overrides it.
@@ -18,12 +21,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
-from . import circuits, pauli
-from .errors import IndexOutOfRangeError, PreparationFailedError, QssError, TooLargeError
+from . import circuits, linalg, pauli
+from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
 
@@ -89,15 +93,24 @@ def fix_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:
     return StateVector(state.p, state.m, amps * (abs(pivot) / pivot))
 
 
-def _pauli_on_axis(tensor: np.ndarray, a: int, b: int, p: int, axis: int) -> np.ndarray:
-    """X^a Z^b on one axis: multiply by w_p^{b t}, then roll t -> t + a."""
-    if b:
-        w_p = np.exp(2j * np.pi / p)
-        phases = w_p ** ((b * np.arange(p)) % p)
-        tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (tensor.ndim - axis - 1))
-    if a:
-        tensor = np.roll(tensor, a, axis=axis)
-    return tensor
+@lru_cache(maxsize=None)
+def _phases(p: int) -> np.ndarray:
+    """Table of w^e over the phase ring, shared read-only through the cache."""
+    table = np.array([pauli.phase_value(e, p) for e in range(pauli.phase_order(p))])
+    table.flags.writeable = False
+    return table
+
+
+def _pauli_on_axis(src: np.ndarray, dst: np.ndarray, axis: int, a: int, b: int, e: int, p: int) -> None:
+    """Write w^e X^a Z^b, applied on one axis of src, into dst (same shape, no
+    overlap): block t goes to block t + a times w^{e + c b t}, c = 2 at p = 2
+    and 1 otherwise."""
+    phases, c = _phases(p), 2 if p == 2 else 1
+    lead = (slice(None),) * axis
+    for t in range(p):
+        # (..., t, ...) keeps a 0-d view when the state has one qudit
+        block, phase = src[lead + (t, ...)], phases[(e + c * b * t) % len(phases)]
+        np.multiply(block, phase, out=dst[lead + ((t + a) % p, ...)])
 
 
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
@@ -106,17 +119,27 @@ def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector
     if op.p != p or op.n != m:
         raise ValueError("operator register does not match the state")
     a, b = op.x_part(), op.z_part()
-    tensor = state.tensor()
-    for q in range(m):
-        tensor = _pauli_on_axis(tensor, int(a[q]), int(b[q]), p, q)
-    amps = tensor.reshape(-1) * pauli.phase_value(op.phase, p)
-    return StateVector(p, m, amps)
+    sites = np.flatnonzero(a | b)
+    if not sites.size:
+        return StateVector(p, m, state.amps * pauli.phase_value(op.phase, p))
+    tensor, phase = state.tensor(), op.phase
+    for q in sites:  # the scalar rides on the first site
+        out = np.empty_like(tensor)
+        _pauli_on_axis(tensor, out, q, int(a[q]), int(b[q]), phase, p)
+        tensor, phase = out, 0
+    return StateVector(p, m, tensor.reshape(-1))
 
 
-def _fourier_matrix(p: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _fourier_matrix(p: int, inverse: bool, after: int = 1) -> np.ndarray:
+    """kron(F, I_after), or the same with F^-1: the Fourier gate on a (p, after)
+    block. Read-only, shared through the cache."""
     w = np.exp(2j * np.pi / p)
     grid = np.outer(np.arange(p), np.arange(p)) % p
-    return w**grid / np.sqrt(p)
+    mat = w**grid / np.sqrt(p)
+    out = np.kron(mat.conj().T if inverse else mat, np.eye(after))
+    out.flags.writeable = False
+    return out
 
 
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
@@ -127,22 +150,34 @@ def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     tensor = state.tensor()
     axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
     if gate.kind in ("F", "FINV"):
-        mat = _fourier_matrix(p) if gate.kind == "F" else _fourier_matrix(p).conj().T
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
+        # F on every (p, after) block, output in the input's layout: narrow
+        # blocks as one product with kron(F, I), since a batch of tiny
+        # products costs several times more; wide ones as a batched product
+        inverse, after = gate.kind == "FINV", p ** (m - axis - 1)
+        if p * after <= 64:
+            tensor = tensor.reshape(-1, p * after) @ _fourier_matrix(p, inverse, after).T
+        else:
+            tensor = _fourier_matrix(p, inverse) @ tensor.reshape(-1, p, after)
     elif gate.kind == "PPOW":
-        phases = np.array([pauli.phase_value(gate.params[0] * j, p) for j in range(p)])
+        phases = _phases(p)[gate.params[0] * np.arange(p) % pauli.phase_order(p)]
         tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (m - axis - 1))
     elif gate.kind in ("CPAULI", "CPAULIINV"):
         sign = -1 if gate.kind == "CPAULIINV" else 1
         site = pauli.PhasedPauli(p, 0, gate.params)
-        tensor = tensor.copy()
-        # a view of tensor with the control axis first and the target second
-        pair = np.moveaxis(tensor, (axis, gate.qudits[1] - 1), (0, 1))
+        out = np.empty_like(tensor)
+        target = gate.qudits[1] - 1
+        target -= target > axis  # its axis in a control slice
+        control = (slice(None),) * axis
+        out[control + (0,)] = tensor[control + (0,)]
         for j in range(1, p):
             power = pauli.pauli_pow(site, sign * j)
-            pair[j] = _pauli_on_axis(pair[j], *power.vec, p, 0) * pauli.phase_value(power.phase, p)
+            slice_j = control + (j,)
+            _pauli_on_axis(tensor[slice_j], out[slice_j], target, *power.vec, power.phase, p)
+        tensor = out
     elif gate.kind == "PAULI":
-        tensor = _pauli_on_axis(tensor, *gate.params, p, axis)
+        out = np.empty_like(tensor)
+        _pauli_on_axis(tensor, out, axis, *gate.params, 0, p)
+        tensor = out
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind}")
     return StateVector(p, m, tensor.reshape(-1))
@@ -161,39 +196,57 @@ def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
 
 
 def logical_zero(code, convention) -> StateVector:
-    """Joint +1 eigenvector of the calibrated self-dual generators.
+    """Joint +1 eigenvector of the calibrated self-dual generators, in closed form.
 
-    Obtained by running the projector prod_i (1/p) sum_j g_i^j over reference
-    basis states until one survives; exact at desk scale and independent of
-    any gate-level preparation. Global phase is fixed deterministically.
+    A stabilizer state is a uniform superposition over an affine subspace with
+    exact phases (Dehaene & De Moor, quant-ph/0304125; Hostens, Dehaene &
+    De Moor, quant-ph/0408190). Row reduction of the generators' X parts
+    yields r products h_i = w^e M(a_i|b_i) with independent a_i and n - r
+    diagonal products w^e Z^b; the diagonal +1 conditions e + c b.x = 0
+    (c = 2 at p = 2, else 1) fix a point x0, and the state is
+    sum_t h_1^t_1 ... h_r^t_r |x0> / sqrt(p^r), grown one h_i at a time by
+    w^e X^a Z^b |x> = w^{e + c b.x} |x + a>. Global phase is fixed
+    deterministically, and every generator is checked to fix the state.
     """
     p, n = code.p, code.n
     _guard(p, n)
     gens = convention.generators
-    for ref in range(p**n):
-        digits = np.base_repr(ref, base=p).zfill(n)
-        state = basis_state(p, n, [int(d) for d in digits])
-        dead = False
-        for g in gens:
-            acc = state.amps.copy()
-            running = state
-            for _ in range(p - 1):
-                running = apply_phased_pauli(running, g)
-                acc += running.amps
-            state = StateVector(p, n, acc / p)
-            if state.norm() < 1e-9:
-                dead = True
-                break
-        if dead:
-            continue
-        state = StateVector(p, n, state.amps / state.norm())
-        state = fix_global_phase(state)
-        for g in gens:
-            fixed = apply_phased_pauli(state, g)
-            if np.linalg.norm(fixed.amps - state.amps) > 1e-9:
-                raise PreparationFailedError("projector output not fixed by a generator")
-        return state
-    raise PreparationFailedError("no reference state survived the projectors")
+    ring, c = pauli.phase_order(p), 2 if p == 2 else 1
+    xs = np.array([g.x_part() for g in gens], dtype=np.int64).reshape(len(gens), n)
+    reduced, pivots, _ = linalg.rref(np.hstack([xs, np.eye(len(gens), dtype=np.int64)]), p)
+    products = []
+    for coeffs in reduced[:, n:]:
+        h = pauli.identity_pauli(p, n)
+        for i in np.flatnonzero(coeffs):
+            h = pauli.pauli_mul(h, pauli.pauli_pow(gens[i], int(coeffs[i])))
+        products.append(h)
+    r = sum(1 for col in pivots if col < n)  # rows past r have no X part
+    x0 = np.zeros(n, dtype=np.int64)
+    if products[r:]:
+        # An odd e at p = 2 leaves no +1 eigenvector; the check below names a generator.
+        zs = np.array([h.z_part() for h in products[r:]])
+        try:
+            x0 = linalg.solve_linear(zs, [-(h.phase // c) for h in products[r:]], p)
+        except NoSolutionError:  # only for dependent generator patterns
+            raise PreparationFailedError("the generators have no common +1 eigenvector") from None
+    digits, exps = x0.astype(np.int8).reshape(1, n), np.zeros(1, dtype=np.int64)
+    for h in products[:r]:
+        a, b = h.x_part().astype(np.int8), h.z_part()
+        blocks = [(digits, exps)]
+        for _ in range(p - 1):
+            digits, exps = (digits + a) % p, (exps + h.phase + c * (digits @ b)) % ring
+            blocks.append((digits, exps))
+        digits, exps = (np.concatenate(part) for part in zip(*blocks))
+    amps = np.zeros(p**n, dtype=np.complex128)
+    amps[digits @ p ** np.arange(n - 1, -1, -1)] = _phases(p)[exps] / np.sqrt(float(p) ** r)
+    state = fix_global_phase(StateVector(p, n, amps))
+    for i, g in enumerate(gens, start=1):
+        residual = float(np.linalg.norm(apply_phased_pauli(state, g).amps - state.amps))
+        if residual > 1e-9:
+            raise PreparationFailedError(
+                f"generator {i} does not fix the logical zero (residual norm {residual:.3g})"
+            )
+    return state
 
 
 def encode_secret(code, convention, secret, zero: StateVector | None = None) -> StateVector:
@@ -285,17 +338,17 @@ class ReconstructionReport:
     single_qudit_gates: int
 
 
-def verify_reconstruction(code, convention, sets, secrets) -> list[ReconstructionReport]:
+def verify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
-    Plans each set and encodes each secret once, then runs every circuit on
-    n + k qudits: the encoded shares (missing ones never addressed) plus a
-    fresh |0...0> ancilla register the circuit drives to the secret. One
-    joint state exists at a time. Returns one report per set, in order.
+    Takes one circuits.ReconstructionPlan per share set, synthesizes each
+    circuit and encodes each secret once, then runs every circuit on n + k
+    qudits: the encoded shares (missing ones never addressed) plus a fresh
+    |0...0> ancilla register the circuit drives to the secret. One joint
+    state exists at a time. Returns one report per plan, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, n + k)
-    plans = [circuits.plan_reconstruction(code, convention, members) for members in sets]
     circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
     zero = logical_zero(code, convention)
     ancilla = basis_state(p, k).amps

@@ -137,8 +137,13 @@ class CodeSpec:
 
 def validate_code(code: CodeSpec) -> None:
     """Check every structural invariant; raise ValidationError on failure."""
+    linalg.check_prime(code.p)
+    _validate(code, linalg.rank(code.stabilizer, code.p))
+
+
+def _validate(code: CodeSpec, stab_rank: int) -> None:
+    """validate_code for a prime p, given the rank of the stabilizer rows."""
     p, n, k = code.p, code.n, code.k
-    linalg.check_prime(p)
     if not (0 <= k <= n):
         raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
     stab = linalg.as_field(code.stabilizer, p)
@@ -153,7 +158,7 @@ def validate_code(code: CodeSpec) -> None:
     ):
         if arr.shape != (rows, 2 * n):
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {arr.shape}")
-    if linalg.rank(stab, p) != n - k:
+    if stab_rank != n - k:
         raise ValidationError("stabilizer rows are linearly dependent")
     _check_self_orthogonal(stab, p)
     if linalg.rank(cm, p) != n:
@@ -256,9 +261,7 @@ def _extend_basis(base: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 def _solve_rows(A: np.ndarray, p: int) -> np.ndarray:
     """Rows c_j with A c_j = e_j, free variables zero; NoSolutionError if none."""
-    eye = np.eye(A.shape[0], dtype=np.int64)
-    rows = [linalg.solve_linear(A, e, p) for e in eye]
-    return np.array(rows, dtype=np.int64).reshape(A.shape[0], A.shape[1])
+    return linalg.solve_linear(A, np.eye(A.shape[0], dtype=np.int64), p).T
 
 
 def _biorthogonalize(cand: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
@@ -316,13 +319,14 @@ def build_code(
     stab = linalg.as_field(stabilizer, p)
     if n is None:
         n = stab.shape[1] // 2
-    k = n - linalg.rank(stab, p)
+    stab_rank = linalg.rank(stab, p)
+    k = n - stab_rank
     if stab.shape[0] != n - k:
         raise ValidationError("stabilizer rows are linearly dependent")
     _check_self_orthogonal(stab, p)
 
     cm = None if self_dual is None else linalg.as_field(self_dual, p)
-    if cm is not None and linalg.rank(cm, p) != n:
+    if cm is not None and cm.shape[0] != n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
@@ -360,7 +364,7 @@ def build_code(
                 stacklevel=2,
             )
     code = CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
-    validate_code(code)
+    _validate(code, stab_rank)
     return code
 
 
@@ -415,21 +419,24 @@ def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
     return missing
 
 
-def split_on_missing(code: CodeSpec, vec: np.ndarray, missing) -> tuple[np.ndarray, np.ndarray]:
-    """Split a field vector vec = s + r with s in the stabilizer space equal
+def split_on_missing(code: CodeSpec, vecs, missing) -> tuple[np.ndarray, np.ndarray]:
+    """Split field vectors vec = s + r, with s in the stabilizer space equal
     to vec on the missing shares, so r is supported on the others.
 
-    Unchecked: the caller has established that vec lies in dual(C) and that
-    the erasure of `missing` is correctable (localize_x/localize_z do).
-    Deterministic via the linear solver's tie-break.
+    vecs is one length-2n vector or a stack of them as rows; s and r have its
+    shape, and one elimination serves the whole stack. Unchecked: the caller
+    has established that every vector lies in dual(C) and that the erasure
+    of `missing` is correctable (localize_x/localize_z do). Deterministic via
+    the linear solver's tie-break.
     """
     p, n = code.p, code.n
+    vecs = np.asarray(vecs, dtype=np.int64)
     cols = _coordinate_columns(missing, n)
-    s = np.zeros(2 * n, dtype=np.int64)
+    s = np.zeros_like(vecs)
     if cols:
-        coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vec[cols], p)
-        s = (coeff @ code.stabilizer) % p
-    return s, (vec - s) % p
+        coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vecs[..., cols].T, p)
+        s = (coeff.T @ code.stabilizer) % p
+    return s, (vecs - s) % p
 
 
 def _contains_any(members, sets) -> bool:

@@ -1,11 +1,18 @@
-"""Shared fixtures: the six-share qutrit reference code and its worked data."""
+"""Shared fixtures: the six-share qutrit reference code and its worked data,
+and the hypothesis profile every property test runs under."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qsshare import demo, pauli
+
+# Every property test runs under one profile: no per-example deadline, and
+# examples derived from the test itself, so each run draws the same ones.
+settings.register_profile("qsshare", deadline=None, derandomize=True)
+settings.load_profile("qsshare")
 
 
 def row(text: str) -> np.ndarray:

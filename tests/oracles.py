@@ -4,7 +4,8 @@ None of these is on a path of the package itself: each computes a fact the
 package obtains another way (span intersections and coordinate sections by
 explicit kernels, where the package uses column-restricted ranks; reduced
 forms by a per-row elimination loop, where the package updates all rows of a
-pivot at once).
+pivot at once; the logical zero by projecting basis states, where the package
+builds it in closed form).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qsshare import linalg, symplectic
+from qsshare import linalg, sim, symplectic
 
 
 def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -126,3 +127,25 @@ def brute_force_qualified_sets(code) -> list[tuple[int, ...]]:
         for members in combinations(range(1, n + 1), size)
         if section_correctable(code, symplectic.complement(members, n))
     ]
+
+
+def logical_zero_projector(code, convention) -> sim.StateVector:
+    """Joint +1 eigenvector of the calibrated generators by projection: run
+    prod_i (1/p) sum_j g_i^j over reference basis states until one survives,
+    then normalize and fix the global phase."""
+    p, n = code.p, code.n
+    for ref in range(p**n):
+        digits = np.base_repr(ref, base=p).zfill(n)
+        state = sim.basis_state(p, n, [int(d) for d in digits])
+        for g in convention.generators:
+            acc = state.amps.copy()
+            running = state
+            for _ in range(p - 1):
+                running = sim.apply_phased_pauli(running, g)
+                acc += running.amps
+            state = sim.StateVector(p, n, acc / p)
+            if state.norm() < 1e-9:
+                break
+        else:
+            return sim.fix_global_phase(sim.StateVector(p, n, state.amps / state.norm()))
+    raise ValueError("no reference state survived the projectors")

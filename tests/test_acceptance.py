@@ -143,7 +143,8 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     assert len(share_sets) == 22
     worst_fidelity = 1.0
     worst_purity_dev = 0.0
-    reports = sim.verify_reconstruction(hexcode, hexconv, share_sets, secrets)
+    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in share_sets]
+    reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
     assert [report.available for report in reports] == share_sets
     for report in reports:
         assert len(report.fidelity) == len(report.purity) == 20
@@ -166,8 +167,11 @@ def test_criterion_5_qubit_path(hexcode):
             g.phase % 2 for g in conv.generators
         ) or any(e % 2 for e in conv.alpha_exponents)
         secrets = [sim.random_secret(p, k, rng) for _ in range(3)]
-        sets = symplectic.all_qualified_sets(code)
-        for report in sim.verify_reconstruction(code, conv, sets, secrets):
+        plans = [
+            circuits.plan_reconstruction(code, conv, members)
+            for members in symplectic.all_qualified_sets(code)
+        ]
+        for report in sim.verify_reconstruction(code, conv, plans, secrets):
             members = report.available
             assert len(report.fidelity) == len(report.purity) == 3, (seed, members)
             for fidelity, purity in zip(report.fidelity, report.purity):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsshare import circuits, pauli, symplectic
+from qsshare import circuits, linalg, pauli, symplectic
 from qsshare.errors import CircuitParseError, NotCorrectableError
 
 from conftest import AVAILABLE, W1
@@ -274,3 +274,39 @@ def test_control_equal_target_rejected_by_gate():
     for kind in ("CPAULI", "CPAULIINV"):
         with pytest.raises(ValueError):
             circuits.Gate(kind, (2, 2), (1, 0))
+
+
+def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexconv):
+    split, solve = symplectic.split_on_missing, linalg.solve_linear
+    counts = {"split": 0, "solve": 0}
+    depth = []
+
+    def counting_split(*args):
+        counts["split"] += 1
+        depth.append(1)
+        try:
+            return split(*args)
+        finally:
+            depth.pop()
+
+    def counting_solve(*args):
+        counts["solve"] += bool(depth)
+        return solve(*args)
+
+    monkeypatch.setattr(symplectic, "split_on_missing", counting_split)
+    monkeypatch.setattr(linalg, "solve_linear", counting_solve)
+    sets = symplectic.all_qualified_sets(hexcode)
+    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
+    monkeypatch.undo()
+    erasing = sum(1 for members in sets if len(members) < hexcode.n)  # nothing to solve for J = all
+    assert counts == {"split": len(sets), "solve": erasing}
+    # the stacked split equals one split per row
+    for plan in plans:
+        missing = symplectic.complement(plan.available, hexcode.n)
+        for i in range(hexcode.k):
+            for row, s, r in (
+                (hexcode.logical_x[i], plan.u[i], plan.w[i]),
+                (hexcode.logical_z[i], plan.v[i], plan.y[i]),
+            ):
+                s0, r0 = split(hexcode, row, missing)
+                assert np.array_equal(s, s0) and np.array_equal(r, r0)

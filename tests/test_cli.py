@@ -144,9 +144,18 @@ def test_verify_qubit_code(capsys, tmp_path):
     assert report["summary"]["min_fidelity"] >= 1 - 1e-9
 
 
-def test_demo_output(capsys):
+def test_demo_output(capsys, monkeypatch):
+    plan = circuits.plan_reconstruction
+    calls = []
+
+    def counting_plan(*args, **kwargs):
+        calls.append(args[2])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
     rc, out, _ = run(capsys, "demo")
     assert rc == 0
+    assert calls == [(3, 4, 5, 6)]  # the printed plan is the verified one
     assert "eta(M(u1)) = w^2" in out
     assert "eta(M(u2)) = w^2" in out
     assert "eta(M(v1)) = 1" in out

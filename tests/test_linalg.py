@@ -178,7 +178,7 @@ def field_matrices(draw, max_rows=24, max_cols=24):
     return p, A
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(field_matrices())
 def test_rref_equals_rowloop_oracle(case):
     p, A = case
@@ -189,7 +189,7 @@ def test_rref_equals_rowloop_oracle(case):
     assert (pivots, rk) == (pivots0, rk0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.sampled_from(linalg.SUPPORTED_PRIMES),
     st.integers(0, 6),

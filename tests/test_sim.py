@@ -1,9 +1,15 @@
+import dataclasses
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsshare import circuits, pauli, sim, symplectic
-from qsshare.errors import IndexOutOfRangeError, TooLargeError
+from qsshare import circuits, linalg, pauli, sim, symplectic
+from qsshare.errors import IndexOutOfRangeError, PreparationFailedError, TooLargeError
 
+import oracles
 from conftest import AVAILABLE
 
 
@@ -86,7 +92,7 @@ def _dense_gate(gate, p, m):
 def test_controlled_gate_matches_dense_on_random_states():
     rng = np.random.default_rng(17)
     checked = set()
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for m in (2, 3):
             pairs = [(c, t) for c in range(1, m + 1) for t in range(1, m + 1) if c != t]
             gates = [
@@ -99,6 +105,13 @@ def test_controlled_gate_matches_dense_on_random_states():
                 for q in range(1, m + 1)
             ]
             gates.append(circuits.controlled_pauli(m, 1, 1, 0))  # pure shift
+            if m == 3:  # every (a, b): pure shift, pure phase and both, either control order
+                gates += [
+                    kind(c, t, a, b)
+                    for a, b in product(range(p), repeat=2)
+                    for c, t in ((1, 3), (3, 2))
+                    for kind in (circuits.controlled_pauli, circuits.controlled_pauli_inv)
+                ]
             for gate in gates:
                 amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
                 amps /= np.linalg.norm(amps)
@@ -106,9 +119,15 @@ def test_controlled_gate_matches_dense_on_random_states():
                 got = sim.apply_gate(st, gate).amps
                 assert np.abs(got - _dense_gate(gate, p, m) @ amps).max() < 1e-12, (p, m, gate)
                 assert np.array_equal(st.amps, amps)  # the input state is left untouched
-                checked.add((p, m, gate.kind, gate.qudits))
-    # every kind, both control orders and the non-adjacent pairs (1,3), (3,1) ran
-    assert {(3, 3, "CPAULIINV", (1, 3)), (5, 3, "CPAULI", (3, 1)), (2, 3, "PAULI", (2,))} <= checked
+                checked.add((p, m, gate.kind, gate.qudits, gate.params))
+    # every kind, both control orders, the non-adjacent pairs and every (a, b) ran
+    assert {(3, 3, "CPAULIINV", (1, 3)), (5, 3, "CPAULI", (3, 1)), (2, 3, "PAULI", (2,))} <= {
+        key[:4] for key in checked
+    }
+    for p, kind, pair in product((2, 3, 5, 7), ("CPAULI", "CPAULIINV"), ((1, 3), (3, 2))):
+        assert {key[4] for key in checked if key[:4] == (p, 3, kind, pair)} == set(
+            product(range(p), repeat=2)
+        )
 
 
 def test_norm_preserved_through_long_circuit(hexcode, hexconv):
@@ -149,6 +168,54 @@ def test_logical_zero_qubit_random_codes():
         for g in conv.generators:
             out = sim.apply_phased_pauli(zero, g)
             assert np.abs(out.amps - zero.amps).max() < 1e-9
+
+
+@st.composite
+def small_codes(draw):
+    """Random codes small enough for the dense projector oracle (p^n <= 729),
+    k = 0 included, and codes whose generators have no X part at all."""
+    p, largest = draw(st.sampled_from(((2, 7), (3, 6), (5, 4), (7, 3))))
+    n = draw(st.integers(1, largest))
+    k = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return symplectic.random_self_orthogonal_code(p, n, k, seed)
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, p, size=(n - k, n))
+    while linalg.rank(z, p) < n - k:
+        z = rng.integers(0, p, size=(n - k, n))
+    zeros = np.zeros((n, n), dtype=np.int64)
+    return symplectic.build_code(
+        p, np.hstack([zeros[: n - k], z]), self_dual=np.hstack([zeros, np.eye(n, dtype=np.int64)]), n=n
+    )
+
+
+@settings(max_examples=80)
+@given(small_codes())
+def test_logical_zero_equals_projector_oracle(code):
+    conv = pauli.make_convention(code)
+    got = sim.logical_zero(code, conv).amps
+    expected = oracles.logical_zero_projector(code, conv).amps
+    assert np.abs(got - expected).max() < 1e-12
+
+
+def _shift_phase(conv, index, by):
+    gens = list(conv.generators)
+    gens[index] = pauli.PhasedPauli(conv.p, gens[index].phase + by, gens[index].vec)
+    return dataclasses.replace(conv, generators=gens)
+
+
+def test_logical_zero_names_the_generator_that_fails():
+    code = symplectic.build_code(2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))  # XX, ZZ
+    conv = pauli.make_convention(code)
+    assert np.allclose(sim.logical_zero(code, conv).amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    # i XX squares to -1, and i ZZ has eigenvalues +-i only: each moves the state by sqrt(2)
+    for index in (0, 1):
+        with pytest.raises(PreparationFailedError, match=rf"^generator {index + 1} does not fix .*norm 1\.41\)$"):
+            sim.logical_zero(code, _shift_phase(conv, index, 1))
+    # -ZZ is a valid generator: its +1 state is (|01> + |10>)/sqrt(2)
+    flipped = sim.logical_zero(code, _shift_phase(conv, 1, 2)).amps
+    assert np.allclose(flipped, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
 
 def test_logical_z_eigenvalue_on_basis_codewords(hexcode, hexconv):
@@ -228,9 +295,8 @@ def test_encoded_share_subset_is_mixed(hexcode, hexconv):
 
 
 def test_verify_reconstruction_reference(hexcode, hexconv):
-    (report,) = sim.verify_reconstruction(
-        hexcode, hexconv, [AVAILABLE], [sim.basis_state(3, 2).amps]
-    )
+    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+    (report,) = sim.verify_reconstruction(hexcode, hexconv, [plan], [sim.basis_state(3, 2).amps])
     assert report.available == AVAILABLE
     (fidelity,), (purity,) = report.fidelity, report.purity
     assert fidelity > 1 - 1e-9
@@ -245,7 +311,8 @@ def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
     rng = np.random.default_rng(37)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(3)]
     quads = list(combinations(range(1, 7), 4))
-    reports = sim.verify_reconstruction(hexcode, hexconv, quads, secrets)
+    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in quads]
+    reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
     assert [report.available for report in reports] == quads
     for members, report in zip(quads, reports):
         assert len(report.fidelity) == len(report.purity) == 3, members

@@ -394,7 +394,7 @@ def _random_code(params):
     return symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(code_params)
 def test_erasure_correctable_equals_section_oracle(params):
     code = _random_code(params)
@@ -405,14 +405,14 @@ def test_erasure_correctable_equals_section_oracle(params):
             ), (params, missing)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(code_params)
 def test_all_qualified_sets_equals_brute_force_filter(params):
     code = _random_code(params)
     assert symplectic.all_qualified_sets(code) == oracles.brute_force_qualified_sets(code)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**16))
 def test_biorthogonalize_equals_row_by_row_loop(p, n, k, seed):
     k = min(k, n)
@@ -427,3 +427,25 @@ def test_biorthogonalize_equals_row_by_row_loop(p, n, k, seed):
     assert np.array_equal(symplectic._biorthogonalize(cand, other, p), expected)
     assert np.array_equal(symplectic.symplectic_gram(expected, other, p), np.eye(k, dtype=int))
     assert not symplectic.symplectic_gram(expected, expected, p).any()
+
+
+@pytest.mark.parametrize("rows", ("extension", "full"))
+def test_build_code_of_a_full_spec_reduces_stabilizer_and_self_dual_once(monkeypatch, rows):
+    seen = []
+    rref = linalg.rref
+
+    def recording_rref(A, p):
+        seen.append(linalg.as_field(A, p))
+        return rref(A, p)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    for p, n, k, seed in ((3, 6, 2, 0), (2, 7, 3, 1), (5, 4, 1, 2), (3, 5, 4, 3)):
+        ref = symplectic.random_self_orthogonal_code(p, n, k, seed)
+        given = ref.self_dual[n - k :] if rows == "extension" else ref.self_dual
+        seen.clear()
+        code = symplectic.build_code(
+            p, ref.stabilizer, self_dual=given, logical_x=ref.logical_x, logical_z=ref.logical_z
+        )
+        assert np.array_equal(code.self_dual, ref.self_dual)
+        for part in (code.stabilizer, code.self_dual):
+            assert sum(np.array_equal(m, part) for m in seen) == 1, (p, n, k)
