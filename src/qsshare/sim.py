@@ -131,13 +131,12 @@ def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector
 
 
 @lru_cache(maxsize=None)
-def _fourier_matrix(p: int, inverse: bool, after: int = 1) -> np.ndarray:
-    """kron(F, I_after), or the same with F^-1: the Fourier gate on a (p, after)
-    block. Read-only, shared through the cache."""
+def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
+    """F, or F^-1: read-only, shared through the cache."""
     w = np.exp(2j * np.pi / p)
     grid = np.outer(np.arange(p), np.arange(p)) % p
     mat = w**grid / np.sqrt(p)
-    out = np.kron(mat.conj().T if inverse else mat, np.eye(after))
+    out = mat.conj().T if inverse else mat
     out.flags.writeable = False
     return out
 
@@ -150,14 +149,9 @@ def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     tensor = state.tensor()
     axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
     if gate.kind in ("F", "FINV"):
-        # F on every (p, after) block, output in the input's layout: narrow
-        # blocks as one product with kron(F, I), since a batch of tiny
-        # products costs several times more; wide ones as a batched product
-        inverse, after = gate.kind == "FINV", p ** (m - axis - 1)
-        if p * after <= 64:
-            tensor = tensor.reshape(-1, p * after) @ _fourier_matrix(p, inverse, after).T
-        else:
-            tensor = _fourier_matrix(p, inverse) @ tensor.reshape(-1, p, after)
+        # F on every (p, after) block, output in the input's layout
+        after = p ** (m - axis - 1)
+        tensor = _fourier_matrix(p, gate.kind == "FINV") @ tensor.reshape(-1, p, after)
     elif gate.kind == "PPOW":
         phases = _phases(p)[gate.params[0] * np.arange(p) % pauli.phase_order(p)]
         tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (m - axis - 1))

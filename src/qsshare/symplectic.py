@@ -326,7 +326,7 @@ def build_code(
     _check_self_orthogonal(stab, p)
 
     cm = None if self_dual is None else linalg.as_field(self_dual, p)
-    if cm is not None and cm.shape[0] != n:
+    if cm is not None and cm.shape[0] < n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
     lx = None if logical_x is None else linalg.as_field(logical_x, p)

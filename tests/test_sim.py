@@ -31,6 +31,20 @@ def test_fourier_inverse_cancels():
     assert np.abs(out.amps - st.amps).max() < 1e-12
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_fourier_matches_dense_on_every_axis(p):
+    rng = np.random.default_rng(p)
+    w = np.exp(2j * np.pi / p)
+    dense_f = np.array([[w ** (a * b) for a in range(p)] for b in range(p)]) / np.sqrt(p)
+    m = 3
+    kinds = ((circuits.fourier, dense_f), (circuits.fourier_inv, dense_f.conj().T))
+    for q, (kind, mat) in product(range(1, m + 1), kinds):
+        amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
+        expected = np.kron(np.kron(np.eye(p ** (q - 1)), mat), np.eye(p ** (m - q))) @ amps
+        got = sim.apply_gate(sim.StateVector(p, m, amps), kind(q)).amps
+        assert np.abs(got - expected).max() < 1e-12, (p, q, kind)
+
+
 def test_phase_pow_diagonal_action():
     st = sim.basis_state(3, 1, (2,))
     out = sim.apply_gate(st, circuits.phase_pow(1, 2))

@@ -329,6 +329,13 @@ def test_build_code_derives_missing_logicals():
         assert linalg.row_space_contains(np.array(H_ROWS + Z_ROWS), z, 3)
 
 
+def test_build_code_reports_an_over_long_self_dual_block_as_written(hexcode):
+    rows = np.vstack([hexcode.self_dual, hexcode.self_dual[:1]])
+    with pytest.raises(ValidationError) as err:
+        symplectic.build_code(3, hexcode.stabilizer, self_dual=rows)
+    assert str(err.value) == "self_dual must be 6 rows of length 12, got (7, 12)"
+
+
 # Inputs per code: p, stabilizer, self-dual rows (in an order that makes the
 # derivation pick non-leading rows), logical x and z mixed with stabilizer rows.
 PIN_INPUTS = {
