@@ -106,6 +106,8 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise QssError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise QssError(f"--seed must be >= 0, got {args.seed}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
     report = {
@@ -134,8 +136,10 @@ def cmd_verify(args) -> int:
     for rep in sim.verify_reconstruction(code, conv, plans, secrets) if plans else ():
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
-            if failure is None and (fid < 1.0 - FIDELITY_SLACK or dev > FIDELITY_SLACK):
-                failure = (rep.available, trial)
+            if failure is None and fid < 1.0 - FIDELITY_SLACK:
+                failure = (rep.available, trial, f"fidelity {fid:.12g}")
+            elif failure is None and dev > FIDELITY_SLACK:
+                failure = (rep.available, trial, f"purity deviation {dev:.3g}")
         report["rows"].append(
             {
                 "J": list(rep.available),
@@ -154,10 +158,10 @@ def cmd_verify(args) -> int:
     }
     print(json.dumps(report, indent=2))
     if failure is not None:
-        members, trial = failure
+        members, trial, check = failure
         print(
             f"verification failed for J={_format_set(members)} at trial {trial}"
-            f" (seed {args.seed})",
+            f" (seed {args.seed}): {check}",
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAILED

@@ -2,19 +2,33 @@
 
 States are complex amplitude arrays of length p^m with qudit 1 as the most
 significant digit of the index. Erased shares are modeled by never applying a
-gate to them: the global state stays pure and the reduced state on a subset
-is only materialized by the diagnostic partial-trace helper.
+gate to them: the global state stays pure.
 
-Every gate but the Fourier gate is monomial: w^e X^a Z^b on a qudit writes
-block t of the state, times w^{e + c b t}, to block t + a of a fresh array
-(c = 2 at p = 2 and 1 otherwise); a controlled Pauli writes the j-th power
-of its Pauli, applied to the control-j slice, into that slice of the output.
-No dense operator is built: pauli.dense_matrix is a test oracle. The
-logical zero is built in closed form, as a phased uniform superposition over
-an affine subspace.
+Gates run on one working tensor, qudit q on axis q - 1, through one kernel.
+Every gate but the Fourier gate is monomial and is applied in place:
+w^e X^a Z^b on a qudit moves block t to block t + a times w^{e + c b t}
+(c = 2 at p = 2 and 1 otherwise). For a != 0 that is one cycle of p blocks,
+written from its last block back to its first with that block saved and
+each product staged in a one-block buffer; a pure phase scales only the
+blocks whose phase is not 1; a controlled Pauli applies the j-th power of
+its Pauli to control slices j >= 1 and leaves slice 0 alone. The Fourier
+gate is one batched product into a new array, which replaces the old one.
+apply_gate, apply_circuit and apply_phased_pauli copy their input once and
+never write it. No dense operator is built: pauli.dense_matrix is a test
+oracle. The logical zero is built in closed form, as a phased uniform
+superposition over an affine subspace.
+
+verify_reconstruction runs each circuit ancilla-first: ancilla i becomes
+qudit i and share j becomes qudit k + j. Every reconstruction gate is then
+controlled from a leading axis, so control slices are long contiguous runs,
+and a Fourier gate on an ancilla is one wide product. The joint state is one
+working buffer, at most two during a Fourier gate: it starts as zeros with
+its ancilla-|0...0> block (the first p^n amplitudes) set to the encoded
+shares, and the ancilla state is M M^H for the final state M as a
+(p^k, p^n) matrix.
 
 The default size guard admits up to 2^24 amplitudes; the environment
-variable QSS_MAX_AMPLITUDES overrides it.
+variable QSS_MAX_AMPLITUDES, a positive integer, overrides it.
 """
 
 from __future__ import annotations
@@ -37,9 +51,12 @@ def max_amplitudes() -> int:
     if not value:
         return DEFAULT_MAX_AMPLITUDES
     try:
-        return int(value)
+        limit = int(value)
     except ValueError:
-        raise QssError(f"QSS_MAX_AMPLITUDES must be an integer, got {value!r}") from None
+        limit = 0
+    if limit < 1:  # a guard no state can pass would only hide the bad value
+        raise QssError(f"QSS_MAX_AMPLITUDES must be a positive integer, got {value!r}")
+    return limit
 
 
 def _guard(p: int, m: int) -> None:
@@ -101,16 +118,39 @@ def _phases(p: int) -> np.ndarray:
     return table
 
 
-def _pauli_on_axis(src: np.ndarray, dst: np.ndarray, axis: int, a: int, b: int, e: int, p: int) -> None:
-    """Write w^e X^a Z^b, applied on one axis of src, into dst (same shape, no
-    overlap): block t goes to block t + a times w^{e + c b t}, c = 2 at p = 2
-    and 1 otherwise."""
-    phases, c = _phases(p), 2 if p == 2 else 1
+def _monomial(tensor: np.ndarray, axis: int, shift: int, exps, p: int) -> None:
+    """In place on one axis of tensor: block t goes to block t + shift, times
+    w^exps[t]."""
+    phases = _phases(p)
+    ring = len(phases)
     lead = (slice(None),) * axis
-    for t in range(p):
-        # (..., t, ...) keeps a 0-d view when the state has one qudit
-        block, phase = src[lead + (t, ...)], phases[(e + c * b * t) % len(phases)]
-        np.multiply(block, phase, out=dst[lead + ((t + a) % p, ...)])
+
+    def block(t):  # (..., t, ...) keeps a 0-d view when the tensor has one axis
+        return tensor[lead + (t, ...)]
+
+    if not shift % p:
+        for t in range(p):
+            if exps[t] % ring:
+                view = block(t)
+                np.multiply(view, phases[exps[t] % ring], out=view)
+        return
+    # p is prime, so t -> t + shift is one cycle: walk it from the last block
+    # back to the first, with the last block saved. Each product lands in
+    # `step` first: numpy multiplies between interleaved views of one array
+    # on an overlap-safe path that rounds differently from a plain product.
+    cycle = [shift * i % p for i in range(p)]
+    saved = block(cycle[-1]).copy()
+    step = np.empty_like(saved)
+    for src, dst in zip(cycle[-2::-1], cycle[:0:-1]):
+        np.multiply(block(src), phases[exps[src] % ring], out=step)
+        block(dst)[...] = step
+    np.multiply(saved, phases[exps[cycle[-1]] % ring], out=block(cycle[0]))
+
+
+def _pauli_exponents(b: int, e: int, p: int) -> tuple[int, ...]:
+    """Block phase exponents e + c b t of w^e X^a Z^b, c = 2 at p = 2 and 1 otherwise."""
+    c = 2 if p == 2 else 1
+    return tuple(e + c * b * t for t in range(p))
 
 
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
@@ -122,12 +162,24 @@ def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector
     sites = np.flatnonzero(a | b)
     if not sites.size:
         return StateVector(p, m, state.amps * pauli.phase_value(op.phase, p))
-    tensor, phase = state.tensor(), op.phase
+    tensor, phase = state.tensor().copy(), op.phase
     for q in sites:  # the scalar rides on the first site
-        out = np.empty_like(tensor)
-        _pauli_on_axis(tensor, out, q, int(a[q]), int(b[q]), phase, p)
-        tensor, phase = out, 0
+        _monomial(tensor, q, int(a[q]), _pauli_exponents(int(b[q]), phase, p), p)
+        phase = 0
     return StateVector(p, m, tensor.reshape(-1))
+
+
+@lru_cache(maxsize=None)
+def _controlled_powers(p: int, inverse: bool, a: int, b: int) -> tuple:
+    """(shift, block exponents) of (X^a Z^b)^j, or of its inverse, for control
+    values j = 1..p-1."""
+    site = pauli.PhasedPauli(p, 0, (a, b))
+    out = []
+    for j in range(1, p):
+        power = pauli.pauli_pow(site, -j if inverse else j)
+        shift, z = (int(v) for v in power.vec)
+        out.append((shift, _pauli_exponents(z, power.phase, p)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -141,48 +193,47 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
     return out
 
 
+def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> np.ndarray:
+    """Apply one gate to the working tensor and return it: monomial gates
+    write in place, F and FINV return a new array of the same shape."""
+    axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
+    if gate.kind in ("F", "FINV"):
+        # F on every (p, after) block, output in the input's layout
+        after = p ** (tensor.ndim - axis - 1)
+        product = _fourier_matrix(p, gate.kind == "FINV") @ tensor.reshape(-1, p, after)
+        return product.reshape(tensor.shape)
+    if gate.kind == "PPOW":
+        _monomial(tensor, axis, 0, tuple(gate.params[0] * t for t in range(p)), p)
+    elif gate.kind == "PAULI":
+        a, b = gate.params
+        _monomial(tensor, axis, a, _pauli_exponents(b, 0, p), p)
+    elif gate.kind in ("CPAULI", "CPAULIINV"):
+        target = gate.qudits[1] - 1
+        target -= target > axis  # its axis in a control slice
+        powers = _controlled_powers(p, gate.kind == "CPAULIINV", *gate.params)
+        for j, (shift, exps) in enumerate(powers, start=1):  # slice 0 sees the identity
+            _monomial(tensor[(slice(None),) * axis + (j,)], target, shift, exps, p)
+    else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
+        raise ValueError(f"unknown gate kind {gate.kind}")
+    return tensor
+
+
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     p, m = state.p, state.m
     for q in gate.qudits:
         if not 1 <= q <= m:
             raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {m}-qudit state")
-    tensor = state.tensor()
-    axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
-    if gate.kind in ("F", "FINV"):
-        # F on every (p, after) block, output in the input's layout
-        after = p ** (m - axis - 1)
-        tensor = _fourier_matrix(p, gate.kind == "FINV") @ tensor.reshape(-1, p, after)
-    elif gate.kind == "PPOW":
-        phases = _phases(p)[gate.params[0] * np.arange(p) % pauli.phase_order(p)]
-        tensor = tensor * phases.reshape((1,) * axis + (p,) + (1,) * (m - axis - 1))
-    elif gate.kind in ("CPAULI", "CPAULIINV"):
-        sign = -1 if gate.kind == "CPAULIINV" else 1
-        site = pauli.PhasedPauli(p, 0, gate.params)
-        out = np.empty_like(tensor)
-        target = gate.qudits[1] - 1
-        target -= target > axis  # its axis in a control slice
-        control = (slice(None),) * axis
-        out[control + (0,)] = tensor[control + (0,)]
-        for j in range(1, p):
-            power = pauli.pauli_pow(site, sign * j)
-            slice_j = control + (j,)
-            _pauli_on_axis(tensor[slice_j], out[slice_j], target, *power.vec, power.phase, p)
-        tensor = out
-    elif gate.kind == "PAULI":
-        out = np.empty_like(tensor)
-        _pauli_on_axis(tensor, out, axis, *gate.params, 0, p)
-        tensor = out
-    else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
-        raise ValueError(f"unknown gate kind {gate.kind}")
-    return StateVector(p, m, tensor.reshape(-1))
+    return StateVector(p, m, _apply(state.tensor().copy(), gate, p).reshape(-1))
 
 
 def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
-    if circuit.p != state.p or circuit.num_qudits != state.m:
+    p, m = state.p, state.m
+    if circuit.p != p or circuit.num_qudits != m:
         raise ValueError("circuit register does not match the state")
+    tensor = state.tensor().copy()
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+        tensor = _apply(tensor, gate, p)
+    return StateVector(p, m, tensor.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +346,6 @@ def encode_secret_via_dealer(
 # diagnostics and end-to-end verification
 
 
-def reduced_density(state: StateVector, keep) -> np.ndarray:
-    """Partial trace keeping the given qudits (1-based), in ascending order."""
-    p, m = state.p, state.m
-    keep = sorted({int(q) for q in keep})
-    for q in keep:
-        if not 1 <= q <= m:
-            raise IndexOutOfRangeError(f"qudit {q} outside the register")
-    dim = p ** len(keep)
-    if dim**2 > max_amplitudes():
-        raise TooLargeError("reduced density matrix exceeds the size guard")
-    rest = [q for q in range(1, m + 1) if q not in keep]
-    tensor = state.tensor()
-    order = [q - 1 for q in keep] + [q - 1 for q in rest]
-    matrix = np.transpose(tensor, order).reshape(dim, p ** len(rest))
-    return matrix @ matrix.conj().T
-
-
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
@@ -332,27 +366,50 @@ class ReconstructionReport:
     single_qudit_gates: int
 
 
+def _ancilla_first(circuit: circuits.Circuit, n: int) -> tuple[circuits.Gate, ...]:
+    """The gates of a shares-first circuit, relabeled so ancilla i is qudit i
+    and share j is qudit k + j."""
+    k = circuit.num_qudits - n
+
+    def move(q):
+        return q + k if q <= n else q - n
+
+    return tuple(
+        circuits.Gate(g.kind, tuple(move(q) for q in g.qudits), g.params) for g in circuit.gates
+    )
+
+
+def _ancilla_density(code, gates, encoded: np.ndarray) -> np.ndarray:
+    """Ancilla reduced state after ancilla-first gates act on |0...0> (x) encoded."""
+    p, n, k = code.p, code.n, code.k
+    tensor = np.zeros((p,) * (k + n), dtype=np.complex128)
+    tensor.reshape(p**k, p**n)[0] = encoded
+    for gate in gates:  # rebinding frees the array a Fourier gate replaced
+        tensor = _apply(tensor, gate, p)
+    matrix = tensor.reshape(p**k, p**n)
+    return matrix @ matrix.conj().T
+
+
 def verify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
     Takes one circuits.ReconstructionPlan per share set, synthesizes each
     circuit and encodes each secret once, then runs every circuit on n + k
     qudits: the encoded shares (missing ones never addressed) plus a fresh
-    |0...0> ancilla register the circuit drives to the secret. One joint
-    state exists at a time. Returns one report per plan, in order.
+    |0...0> ancilla register the circuit drives to the secret. Each circuit
+    runs relabeled ancilla-first on one working buffer, and one joint state
+    exists at a time. Returns one report per plan, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, n + k)
     circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
+    layouts = [_ancilla_first(circuit, n) for circuit in circs]
     zero = logical_zero(code, convention)
-    ancilla = basis_state(p, k).amps
     results = [[] for _ in circs]
     for secret in secrets:
         encoded = encode_secret(code, convention, secret, zero=zero).amps
-        for circuit, result in zip(circs, results):
-            joint = apply_circuit(StateVector(p, n + k, np.kron(encoded, ancilla)), circuit)
-            matrix = joint.amps.reshape(p**n, p**k)
-            rho = matrix.T @ matrix.conj()  # ancilla reduced state
+        for gates, result in zip(layouts, results):
+            rho = _ancilla_density(code, gates, encoded)
             result.append((fidelity_with_pure(rho, secret), purity(rho)))
     return [
         ReconstructionReport(

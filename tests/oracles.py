@@ -5,7 +5,9 @@ package obtains another way (span intersections and coordinate sections by
 explicit kernels, where the package uses column-restricted ranks; reduced
 forms by a per-row elimination loop, where the package updates all rows of a
 pivot at once; the logical zero by projecting basis states, where the package
-builds it in closed form).
+builds it in closed form; a reduced state by tracing out any qudits of a
+state in the circuit's own numbering, where the package reads the leading
+axes of a state relabeled ancilla-first).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from qsshare import linalg, sim, symplectic
+from qsshare.errors import IndexOutOfRangeError, TooLargeError
 
 
 def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -149,3 +152,20 @@ def logical_zero_projector(code, convention) -> sim.StateVector:
         else:
             return sim.fix_global_phase(sim.StateVector(p, n, state.amps / state.norm()))
     raise ValueError("no reference state survived the projectors")
+
+
+def reduced_density(state: sim.StateVector, keep) -> np.ndarray:
+    """Partial trace keeping the given qudits (1-based), in ascending order."""
+    p, m = state.p, state.m
+    keep = sorted({int(q) for q in keep})
+    for q in keep:
+        if not 1 <= q <= m:
+            raise IndexOutOfRangeError(f"qudit {q} outside the register")
+    dim = p ** len(keep)
+    if dim**2 > sim.max_amplitudes():
+        raise TooLargeError("reduced density matrix exceeds the size guard")
+    rest = [q for q in range(1, m + 1) if q not in keep]
+    tensor = state.tensor()
+    order = [q - 1 for q in keep] + [q - 1 for q in rest]
+    matrix = np.transpose(tensor, order).reshape(dim, p ** len(rest))
+    return matrix @ matrix.conj().T

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import warnings
 from itertools import combinations
 
@@ -176,10 +177,14 @@ def test_demo_output(capsys, monkeypatch):
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "abc"),
         (["analyze", "{spec}", "--max-size", "0"], None),
         (["analyze", "{spec}", "--max-size", "-2"], None),
+        (["verify", "{spec}", "--seed", "-1"], None),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "0"),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "-4"),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
+        "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
@@ -277,3 +282,18 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
     assert rc == 4
     assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
     assert any("J={3,4,5,6}" in line and "seed 9" in line for line in err.splitlines())
+    (line,) = err.splitlines()
+    check = re.search(r"\): fidelity (\S+)$", line)  # the failing check and its size
+    assert check and float(check.group(1)) < 1 - 1e-9
+
+
+def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path):
+    verify = sim.verify_reconstruction
+
+    def mixed(*args):
+        return [dataclasses.replace(rep, purity=(1.0, 0.97)) for rep in verify(*args)]
+
+    monkeypatch.setattr(sim, "verify_reconstruction", mixed)
+    rc, _, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
+    assert rc == 4
+    assert err.strip().endswith("at trial 1 (seed 9): purity deviation 0.03")

@@ -1,5 +1,6 @@
 import dataclasses
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsshare import circuits, linalg, pauli, sim, symplectic
-from qsshare.errors import IndexOutOfRangeError, PreparationFailedError, TooLargeError
+from qsshare.errors import IndexOutOfRangeError, PreparationFailedError, QssError, TooLargeError
 
 import oracles
 from conftest import AVAILABLE
@@ -284,7 +285,7 @@ def test_reduced_density_product_state():
     right = sim.random_secret(3, 1, rng)
     st = sim.StateVector(3, 2, np.kron(left, right))
     for keep in ((1,), (2,)):
-        rho = sim.reduced_density(st, keep)
+        rho = oracles.reduced_density(st, keep)
         assert abs(sim.purity(rho) - 1) < 1e-12
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -297,15 +298,101 @@ def test_reduced_density_maximally_entangled():
         amps[j * p + j] = 1 / np.sqrt(p)
     st = sim.StateVector(p, 2, amps)
     for keep in ((1,), (2,)):
-        rho = sim.reduced_density(st, keep)
+        rho = oracles.reduced_density(st, keep)
         assert abs(sim.purity(rho) - 1 / p) < 1e-12
 
 
 def test_encoded_share_subset_is_mixed(hexcode, hexconv):
     zero = sim.logical_zero(hexcode, hexconv)
     encoded = sim.encode_secret(hexcode, hexconv, sim.basis_state(3, 2).amps, zero=zero)
-    rho = sim.reduced_density(encoded, AVAILABLE)
+    rho = oracles.reduced_density(encoded, AVAILABLE)
     assert sim.purity(rho) < 0.999
+
+
+def test_gate_functions_leave_their_input_untouched():
+    rng = np.random.default_rng(43)
+    p, m = 3, 4
+    amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
+    state = sim.StateVector(p, m, amps.copy())
+    gates = (
+        circuits.fourier(1),
+        circuits.fourier_inv(4),
+        circuits.phase_pow(2, 2),
+        circuits.pauli_gate(4, 1, 2),
+        circuits.controlled_pauli(1, 4, 2, 1),
+        circuits.controlled_pauli_inv(4, 2, 1, 0),
+    )
+    outputs = [sim.apply_gate(state, gate) for gate in gates]
+    outputs.append(sim.apply_circuit(state, circuits.Circuit(p, m, circuits.share_roles(m, 0), gates)))
+    op = pauli.PhasedPauli(p, 1, rng.integers(1, p, size=2 * m))
+    outputs.append(sim.apply_phased_pauli(state, op))
+    assert np.array_equal(state.amps, amps)
+    assert not any(np.shares_memory(out.amps, state.amps) for out in outputs)
+
+
+def _random_circuit(p, n, k, rng, size=40):
+    """Gates of every kind on random qudits of a shares-first n + k register."""
+    m = n + k
+    gates = []
+    for _ in range(size):
+        kind = str(rng.choice(circuits.GATE_KINDS))
+        c, t = (int(q) for q in rng.choice(np.arange(1, m + 1), size=2, replace=False))
+        params = {
+            "PPOW": (int(rng.integers(0, pauli.phase_order(p))),),
+            "CPAULI": tuple(int(v) for v in rng.integers(0, p, size=2)),
+            "CPAULIINV": tuple(int(v) for v in rng.integers(0, p, size=2)),
+            "PAULI": tuple(int(v) for v in rng.integers(0, p, size=2)),
+        }.get(kind, ())
+        gates.append(circuits.Gate(kind, (c, t) if kind in ("CPAULI", "CPAULIINV") else (c,), params))
+    return circuits.Circuit(p, m, circuits.share_roles(n, k), tuple(gates))
+
+
+def _ancilla_oracle(code, circuit, encoded):
+    """Ancilla state of the emitted, shares-first circuit run on encoded (x) |0...0>."""
+    p, n, k = code.p, code.n, code.k
+    emitted = circuits.parse_circuit(circuits.emit_circuit(circuit))
+    joint = sim.StateVector(p, n + k, np.kron(encoded, sim.basis_state(p, k).amps))
+    return oracles.reduced_density(sim.apply_circuit(joint, emitted), range(n + 1, n + k + 1))
+
+
+@pytest.mark.parametrize("p, n, k, seed", [(3, 6, 2, None), (2, 7, 2, 1), (2, 6, 3, 0), (5, 4, 2, 0)])
+def test_ancilla_first_layout_matches_partial_trace(hexcode, hexconv, p, n, k, seed):
+    code = hexcode if seed is None else symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = hexconv if seed is None else pauli.make_convention(code)
+    rng = np.random.default_rng(41)
+    encoded = sim.encode_secret(code, conv, sim.random_secret(p, k, rng)).amps
+    circs = [
+        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+        for members in symplectic.all_qualified_sets(code)
+    ]
+    assert len(circs) >= 4
+    circs.append(_random_circuit(p, n, k, rng))  # shares as controls, ancillas as targets
+    for circuit in circs:
+        got = sim._ancilla_density(code, sim._ancilla_first(circuit, n), encoded)
+        assert np.abs(got - _ancilla_oracle(code, circuit, encoded)).max() < 1e-12, circuit.gates
+
+
+@pytest.mark.parametrize("p, n, k, seed", [(3, 8, 2, 0), (5, 5, 2, 0)])
+def test_verify_reconstruction_peak_memory(p, n, k, seed):
+    # one working buffer: two joint states are live during a Fourier gate,
+    # and the encoded state and the logical zero add 2/p^k of one
+    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = pauli.make_convention(code)
+    members = next(
+        members
+        for members in combinations(range(1, n + 1), n - 1)
+        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
+    )
+    plan = circuits.plan_reconstruction(code, conv, members)
+    rng = np.random.default_rng(47)
+    secrets = [sim.random_secret(p, k, rng) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        sim.verify_reconstruction(code, conv, [plan], secrets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p ** (n + k) * 16
 
 
 def test_verify_reconstruction_reference(hexcode, hexconv):
@@ -320,8 +407,6 @@ def test_verify_reconstruction_reference(hexcode, hexconv):
 
 
 def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
-    from itertools import combinations
-
     rng = np.random.default_rng(37)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(3)]
     quads = list(combinations(range(1, 7), 4))
@@ -341,6 +426,10 @@ def test_size_guard_env_override(monkeypatch):
         sim.basis_state(3, 3)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "27")
     assert sim.basis_state(3, 3).norm() == 1
+    for value in ("0", "-4", "abc"):  # a guard no state can pass is bad input
+        monkeypatch.setenv("QSS_MAX_AMPLITUDES", value)
+        with pytest.raises(QssError, match="^QSS_MAX_AMPLITUDES must be a positive integer"):
+            sim.basis_state(3, 3)
 
 
 def test_fix_global_phase_deterministic():
