@@ -172,23 +172,24 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     if not symplectic.erasure_correctable(code, missing):
         raise NotCorrectableError(f"shares {available} are not a qualified set")
     ring = pauli.phase_order(p)
-    gens = convention.stabilizer_generators()
     plan = ReconstructionPlan(
         p=p, n=n, k=k, available=available,
         w=[], y=[], u=[], v=[], beta=[], gamma=[],
         eta_u=[], eta_v=[], step3_exponents=[], step6_exponents=[],
     )
-    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z
-    stab_parts, local_parts = symplectic.split_on_missing(
-        code, np.vstack([code.logical_x, code.logical_z]), missing
+    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z; the
+    # coefficients of u_i, v_i over the stabilizer rows, which the calibrated
+    # generators carry, give every code-space eigenvalue at once
+    stab_parts, local_parts, coeffs = symplectic.split_on_missing(
+        code, np.vstack([code.logical_x, code.logical_z]), missing, True
     )
+    etas = pauli.eigenvalue_exponents(convention.stabilizer_generators(), coeffs, p)
     for i in range(k):
         u, w = stab_parts[i], local_parts[i]
         v, y = stab_parts[k + i], local_parts[k + i]
         beta = pauli.relative_phase(code.logical_x[i], w, u, p)
         gamma = pauli.relative_phase(code.logical_z[i], y, v, p)
-        eta_u = pauli.stabilizer_eigenvalue(gens, u, p) if gens else 0
-        eta_v = pauli.stabilizer_eigenvalue(gens, v, p) if gens else 0
+        eta_u, eta_v = int(etas[i]), int(etas[k + i])
         e_alpha = convention.alpha_exponents[i]
         e_alpha_inv = convention.alpha_inverse_exponent(i)
         plan.w.append(w)
@@ -313,6 +314,8 @@ def parse_circuit(text: str) -> Circuit:
                 if key in header:
                     raise CircuitParseError(line_no, f"repeated {key!r} directive")
                 header[key] = linalg.check_prime(int(fields[1])) if key == "p" else int(fields[1])
+                if key == "qudits" and header[key] < 0:
+                    raise CircuitParseError(line_no, "'qudits' must be >= 0")
             elif key == "role":
                 q = int(fields[1])
                 if q in roles:
@@ -343,7 +346,7 @@ def parse_circuit(text: str) -> Circuit:
         if not 1 <= q <= num:
             raise CircuitParseError(line_no, f"role for qudit {q} outside 1..{num}")
     if len(roles) != num:
-        missing = min(set(range(1, num + 1)) - set(roles))
+        missing = next(q for q in range(1, num + 1) if q not in roles)
         raise CircuitParseError(0, f"missing role for qudit {missing}")
     for line_no, g in gates:
         if not all(1 <= q <= num for q in g.qudits):

@@ -30,7 +30,7 @@ FIDELITY_SLACK = 1e-9
 def _load(path):
     try:
         return specfile.load_code(path)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QssError(f"cannot read {path}: {exc}") from exc
 
 
@@ -56,7 +56,7 @@ def cmd_analyze(args) -> int:
     print(f"p {p}  n {n}  k {k}")
     print(f"dim C = {n - k}")
     print(f"dim Cm = {code.self_dual.shape[0]}")
-    print(f"dim C_perp = {code.dual_basis().shape[0]}")
+    print(f"dim C_perp = {2 * n - (n - k)}")
     if k:
         print("logical pairs:")
         for i in range(k):

@@ -182,8 +182,8 @@ def stabilizer_eigenvalue(generators: list[PhasedPauli], u, p: int) -> int:
     """Exponent h with M(u)|phi> = w^h |phi> on the joint +1 eigenspace.
 
     Writes u over the generators' patterns (the expression is unique for
-    independent generators), forms the phased product G = prod g_i^{c_i}
-    = w^d M(u), and returns -d: G fixes |phi>, so M(u) scales it by w^{-d}.
+    independent generators) and returns eigenvalue_exponents of those
+    coefficients.
     """
     if not generators:
         raise NotInStabilizerError("empty generator set")
@@ -193,12 +193,38 @@ def stabilizer_eigenvalue(generators: list[PhasedPauli], u, p: int) -> int:
         coeff = linalg.solve_linear(rows.T, u, p)
     except NoSolutionError as exc:
         raise NotInStabilizerError("vector outside the generated space") from exc
-    out = identity_pauli(p, generators[0].n)
-    for g, c in zip(generators, coeff):
-        out = pauli_mul(out, pauli_pow(g, int(c)))
-    if not np.array_equal(out.vec, u):
-        raise NotInStabilizerError("generator product does not reproduce the vector")
-    return (-out.phase) % phase_order(p)
+    return int(eigenvalue_exponents(generators, coeff[None, :], p)[0])
+
+
+def eigenvalue_exponents(generators: list[PhasedPauli], coeffs, p: int) -> np.ndarray:
+    """Exponents h_r with M(u_r)|phi> = w^{h_r} |phi> on the joint +1
+    eigenspace of the generators, for u_r = sum_i coeffs[r, i] g_i.vec.
+
+    The phased product G = g_1^{c_1} ... g_m^{c_m} = w^d M(u) fixes |phi>, so
+    M(u) scales it by w^{-d}. By pauli_pow and pauli_mul's cross term, with
+    g_i = w^{phi_i} M(a_i|b_i) and kappa = 2 at p = 2 and 1 otherwise,
+
+        d = sum_i c_i phi_i + kappa sum_i (a_i.b_i) c_i (c_i - 1)/2
+            + kappa sum_{j<i} c_j c_i (b_j.a_i),
+
+    computed for every row of coeffs at once.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    if not generators:
+        return np.zeros(coeffs.shape[0], dtype=np.int64)
+    rows = np.array([g.vec for g in generators], dtype=np.int64)
+    n = rows.shape[1] // 2
+    a, b = rows[:, :n], rows[:, n:]
+    kappa = 2 if p == 2 else 1
+    phases = np.array([g.phase for g in generators], dtype=np.int64)
+    own = (a * b).sum(axis=1)
+    cross = np.triu(b @ a.T, 1)  # cross[j, i] = b_j.a_i for j < i
+    d = (
+        coeffs @ phases
+        + kappa * ((coeffs * (coeffs - 1) // 2) @ own)
+        + kappa * ((coeffs @ cross) * coeffs).sum(axis=1)
+    )
+    return (-d) % phase_order(p)
 
 
 def relative_phase(target, left, right, p: int) -> int:

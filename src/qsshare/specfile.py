@@ -33,13 +33,13 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
     parts = []
     for half in (left, right):
         half = half.strip()
-        if " " in half or "\t" in half:
-            digits = [int(tok) for tok in half.split()]
-        else:
-            if p > 7:
-                raise SpecParseError(line_no, "packed digits only supported for p <= 7")
-            digits = [int(ch) for ch in half]
-        parts.append(digits)
+        packed = not (" " in half or "\t" in half)
+        if packed and p > 7:
+            raise SpecParseError(line_no, "packed digits only supported for p <= 7")
+        try:
+            parts.append([int(tok) for tok in (half if packed else half.split())])
+        except ValueError as exc:
+            raise SpecParseError(line_no, "row entries must be integers") from exc
     a, b = parts
     if len(a) != n or len(b) != n:
         raise SpecParseError(line_no, f"expected {n} digits on each side of '|'")

@@ -161,15 +161,22 @@ def _validate(code: CodeSpec, stab_rank: int) -> None:
     if stab_rank != n - k:
         raise ValidationError("stabilizer rows are linearly dependent")
     _check_self_orthogonal(stab, p)
-    if linalg.rank(cm, p) != n:
+    # One reduction of Cm serves every membership test below: a row v lies in
+    # Cm exactly when its residual v - v[pivots] R vanishes.
+    R, pivots, cm_rank = linalg.rref(cm, p)
+    if cm_rank != n:
         raise ValidationError("self-dual space must have dimension n")
     if symplectic_gram(cm, cm, p).any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
-    _check_rows_inside(cm, stab, p, "stabilizer row {} outside the self-dual space")
+
+    def residual(rows):
+        return (rows - rows[:, list(pivots)] @ R) % p
+
+    _name_first_row(residual(stab), "stabilizer row {} outside the self-dual space")
     if k == 0:
         return
-    _check_rows_inside(code.dual_basis(), lx, p, "logical x {} outside the dual space")
-    _check_rows_inside(cm, lz, p, "logical z {} outside the self-dual space")
+    _name_first_row(symplectic_gram(lx, stab, p), "logical x {} outside the dual space")
+    _name_first_row(residual(lz), "logical z {} outside the self-dual space")
     pairing = symplectic_gram(lx, lz, p)
     if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
         raise ValidationError(f"logical pairing is not the identity matrix:\n{pairing}")
@@ -177,19 +184,16 @@ def _validate(code: CodeSpec, stab_rank: int) -> None:
         raise ValidationError("logical x representatives do not mutually commute")
     if symplectic_gram(lz, lz, p).any():
         raise ValidationError("logical z representatives do not mutually commute")
-    if linalg.rank(np.vstack([cm, lx]), p) != n + k:
-        raise ValidationError("logical x cosets are dependent modulo the self-dual space")
+    # The x rows are now independent modulo Cm, with no further check: if
+    # sum_i c_i x_i lay in Cm, pairing it with z_j (in the self-dual Cm) would
+    # give c_j = 0 for every j.
 
 
-def _check_rows_inside(basis: np.ndarray, rows: np.ndarray, p: int, message: str) -> None:
-    """Raise ValidationError, naming the first offending row, unless every row
-    lies in the span of the linearly independent rows of `basis`; one rank
-    decides the whole block, the row-by-row search runs only on failure."""
-    if linalg.rank(np.vstack([basis, rows]), p) == basis.shape[0]:
-        return
-    for i, row in enumerate(rows):
-        if not linalg.row_space_contains(basis, row, p):
-            raise ValidationError(message.format(i + 1))
+def _name_first_row(defect: np.ndarray, message: str) -> None:
+    """Raise ValidationError naming the first row of `defect` that is nonzero."""
+    bad = np.flatnonzero(defect.any(axis=1))
+    if bad.size:
+        raise ValidationError(message.format(int(bad[0]) + 1))
 
 
 def _check_self_orthogonal(rows: np.ndarray, p: int, what: str = "stabilizer") -> None:
@@ -377,16 +381,17 @@ def erasure_correctable(code: CodeSpec, missing) -> bool:
 
     Tests dim(dual(C) ∩ F^M) == dim(C ∩ F^M) for M = missing; the nested
     self-dual section is squeezed to the same dimension whenever this holds.
-    For a space S with basis G, the vectors cG supported on M are those with
-    c in the left kernel of G restricted to the columns outside M, so
-    dim(S ∩ F^M) = dim S - rank(G restricted to the columns outside M):
-    one rank for C and one for dual(C).
+    Both sides are ranks of the stabilizer basis G. The vectors cG supported
+    on M are those with c in the left kernel of G restricted to the columns
+    outside M, so dim(C ∩ F^M) = dim C - rank(G outside M). A vector
+    supported on M is orthogonal to C exactly when it is orthogonal to C's
+    restriction to M, so dim(dual(C) ∩ F^M) = 2|M| - rank(G on M).
     """
     outside = _coordinate_columns(complement(missing, code.n), code.n)
-    inner, outer = (
-        basis.shape[0] - linalg.rank(basis[:, outside], code.p)
-        for basis in (code.stabilizer, code.dual_basis())
-    )
+    inside = _coordinate_columns(missing, code.n)
+    stab = code.stabilizer
+    inner = stab.shape[0] - linalg.rank(stab[:, outside], code.p)
+    outer = len(inside) - linalg.rank(stab[:, inside], code.p)
     return inner == outer
 
 
@@ -419,23 +424,28 @@ def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
     return missing
 
 
-def split_on_missing(code: CodeSpec, vecs, missing) -> tuple[np.ndarray, np.ndarray]:
+def split_on_missing(code: CodeSpec, vecs, missing, with_coefficients: bool = False):
     """Split field vectors vec = s + r, with s in the stabilizer space equal
     to vec on the missing shares, so r is supported on the others.
 
     vecs is one length-2n vector or a stack of them as rows; s and r have its
-    shape, and one elimination serves the whole stack. Unchecked: the caller
-    has established that every vector lies in dual(C) and that the erasure
-    of `missing` is correctable (localize_x/localize_z do). Deterministic via
-    the linear solver's tie-break.
+    shape, and one elimination serves the whole stack. Returns (s, r), or
+    (s, r, c) with with_coefficients, where c holds the coefficients of s
+    over the stabilizer rows (s = c @ stabilizer, one row of c per row of
+    vecs). Unchecked: the caller has established that every vector lies in
+    dual(C) and that the erasure of `missing` is correctable
+    (localize_x/localize_z do). Deterministic via the linear solver's
+    tie-break.
     """
     p, n = code.p, code.n
     vecs = np.asarray(vecs, dtype=np.int64)
     cols = _coordinate_columns(missing, n)
-    s = np.zeros_like(vecs)
+    coeff = np.zeros((*vecs.shape[:-1], code.stabilizer.shape[0]), dtype=np.int64)
     if cols:
-        coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vecs[..., cols].T, p)
-        s = (coeff.T @ code.stabilizer) % p
+        coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vecs[..., cols].T, p).T
+    s = (coeff @ code.stabilizer) % p
+    if with_coefficients:
+        return s, (vecs - s) % p, coeff
     return s, (vecs - s) % p
 
 
@@ -447,12 +457,12 @@ def _contains_any(members, sets) -> bool:
 def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[int, ...]]:
     """Minimal qualified share sets, smallest first then lexicographic.
 
-    A set J is qualified when erasing its complement is correctable, which
-    erasure_correctable decides by the ranks of the C and dual(C) bases
-    restricted to J's columns. Here every candidate of one size is decided at
-    once, by one batched rank per space. Candidates containing a smaller
-    qualified set are skipped; two sets of one size never contain each other,
-    so only the smaller levels prune.
+    A set J is qualified when erasing its complement M is correctable, which
+    erasure_correctable decides by two ranks of the stabilizer basis: on J's
+    columns and on M's. Here every candidate of one size is decided at once,
+    by one batched rank per side. Candidates containing a smaller qualified
+    set are skipped; two sets of one size never contain each other, so only
+    the smaller levels prune.
     """
     n, p = code.n, code.p
     if n > MAX_ENUMERATION_SHARES:
@@ -460,15 +470,20 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
     limit = n if max_size is None else min(max_size, n)
     # Transposed so one gather by column indices restricts every candidate;
     # int8 (entries < p <= 13) keeps that per-level stack small.
-    spaces = [basis.T.astype(np.int8) for basis in (code.stabilizer, code.dual_basis())]
+    space = code.stabilizer.T.astype(np.int8)
     minimal: list[tuple[int, ...]] = []
     for size in range(1, limit + 1):
         level = [m for m in combinations(range(1, n + 1), size) if not _contains_any(m, minimal)]
         if not level:
             continue
         shares = np.array(level) - 1
-        columns = np.hstack([shares, shares + n])  # a and b parts; order does not change a rank
-        inner, outer = (space.shape[1] - linalg.ranks(space[columns], p) for space in spaces)
+        is_erased = np.ones((len(level), n), dtype=bool)
+        is_erased[np.arange(len(level))[:, None], shares] = False
+        erased = np.nonzero(is_erased)[1].reshape(len(level), n - size)
+        # a and b parts; order does not change a rank
+        kept, lost = (np.hstack([idx, idx + n]) for idx in (shares, erased))
+        inner = space.shape[1] - linalg.ranks(space[kept], p)
+        outer = lost.shape[1] - linalg.ranks(space[lost], p)
         minimal.extend(m for m, ok in zip(level, inner == outer) if ok)
     return minimal
 

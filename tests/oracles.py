@@ -7,7 +7,9 @@ forms by a per-row elimination loop, where the package updates all rows of a
 pivot at once; the logical zero by projecting basis states, where the package
 builds it in closed form; a reduced state by tracing out any qudits of a
 state in the circuit's own numbering, where the package reads the leading
-axes of a state relabeled ancilla-first).
+axes of a state relabeled ancilla-first; a code-space eigenvalue by
+multiplying out the generator powers, where the package sums their phases
+in closed form).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qsshare import linalg, sim, symplectic
+from qsshare import linalg, pauli, sim, symplectic
 from qsshare.errors import IndexOutOfRangeError, TooLargeError
 
 
@@ -43,6 +45,16 @@ def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
         pivots.append(c)
         r += 1
     return R, tuple(pivots), len(pivots)
+
+
+def product_eigenvalue(generators, coeff, p: int) -> int:
+    """Exponent h with M(u)|phi> = w^h |phi> on the joint +1 eigenspace, for
+    u = sum_i coeff[i] g_i.vec: multiply out G = g_1^{c_1} ... g_m^{c_m}
+    = w^d M(u) one pauli_pow and pauli_mul at a time and return -d."""
+    out = pauli.identity_pauli(p, generators[0].n)
+    for g, c in zip(generators, coeff):
+        out = pauli.pauli_mul(out, pauli.pauli_pow(g, int(c)))
+    return (-out.phase) % pauli.phase_order(p)
 
 
 def row_space_equal(A, B, p: int) -> bool:

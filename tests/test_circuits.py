@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsshare import circuits, linalg, pauli, symplectic
 from qsshare.errors import CircuitParseError, NotCorrectableError
@@ -209,6 +211,65 @@ def test_emit_empty_circuit_round_trip():
     circ = circuits.Circuit(p=3, num_qudits=2, roles=circuits.share_roles(2, 0), gates=())
     parsed = circuits.parse_circuit(circuits.emit_circuit(circ))
     assert parsed == circ
+
+
+@st.composite
+def valid_circuits(draw):
+    p = draw(st.sampled_from(linalg.SUPPORTED_PRIMES))
+    num = draw(st.integers(0, 5))
+    roles = tuple(
+        (draw(st.sampled_from(("share", "ancilla"))), draw(st.integers(1, 20))) for _ in range(num)
+    )
+    kinds = [kind for kind in circuits.GATE_KINDS if num >= 2 or kind not in ("CPAULI", "CPAULIINV")]
+    gates = []
+    for _ in range(draw(st.integers(0, 8)) if num else 0):
+        kind = draw(st.sampled_from(kinds))
+        qudits = draw(st.permutations(range(1, num + 1)))[: 2 if kind in ("CPAULI", "CPAULIINV") else 1]
+        bound = pauli.phase_order(p) if kind == "PPOW" else p
+        arity = {"F": 0, "FINV": 0, "PPOW": 1}.get(kind, 2)
+        params = tuple(draw(st.integers(0, bound - 1)) for _ in range(arity))
+        gates.append(circuits.Gate(kind, tuple(qudits), params))
+    return circuits.Circuit(p=p, num_qudits=num, roles=roles, gates=tuple(gates))
+
+
+@given(valid_circuits())
+def test_parse_inverts_emit_on_random_circuits(circ):
+    text = circuits.emit_circuit(circ)
+    assert circuits.parse_circuit(text) == circ
+    assert circuits.emit_circuit(circuits.parse_circuit(text)) == text
+
+
+@given(st.binary(max_size=300))
+def test_parse_rejects_byte_garbage(raw):
+    with pytest.raises(CircuitParseError):
+        circuits.parse_circuit(raw.decode("latin-1"))
+
+
+# A directive, then a few tokens: near-miss lines that reach past the tokenizer.
+_CIRCUIT_LINES = st.builds(
+    lambda head, rest: " ".join([head, *rest]),
+    st.sampled_from(["p", "qudits", "role", "gate", "#", "x"]),
+    st.lists(
+        st.sampled_from(["share", "ancilla", *circuits.GATE_KINDS, "-1", "0", "1", "2", "3", "4", "x"]),
+        max_size=5,
+    ),
+)
+
+
+@given(st.lists(_CIRCUIT_LINES, max_size=8))
+def test_parse_of_token_garbage_fails_cleanly_or_round_trips(lines):
+    text = "\n".join(["QSSCIRC 1", *lines])
+    try:
+        circ = circuits.parse_circuit(text)
+    except CircuitParseError:
+        return
+    assert circuits.parse_circuit(circuits.emit_circuit(circ)) == circ
+
+
+def test_parse_rejects_negative_qudit_count():
+    with pytest.raises(CircuitParseError) as err:
+        circuits.parse_circuit("QSSCIRC 1\np 3\nqudits -1\n")
+    assert err.value.line_no == 3
 
 
 def test_parse_rejects_malformed_gate():

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import warnings
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qsshare import circuits, cli, linalg, sim, symplectic
+from qsshare import circuits, cli, linalg, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -265,6 +269,88 @@ def test_qualified_sets_ranks_each_level_once(monkeypatch):
         for members in combinations(range(1, code.n + 1), size)
         if symplectic.erasure_correctable(code, symplectic.complement(members, code.n))
     ]
+
+
+def _analyze_file(path, content: bytes):
+    """Exit code and stderr lines of `analyze` on a file holding `content`."""
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        rc = cli.main(["analyze", str(path)])
+    return rc, err.getvalue().splitlines()
+
+
+@given(st.binary(max_size=300))
+def test_analyze_of_byte_garbage_exits_2_with_one_line(tmp_path_factory, raw):
+    rc, err = _analyze_file(tmp_path_factory.mktemp("fuzz") / "garbage.qss", raw)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# A directive, then a few tokens: near-miss spec lines that reach the row
+# parser and the validation behind it.
+_SPEC_LINES = st.builds(
+    lambda head, rest: " ".join([head, *rest]),
+    st.sampled_from(["stab", "selfdual", "logicalx", "logicalz", "k", "x"]),
+    st.lists(st.sampled_from(["-1", "0", "1", "2", "12", "01|10", "1|2", "1 0 | 0 1", "1x|00", "|"]),
+             min_size=1, max_size=3),
+)
+
+
+@given(st.sampled_from([2, 3, 11]), st.integers(1, 2), st.integers(0, 2), st.lists(_SPEC_LINES, max_size=6))
+def test_analyze_of_token_garbage_exits_0_or_2_with_one_line(tmp_path_factory, p, n, k, lines):
+    text = "\n".join([f"p {p}", f"n {n}", f"k {k}", *lines])
+    rc, err = _analyze_file(tmp_path_factory.mktemp("fuzz") / "garbage.qss", text.encode())
+    assert rc in (0, 2)
+    assert rc == 0 or (len(err) == 1 and err[0].startswith("error: "))
+
+
+def test_analyze_of_a_non_integer_row_entry_exits_2(capsys, tmp_path):
+    path = tmp_path / "code.qss"
+    path.write_text("p 3\nn 2\nk 1\nstab 1x|00\n", encoding="utf-8")
+    rc, _, err = run(capsys, "analyze", str(path))
+    assert rc == 2 and err == "error: line 4: row entries must be integers\n"
+
+
+def test_analyze_of_a_directory_exits_2(capsys, tmp_path):
+    rc, _, err = run(capsys, "analyze", str(tmp_path))
+    assert rc == 2 and err.startswith("error: cannot read")
+
+
+def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, tmp_path):
+    code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
+    n = code.n
+    lines = [f"p {code.p}", f"n {n}", f"k {code.k}"]
+    for key, rows in (
+        ("stab", code.stabilizer),
+        ("selfdual", code.self_dual[n - code.k :]),
+        ("logicalx", code.logical_x),
+        ("logicalz", code.logical_z),
+    ):
+        lines.extend(f"{key} {specfile.format_row(r, n, code.p)}" for r in rows)
+    path = tmp_path / "p2n12.qss"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    members = symplectic.qualified_sets(code)[0]
+    calls = {"rref": 0, "nullspace": 0}
+    originals = {name: getattr(linalg, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name))
+    set_arg = ",".join(map(str, members))
+    rc, out, _ = run(capsys, "synthesize", str(path), "--set", set_arg, "-o", str(tmp_path / "c.qsscirc"))
+    assert rc == 0 and out.startswith("wrote ")
+    # load and validate: stabilizer rank, one reduction of Cm; plan: two
+    # stabilizer ranks for correctability, one solve for the split
+    assert calls["rref"] <= 6
+    assert calls["nullspace"] == 0
 
 
 def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):

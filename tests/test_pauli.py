@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qsshare import pauli
+from qsshare import circuits, linalg, pauli, symplectic
 from qsshare.errors import (
     DecompositionMismatchError,
     DimensionMismatchError,
@@ -9,6 +11,7 @@ from qsshare.errors import (
     TooLargeError,
 )
 
+import oracles
 from conftest import H_ROWS, U1, V1, V2, W1, X_ROWS, Y1, Z_ROWS, row
 
 
@@ -202,6 +205,41 @@ def test_eigenvalue_outside_span():
     gens = [pauli.calibrate_generator(h, 3) for h in H_ROWS]
     with pytest.raises(NotInStabilizerError):
         pauli.stabilizer_eigenvalue(gens, X_ROWS[0], 3)
+
+
+@given(st.data())
+def test_eigenvalue_exponents_equal_the_product_oracle(data):
+    p = data.draw(st.sampled_from(linalg.SUPPORTED_PRIMES))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    gens = [
+        pauli.PhasedPauli(
+            p,
+            data.draw(st.integers(0, pauli.phase_order(p) - 1)),
+            data.draw(st.lists(entry, min_size=2 * n, max_size=2 * n)),
+        )
+        for _ in range(m)
+    ]
+    coeffs = np.array(data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=6)))
+    got = pauli.eigenvalue_exponents(gens, coeffs, p)
+    assert got.tolist() == [oracles.product_eigenvalue(gens, c, p) for c in coeffs]
+
+
+@pytest.mark.parametrize("p, n, k, seed", [(p, 6, 2, p) for p in linalg.SUPPORTED_PRIMES] + [(2, 7, 3, 1), (3, 5, 1, 4)])
+def test_plan_eigenvalues_equal_the_product_oracle(p, n, k, seed):
+    """The 2k exponents of a plan, from one batch of split coefficients,
+    match the generator products of u_i and v_i."""
+    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = pauli.make_convention(code)
+    gens = conv.stabilizer_generators()
+    for members in symplectic.qualified_sets(code)[:4] + [tuple(range(1, n + 1))]:
+        plan = circuits.plan_reconstruction(code, conv, members)
+        for parts, etas in ((plan.u, plan.eta_u), (plan.v, plan.eta_v)):
+            for part, eta in zip(parts, etas):
+                coeff = linalg.solve_linear(code.stabilizer.T, part, p)
+                assert eta == oracles.product_eigenvalue(gens, coeff, p)
+                assert eta == pauli.stabilizer_eigenvalue(gens, part, p)
 
 
 def test_relative_phase_reference():

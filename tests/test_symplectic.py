@@ -273,20 +273,24 @@ def test_validate_rejects_bad_pairing(hexcode):
         symplectic.validate_code(broken)
 
 
-def _corrupt_row_2(code, part):
-    """The code with row 2 of one part moved out of the space it must lie in,
-    keeping every check that runs before that part's membership check."""
+def _corrupt_row(code, part, index):
+    """The code with one row of one part moved out of the space it must lie
+    in, keeping every check that runs before that part's membership check."""
     rows = {name: getattr(code, name).copy() for name in ("stabilizer", "logical_x", "logical_z")}
     x1 = code.logical_x[0]
     if part == "stabilizer":
-        rows[part][1] = x1  # in dual(C) so still isotropic with C, but outside Cm
+        rows[part][index] = x1  # in dual(C) so still isotropic with C, but outside Cm
     elif part == "logical_x":
         outside_dual = next(e for e in np.eye(2 * code.n, dtype=np.int64)
                             if symplectic.symplectic_gram(code.stabilizer, e, code.p).any())
-        rows[part][1] = (rows[part][1] + outside_dual) % code.p
+        rows[part][index] = (rows[part][index] + outside_dual) % code.p
     else:
-        rows[part][1] = (rows[part][1] + x1) % code.p  # x1 pairs with z1, so outside Cm
+        rows[part][index] = (rows[part][index] + x1) % code.p  # x1 pairs with z1, so outside Cm
     return dataclasses.replace(code, **rows)
+
+
+def _corrupt_row_2(code, part):
+    return _corrupt_row(code, part, 1)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +306,57 @@ def test_validate_names_first_row_outside_its_space(hexcode, part, message):
     with pytest.raises(ValidationError) as err:
         symplectic.validate_code(_corrupt_row_2(hexcode, part))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("stabilizer", "stabilizer row 1 outside the self-dual space"),
+        ("logical_x", "logical x 1 outside the dual space"),
+        ("logical_z", "logical z 1 outside the self-dual space"),
+    ],
+)
+def test_validate_names_row_1_outside_its_space(hexcode, part, message):
+    with pytest.raises(ValidationError) as err:
+        symplectic.validate_code(_corrupt_row(hexcode, part, 0))
+    assert str(err.value) == message
+
+
+def test_validate_names_logical_x_outside_the_dual_by_its_stabilizer_products(hexcode):
+    # x1 + x2 + z1 + (a vector outside dual(C)) also breaks the pairing and
+    # the commutation checks; the dual-space check runs first and names row 1
+    outside_dual = np.eye(2 * hexcode.n, dtype=np.int64)[0]
+    bad = (hexcode.logical_x[0] + hexcode.logical_x[1] + hexcode.logical_z[0] + outside_dual) % 3
+    assert not linalg.row_space_contains(hexcode.dual_basis(), bad, 3)
+    assert symplectic.symplectic_gram(bad, hexcode.stabilizer, 3).any()
+    lx = np.vstack([bad, hexcode.logical_x[1]])
+    with pytest.raises(ValidationError) as err:
+        symplectic.validate_code(dataclasses.replace(hexcode, logical_x=lx))
+    assert str(err.value) == "logical x 1 outside the dual space"
+
+
+def test_validate_rejects_logical_x_dependent_modulo_the_self_dual_space(hexcode):
+    # x2 := x1 + h1 lies in dual(C) but in the coset of x1; the pairing with
+    # the z rows is the check that sees it
+    lx = np.vstack([hexcode.logical_x[0], (hexcode.logical_x[0] + hexcode.stabilizer[0]) % 3])
+    assert linalg.rank(np.vstack([hexcode.self_dual, lx]), 3) < hexcode.n + hexcode.k
+    with pytest.raises(ValidationError) as err:
+        symplectic.validate_code(dataclasses.replace(hexcode, logical_x=lx))
+    assert str(err.value) == "logical pairing is not the identity matrix:\n[[1 0]\n [1 0]]"
+
+
+@given(st.data())
+def test_validate_rejects_every_logical_x_block_dependent_modulo_the_self_dual_space(data):
+    p, n, k = data.draw(st.sampled_from([(2, 5, 2), (3, 5, 2), (5, 4, 2), (3, 6, 3)]))
+    code = symplectic.random_self_orthogonal_code(p, n, k, data.draw(st.integers(0, 3)))
+    mix = np.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                                      min_size=k, max_size=k)))
+    shift = np.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                                        min_size=k, max_size=k)))
+    lx = (mix @ code.logical_x + shift @ code.self_dual) % p
+    if linalg.rank(np.vstack([code.self_dual, lx]), p) < n + k:
+        with pytest.raises(ValidationError):
+            symplectic.validate_code(dataclasses.replace(code, logical_x=lx))
 
 
 def test_build_code_normalizes_reference_pairing():
