@@ -25,6 +25,7 @@ import numpy as np
 
 from . import linalg, pauli, symplectic
 from .errors import CircuitParseError, NotCorrectableError
+from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
 
@@ -289,10 +290,11 @@ _GATE_ARITY = {
 def parse_circuit(text: str) -> Circuit:
     """Parse the QSSCIRC text format; '#' starts a comment.
 
-    Strict, so emitting a parsed circuit is canonical: 'p', 'qudits' and each
-    'role q' appear once, roles and gates address qudits in 1..qudits, a role
-    is 'share i' or 'ancilla i' with i >= 1, a and b lie in [0, p) and PPOW
-    exponents in [0, phase_order(p)).
+    Strict, so emitting a parsed circuit is canonical: every integer is
+    written in ASCII decimal digits, 'p', 'qudits' and each 'role q' appear
+    once, roles and gates address qudits in 1..qudits, a role is 'share i' or
+    'ancilla i' with i >= 1, a and b lie in [0, p) and PPOW exponents in
+    [0, phase_order(p)).
     """
     header: dict[str, int] = {}
     roles: dict[int, tuple[int, tuple[str, int]]] = {}
@@ -313,14 +315,13 @@ def parse_circuit(text: str) -> Circuit:
             if key in ("p", "qudits"):
                 if key in header:
                     raise CircuitParseError(line_no, f"repeated {key!r} directive")
-                header[key] = linalg.check_prime(int(fields[1])) if key == "p" else int(fields[1])
-                if key == "qudits" and header[key] < 0:
-                    raise CircuitParseError(line_no, "'qudits' must be >= 0")
+                value = parse_decimal(fields[1])
+                header[key] = linalg.check_prime(value) if key == "p" else value
             elif key == "role":
-                q = int(fields[1])
+                q = parse_decimal(fields[1])
                 if q in roles:
                     raise CircuitParseError(line_no, f"repeated role for qudit {q}")
-                role = (fields[2], int(fields[3]))
+                role = (fields[2], parse_decimal(fields[3]))
                 if role[0] not in ("share", "ancilla") or role[1] < 1:
                     raise CircuitParseError(line_no, "role must be 'share i' or 'ancilla i' with i >= 1")
                 roles[q] = (line_no, role)
@@ -329,7 +330,7 @@ def parse_circuit(text: str) -> Circuit:
                 if kind not in _GATE_ARITY:
                     raise CircuitParseError(line_no, f"unknown gate kind {kind!r}")
                 nq, np_ = _GATE_ARITY[kind]
-                args = [int(v) for v in fields[2:]]
+                args = [parse_decimal(v) for v in fields[2:]]
                 if len(args) != nq + np_:
                     raise CircuitParseError(line_no, f"{kind} takes {nq + np_} integers")
                 gates.append((line_no, Gate(kind, tuple(args[:nq]), tuple(args[nq:]))))

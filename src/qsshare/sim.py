@@ -4,28 +4,35 @@ States are complex amplitude arrays of length p^m with qudit 1 as the most
 significant digit of the index. Erased shares are modeled by never applying a
 gate to them: the global state stays pure.
 
-Gates run on one working tensor, qudit q on axis q - 1, through one kernel.
-Every gate but the Fourier gate is monomial and is applied in place:
-w^e X^a Z^b on a qudit moves block t to block t + a times w^{e + c b t}
-(c = 2 at p = 2 and 1 otherwise). For a != 0 that is one cycle of p blocks,
-written from its last block back to its first with that block saved and
-each product staged in a one-block buffer; a pure phase scales only the
-blocks whose phase is not 1; a controlled Pauli applies the j-th power of
-its Pauli to control slices j >= 1 and leaves slice 0 alone. The Fourier
-gate is one batched product into a new array, which replaces the old one.
-apply_gate, apply_circuit and apply_phased_pauli copy their input once and
-never write it. No dense operator is built: pauli.dense_matrix is a test
-oracle. The logical zero is built in closed form, as a phased uniform
-superposition over an affine subspace.
+Gates run in place on one working tensor, qudit q on axis q - 1, through
+one kernel; axes past the register, such as a batch axis, ride along.
+Every gate but the Fourier gate is monomial: w^e X^a Z^b on a qudit moves
+block t to block t + a times w^{e + c b t} (c = 2 at p = 2 and 1
+otherwise). For a != 0 that is one cycle of p blocks, written from its last
+block back to its first with that block saved and each product staged in a
+one-block buffer; a pure phase scales only the blocks whose phase is not 1;
+a controlled Pauli applies the j-th power of its Pauli to control slices
+j >= 1 and leaves slice 0 alone. The Fourier gate multiplies every
+(p, after) block by F, one slab of at most BLOCK amplitudes at a time, each
+written back in place; a state of at most BLOCK amplitudes takes one
+product. apply_gate, apply_circuit and apply_phased_pauli copy their input
+once and never write it. No dense operator is built: pauli.dense_matrix is
+a test oracle. The logical zero is built in closed form, as a phased
+uniform superposition over an affine subspace.
 
 verify_reconstruction runs each circuit ancilla-first: ancilla i becomes
 qudit i and share j becomes qudit k + j. Every reconstruction gate is then
 controlled from a leading axis, so control slices are long contiguous runs,
-and a Fourier gate on an ancilla is one wide product. The joint state is one
-working buffer, at most two during a Fourier gate: it starts as zeros with
-its ancilla-|0...0> block (the first p^n amplitudes) set to the encoded
-shares, and the ancilla state is M M^H for the final state M as a
-(p^k, p^n) matrix.
+and a Fourier gate on an ancilla multiplies long contiguous rows. The trial
+secrets go through in balanced chunks of B <= max(1, BLOCK // p^(n+k)): a
+chunk is encoded in one pass over the logical Paulis and rides through
+every circuit as the trailing batch axis of one working buffer, shaped
+(p,)*(k+n) + (B,). On the bundled [[6,2,3]] qutrit code 10 secrets make two
+chunks of 5; a state of more than BLOCK / 2 amplitudes runs one secret at a
+time. The buffer starts as zeros with the ancilla-|0...0> block of each
+member set to its encoded shares, and a member's ancilla state is M M^H for
+its final state M as a (p^k, p^n) matrix, summed over slabs of columns, so
+no second state-sized array is made.
 
 The default size guard admits up to 2^24 amplitudes; the environment
 variable QSS_MAX_AMPLITUDES, a positive integer, overrides it.
@@ -44,6 +51,7 @@ from . import circuits, linalg, pauli
 from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
+BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a batch of secrets
 
 
 def max_amplitudes() -> int:
@@ -193,16 +201,21 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
     return out
 
 
-def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> np.ndarray:
-    """Apply one gate to the working tensor and return it: monomial gates
-    write in place, F and FINV return a new array of the same shape."""
+def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> None:
+    """Apply one gate in place to the working tensor, qudit q on axis q - 1;
+    trailing axes past the register, such as a batch axis, ride along."""
     axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
     if gate.kind in ("F", "FINV"):
-        # F on every (p, after) block, output in the input's layout
-        after = p ** (tensor.ndim - axis - 1)
-        product = _fourier_matrix(p, gate.kind == "FINV") @ tensor.reshape(-1, p, after)
-        return product.reshape(tensor.shape)
-    if gate.kind == "PPOW":
+        # F on every (p, after) block, one slab of at most BLOCK amplitudes at a time
+        view = tensor.reshape(-1, p, tensor.size // p ** (axis + 1))
+        lead, _, after = view.shape
+        rows, cols = max(1, BLOCK // (p * after)), min(after, max(1, BLOCK // p))
+        matrix = _fourier_matrix(p, gate.kind == "FINV")
+        for r in range(0, lead, rows):
+            for c in range(0, after, cols):
+                part = view[r : r + rows, :, c : c + cols]
+                part[...] = matrix @ part
+    elif gate.kind == "PPOW":
         _monomial(tensor, axis, 0, tuple(gate.params[0] * t for t in range(p)), p)
     elif gate.kind == "PAULI":
         a, b = gate.params
@@ -215,7 +228,6 @@ def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> np.ndarray:
             _monomial(tensor[(slice(None),) * axis + (j,)], target, shift, exps, p)
     else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
         raise ValueError(f"unknown gate kind {gate.kind}")
-    return tensor
 
 
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
@@ -223,7 +235,9 @@ def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     for q in gate.qudits:
         if not 1 <= q <= m:
             raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {m}-qudit state")
-    return StateVector(p, m, _apply(state.tensor().copy(), gate, p).reshape(-1))
+    tensor = state.tensor().copy()
+    _apply(tensor, gate, p)
+    return StateVector(p, m, tensor.reshape(-1))
 
 
 def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
@@ -232,7 +246,7 @@ def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
         raise ValueError("circuit register does not match the state")
     tensor = state.tensor().copy()
     for gate in circuit.gates:
-        tensor = _apply(tensor, gate, p)
+        _apply(tensor, gate, p)
     return StateVector(p, m, tensor.reshape(-1))
 
 
@@ -300,23 +314,33 @@ def encode_secret(code, convention, secret, zero: StateVector | None = None) -> 
     Basis-wise route: basis state |i_1..i_k> maps to the logical codeword
     prod_t (alpha_t M(x_t))^{i_t} |0...0-bar>, extended linearly.
     """
-    p, n, k = code.p, code.n, code.k
-    secret = np.asarray(secret, dtype=np.complex128).reshape(-1)
-    if secret.shape[0] != p**k:
-        raise ValueError(f"secret must have {p}**{k} amplitudes")
+    p, n = code.p, code.n
     _guard(p, n)
     if zero is None:
         zero = logical_zero(code, convention)
+    rows = np.asarray(secret, dtype=np.complex128).reshape(1, -1)
+    return StateVector(p, n, _encode_rows(code, convention, rows, zero)[0])
+
+
+def _encode_rows(code, convention, secrets: np.ndarray, zero: StateVector) -> np.ndarray:
+    """Codewords of a (B, p^k) stack of secrets as (B, p^n) rows, in one pass
+    over the p^k logical Paulis. A coefficient below 1e-15 counts as exactly
+    0, so each row is the sum of the same products, in the same order, as a
+    stack of one."""
+    p, n, k = code.p, code.n, code.k
+    if secrets.shape[1] != p**k:
+        raise ValueError(f"secret must have {p}**{k} amplitudes")
     xs = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
-    out = np.zeros(p**n, dtype=np.complex128)
+    coeffs = np.where(np.abs(secrets) < 1e-15, 0, secrets)
+    out = np.zeros((len(secrets), p**n), dtype=np.complex128)
     for idx, digits in enumerate(iter_product(range(p), repeat=k)):
-        if abs(secret[idx]) < 1e-15:
+        if not coeffs[:, idx].any():
             continue
         op = pauli.identity_pauli(p, n)
         for t in range(k):
             op = pauli.pauli_mul(op, pauli.pauli_pow(xs[t], digits[t]))
-        out += secret[idx] * apply_phased_pauli(zero, op).amps
-    return StateVector(p, n, out)
+        out += coeffs[:, idx, None] * apply_phased_pauli(zero, op).amps
+    return out
 
 
 def encode_secret_via_dealer(
@@ -380,37 +404,52 @@ def _ancilla_first(circuit: circuits.Circuit, n: int) -> tuple[circuits.Gate, ..
 
 
 def _ancilla_density(code, gates, encoded: np.ndarray) -> np.ndarray:
-    """Ancilla reduced state after ancilla-first gates act on |0...0> (x) encoded."""
+    """Ancilla reduced state after ancilla-first gates act on |0...0> (x) encoded.
+
+    encoded is one codeword, or a (B, p^n) stack of them that rides through
+    the gates as a trailing batch axis; then one state per row comes back.
+    """
     p, n, k = code.p, code.n, code.k
-    tensor = np.zeros((p,) * (k + n), dtype=np.complex128)
-    tensor.reshape(p**k, p**n)[0] = encoded
-    for gate in gates:  # rebinding frees the array a Fourier gate replaced
-        tensor = _apply(tensor, gate, p)
-    matrix = tensor.reshape(p**k, p**n)
-    return matrix @ matrix.conj().T
+    rows = np.atleast_2d(encoded)
+    batch = len(rows)
+    tensor = np.zeros((p,) * (k + n) + (batch,), dtype=np.complex128)
+    matrix = tensor.reshape(p**k, p**n, batch)
+    matrix[0] = rows.T
+    for gate in gates:
+        _apply(tensor, gate, p)
+    # M M^H per batch member, by slabs of columns of M
+    rho = np.zeros((batch, p**k, p**k), dtype=np.complex128)
+    width = max(1, BLOCK // (p**k * batch))
+    for c in range(0, p**n, width):
+        part = matrix[:, c : c + width].transpose(2, 0, 1)
+        rho += part @ part.conj().transpose(0, 2, 1)
+    return rho if np.ndim(encoded) > 1 else rho[0]
 
 
 def verify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
     Takes one circuits.ReconstructionPlan per share set, synthesizes each
-    circuit and encodes each secret once, then runs every circuit on n + k
-    qudits: the encoded shares (missing ones never addressed) plus a fresh
-    |0...0> ancilla register the circuit drives to the secret. Each circuit
-    runs relabeled ancilla-first on one working buffer, and one joint state
-    exists at a time. Returns one report per plan, in order.
+    circuit once, then runs every circuit on n + k qudits: the encoded shares
+    (missing ones never addressed) plus a fresh |0...0> ancilla register the
+    circuit drives to the secret. The secrets go through in balanced chunks
+    of at most max(1, BLOCK // p^(n+k)), each encoded once and carried by every
+    circuit as a batch axis of one working buffer, relabeled ancilla-first.
+    Returns one report per plan, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, n + k)
     circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
     layouts = [_ancilla_first(circuit, n) for circuit in circs]
     zero = logical_zero(code, convention)
+    rows = np.asarray(secrets, dtype=np.complex128).reshape(len(secrets), p**k)
+    chunks = -(-len(rows) // max(1, BLOCK // p ** (n + k)))
     results = [[] for _ in circs]
-    for secret in secrets:
-        encoded = encode_secret(code, convention, secret, zero=zero).amps
+    for chunk in np.array_split(rows, chunks) if chunks else ():
+        encoded = _encode_rows(code, convention, chunk, zero)
         for gates, result in zip(layouts, results):
-            rho = _ancilla_density(code, gates, encoded)
-            result.append((fidelity_with_pure(rho, secret), purity(rho)))
+            for secret, rho in zip(chunk, _ancilla_density(code, gates, encoded)):
+                result.append((fidelity_with_pure(rho, secret), purity(rho)))
     return [
         ReconstructionReport(
             available=plan.available,

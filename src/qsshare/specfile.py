@@ -12,9 +12,11 @@ Grammar ('#' starts a comment, blank lines ignored):
 
 Each row is an (a|b) pattern. For p <= 7 the digits may be packed as single
 characters; for any p they may instead be whitespace-separated integers, e.g.
-"1 0 0 2 0 2 | 0 2 0 1 1 2". Missing self-dual or logical rows are completed
-automatically at load time; logical pairs with a diagonal but non-unit
-pairing matrix are rescaled (with a warning).
+"1 0 0 2 0 2 | 0 2 0 1 1 2". Every integer, header values included, is
+written in ASCII decimal digits: no sign, no '_', no other script's digits.
+Missing self-dual or logical rows are completed automatically at load time;
+logical pairs with a diagonal but non-unit pairing matrix are rescaled (with
+a warning).
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ import numpy as np
 from .errors import SpecParseError, ValidationError
 from .linalg import SUPPORTED_PRIMES
 from .symplectic import CodeSpec, build_code
+
+
+def parse_decimal(token: str) -> int:
+    """The integer an ASCII decimal digit string spells. A sign, an underscore
+    or a non-ASCII digit, all of which int() takes, raise ValueError."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
@@ -37,7 +47,7 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
         if packed and p > 7:
             raise SpecParseError(line_no, "packed digits only supported for p <= 7")
         try:
-            parts.append([int(tok) for tok in (half if packed else half.split())])
+            parts.append([parse_decimal(tok) for tok in (half if packed else half.split())])
         except ValueError as exc:
             raise SpecParseError(line_no, "row entries must be integers") from exc
     a, b = parts
@@ -61,7 +71,7 @@ def parse_code_document(text: str) -> CodeSpec:
         rest = rest.strip()
         if key in ("p", "n", "k"):
             try:
-                header[key] = int(rest)
+                header[key] = parse_decimal(rest)
             except ValueError as exc:
                 raise SpecParseError(line_no, f"'{key}' needs an integer") from exc
             if key == "p" and header[key] not in SUPPORTED_PRIMES:

@@ -179,7 +179,7 @@ def _validate(code: CodeSpec, stab_rank: int) -> None:
     _name_first_row(residual(lz), "logical z {} outside the self-dual space")
     pairing = symplectic_gram(lx, lz, p)
     if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
-        raise ValidationError(f"logical pairing is not the identity matrix:\n{pairing}")
+        raise ValidationError(f"logical pairing is not the identity matrix: {pairing.tolist()}")
     if symplectic_gram(lx, lx, p).any():
         raise ValidationError("logical x representatives do not mutually commute")
     if symplectic_gram(lz, lz, p).any():

@@ -250,7 +250,8 @@ _CIRCUIT_LINES = st.builds(
     lambda head, rest: " ".join([head, *rest]),
     st.sampled_from(["p", "qudits", "role", "gate", "#", "x"]),
     st.lists(
-        st.sampled_from(["share", "ancilla", *circuits.GATE_KINDS, "-1", "0", "1", "2", "3", "4", "x"]),
+        st.sampled_from(["share", "ancilla", *circuits.GATE_KINDS, "-1", "+1", "0_1", "\u0661", "0", "1", "2",
+                     "3", "4", "x"]),
         max_size=5,
     ),
 )
@@ -324,6 +325,26 @@ def test_parse_rejects_noncanonical_documents(body, line_no):
     with pytest.raises(CircuitParseError) as err:
         circuits.parse_circuit("QSSCIRC 1\n" + body)
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("token", ("+1", "0_1", "\u0661", "\uff11"))  # int() takes each
+@pytest.mark.parametrize(
+    "template, line_no",
+    [
+        ("p {}\nqudits 1\nrole 1 share 1\n", 2),
+        ("p 3\nqudits {}\nrole 1 share 1\n", 3),
+        ("p 3\nqudits 1\nrole {} share 1\n", 4),
+        ("p 3\nqudits 1\nrole 1 share {}\n", 4),
+        ("p 3\nqudits 1\nrole 1 share 1\ngate PPOW {} 1\n", 5),
+        ("p 3\nqudits 1\nrole 1 share 1\ngate PAULI 1 {} 0\n", 5),
+    ],
+    ids=["p", "qudits", "role-qudit", "role-index", "gate-qudit", "gate-parameter"],
+)
+def test_parse_rejects_integers_not_written_in_ascii_decimal(template, line_no, token):
+    with pytest.raises(CircuitParseError) as err:
+        circuits.parse_circuit("QSSCIRC 1\n" + template.format(token))
+    assert err.value.line_no == line_no
+    assert "not a decimal integer" in str(err.value)
 
 
 def test_parse_accepts_qubit_phase_ring():

@@ -184,19 +184,25 @@ def test_demo_output(capsys, monkeypatch):
         (["verify", "{spec}", "--seed", "-1"], None),
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "0"),
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "-4"),
+        (["verify", "{pairing}"], None),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
-        "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes",
+        "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes", "logical-pairing",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
     p4 = tmp_path / "p4.qss"
     p4.write_text("p 4\nn 1\nk 0\nstab 0|1\n", encoding="utf-8")
+    pairing = tmp_path / "pairing.qss"  # x2 := x1 + stabilizer row 1: the pairing is not I
+    pairing.write_text(
+        SIX_SHARE_QUTRIT_DOCUMENT.replace("logicalx 000000|100021", "logicalx 100202|121212"),
+        encoding="utf-8",
+    )
     if env is not None:
         monkeypatch.setenv("QSS_MAX_AMPLITUDES", env)
-    argv = [arg.format(spec=spec_path, p4=p4, tmp=tmp_path) for arg in argv]
+    argv = [arg.format(spec=spec_path, p4=p4, pairing=pairing, tmp=tmp_path) for arg in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
@@ -224,22 +230,39 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path):
     calls = {"plan": 0, "encode": 0}
-    plan, encode = circuits.plan_reconstruction, sim.encode_secret
+    plan, encode = circuits.plan_reconstruction, sim._encode_rows
 
     def counting_plan(*args, **kwargs):
         calls["plan"] += 1
         return plan(*args, **kwargs)
 
-    def counting_encode(*args, **kwargs):
-        calls["encode"] += 1
-        return encode(*args, **kwargs)
+    def counting_encode(code, convention, secrets, zero):  # counts encoded secret rows
+        calls["encode"] += len(secrets)
+        return encode(code, convention, secrets, zero)
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
-    monkeypatch.setattr(sim, "encode_secret", counting_encode)
+    monkeypatch.setattr(sim, "_encode_rows", counting_encode)
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
     assert calls == {"plan": 22, "encode": 3}
+
+
+def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
+    # 3^8 amplitudes per secret: chunks of at most 9 secrets, so 10 trials
+    # make two chunks of 5 and each of the 22 circuits runs twice
+    batches = []
+    density = sim._ancilla_density
+
+    def counting_density(code, gates, encoded):
+        batches.append(len(encoded))
+        return density(code, gates, encoded)
+
+    monkeypatch.setattr(sim, "_ancilla_density", counting_density)
+    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "10")
+    assert rc == 0
+    assert json.loads(out)["summary"]["qualified_sets"] == 22
+    assert batches == [5] * 44
 
 
 def test_qualified_sets_ranks_each_level_once(monkeypatch):
@@ -293,7 +316,8 @@ def test_analyze_of_byte_garbage_exits_2_with_one_line(tmp_path_factory, raw):
 _SPEC_LINES = st.builds(
     lambda head, rest: " ".join([head, *rest]),
     st.sampled_from(["stab", "selfdual", "logicalx", "logicalz", "k", "x"]),
-    st.lists(st.sampled_from(["-1", "0", "1", "2", "12", "01|10", "1|2", "1 0 | 0 1", "1x|00", "|"]),
+    st.lists(st.sampled_from(["-1", "+1", "0_1", "\u0661", "0", "1", "2", "12", "01|10", "1|2", "1 0 | 0 1",
+                              "+1 0 | 0 1", "1x|00", "|"]),
              min_size=1, max_size=3),
 )
 

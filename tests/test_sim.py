@@ -46,6 +46,22 @@ def test_fourier_matches_dense_on_every_axis(p):
         assert np.abs(got - expected).max() < 1e-12, (p, q, kind)
 
 
+def test_fourier_matches_tensordot_past_a_block():
+    # 2^17 amplitudes: every axis splits into several slabs, by columns
+    # near the front and by rows near the back
+    p, m = 2, 17
+    assert p**m > sim.BLOCK
+    rng = np.random.default_rng(67)
+    amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
+    mat = sim._fourier_matrix(p, False)
+    for q in range(1, m + 1):
+        for kind, op in ((circuits.fourier, mat), (circuits.fourier_inv, mat.conj().T)):
+            tensor = amps.reshape((p,) * m)
+            expected = np.moveaxis(np.tensordot(op, tensor, axes=([1], [q - 1])), 0, q - 1)
+            got = sim.apply_gate(sim.StateVector(p, m, amps), kind(q)).amps
+            assert np.abs(got - expected.reshape(-1)).max() < 1e-12, (q, kind)
+
+
 def test_phase_pow_diagonal_action():
     st = sim.basis_state(3, 1, (2,))
     out = sim.apply_gate(st, circuits.phase_pow(1, 2))
@@ -393,6 +409,90 @@ def test_verify_reconstruction_peak_memory(p, n, k, seed):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * p ** (n + k) * 16
+
+
+def test_verify_reconstruction_holds_one_state_past_a_block():
+    # a state past BLOCK amplitudes: Fourier gates and M M^H work in slabs of
+    # BLOCK, so one joint state plus slabs and 2/p^k of one is the peak
+    p, n, k = 3, 10, 2
+    assert p ** (n + k) > sim.BLOCK
+    code = symplectic.random_self_orthogonal_code(p, n, k, 0)
+    conv = pauli.make_convention(code)
+    members = next(
+        members
+        for members in combinations(range(1, n + 1), n - 1)
+        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
+    )
+    plan = circuits.plan_reconstruction(code, conv, members)
+    rng = np.random.default_rng(53)
+    secrets = [sim.random_secret(p, k, rng) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        (report,) = sim.verify_reconstruction(code, conv, [plan], secrets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(report.fidelity) > 1 - 1e-9
+    assert peak < 1.6 * p ** (n + k) * 16
+
+
+def _first_plans(code, conv, count=2):
+    sets = symplectic.all_qualified_sets(code)
+    return [circuits.plan_reconstruction(code, conv, members) for members in sets[:count]]
+
+
+def _batch_case(hexcode, hexconv, p, n, k, seed):
+    code = hexcode if seed is None else symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = hexconv if seed is None else pauli.make_convention(code)
+    return code, conv, max(1, sim.BLOCK // p ** (n + k))
+
+
+# (p, n, k, code seed) with chunks of B = 4, 9, 4 and 1 secrets; seed None is the bundled code
+_BATCH_CASES = [(2, 12, 2, 0), (3, 6, 2, None), (5, 4, 2, 0), (5, 5, 2, 0)]
+
+
+@pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
+def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n, k, seed):
+    code, conv, batch = _batch_case(hexcode, hexconv, p, n, k, seed)
+    plans = _first_plans(code, conv)
+    rng = np.random.default_rng(59)
+    secrets = [sim.random_secret(p, k, rng) for _ in range(2 * batch + 1)]
+    secrets[0] = sim.basis_state(p, k).amps  # zero coefficients ride in a chunk too
+    single = [sim.verify_reconstruction(code, conv, plans, [secret]) for secret in secrets]
+    zero = sim.logical_zero(code, conv)
+    encoded = sim._encode_rows(code, conv, np.array(secrets), zero)
+    for row, secret in zip(encoded, secrets):  # bit-identical to the one-row encoder
+        assert np.array_equal(row, sim.encode_secret(code, conv, secret, zero=zero).amps)
+    for trials in (1, batch, batch + 1, 2 * batch + 1):  # chunk boundaries, a short last chunk
+        reports = sim.verify_reconstruction(code, conv, plans, secrets[:trials])
+        for i, report in enumerate(reports):
+            assert len(report.fidelity) == len(report.purity) == trials
+            assert report.fidelity == tuple(one[i].fidelity[0] for one in single[:trials])
+            assert report.purity == tuple(one[i].purity[0] for one in single[:trials])
+            assert min(report.fidelity) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
+def test_batched_verification_fails_every_secret_of_a_broken_circuit(
+    monkeypatch, hexcode, hexconv, p, n, k, seed
+):
+    code, conv, batch = _batch_case(hexcode, hexconv, p, n, k, seed)
+    synthesize = circuits.synthesize_reconstruction
+
+    def off_by_one(plan, code):  # the first PPOW gate's exponent, plus one
+        circuit = synthesize(plan, code)
+        gates = list(circuit.gates)
+        i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
+        gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
+        return dataclasses.replace(circuit, gates=tuple(gates))
+
+    plans = _first_plans(code, conv)
+    monkeypatch.setattr(circuits, "synthesize_reconstruction", off_by_one)
+    rng = np.random.default_rng(61)
+    secrets = [sim.random_secret(p, k, rng) for _ in range(2 * batch + 1)]
+    for report in sim.verify_reconstruction(code, conv, plans, secrets):
+        assert len(report.fidelity) == 2 * batch + 1
+        assert all(fidelity < 1 - 1e-9 for fidelity in report.fidelity), report.fidelity
 
 
 def test_verify_reconstruction_reference(hexcode, hexconv):

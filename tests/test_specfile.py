@@ -99,3 +99,26 @@ def test_load_code_from_file(tmp_path):
     with pytest.warns(UserWarning):
         code = specfile.load_code(path)
     assert code.n == 6
+
+
+# int() takes each of these; the format takes ASCII decimal digits only
+_NON_DECIMAL = ("+1", "0_1", "\u0661", "\uff11")  # the last two: Arabic-Indic and fullwidth 1
+
+
+@pytest.mark.parametrize("token", _NON_DECIMAL)
+@pytest.mark.parametrize(
+    "template, line_no, message",
+    [
+        ("p {}\nn 2\nk 1\nstab 01|00\n", 1, "'p' needs an integer"),
+        ("p 3\nn {}\nk 1\nstab 01|00\n", 2, "'n' needs an integer"),
+        ("p 3\nn 2\nk {}\nstab 01|00\n", 3, "'k' needs an integer"),
+        ("p 3\nn 2\nk 1\nstab 0 {} | 0 0\n", 4, "row entries must be integers"),
+        ("p 3\nn 2\nk 1\nstab 0{}|00\n", 4, "row entries must be integers"),
+    ],
+    ids=["p", "n", "k", "spaced-row-entry", "packed-row-entry"],
+)
+def test_parse_rejects_integers_not_written_in_ascii_decimal(template, line_no, message, token):
+    with pytest.raises(SpecParseError) as err:
+        specfile.parse_code_document(template.format(token))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
