@@ -23,6 +23,7 @@ from .sim import (
     ReconstructionReport,
     StateVector,
     encode_secret,
+    entanglement_fidelity,
     logical_zero,
     verify_reconstruction,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "controlled_pauli_decompose",
     "emit_circuit",
     "encode_secret",
+    "entanglement_fidelity",
     "erasure_correctable",
     "load_code",
     "logical_zero",

@@ -2,8 +2,10 @@
 
 Commands: analyze, synthesize, verify, demo. Exit codes: 0 success,
 2 parse/validation failure, 3 requested share set not qualified,
-4 verification failure. Output files are written to a temp file and renamed
-so a failed run never leaves a partial artifact.
+4 verification failure, 141 standard output closed early (a pipe whose
+reader left, as in `qsshare verify ... | head -1`), with nothing on stderr.
+Output files are written to a temp file and renamed so a failed run never
+leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_CORRECTABLE = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 FIDELITY_SLACK = 1e-9
 
@@ -36,7 +39,8 @@ def _load(path):
 
 def _parse_share_list(text: str, n: int):
     try:
-        members = symplectic.share_set([int(tok) for tok in text.replace(",", " ").split()], n)
+        tokens = [specfile.parse_decimal(tok) for tok in text.replace(",", " ").split()]
+        members = symplectic.share_set(tokens, n)
     except ValueError as exc:
         raise QssError(f"bad share list {text!r}: {exc}") from exc
     if not members:
@@ -208,15 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NotCorrectableError as exc:
-        print(f"not correctable: {exc}", file=sys.stderr)
-        return EXIT_NOT_CORRECTABLE
-    except QssError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        args = build_parser().parse_args(argv)
+        try:
+            status = args.func(args)
+        except NotCorrectableError as exc:
+            print(f"not correctable: {exc}", file=sys.stderr)
+            status = EXIT_NOT_CORRECTABLE
+        except QssError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = EXIT_INVALID
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # what is still buffered, and the flush at exit, go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ one rule, and dense_matrix provides the independent oracle for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,14 @@ def phase_value(e: int, p: int) -> complex:
     if p == 2:
         return (1, 1j, -1, -1j)[e]
     return np.exp(2j * np.pi * e / p)
+
+
+@lru_cache(maxsize=None)
+def phase_table(p: int) -> np.ndarray:
+    """w^e for e = 0..phase_order(p) - 1, shared read-only through the cache."""
+    table = np.array([phase_value(e, p) for e in range(phase_order(p))])
+    table.flags.writeable = False
+    return table
 
 
 def format_phase(e: int, p: int) -> str:

@@ -4,35 +4,41 @@ States are complex amplitude arrays of length p^m with qudit 1 as the most
 significant digit of the index. Erased shares are modeled by never applying a
 gate to them: the global state stays pure.
 
-Gates run in place on one working tensor, qudit q on axis q - 1, through
-one kernel; axes past the register, such as a batch axis, ride along.
-Every gate but the Fourier gate is monomial: w^e X^a Z^b on a qudit moves
-block t to block t + a times w^{e + c b t} (c = 2 at p = 2 and 1
-otherwise). For a != 0 that is one cycle of p blocks, written from its last
-block back to its first with that block saved and each product staged in a
-one-block buffer; a pure phase scales only the blocks whose phase is not 1;
-a controlled Pauli applies the j-th power of its Pauli to control slices
-j >= 1 and leaves slice 0 alone. The Fourier gate multiplies every
-(p, after) block by F, one slab of at most BLOCK amplitudes at a time, each
-written back in place; a state of at most BLOCK amplitudes takes one
+Gates run in place on one working tensor shaped (p,)*m + (B,), qudit q on
+axis q - 1 and a batch of B states on the last axis. A circuit first becomes
+a runs.program: each maximal run of consecutive controlled Paulis of one
+kind and one control on distinct targets, a lone controlled gate included,
+is one op that runs.apply_run moves as one gather-and-phase pass per control
+value, in rows of at most BLOCK // 4 amplitudes; every other gate is its own
+op. The single-qudit gates w^e X^a Z^b move block t of their axis to block
+t + a times w^{e + c b t} (c = 2 at p = 2 and 1 otherwise): for a != 0 one
+cycle of p blocks, written from its last block back to its first with that
+block saved and each product staged in a one-block buffer; a pure phase
+scales only the blocks whose phase is not 1. The Fourier gate multiplies
+every (p, after) block by F, one slab of at most BLOCK amplitudes at a time,
+each written back in place; a state of at most BLOCK amplitudes takes one
 product. apply_gate, apply_circuit and apply_phased_pauli copy their input
 once and never write it. No dense operator is built: pauli.dense_matrix is
 a test oracle. The logical zero is built in closed form, as a phased
 uniform superposition over an affine subspace.
 
 verify_reconstruction runs each circuit ancilla-first: ancilla i becomes
-qudit i and share j becomes qudit k + j. Every reconstruction gate is then
-controlled from a leading axis, so control slices are long contiguous runs,
-and a Fourier gate on an ancilla multiplies long contiguous rows. The trial
+qudit i and share j becomes qudit k + j. A reconstruction circuit is then
+2k runs of controlled Paulis from leading axes, so rows are contiguous (a
+row reaches back over its control axis only while it is short), and a
+Fourier gate on an ancilla multiplies long contiguous rows. The trial
 secrets go through in balanced chunks of B <= max(1, BLOCK // p^(n+k)): a
 chunk is encoded in one pass over the logical Paulis and rides through
-every circuit as the trailing batch axis of one working buffer, shaped
-(p,)*(k+n) + (B,). On the bundled [[6,2,3]] qutrit code 10 secrets make two
-chunks of 5; a state of more than BLOCK / 2 amplitudes runs one secret at a
-time. The buffer starts as zeros with the ancilla-|0...0> block of each
-member set to its encoded shares, and a member's ancilla state is M M^H for
-its final state M as a (p^k, p^n) matrix, summed over slabs of columns, so
-no second state-sized array is made.
+every circuit as the batch axis of one working buffer. On the bundled
+[[6,2,3]] qutrit code 10 secrets make two chunks of 5; a state of more than
+BLOCK / 2 amplitudes runs one secret at a time. Each circuit's program is
+built once per call, with equal runs of different circuits shared, so the
+tables of its runs serve every chunk and none outlives the call. The buffer
+starts as zeros with the ancilla-|0...0> block of each member set to its
+encoded shares, and a member's ancilla state is M M^H for its final state M
+as a (p^k, p^n) matrix, summed over slabs of columns, so no second
+state-sized array is made. entanglement_fidelity runs the p^k basis secrets
+the same way and checks the whole secret space at once.
 
 The default size guard admits up to 2^24 amplitudes; the environment
 variable QSS_MAX_AMPLITUDES, a positive integer, overrides it.
@@ -47,11 +53,11 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from . import circuits, linalg, pauli
+from . import circuits, linalg, pauli, runs
 from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
-BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a batch of secrets
+BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a batch of secrets, 4 run rows
 
 
 def max_amplitudes() -> int:
@@ -118,18 +124,10 @@ def fix_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:
     return StateVector(state.p, state.m, amps * (abs(pivot) / pivot))
 
 
-@lru_cache(maxsize=None)
-def _phases(p: int) -> np.ndarray:
-    """Table of w^e over the phase ring, shared read-only through the cache."""
-    table = np.array([pauli.phase_value(e, p) for e in range(pauli.phase_order(p))])
-    table.flags.writeable = False
-    return table
-
-
 def _monomial(tensor: np.ndarray, axis: int, shift: int, exps, p: int) -> None:
     """In place on one axis of tensor: block t goes to block t + shift, times
     w^exps[t]."""
-    phases = _phases(p)
+    phases = pauli.phase_table(p)
     ring = len(phases)
     lead = (slice(None),) * axis
 
@@ -178,19 +176,6 @@ def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector
 
 
 @lru_cache(maxsize=None)
-def _controlled_powers(p: int, inverse: bool, a: int, b: int) -> tuple:
-    """(shift, block exponents) of (X^a Z^b)^j, or of its inverse, for control
-    values j = 1..p-1."""
-    site = pauli.PhasedPauli(p, 0, (a, b))
-    out = []
-    for j in range(1, p):
-        power = pauli.pauli_pow(site, -j if inverse else j)
-        shift, z = (int(v) for v in power.vec)
-        out.append((shift, _pauli_exponents(z, power.phase, p)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
     """F, or F^-1: read-only, shared through the cache."""
     w = np.exp(2j * np.pi / p)
@@ -202,9 +187,10 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 
 
 def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> None:
-    """Apply one gate in place to the working tensor, qudit q on axis q - 1;
-    trailing axes past the register, such as a batch axis, ride along."""
-    axis = gate.qudits[0] - 1  # the gate's only qudit, or its control
+    """Apply one single-qudit gate in place to the working tensor, qudit q on
+    axis q - 1; trailing axes past the register, such as a batch axis, ride
+    along."""
+    axis = gate.qudits[0] - 1
     if gate.kind in ("F", "FINV"):
         # F on every (p, after) block, one slab of at most BLOCK amplitudes at a time
         view = tensor.reshape(-1, p, tensor.size // p ** (axis + 1))
@@ -220,14 +206,17 @@ def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> None:
     elif gate.kind == "PAULI":
         a, b = gate.params
         _monomial(tensor, axis, a, _pauli_exponents(b, 0, p), p)
-    elif gate.kind in ("CPAULI", "CPAULIINV"):
-        target = gate.qudits[1] - 1
-        target -= target > axis  # its axis in a control slice
-        powers = _controlled_powers(p, gate.kind == "CPAULIINV", *gate.params)
-        for j, (shift, exps) in enumerate(powers, start=1):  # slice 0 sees the identity
-            _monomial(tensor[(slice(None),) * axis + (j,)], target, shift, exps, p)
-    else:  # pragma: no cover - Gate.__post_init__ rejects unknown kinds
-        raise ValueError(f"unknown gate kind {gate.kind}")
+    else:  # pragma: no cover - runs.program folds every controlled gate into a Run
+        raise ValueError(f"{gate.kind} is not a single-qudit gate")
+
+
+def _execute(tensor: np.ndarray, ops, p: int) -> None:
+    """Run a runs.program in place on a working tensor shaped (p,)*m + (B,)."""
+    for op in ops:
+        if isinstance(op, runs.Run):
+            runs.apply_run(tensor, op, p, BLOCK // 4)
+        else:
+            _apply(tensor, op, p)
 
 
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
@@ -235,8 +224,8 @@ def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
     for q in gate.qudits:
         if not 1 <= q <= m:
             raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {m}-qudit state")
-    tensor = state.tensor().copy()
-    _apply(tensor, gate, p)
+    tensor = state.amps.reshape((p,) * m + (1,)).copy()
+    _execute(tensor, runs.program((gate,)), p)
     return StateVector(p, m, tensor.reshape(-1))
 
 
@@ -244,9 +233,8 @@ def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
     p, m = state.p, state.m
     if circuit.p != p or circuit.num_qudits != m:
         raise ValueError("circuit register does not match the state")
-    tensor = state.tensor().copy()
-    for gate in circuit.gates:
-        _apply(tensor, gate, p)
+    tensor = state.amps.reshape((p,) * m + (1,)).copy()
+    _execute(tensor, runs.program(circuit.gates), p)
     return StateVector(p, m, tensor.reshape(-1))
 
 
@@ -297,7 +285,7 @@ def logical_zero(code, convention) -> StateVector:
             blocks.append((digits, exps))
         digits, exps = (np.concatenate(part) for part in zip(*blocks))
     amps = np.zeros(p**n, dtype=np.complex128)
-    amps[digits @ p ** np.arange(n - 1, -1, -1)] = _phases(p)[exps] / np.sqrt(float(p) ** r)
+    amps[digits @ p ** np.arange(n - 1, -1, -1)] = pauli.phase_table(p)[exps] / np.sqrt(float(p) ** r)
     state = fix_global_phase(StateVector(p, n, amps))
     for i, g in enumerate(gens, start=1):
         residual = float(np.linalg.norm(apply_phased_pauli(state, g).amps - state.amps))
@@ -390,33 +378,41 @@ class ReconstructionReport:
     single_qudit_gates: int
 
 
-def _ancilla_first(circuit: circuits.Circuit, n: int) -> tuple[circuits.Gate, ...]:
-    """The gates of a shares-first circuit, relabeled so ancilla i is qudit i
-    and share j is qudit k + j."""
+def _ancilla_first(circuit: circuits.Circuit, n: int) -> list:
+    """The runs.program of a shares-first circuit, relabeled so ancilla i is
+    qudit i and share j is qudit k + j. Its run tables, built on first use,
+    serve every later chunk of secrets."""
     k = circuit.num_qudits - n
 
     def move(q):
         return q + k if q <= n else q - n
 
-    return tuple(
+    return runs.program(
         circuits.Gate(g.kind, tuple(move(q) for q in g.qudits), g.params) for g in circuit.gates
     )
 
 
-def _ancilla_density(code, gates, encoded: np.ndarray) -> np.ndarray:
-    """Ancilla reduced state after ancilla-first gates act on |0...0> (x) encoded.
+def _final_states(code, program, encoded: np.ndarray) -> np.ndarray:
+    """The state after an ancilla-first program acts on |0...0> (x) encoded,
+    for a (B, p^n) stack of codewords, as a (p^k, p^n, B) array."""
+    p, n, k = code.p, code.n, code.k
+    tensor = np.zeros((p,) * (k + n) + (len(encoded),), dtype=np.complex128)
+    matrix = tensor.reshape(p**k, p**n, len(encoded))
+    matrix[0] = encoded.T
+    _execute(tensor, program, p)
+    return matrix
+
+
+def _ancilla_density(code, program, encoded: np.ndarray) -> np.ndarray:
+    """Ancilla reduced state after an ancilla-first program acts on
+    |0...0> (x) encoded.
 
     encoded is one codeword, or a (B, p^n) stack of them that rides through
-    the gates as a trailing batch axis; then one state per row comes back.
+    the program as a trailing batch axis; then one state per row comes back.
     """
     p, n, k = code.p, code.n, code.k
-    rows = np.atleast_2d(encoded)
-    batch = len(rows)
-    tensor = np.zeros((p,) * (k + n) + (batch,), dtype=np.complex128)
-    matrix = tensor.reshape(p**k, p**n, batch)
-    matrix[0] = rows.T
-    for gate in gates:
-        _apply(tensor, gate, p)
+    matrix = _final_states(code, program, np.atleast_2d(encoded))
+    batch = matrix.shape[-1]
     # M M^H per batch member, by slabs of columns of M
     rho = np.zeros((batch, p**k, p**k), dtype=np.complex128)
     width = max(1, BLOCK // (p**k * batch))
@@ -424,6 +420,12 @@ def _ancilla_density(code, gates, encoded: np.ndarray) -> np.ndarray:
         part = matrix[:, c : c + width].transpose(2, 0, 1)
         rho += part @ part.conj().transpose(0, 2, 1)
     return rho if np.ndim(encoded) > 1 else rho[0]
+
+
+def _chunks(count: int, p: int, m: int) -> list[np.ndarray]:
+    """Balanced chunks of range(count), at most max(1, BLOCK // p^m) long."""
+    chunks = -(-count // max(1, BLOCK // p**m))
+    return np.array_split(np.arange(count), chunks) if chunks else []
 
 
 def verify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
@@ -440,15 +442,15 @@ def verify_reconstruction(code, convention, plans, secrets) -> list[Reconstructi
     p, n, k = code.p, code.n, code.k
     _guard(p, n + k)
     circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
-    layouts = [_ancilla_first(circuit, n) for circuit in circs]
+    programs = runs.share(_ancilla_first(circuit, n) for circuit in circs)
     zero = logical_zero(code, convention)
     rows = np.asarray(secrets, dtype=np.complex128).reshape(len(secrets), p**k)
-    chunks = -(-len(rows) // max(1, BLOCK // p ** (n + k)))
     results = [[] for _ in circs]
-    for chunk in np.array_split(rows, chunks) if chunks else ():
-        encoded = _encode_rows(code, convention, chunk, zero)
-        for gates, result in zip(layouts, results):
-            for secret, rho in zip(chunk, _ancilla_density(code, gates, encoded)):
+    for chunk in _chunks(len(rows), p, n + k):
+        batch = rows[chunk]
+        encoded = _encode_rows(code, convention, batch, zero)
+        for program, result in zip(programs, results):
+            for secret, rho in zip(batch, _ancilla_density(code, program, encoded)):
                 result.append((fidelity_with_pure(rho, secret), purity(rho)))
     return [
         ReconstructionReport(
@@ -460,6 +462,33 @@ def verify_reconstruction(code, convention, plans, secrets) -> list[Reconstructi
         )
         for plan, circuit, result in zip(plans, circs, results)
     ]
+
+
+def entanglement_fidelity(code, convention, plans) -> list[float]:
+    """Entanglement fidelity of each plan's circuit over the whole secret space.
+
+    Runs the p^k basis secrets |s> through each circuit, relabeled
+    ancilla-first, as the batch axis (in chunks as verify_reconstruction
+    does). With M_s the final state as a (p^k, p^n) matrix, ancilla digits
+    first, F_e = ||sum_s M_s[s, :]||^2 / p^(2k). F_e = 1 exactly when every
+    basis secret comes out as |s> (x) |junk> with one junk state and one phase
+    shared by all s, which by linearity is exact reconstruction of every
+    secret (Schumacher, quant-ph/9604023). Returns one F_e per plan, in order.
+    """
+    p, n, k = code.p, code.n, code.k
+    _guard(p, n + k)
+    programs = runs.share(
+        _ancilla_first(circuits.synthesize_reconstruction(plan, code), n) for plan in plans
+    )
+    zero = logical_zero(code, convention)
+    basis = np.eye(p**k, dtype=np.complex128)
+    sums = np.zeros((len(programs), p**n), dtype=np.complex128)
+    for chunk in _chunks(p**k, p, n + k):
+        encoded = _encode_rows(code, convention, basis[chunk], zero)
+        for program, total in zip(programs, sums):
+            matrix = _final_states(code, program, encoded)
+            total += matrix[chunk, :, np.arange(len(chunk))].sum(axis=0)
+    return [float(np.vdot(total, total).real) / p ** (2 * k) for total in sums]
 
 
 def random_secret(p: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,9 @@ builds it in closed form; a reduced state by tracing out any qudits of a
 state in the circuit's own numbering, where the package reads the leading
 axes of a state relabeled ancilla-first; a code-space eigenvalue by
 multiplying out the generator powers, where the package sums their phases
-in closed form).
+in closed form; a circuit by contracting each gate's dense operator with
+its qudits' axes, one gate at a time, where the package moves whole runs of
+controlled Paulis by index tables).
 """
 
 from __future__ import annotations
@@ -181,3 +183,35 @@ def reduced_density(state: sim.StateVector, keep) -> np.ndarray:
     order = [q - 1 for q in keep] + [q - 1 for q in rest]
     matrix = np.transpose(tensor, order).reshape(dim, p ** len(rest))
     return matrix @ matrix.conj().T
+
+
+def gate_operator(gate, p: int) -> np.ndarray:
+    """Dense operator of one gate on its own qudits, as a (p,)*2r tensor
+    (output axes, then input axes), r the number of qudits it addresses."""
+    w = np.exp(2j * np.pi / p)
+    if gate.kind in ("F", "FINV"):
+        f = w ** np.outer(np.arange(p), np.arange(p)) / np.sqrt(p)
+        return f.conj().T if gate.kind == "FINV" else f
+    if gate.kind == "PPOW":
+        return np.diag([pauli.phase_value(gate.params[0] * t, p) for t in range(p)])
+    site = pauli.PhasedPauli(p, 0, list(gate.params))
+    if gate.kind == "PAULI":
+        return pauli.dense_matrix(site)
+    sign = -1 if gate.kind == "CPAULIINV" else 1
+    out = np.zeros((p, p, p, p), dtype=np.complex128)
+    for j in range(p):  # sum_j |j><j| (x) (X^a Z^b)^(+-j)
+        out[j, :, j, :] = pauli.dense_matrix(pauli.pauli_pow(site, sign * j))
+    return out
+
+
+def apply_gates(tensor: np.ndarray, gates, p: int) -> np.ndarray:
+    """A working tensor shaped (p,)*m + (B,), qudit q on axis q - 1, after the
+    gates, each contracted with its qudits' axes on its own; returns a new
+    array and leaves its input alone."""
+    out = tensor
+    for gate in gates:
+        axes = [q - 1 for q in gate.qudits]
+        op = gate_operator(gate, p).reshape((p,) * (2 * len(axes)))
+        out = np.tensordot(op, out, axes=(list(range(len(axes), 2 * len(axes))), axes))
+        out = np.moveaxis(out, list(range(len(axes))), axes)
+    return np.array(out)

@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qsshare
 from qsshare import circuits, cli, linalg, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
@@ -185,11 +189,15 @@ def test_demo_output(capsys, monkeypatch):
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "0"),
         (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "-4"),
         (["verify", "{pairing}"], None),
+        (["verify", "{spec}", "--set", "+3,4,5,6"], None),
+        (["verify", "{spec}", "--set", "3,4,5_0,6"], None),
+        (["synthesize", "{spec}", "--set", "3,\u0664,5,6", "-o", "{tmp}/x.qsscirc"], None),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
         "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes", "logical-pairing",
+        "signed-share", "underscored-share", "arabic-indic-share",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
@@ -207,6 +215,29 @@ def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_p
     assert rc == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # z rows with a unit pairing, so loading warns of nothing; the reader
+    # leaves before verify writes its report
+    spec = tmp_path / "unit.qss"
+    spec.write_text(
+        SIX_SHARE_QUTRIT_DOCUMENT.replace("logicalz 000100|122000", "logicalz 000200|211000").replace(
+            "logicalz 000001|221020", "logicalz 000002|112010"
+        ),
+        encoding="utf-8",
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsshare", "verify", str(spec), "--trials", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):

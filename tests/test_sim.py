@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsshare import circuits, linalg, pauli, sim, symplectic
+from qsshare import circuits, linalg, pauli, runs, sim, symplectic
 from qsshare.errors import IndexOutOfRangeError, PreparationFailedError, QssError, TooLargeError
 
 import oracles
@@ -159,6 +159,101 @@ def test_controlled_gate_matches_dense_on_random_states():
         assert {key[4] for key in checked if key[:4] == (p, 3, kind, pair)} == set(
             product(range(p), repeat=2)
         )
+
+
+def _runs_circuit(p, m, rng, segments=10):
+    """Gates of all six kinds on m qudits: runs of controlled Paulis of one
+    kind and control, on targets before and after the control, runs of one,
+    a run with a repeated target, and single-qudit gates that break runs."""
+    gates = []
+    for _ in range(segments):
+        control = int(rng.integers(1, m + 1))
+        others = [q for q in range(1, m + 1) if q != control]
+        size = int(rng.integers(1, len(others) + 1))
+        targets = [int(t) for t in rng.choice(others, size=size, replace=False)]
+        if rng.random() < 0.2:  # a repeated target starts a new run
+            targets.append(targets[0])
+        kind = str(rng.choice(["CPAULI", "CPAULIINV"]))
+        for t in targets:
+            params = tuple(int(v) for v in rng.integers(0, p, size=2))
+            gates.append(circuits.Gate(kind, (control, t), params))
+        if rng.random() < 0.8:
+            q = int(rng.integers(1, m + 1))
+            breaker = str(rng.choice(["F", "FINV", "PPOW", "PAULI"]))
+            params = {
+                "PPOW": (int(rng.integers(0, pauli.phase_order(p))),),
+                "PAULI": tuple(int(v) for v in rng.integers(0, p, size=2)),
+            }.get(breaker, ())
+            gates.append(circuits.Gate(breaker, (q,), params))
+    return gates
+
+
+def _fused_and_per_gate(gates, p, m, batch, rng):
+    tensor = rng.normal(size=(p,) * m + (batch,)) + 1j * rng.normal(size=(p,) * m + (batch,))
+    expected = oracles.apply_gates(tensor, gates, p)
+    program = runs.program(gates)
+    sim._execute(tensor, program, p)
+    return np.abs(tensor - expected).max(), program
+
+
+@pytest.mark.parametrize("p, m", [(2, 7), (3, 5), (5, 4), (7, 3)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_fused_runs_match_per_gate_oracle(p, m, batch):
+    rng = np.random.default_rng(100 * p + batch)
+    shapes = set()
+    for _ in range(6):
+        gates = _runs_circuit(p, m, rng)
+        error, program = _fused_and_per_gate(gates, p, m, batch, rng)
+        assert error < 1e-12, gates
+        assert sum(len(op.targets) if isinstance(op, runs.Run) else 1 for op in program) == len(gates)
+        for op in program:
+            if isinstance(op, runs.Run):
+                first = min(t for t, _, _ in op.targets)
+                shapes.add((len(op.targets) > 1, op.control < first))
+    # runs of one and longer runs, with the control before and after the first target
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "p, m, batch, gates",
+    [
+        # rows of 3^8: the run's first target is a row-index axis of the slice
+        (3, 10, 1, [(1, 2, 1, 2), (1, 7, 2, 1), (1, 10, 1, 0)]),
+        # control after a target: rows span the control axis and are strided
+        (3, 10, 1, [(6, 1, 2, 2), (6, 4, 0, 1), (6, 10, 1, 1)]),
+        # a batch of 3 inside rows of 2^12 x 3
+        (2, 14, 3, [(1, 2, 1, 1), (1, 3, 1, 0), (1, 14, 0, 1)]),
+    ],
+)
+def test_fused_runs_walk_row_cycles_past_a_block(p, m, batch, gates):
+    rng = np.random.default_rng(m)
+    for kind in ("CPAULI", "CPAULIINV"):
+        run = [circuits.Gate(kind, (c, t), (a, b)) for c, t, a, b in gates]
+        circuit = [circuits.fourier(gates[0][1]), *run, circuits.phase_pow(gates[0][0], 1), *run]
+        error, program = _fused_and_per_gate(circuit, p, m, batch, rng)
+        assert error < 1e-12
+        tables = program[1].tables[batch]
+        assert max(len(cycle) for walk in tables.cycles for cycle in walk) == p
+        assert tables.flat == (gates[0][0] == 1)
+
+
+def test_share_makes_equal_runs_of_circuits_one_object(hexcode, hexconv):
+    plans = _first_plans(hexcode, hexconv, count=22)
+    programs = [
+        sim._ancilla_first(circuits.synthesize_reconstruction(plan, hexcode), hexcode.n) for plan in plans
+    ]
+    shared = runs.share(programs)
+    count = sum(isinstance(op, runs.Run) for ops in programs for op in ops)
+    distinct = {id(op) for ops in shared for op in ops if isinstance(op, runs.Run)}
+    assert count == 88 and len(distinct) < count  # the bundled code's circuits repeat runs
+    for ops, original in zip(shared, programs):
+        assert len(ops) == len(original)
+        for op, before in zip(ops, original):
+            if isinstance(op, runs.Run):
+                fields = (op.inverse, op.control, op.targets)
+                assert fields == (before.inverse, before.control, before.targets)
+            else:
+                assert op is before
 
 
 def test_norm_preserved_through_long_circuit(hexcode, hexconv):
@@ -493,6 +588,55 @@ def test_batched_verification_fails_every_secret_of_a_broken_circuit(
     for report in sim.verify_reconstruction(code, conv, plans, secrets):
         assert len(report.fidelity) == 2 * batch + 1
         assert all(fidelity < 1 - 1e-9 for fidelity in report.fidelity), report.fidelity
+
+
+def _off_by_one(circuit, kind):
+    """The circuit with its first gate of `kind` changed: a PPOW exponent
+    plus one, or a controlled Pauli's b plus one."""
+    gates = list(circuit.gates)
+    i = next(i for i, gate in enumerate(gates) if gate.kind == kind)
+    params = list(gates[i].params)
+    params[-1] += 1
+    if kind != "PPOW":
+        params[-1] %= circuit.p
+    gates[i] = circuits.Gate(kind, gates[i].qudits, tuple(params))
+    return dataclasses.replace(circuit, gates=tuple(gates))
+
+
+def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode, hexconv):
+    sets = symplectic.all_qualified_sets(hexcode)
+    assert len(sets) == 22
+    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
+    fidelities = sim.entanglement_fidelity(hexcode, hexconv, plans)
+    assert len(fidelities) == 22
+    assert all(1 - 1e-12 <= f <= 1 + 1e-12 for f in fidelities), fidelities
+
+
+# (p, n, k, code seed); the p = 3 code has 3^11 joint amplitudes, past BLOCK
+@pytest.mark.parametrize("p, n, k, seed", [(2, 9, 2, 1), (3, 9, 2, 0), (5, 4, 2, 0)])
+def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
+    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = pauli.make_convention(code)
+    members = next(
+        members
+        for members in combinations(range(1, n + 1), n - 1)
+        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
+    )
+    if p == 3:
+        assert p ** (n + k) > sim.BLOCK
+    (fidelity,) = sim.entanglement_fidelity(code, conv, [circuits.plan_reconstruction(code, conv, members)])
+    assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["PPOW", "CPAULIINV"])
+def test_entanglement_fidelity_fails_a_broken_circuit(monkeypatch, hexcode, hexconv, kind):
+    synthesize = circuits.synthesize_reconstruction
+    monkeypatch.setattr(
+        circuits, "synthesize_reconstruction", lambda plan, code: _off_by_one(synthesize(plan, code), kind)
+    )
+    plans = _first_plans(hexcode, hexconv, count=4)
+    for fidelity in sim.entanglement_fidelity(hexcode, hexconv, plans):
+        assert fidelity < 1 - 1e-9
 
 
 def test_verify_reconstruction_reference(hexcode, hexconv):
