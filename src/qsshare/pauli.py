@@ -59,6 +59,14 @@ def phase_table(p: int) -> np.ndarray:
     return table
 
 
+def block_exponents(b: int, e: int, p: int) -> tuple[int, ...]:
+    """Block phase exponents e + c b t of w^e X^a Z^b, c = 2 at p = 2 and 1
+    otherwise: the operator moves block t of its qudit to block t + a, times
+    w^(e + c b t)."""
+    c = 2 if p == 2 else 1
+    return tuple(e + c * b * t for t in range(p))
+
+
 def format_phase(e: int, p: int) -> str:
     """Human-readable w^e: '1', 'i', '-1', '-i' at p=2, else '1' or 'w^e'."""
     e = int(e) % phase_order(p)

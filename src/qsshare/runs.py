@@ -5,7 +5,7 @@ one control and distinct targets; a lone controlled gate is a run of one.
 On control slice j the run is the one Pauli prod_t (X^a_t Z^b_t)^(+-j):
 amplitude y reads amplitude y - s, times w^(sum_t e_t[y_t]), and both the
 source index and the phase split over the digits. The slice is cut into
-rows of at most `limit` amplitudes, its last axes with the batch axis riding
+rows of at most ROW amplitudes, its last axes with the batch axis riding
 inside. Outer sums give a source-index table and a phase table for the row
 digits, from the tables of their two halves, and for the row-index digits,
 whose shift walks the rows in cycles. Each row is np.take of the row it
@@ -22,24 +22,33 @@ programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from . import pauli
 
+ROW = 2**14  # amplitudes in a row of a control slice, the batch axis included
+# A row reaches back over its control axis, and so strides, only while its
+# part after the control holds fewer than REACH amplitudes. Timed on 238
+# single runs (2 CPUs, one BLAS thread) at p in {2, 3, 5, 7}, up to 2^17
+# amplitudes, B in {1, 3, 5}: under 2^8, reaching back won 128 of 134 cases,
+# by up to 43-fold (contiguous rows are then many and short); from 2^10 on,
+# contiguous rows won 43 of 56, by up to 4.6-fold; in between the two split
+# evenly, and 2^9 gave the least total time.
+REACH = ROW // 32
 
-@dataclass
+
 class Run:
     """Consecutive controlled Paulis of one kind and one control on distinct
-    targets, as axes of the working tensor: (target axis, a, b) per gate."""
+    targets, as axes of the working tensor: (target axis, a, b) per gate.
+    tables maps a batch length to the run's _Tables."""
 
-    inverse: bool
-    control: int
-    targets: list
-    tables: dict = field(default_factory=dict)  # batch length -> tables of _tables
+    __slots__ = ("inverse", "control", "targets", "tables")
+
+    def __init__(self, inverse: bool, control: int):
+        self.inverse, self.control, self.targets, self.tables = inverse, control, [], {}
 
 
 def program(gates) -> list:
@@ -58,7 +67,7 @@ def program(gates) -> list:
             and (run.inverse, run.control) == (inverse, control)
             and all(target != t for t, _, _ in run.targets)
         ):
-            run = Run(inverse, control, [])
+            run = Run(inverse, control)
             ops.append(run)
         run.targets.append((target, *gate.params))
     return ops
@@ -87,11 +96,30 @@ def _outer_sum(vectors, count: int) -> np.ndarray:
     return table
 
 
-class _Tables(NamedTuple):
+@lru_cache(maxsize=None)
+def _powers(p: int, inverse: bool, a: int, b: int) -> tuple:
+    """(p - 1, p) tables, one row per control value j = 1..p-1, of the digit
+    that digit y reads and of the phase exponent it takes under
+    (X^a Z^b)^j, or its inverse; read-only, shared through the cache."""
+    site, reads, exps = pauli.PhasedPauli(p, 0, (a, b)), [], []
+    for j in range(1, p):
+        power = pauli.pauli_pow(site, -j if inverse else j)
+        shift, z = (int(v) for v in power.vec)
+        source = (np.arange(p) - shift) % p
+        reads.append(source)
+        exps.append(np.asarray(pauli.block_exponents(z, power.phase, p))[source])
+    tables = np.array(reads), np.array(exps) % pauli.phase_order(p)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class _Tables:
     """How a run moves the rows of its control slices, for one batch length.
 
     A control slice's first `split` axes index its rows; a row holds the
-    other register axes, `size` amplitudes, times the batch axis. Per control
+    other register axes, `size` amplitudes, times the batch axis, and is
+    contiguous (`flat`) when those axes all follow the control. Per control
     value j = 1..p-1 (the first index of each table): the in-row source
     index as the tables of the two halves of the row's register digits (None
     if no target in the row moves), the in-row phase exponents as the tables
@@ -100,52 +128,38 @@ class _Tables(NamedTuple):
     the first the last.
     """
 
-    split: int
-    size: int
-    flat: bool  # the row's axes all follow the control: rows are contiguous
-    index: tuple | None
-    phase: tuple | None
-    cycles: list
+    __slots__ = ("split", "size", "flat", "index", "phase", "cycles")
+
+    def __init__(self, split, size, flat, index, phase, cycles):
+        self.split, self.size, self.flat = split, size, flat
+        self.index, self.phase, self.cycles = index, phase, cycles
 
 
-def _tables(run: Run, p: int, m: int, batch: int, limit: int) -> _Tables:
-    ring, c = pauli.phase_order(p), 2 if p == 2 else 1
+def _tables(run: Run, p: int, m: int, batch: int) -> _Tables:
+    ring = pauli.phase_order(p)
     axes = [q for q in range(m) if q != run.control]
-    # rows of at most limit amplitudes, the batch included; a row reaches
-    # back over the control axis, and so strides, only while its part after
-    # the control is short, as when the control is the last register axis
-    split = len(axes)
-    while split and p ** (len(axes) - split + 1) * batch <= limit:
-        if split == run.control and p ** (len(axes) - split) * batch >= limit // 16:
+    split = len(axes)  # rows of at most ROW amplitudes, the batch included
+    while split and p ** (len(axes) - split + 1) * batch <= ROW:
+        if split == run.control and p ** (len(axes) - split) * batch >= REACH:
             break
         split -= 1
-    # (X^a Z^b)^e = w^(c a b e(e-1)/2) X^(e a) Z^(e b), as in pauli.pauli_pow,
-    # for e = +-j modulo the ring: one row per j, one column per target
-    power = np.arange(1, p) * (-1 if run.inverse else 1) % ring
-    _, a, b = (np.array(col) for col in zip(*run.targets))
-    digits = np.arange(p)
-    source = (digits - (np.outer(power, a) % p)[..., None]) % p  # read digit, per written digit
-    exps = (
-        c * np.outer(power * (power - 1) // 2, a * b)[..., None]
-        + c * (np.outer(power, b) % p)[..., None] * source
-    ) % ring
-    column = {t[0]: i for i, t in enumerate(run.targets)}
-    same, zero = digits[None, :], np.zeros((1, p), dtype=np.int64)  # broadcast over j
-    reads = [source[:, column[q]] if q in column else same for q in axes]
-    phases = [exps[:, column[q]] if q in column else zero for q in axes]
+    powers = {t: _powers(p, run.inverse, a, b) for t, a, b in run.targets}
+    same, zero = np.arange(p)[None, :], np.zeros((1, p), dtype=np.int64)  # broadcast over j
+    reads = [powers[q][0] if q in powers else same for q in axes]
+    phases = [powers[q][1] if q in powers else zero for q in axes]
 
     def index(lo, hi, end):  # source index tables of axes[lo:hi], place values up to axes[end]
         return _outer_sum([v * p ** (end - 1 - d) for d, v in enumerate(reads[lo:hi], lo)], p - 1)
 
     # kept for the whole call, so in the smallest types: an in-row index is
-    # below limit and an exponent below the ring order
-    half, inner = (split + len(axes)) // 2, [column[q] for q in axes[split:] if q in column]
+    # below ROW and an exponent below the ring order
+    half, inner = (split + len(axes)) // 2, [powers[q] for q in axes[split:] if q in powers]
     in_index = in_phase = None
-    if a[inner].any():
+    if any((read != same).any() for read, _ in inner):
         in_index = tuple(
             index(lo, hi, len(axes)).astype(np.int16) for lo, hi in ((split, half), (half, len(axes)))
         )
-    if b[inner].any():
+    if any(exps.any() for _, exps in inner):
         in_phase = tuple(
             (_outer_sum(phases[lo:hi], p - 1) % ring).astype(np.int8)
             for lo, hi in ((split, half), (half, len(axes)))
@@ -171,9 +185,9 @@ def _tables(run: Run, p: int, m: int, batch: int, limit: int) -> _Tables:
     return _Tables(split, p ** (len(axes) - split), flat, in_index, in_phase, cycles)
 
 
-def apply_run(tensor: np.ndarray, run: Run, p: int, limit: int) -> None:
+def apply_run(tensor: np.ndarray, run: Run, p: int) -> None:
     """Apply a run of controlled Paulis in place, one pass per control value,
-    in rows of at most `limit` amplitudes.
+    in rows of at most ROW amplitudes.
 
     On control slice j the run is one Pauli prod_t (X^a_t Z^b_t)^(+-j):
     destination y reads source y - s, times w^(sum_t e_t[y_t]). Both the
@@ -184,17 +198,17 @@ def apply_run(tensor: np.ndarray, run: Run, p: int, limit: int) -> None:
     batch = tensor.shape[-1]
     tables = run.tables.get(batch)
     if tables is None:
-        tables = run.tables[batch] = _tables(run, p, tensor.ndim - 1, batch, limit)
-    split, size, flat, index, phase, cycles = tables
+        tables = run.tables[batch] = _tables(run, p, tensor.ndim - 1, batch)
+    split, size, index, phase = tables.split, tables.size, tables.index, tables.phase
     ring, phases = pauli.phase_order(p), pauli.phase_table(p)
     view = tensor  # the working tensor is contiguous, so merging its last axes gives a view
-    if flat:
+    if tables.flat:
         view = tensor.reshape(tensor.shape[: split + 1] + (size, batch))
     lead = (slice(None),) * run.control
-    moving = len(cycles[0][0]) > 1  # the rows move, in cycles of p, for every j
+    moving = len(tables.cycles[0][0]) > 1  # the rows move, in cycles of p, for every j
     saved = np.empty((size, batch), dtype=tensor.dtype) if moving or index is not None else None
     buf = np.empty_like(saved) if moving else None
-    for j, walk in enumerate(cycles):
+    for j, walk in enumerate(tables.cycles):
         rows = view[lead + (j + 1,)]
         shape = rows.shape[split:]
         idx = None if index is None else np.add.outer(index[0][j], index[1][j], dtype=np.intp).ravel()

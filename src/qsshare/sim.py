@@ -9,7 +9,7 @@ axis q - 1 and a batch of B states on the last axis. A circuit first becomes
 a runs.program: each maximal run of consecutive controlled Paulis of one
 kind and one control on distinct targets, a lone controlled gate included,
 is one op that runs.apply_run moves as one gather-and-phase pass per control
-value, in rows of at most BLOCK // 4 amplitudes; every other gate is its own
+value, in rows of at most runs.ROW amplitudes; every other gate is its own
 op. The single-qudit gates w^e X^a Z^b move block t of their axis to block
 t + a times w^{e + c b t} (c = 2 at p = 2 and 1 otherwise): for a != 0 one
 cycle of p blocks, written from its last block back to its first with that
@@ -57,7 +57,7 @@ from . import circuits, linalg, pauli, runs
 from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
-BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a batch of secrets, 4 run rows
+BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a secret batch, 4 runs.ROW rows
 
 
 def max_amplitudes() -> int:
@@ -153,12 +153,6 @@ def _monomial(tensor: np.ndarray, axis: int, shift: int, exps, p: int) -> None:
     np.multiply(saved, phases[exps[cycle[-1]] % ring], out=block(cycle[0]))
 
 
-def _pauli_exponents(b: int, e: int, p: int) -> tuple[int, ...]:
-    """Block phase exponents e + c b t of w^e X^a Z^b, c = 2 at p = 2 and 1 otherwise."""
-    c = 2 if p == 2 else 1
-    return tuple(e + c * b * t for t in range(p))
-
-
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
     """Apply w^e M(a|b): a permutation of indices plus diagonal phases."""
     p, m = state.p, state.m
@@ -170,7 +164,7 @@ def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector
         return StateVector(p, m, state.amps * pauli.phase_value(op.phase, p))
     tensor, phase = state.tensor().copy(), op.phase
     for q in sites:  # the scalar rides on the first site
-        _monomial(tensor, q, int(a[q]), _pauli_exponents(int(b[q]), phase, p), p)
+        _monomial(tensor, q, int(a[q]), pauli.block_exponents(int(b[q]), phase, p), p)
         phase = 0
     return StateVector(p, m, tensor.reshape(-1))
 
@@ -205,7 +199,7 @@ def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> None:
         _monomial(tensor, axis, 0, tuple(gate.params[0] * t for t in range(p)), p)
     elif gate.kind == "PAULI":
         a, b = gate.params
-        _monomial(tensor, axis, a, _pauli_exponents(b, 0, p), p)
+        _monomial(tensor, axis, a, pauli.block_exponents(b, 0, p), p)
     else:  # pragma: no cover - runs.program folds every controlled gate into a Run
         raise ValueError(f"{gate.kind} is not a single-qudit gate")
 
@@ -214,7 +208,7 @@ def _execute(tensor: np.ndarray, ops, p: int) -> None:
     """Run a runs.program in place on a working tensor shaped (p,)*m + (B,)."""
     for op in ops:
         if isinstance(op, runs.Run):
-            runs.apply_run(tensor, op, p, BLOCK // 4)
+            runs.apply_run(tensor, op, p)
         else:
             _apply(tensor, op, p)
 

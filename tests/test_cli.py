@@ -218,8 +218,8 @@ def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_p
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
-    # z rows with a unit pairing, so loading warns of nothing; the reader
-    # leaves before verify writes its report
+    # z rows with a unit pairing, so loading warns of nothing; the pipe's
+    # reader is closed before verify starts, so its first write fails
     spec = tmp_path / "unit.qss"
     spec.write_text(
         SIX_SHARE_QUTRIT_DOCUMENT.replace("logicalz 000100|122000", "logicalz 000200|211000").replace(
@@ -228,13 +228,15 @@ def test_closed_stdout_exits_quietly(tmp_path):
         encoding="utf-8",
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
+    reader, writer = os.pipe()
+    os.close(reader)
     proc = subprocess.Popen(
         [sys.executable, "-m", "qsshare", "verify", str(spec), "--trials", "30"],
-        stdout=subprocess.PIPE,
+        stdout=writer,
         stderr=subprocess.PIPE,
         env=env,
     )
-    proc.stdout.close()
+    os.close(writer)
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
     assert err == b""
