@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import circuits, demo, pauli, sim, specfile, symplectic
+from . import circuits, pauli, sim, specfile, symplectic
 from .errors import NotCorrectableError, QssError
 
 EXIT_OK = 0
@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
 
 def cmd_demo(_args) -> int:
     import io
+
+    from . import demo
 
     buf = io.StringIO()
     demo.run_demo(buf)

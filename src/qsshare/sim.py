@@ -17,10 +17,18 @@ block saved and each product staged in a one-block buffer; a pure phase
 scales only the blocks whose phase is not 1. The Fourier gate multiplies
 every (p, after) block by F, one slab of at most BLOCK amplitudes at a time,
 each written back in place; a state of at most BLOCK amplitudes takes one
-product. apply_gate, apply_circuit and apply_phased_pauli copy their input
-once and never write it. No dense operator is built: pauli.dense_matrix is
-a test oracle. The logical zero is built in closed form, as a phased
-uniform superposition over an affine subspace.
+product. apply_gate and apply_circuit copy their input once and never write
+it. No dense operator is built: pauli.dense_matrix is a test oracle.
+
+apply_phased_pauli applies w^e M(a|b) to a whole state, which the logical
+zero's generator check and encoding do for every operator, without walking
+any axis: destination y reads source y - a, times w^(e + c b.(y - a)), and
+both split over the digits. The state is a (p^h, p^(m-h)) matrix, h = m // 2;
+each half has a source-index table and a phase row, outer sums over its
+digits, so the result is np.take of the rows, np.take of the columns into a
+new array, and one multiply by each half's phases, the scalar w^e riding on
+the rows. The input is never written. The logical zero is built in closed
+form, as a phased uniform superposition over an affine subspace.
 
 verify_reconstruction runs each circuit ancilla-first: ancilla i becomes
 qudit i and share j becomes qudit k + j. A reconstruction circuit is then
@@ -154,19 +162,38 @@ def _monomial(tensor: np.ndarray, axis: int, shift: int, exps, p: int) -> None:
 
 
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
-    """Apply w^e M(a|b): a permutation of indices plus diagonal phases."""
+    """Apply w^e M(a|b) as one gather-and-phase pass over the state as a
+    (p^h, p^(m-h)) matrix, h = m // 2: np.take of the rows, then of the
+    columns, times the phase rows of the two halves (c = 2 at p = 2 and 1
+    otherwise in w^(e + c b.(y - a)))."""
     p, m = state.p, state.m
     if op.p != p or op.n != m:
         raise ValueError("operator register does not match the state")
+    ring, h = pauli.phase_order(p), m // 2
     a, b = op.x_part(), op.z_part()
-    sites = np.flatnonzero(a | b)
-    if not sites.size:
-        return StateVector(p, m, state.amps * pauli.phase_value(op.phase, p))
-    tensor, phase = state.tensor().copy(), op.phase
-    for q in sites:  # the scalar rides on the first site
-        _monomial(tensor, q, int(a[q]), pauli.block_exponents(int(b[q]), phase, p), p)
-        phase = 0
-    return StateVector(p, m, tensor.reshape(-1))
+    reads = (np.arange(p) - a[:, None]) % p  # (m, p): the digit that each digit reads
+    exps = np.array([pauli.block_exponents(z, 0, p) for z in b.tolist()]).reshape(m, p)
+    places = p ** np.concatenate((np.arange(h - 1, -1, -1), np.arange(m - h - 1, -1, -1)))
+    # per digit, a (2, p) stack of its place-valued source digit and its phase
+    # exponent; the outer sum over a half's digits gives its two tables
+    digits = np.stack((reads * places[:, None], exps[np.arange(m)[:, None], reads]), axis=1)
+    (rows, row_exps), (cols, col_exps) = runs._outer_sum(digits[:h], 2), runs._outer_sum(digits[h:], 2)
+    # a half that moves no digit reads itself, and one of phase 1 scales nothing
+    rows = rows if a[:h].any() else None
+    cols = cols if a[h:].any() else None
+    row_phase = pauli.phase_table(p)[(row_exps + op.phase) % ring] if b[:h].any() or op.phase else None
+    col_phase = pauli.phase_table(p)[col_exps % ring] if b[h:].any() else None
+    matrix = state.amps.reshape(p**h, p ** (m - h))
+    out = matrix if rows is None else np.take(matrix, rows, axis=0, mode="clip")
+    if cols is not None:
+        out = np.take(out, cols, axis=1, mode="clip")
+    if out is matrix:  # the input is never written
+        out = matrix.copy()
+    if row_phase is not None:
+        out *= row_phase[:, None]
+    if col_phase is not None:
+        out *= col_phase
+    return StateVector(p, m, out.reshape(-1))
 
 
 @lru_cache(maxsize=None)

@@ -152,6 +152,9 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
         worst_purity_dev = max(worst_purity_dev, *(abs(1 - value) for value in report.purity))
     assert worst_fidelity >= 1 - TOL_END_TO_END, worst_fidelity
     assert worst_purity_dev <= TOL_END_TO_END, worst_purity_dev
+    # the whole secret space, not just the sampled secrets
+    for members, f_e in zip(share_sets, sim.entanglement_fidelity(hexcode, hexconv, plans), strict=True):
+        assert f_e >= 1 - 1e-12, (members, f_e)
     _announce(4, f"end-to-end sweep (min fidelity {worst_fidelity:.12f})", started, 120.0)
 
 
@@ -171,12 +174,14 @@ def test_criterion_5_qubit_path(hexcode):
             circuits.plan_reconstruction(code, conv, members)
             for members in symplectic.all_qualified_sets(code)
         ]
-        for report in sim.verify_reconstruction(code, conv, plans, secrets):
+        reports = sim.verify_reconstruction(code, conv, plans, secrets)
+        for report, f_e in zip(reports, sim.entanglement_fidelity(code, conv, plans), strict=True):
             members = report.available
             assert len(report.fidelity) == len(report.purity) == 3, (seed, members)
             for fidelity, purity in zip(report.fidelity, report.purity):
                 assert fidelity >= 1 - TOL_END_TO_END, (seed, members)
                 assert abs(1 - purity) <= TOL_END_TO_END, (seed, members)
+            assert f_e >= 1 - 1e-12, (seed, members, f_e)  # the whole secret space
     assert fourth_root_seen  # the sqrt(-1) calibrations were actually exercised
     _announce(5, "qubit path with fourth-root calibration", started, 60.0)
 

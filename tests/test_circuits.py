@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qsshare
 from qsshare import circuits, linalg, pauli, symplectic
 from qsshare.errors import CircuitParseError, NotCorrectableError
 
@@ -392,3 +397,22 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
             ):
                 s0, r0 = split(hexcode, row, missing)
                 assert np.array_equal(s, s0) and np.array_equal(r, r0)
+
+
+def test_analysis_and_synthesis_never_import_the_simulator():
+    script = """
+import sys
+import qsshare
+from qsshare import circuits, pauli, symplectic
+code = symplectic.random_self_orthogonal_code(3, 5, 1, 0)
+conv = pauli.make_convention(code)
+for members in symplectic.all_qualified_sets(code):
+    circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+assert not {"qsshare.sim", "qsshare.runs"} & set(sys.modules)
+from qsshare import *
+assert verify_reconstruction is sys.modules["qsshare.sim"].verify_reconstruction
+assert qsshare.StateVector is qsshare.sim.StateVector and "logical_zero" in dir(qsshare)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
