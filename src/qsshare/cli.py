@@ -137,13 +137,13 @@ def cmd_verify(args) -> int:
     secrets = [sim.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
     plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
-    for rep in sim.verify_reconstruction(code, conv, plans, secrets) if plans else ():
+    for plan, rep in zip(plans, sim.verify_reconstruction(code, conv, plans, secrets) if plans else ()):
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
             if failure is None and fid < 1.0 - FIDELITY_SLACK:
-                failure = (rep.available, trial, f"fidelity {fid:.12g}")
+                failure = (plan, trial, f"fidelity {fid:.12g}")
             elif failure is None and dev > FIDELITY_SLACK:
-                failure = (rep.available, trial, f"purity deviation {dev:.3g}")
+                failure = (plan, trial, f"purity deviation {dev:.3g}")
         report["rows"].append(
             {
                 "J": list(rep.available),
@@ -162,9 +162,12 @@ def cmd_verify(args) -> int:
     }
     print(json.dumps(report, indent=2))
     if failure is not None:
-        members, trial, check = failure
+        # the failing set's whole secret space, checked only on this path
+        plan, trial, check = failure
+        (whole,) = sim.entanglement_fidelity(code, conv, [plan])
         print(
-            f"verification failed for J={_format_set(members)} at trial {trial}"
+            f"verification failed for J={_format_set(plan.available)}"
+            f" (entanglement fidelity {whole:.12g}) at trial {trial}"
             f" (seed {args.seed}): {check}",
             file=sys.stderr,
         )

@@ -410,7 +410,8 @@ def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, 
     assert calls["nullspace"] == 0
 
 
-def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):
+def _break_first_phase_exponent(monkeypatch):
+    """Make every synthesized circuit's first PPOW exponent one too large."""
     synthesize = circuits.synthesize_reconstruction
 
     def off_by_one(plan, code):
@@ -421,6 +422,10 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
         return dataclasses.replace(circuit, gates=tuple(gates))
 
     monkeypatch.setattr(circuits, "synthesize_reconstruction", off_by_one)
+
+
+def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):
+    _break_first_phase_exponent(monkeypatch)
     rc, out, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
     assert rc == 4
     assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
@@ -428,6 +433,33 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
     (line,) = err.splitlines()
     check = re.search(r"\): fidelity (\S+)$", line)  # the failing check and its size
     assert check and float(check.group(1)) < 1 - 1e-9
+
+
+def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch, spec_path, hexcode, hexconv):
+    calls = []
+    whole = sim.entanglement_fidelity
+
+    def counting(code, convention, plans):
+        calls.append([plan.available for plan in plans])
+        return whole(code, convention, plans)
+
+    monkeypatch.setattr(sim, "entanglement_fidelity", counting)
+    argv = ("verify", spec_path, "--trials", "2", "--seed", "9")
+    rc, _, err = run(capsys, *argv)
+    assert (rc, err, calls) == (0, "", [])  # the passing path never computes it
+    _break_first_phase_exponent(monkeypatch)
+    rc, out, err = run(capsys, *argv)
+    first = symplectic.all_qualified_sets(hexcode)[0]
+    assert rc == 4 and calls == [[first]]  # every set fails; only the named one is checked
+    (line,) = err.splitlines()
+    named = re.fullmatch(
+        rf"verification failed for J=\{{{','.join(map(str, first))}\}} \(entanglement fidelity (\S+)\)"
+        r" at trial 0 \(seed 9\): fidelity \S+",
+        line,
+    )
+    (expected,) = whole(hexcode, hexconv, [circuits.plan_reconstruction(hexcode, hexconv, first)])
+    assert named and float(named.group(1)) == float(f"{expected:.12g}") and expected < 1 - 1e-9
+    assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
 
 
 def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import types
 from itertools import combinations, product
 
 import numpy as np
@@ -515,6 +516,78 @@ def test_ancilla_first_layout_matches_partial_trace(hexcode, hexconv, p, n, k, s
         assert np.abs(got - _ancilla_oracle(code, circuit, encoded)).max() < 1e-12, circuit.gates
 
 
+def _ancilla_gates(p, n, k, rng, diagonal=False):
+    """One to six single-qudit gates on random ancillas of a shares-first
+    n + k register, repeats on one ancilla included; diagonal ones only
+    (PPOW, or PAULI with a = 0) when asked."""
+    kinds = ["PPOW", "PAULI"] if diagonal else ["F", "FINV", "PPOW", "PAULI"]
+    gates = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind, q = str(rng.choice(kinds)), n + 1 + int(rng.integers(k))
+        params = {
+            "PPOW": (int(rng.integers(pauli.phase_order(p))),),
+            "PAULI": (0 if diagonal else int(rng.integers(p)), int(rng.integers(p))),
+        }.get(kind, ())
+        gates.append(circuits.Gate(kind, (q,), params))
+    return gates
+
+
+def _layered_circuit(p, n, k, rng, lead_run):
+    """A shares-first circuit shaped like a reconstruction circuit but with
+    random ancilla-only sequences: [sequence,] run, sequence, run, diagonal
+    sequence, every run from an ancilla control onto shares, and one
+    single-qudit share gate breaking a sequence."""
+    m = n + k
+
+    def run():
+        control = n + 1 + int(rng.integers(k))
+        targets = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+        kind = str(rng.choice(["CPAULI", "CPAULIINV"]))
+        return [circuits.Gate(kind, (control, int(t)), tuple(int(v) for v in rng.integers(0, p, 2))) for t in targets]
+
+    split = _ancilla_gates(p, n, k, rng)
+    split.insert(int(rng.integers(len(split) + 1)), circuits.pauli_gate(int(rng.integers(1, n + 1)), 1, 1))
+    gates = ([] if lead_run else _ancilla_gates(p, n, k, rng)) + run() + split + run()
+    gates += _ancilla_gates(p, n, k, rng, diagonal=True)
+    return circuits.Circuit(p, m, circuits.share_roles(n, k), tuple(gates))
+
+
+# (p, n, k): at (5, 3) and (7, 2) a layer is wider than sim.LAYER and splits into groups
+@pytest.mark.parametrize(
+    "p, n, k", [(2, 4, 1), (2, 3, 3), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 2, 1), (5, 1, 3), (7, 1, 1), (7, 1, 2)]
+)
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
+    rng = np.random.default_rng(1000 * p + 10 * k + batch)
+    code = types.SimpleNamespace(p=p, n=n, k=k)
+    seen = set()
+    for trial in range(8):
+        circuit = _layered_circuit(p, n, k, rng, lead_run=trial % 2 == 1)
+        encoded = rng.normal(size=(batch, p**n)) + 1j * rng.normal(size=(batch, p**n))
+        program = sim._ancilla_first(circuit, n)
+        got = sim._final_states(code, program, encoded)
+        # the oracle: ancilla |0...0> (x) encoded, ancilla-first, every gate on its own
+        start = np.zeros((p**k, p**n, batch), dtype=np.complex128)
+        start[0] = encoded.T
+        moved = [
+            circuits.Gate(g.kind, tuple(q + k if q <= n else q - n for q in g.qudits), g.params)
+            for g in circuit.gates
+        ]
+        expected = oracles.apply_gates(start.reshape((p,) * (k + n) + (batch,)), moved, p)
+        assert np.abs(got - expected.reshape(got.shape)).max() < 1e-12, circuit.gates
+        assert isinstance(program[0], runs.Run) == (trial % 2 == 1)
+        layers = [op for op in program if isinstance(op, sim._Layer)]
+        assert not any(isinstance(op, circuits.Gate) and op.qudits[0] <= k for op in program)
+        assert layers[-1].groups and all(matrix.ndim == 1 for _, matrix in layers[-1].groups)
+        for layer in layers:
+            for axis, matrix in layer.groups:
+                assert len(matrix) <= max(p, sim.LAYER) and 0 <= axis < k
+            if np.prod([len(matrix) for _, matrix in layer.groups]) == p**k:  # every ancilla
+                seen.add(len(layer.groups))
+    # a layer on every ancilla is one group unless p^k exceeds the bound
+    assert seen == ({2} if p**k > sim.LAYER else {1})
+
+
 @pytest.mark.parametrize("p, n, k, seed", [(3, 8, 2, 0), (5, 5, 2, 0)])
 def test_verify_reconstruction_peak_memory(p, n, k, seed):
     # one working buffer: two joint states are live during a Fourier gate,
@@ -604,6 +677,38 @@ def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n,
             assert np.abs(np.subtract(report.fidelity, fidelity)).max() <= ulps
             assert np.abs(np.subtract(report.purity, purity)).max() <= ulps
             assert min(report.fidelity) > 1 - 1e-9
+    # the whole secret space, beside the sampled secrets
+    for fidelity in sim.entanglement_fidelity(code, conv, plans):
+        assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
+
+
+def test_consecutive_chunks_share_one_encoding(monkeypatch):
+    # 3^11 joint amplitudes: chunks of one secret, and p^k // 2 = 4 of them
+    # share one pass over the logical Paulis
+    p, n, k = 3, 9, 2
+    code = symplectic.random_self_orthogonal_code(p, n, k, 0)
+    conv = pauli.make_convention(code)
+    members = next(
+        members
+        for members in combinations(range(1, n + 1), n - 1)
+        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
+    )
+    plans = [circuits.plan_reconstruction(code, conv, members)]
+    rng = np.random.default_rng(71)
+    secrets = [sim.random_secret(p, k, rng) for _ in range(5)]
+    single = [sim.verify_reconstruction(code, conv, plans, [secret])[0] for secret in secrets]
+    sizes, encode = [], sim._encode_rows
+
+    def counting(code, convention, rows, zero):
+        sizes.append(len(rows))
+        return encode(code, convention, rows, zero)
+
+    monkeypatch.setattr(sim, "_encode_rows", counting)
+    (report,) = sim.verify_reconstruction(code, conv, plans, secrets)
+    assert sizes == [4, 1]
+    # each row is encoded as when alone, and each chunk runs as when alone
+    assert report.fidelity == tuple(one.fidelity[0] for one in single)
+    assert report.purity == tuple(one.purity[0] for one in single)
 
 
 @pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
@@ -701,6 +806,9 @@ def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
         for fidelity, purity in zip(report.fidelity, report.purity):
             assert fidelity > 1 - 1e-9, members
             assert abs(purity - 1) < 1e-9, members
+    # the whole secret space of every quad, beside the sampled secrets
+    for members, fidelity in zip(quads, sim.entanglement_fidelity(hexcode, hexconv, plans)):
+        assert 1 - 1e-12 <= fidelity <= 1 + 1e-12, members
 
 
 def test_size_guard_env_override(monkeypatch):
