@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, symplectic
-from .errors import CircuitParseError, NotCorrectableError
+from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
@@ -161,7 +161,13 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     """Build the per-coalition reconstruction data.
 
     Raises NotCorrectableError when the coalition is not qualified (this is
-    the only signal; no partial plan is produced).
+    the only signal; no partial plan is produced). Qualification is read from
+    the split itself, one elimination: J is qualified exactly when every x_i
+    and z_i has a representative on J (Cleve-Gottesman-Lo, quant-ph/9901025).
+    If erasing M = complement(J) is correctable the split exists. Conversely,
+    an L in dual(C) supported on M is orthogonal to those representatives,
+    which span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
+    `symplectic.erasure_correctable`'s criterion.
     """
     p, n, k = code.p, code.n, code.k
     if k < 1:
@@ -170,19 +176,20 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     if not available:
         raise NotCorrectableError("empty share set cannot reconstruct")
     missing = symplectic.complement(available, n)
-    if not symplectic.erasure_correctable(code, missing):
-        raise NotCorrectableError(f"shares {available} are not a qualified set")
+    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z; the
+    # coefficients of u_i, v_i over the stabilizer rows, which the calibrated
+    # generators carry, give every code-space eigenvalue at once
+    try:
+        stab_parts, local_parts, coeffs = symplectic.split_on_missing(
+            code, np.vstack([code.logical_x, code.logical_z]), missing, True
+        )
+    except NoSolutionError as exc:
+        raise NotCorrectableError(f"shares {available} are not a qualified set") from exc
     ring = pauli.phase_order(p)
     plan = ReconstructionPlan(
         p=p, n=n, k=k, available=available,
         w=[], y=[], u=[], v=[], beta=[], gamma=[],
         eta_u=[], eta_v=[], step3_exponents=[], step6_exponents=[],
-    )
-    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z; the
-    # coefficients of u_i, v_i over the stabilizer rows, which the calibrated
-    # generators carry, give every code-space eigenvalue at once
-    stab_parts, local_parts, coeffs = symplectic.split_on_missing(
-        code, np.vstack([code.logical_x, code.logical_z]), missing, True
     )
     etas = pauli.eigenvalue_exponents(convention.stabilizer_generators(), coeffs, p)
     for i in range(k):

@@ -11,6 +11,7 @@ leaves a partial artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -124,19 +125,20 @@ def cmd_verify(args) -> int:
     }
     conv = pauli.make_convention(code)
     if k == 0:
-        sets = []
+        plans = []
     elif args.set is not None:
-        sets = [_parse_share_list(args.set, n)]
-        missing = symplectic.complement(sets[0], n)
-        if not symplectic.erasure_correctable(code, missing):
-            print(f"share set {_format_set(sets[0])} is not qualified", file=sys.stderr)
+        members = _parse_share_list(args.set, n)
+        try:
+            plans = [circuits.plan_reconstruction(code, conv, members)]
+        except NotCorrectableError:
+            print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
         sets = symplectic.all_qualified_sets(code)
+        plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
     rng = np.random.default_rng(args.seed)
     secrets = [sim.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
-    plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
     for plan, rep in zip(plans, sim.verify_reconstruction(code, conv, plans, secrets) if plans else ()):
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
@@ -156,7 +158,7 @@ def cmd_verify(args) -> int:
     # round() is monotone: the extremes of the rounded rows are the rounded extremes
     rows = report["rows"]
     report["summary"] = {
-        "qualified_sets": len(sets),
+        "qualified_sets": len(plans),
         "min_fidelity": min([1.0] + [row["min_fidelity"] for row in rows]),
         "max_purity_deviation": max([0.0] + [row["max_purity_deviation"] for row in rows]),
     }
@@ -216,9 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         try:
             status = args.func(args)
         except NotCorrectableError as exc:

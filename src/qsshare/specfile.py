@@ -14,9 +14,11 @@ Each row is an (a|b) pattern. For p <= 7 the digits may be packed as single
 characters; for any p they may instead be whitespace-separated integers, e.g.
 "1 0 0 2 0 2 | 0 2 0 1 1 2". Every integer, header values included, is
 written in ASCII decimal digits: no sign, no '_', no other script's digits.
-Missing self-dual or logical rows are completed automatically at load time;
-logical pairs with a diagonal but non-unit pairing matrix are rescaled (with
-a warning).
+The packed rows under one key are read in one pass, all their digits one
+array; a key with any other row is read row by row, so a bad row is named
+by the same line and message either way. Missing self-dual or logical rows
+are completed automatically at load time; logical pairs with a diagonal but
+non-unit pairing matrix are rescaled (with a warning).
 """
 
 from __future__ import annotations
@@ -59,6 +61,31 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
     return row
 
 
+def parse_rows(entries, n: int, p: int) -> np.ndarray:
+    """The (line_no, text) rows of one key as a (rows, 2n) int64 array.
+
+    When every row is packed as exactly n ASCII digits, '|', n ASCII digits
+    and every digit is below p, one array op reads them all. Otherwise each
+    row goes through parse_row, which names the first bad one.
+    """
+    texts = [text for _, text in entries]
+    width = 2 * n + 1
+    body = "".join(texts)
+    digits = body.replace("|", "")
+    if (
+        p <= 7
+        and set(map(len, texts)) == {width}
+        and len(digits) == 2 * n * len(texts)  # one '|' per row,
+        and body[n::width] == "|" * len(texts)  # in column n
+        and digits.isascii()
+        and digits.isdigit()
+    ):
+        rows = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(len(texts), 2 * n) - 48
+        if (rows < p).all():
+            return rows.astype(np.int64)
+    return np.array([parse_row(text, n, p, line_no) for line_no, text in entries], dtype=np.int64)
+
+
 def parse_code_document(text: str) -> CodeSpec:
     """Parse and validate a code-specification document."""
     header: dict[str, int] = {}
@@ -86,18 +113,15 @@ def parse_code_document(text: str) -> CodeSpec:
         if key not in header:
             raise SpecParseError(0, f"missing '{key}' directive")
     p, n, k = header["p"], header["n"], header["k"]
-    parsed = {
-        key: [parse_row(text, n, p, line_no) for line_no, text in entries]
-        for key, entries in rows.items()
-    }
+    parsed = {key: parse_rows(entries, n, p) for key, entries in rows.items()}
     if len(parsed["stab"]) != n - k:
         raise ValidationError(f"expected {n - k} stabilizer rows, got {len(parsed['stab'])}")
     code = build_code(
         p,
-        np.array(parsed["stab"], dtype=np.int64),
-        self_dual=np.array(parsed["selfdual"], dtype=np.int64) if parsed["selfdual"] else None,
-        logical_x=np.array(parsed["logicalx"], dtype=np.int64) if parsed["logicalx"] else None,
-        logical_z=np.array(parsed["logicalz"], dtype=np.int64) if parsed["logicalz"] else None,
+        parsed["stab"],
+        self_dual=parsed["selfdual"] if len(parsed["selfdual"]) else None,
+        logical_x=parsed["logicalx"] if len(parsed["logicalx"]) else None,
+        logical_z=parsed["logicalz"] if len(parsed["logicalz"]) else None,
         n=n,
     )
     if code.k != k:

@@ -433,8 +433,10 @@ def split_on_missing(code: CodeSpec, vecs, missing, with_coefficients: bool = Fa
     (s, r, c) with with_coefficients, where c holds the coefficients of s
     over the stabilizer rows (s = c @ stabilizer, one row of c per row of
     vecs). Unchecked: the caller has established that every vector lies in
-    dual(C) and that the erasure of `missing` is correctable
-    (localize_x/localize_z do). Deterministic via the linear solver's
+    dual(C) (localize_x/localize_z do). Raises NoSolutionError when some
+    vector has no such split; for a stack that spans dual(C) together with
+    C, such as the 2k logical rows, that happens exactly when the erasure of
+    `missing` is not correctable. Deterministic via the linear solver's
     tie-break.
     """
     p, n = code.p, code.n

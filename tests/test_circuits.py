@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qsshare
-from qsshare import circuits, linalg, pauli, symplectic
+from qsshare import circuits, demo, linalg, pauli, symplectic
 from qsshare.errors import CircuitParseError, NotCorrectableError
 
 from conftest import AVAILABLE, W1
@@ -163,6 +164,37 @@ def test_plan_rejects_unqualified(hexcode, hexconv):
         circuits.plan_reconstruction(hexcode, hexconv, (1, 2))
     with pytest.raises(NotCorrectableError):
         circuits.plan_reconstruction(hexcode, hexconv, ())
+
+
+# (p, n, k): with code seeds 0 and 1, 2,032 subsets, 120 of them sets whose
+# logical x rows split and whose z rows do not, 54 the other way round
+QUALIFICATION_SHAPES = (
+    (2, 6, 1), (2, 7, 2), (2, 8, 2), (2, 8, 3), (3, 5, 1), (3, 6, 2),
+    (3, 7, 2), (5, 4, 1), (5, 5, 2), (7, 3, 1), (7, 4, 1), (7, 4, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "shape", [None, *QUALIFICATION_SHAPES], ids=lambda s: "bundled" if s is None else "p%dn%dk%d" % s
+)
+def test_plan_qualification_matches_erasure_correctable(shape):
+    # every subset, the empty one included
+    codes = (
+        [demo.six_share_qutrit_code()]
+        if shape is None
+        else [symplectic.random_self_orthogonal_code(*shape, seed) for seed in (0, 1)]
+    )
+    for code in codes:
+        conv = pauli.make_convention(code)
+        n = code.n
+        for members in (J for size in range(n + 1) for J in combinations(range(1, n + 1), size)):
+            qualified = symplectic.erasure_correctable(code, symplectic.complement(members, n))
+            try:
+                circuits.plan_reconstruction(code, conv, members)
+            except NotCorrectableError:
+                assert not qualified, members
+            else:
+                assert qualified, members
 
 
 def test_dealer_counts_for_k0_code():

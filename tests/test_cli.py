@@ -115,6 +115,73 @@ def test_verify_unqualified_set_exit_3(capsys, spec_path):
     assert "not qualified" in err
 
 
+def test_verify_unqualified_set_is_read_from_its_plan(capsys, monkeypatch, spec_path):
+    plan = circuits.plan_reconstruction
+    planned = []
+
+    def counting_plan(code, conv, members):
+        planned.append(members)
+        return plan(code, conv, members)
+
+    def no_second_check(*_args):
+        raise AssertionError("verify --set decides qualification from the plan")
+
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
+    monkeypatch.setattr(symplectic, "erasure_correctable", no_second_check)
+    rc, out, err = run(capsys, "verify", spec_path, "--set", "1,2", "--trials", "1")
+    assert (rc, out, err) == (3, "", "share set {1,2} is not qualified\n")
+    assert planned == [(1, 2)]
+
+
+def test_plan_in_a_synthesize_request_runs_one_elimination(capsys, monkeypatch, spec_path, tmp_path):
+    plan, rref = circuits.plan_reconstruction, linalg.rref
+    inside = []
+    calls = []
+
+    def counting_plan(*args):
+        inside.append(1)
+        try:
+            return plan(*args)
+        finally:
+            inside.pop()
+
+    def counting_rref(*args):
+        calls.append(bool(inside))
+        return rref(*args)
+
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    out_path = str(tmp_path / "c.qsscirc")
+    for members, status in (("3,4,5,6", 0), ("1,2", 3)):
+        calls.clear()
+        rc, _, _ = run(capsys, "synthesize", spec_path, "--set", members, "-o", out_path)
+        assert rc == status
+        assert sum(calls) == 1, members
+
+
+def test_main_builds_one_parser_and_carries_no_arguments_over(capsys, monkeypatch, spec_path):
+    assert cli.build_parser() is not cli.build_parser()
+    build = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    rc, out, _ = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "1")
+    assert rc == 0 and [row["J"] for row in json.loads(out)["rows"]] == [[3, 4, 5, 6]]
+    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "1")  # no --set: every qualified set
+    assert rc == 0 and len(json.loads(out)["rows"]) == 22
+    rc, out, _ = run(capsys, "analyze", spec_path, "--max-size", "3")  # every minimal set has 4 shares
+    assert rc == 0 and "minimal qualified sets (0):" in out
+    rc, out, _ = run(capsys, "analyze", spec_path)  # no size limit
+    assert rc == 0 and "minimal qualified sets (15):" in out
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", spec_path, "--trials", "many")
+    assert exc.value.code == 2
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "verify", spec_path, "--set", "2,3,4,5", "--trials", "1")
+    assert rc == 0 and [row["J"] for row in json.loads(out)["rows"]] == [[2, 3, 4, 5]]
+    assert built == [1]
+
+
 def test_verify_deterministic(capsys, spec_path):
     rc1, out1, _ = run(capsys, "verify", spec_path, "--trials", "2", "--seed", "9", "--set", "2,3,4,5")
     rc2, out2, _ = run(capsys, "verify", spec_path, "--trials", "2", "--seed", "9", "--set", "2,3,4,5")
@@ -404,8 +471,8 @@ def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, 
     set_arg = ",".join(map(str, members))
     rc, out, _ = run(capsys, "synthesize", str(path), "--set", set_arg, "-o", str(tmp_path / "c.qsscirc"))
     assert rc == 0 and out.startswith("wrote ")
-    # load and validate: stabilizer rank, one reduction of Cm; plan: two
-    # stabilizer ranks for correctability, one solve for the split
+    # load and validate: stabilizer rank, one reduction of Cm; plan: one
+    # solve for the split, which also decides qualification (three in all)
     assert calls["rref"] <= 6
     assert calls["nullspace"] == 0
 

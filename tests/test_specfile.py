@@ -122,3 +122,114 @@ def test_parse_rejects_integers_not_written_in_ascii_decimal(template, line_no, 
         specfile.parse_code_document(template.format(token))
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+def _per_row(entries, n, p):
+    """Oracle for specfile.parse_rows: one parse_row call per row."""
+    return np.array([specfile.parse_row(text, n, p, line_no) for line_no, text in entries], dtype=np.int64)
+
+
+def _forbid_per_row(*_args):
+    raise AssertionError("packed rows are read in one pass")
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_one_op_parse_equals_per_row_parse(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    for n in (2, 5, 9):
+        for count in (1, 2, 7):
+            rows = rng.integers(0, p, size=(count, 2 * n))
+            if p <= 7:
+                entries = [(i + 4, specfile.format_row(row, n, p)) for i, row in enumerate(rows)]
+                expected = _per_row(entries, n, p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(specfile, "parse_row", _forbid_per_row)
+                    got = specfile.parse_rows(entries, n, p)
+                assert got.dtype == np.int64 and np.array_equal(got, expected) and np.array_equal(got, rows)
+            # spaced rows, and every row at p > 7, keep the per-token path
+            spaced = [(i + 4, " ".join(map(str, row[:n])) + " | " + " ".join(map(str, row[n:])))
+                      for i, row in enumerate(rows)]
+            assert np.array_equal(specfile.parse_rows(spaced, n, p), rows)
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_packed_rows_above_p_7_keep_the_per_row_error(p):
+    with pytest.raises(SpecParseError) as err:
+        specfile.parse_rows([(4, "01|10"), (5, "10|01")], 2, p)
+    assert str(err.value) == "line 4: packed digits only supported for p <= 7"
+
+
+def _packed_lines(p: int, logical_first: bool = False) -> list[str]:
+    n, k = 5, 2
+    code = symplectic.random_self_orthogonal_code(p, n, k, 7)
+    keyed = [
+        ("stab", code.stabilizer),
+        ("selfdual", code.self_dual[n - k :]),
+        ("logicalx", code.logical_x),
+        ("logicalz", code.logical_z),
+    ]
+    if logical_first:
+        keyed.reverse()
+    lines = [f"p {p}", f"n {n}", "# a comment line", f"k {k}"]
+    for key, rows in keyed:
+        lines.extend(f"{key} {specfile.format_row(row, n, p)}" for row in rows)
+    return lines
+
+
+def _spec_error(monkeypatch, lines, one_pass: bool) -> SpecParseError:
+    with monkeypatch.context() as patch:
+        if not one_pass:
+            patch.setattr(specfile, "parse_rows", _per_row)
+        with pytest.raises(SpecParseError) as err:
+            specfile.parse_code_document("\n".join(lines) + "\n")
+    return err.value
+
+
+# Each takes a packed row "a|b" with n = 5 and breaks it.
+_CORRUPTIONS = {
+    "digit-p": lambda row, p: row[:6] + str(p) + row[7:],
+    "digit-9": lambda row, p: row[:3] + "9" + row[4:],
+    "short-left": lambda row, p: row[1:],
+    "short-right": lambda row, p: row[:-1],
+    "long-left": lambda row, p: "0" + row,
+    "long-right": lambda row, p: row + "0",
+    "plus": lambda row, p: "+" + row[1:],
+    "underscore": lambda row, p: row[:7] + "_" + row[8:],
+    "arabic-indic-4": lambda row, p: row[:2] + "٤" + row[3:],
+    "fullwidth-1": lambda row, p: row[:9] + "１" + row[10:],
+    "space-in-half": lambda row, p: row[:2] + " " + row[2:],
+    "two-bars": lambda row, p: row[:1] + "|" + row[2:],
+    "bar-moved": lambda row, p: row[:4] + "|" + row[4] + row[6:],
+}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_one_op_parse_names_the_per_row_error(monkeypatch, p, corruption):
+    lines = _packed_lines(p)
+    # the second stab row, or a logicalx row after good stab rows
+    for key, index in (("stab", 1), ("logicalx", 1)):
+        bad = list(lines)
+        line = [i for i, text in enumerate(lines) if text.startswith(key + " ")][index]
+        row = bad[line].split(" ", 1)[1]
+        bad[line] = f"{key} {_CORRUPTIONS[corruption](row, p)}"
+        got = _spec_error(monkeypatch, bad, one_pass=True)
+        expected = _spec_error(monkeypatch, bad, one_pass=False)
+        assert (got.line_no, str(got)) == (expected.line_no, str(expected))
+        assert got.line_no == line + 1
+    if corruption == "digit-p":
+        assert str(got) == f"line {line + 1}: digit outside 0..{p - 1}"
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_one_op_parse_names_the_first_bad_key_in_key_order(monkeypatch, p):
+    # logicalz rows come first in the file, but stab rows are read first
+    lines = _packed_lines(p, logical_first=True)
+    z_line = next(i for i, text in enumerate(lines) if text.startswith("logicalz "))
+    stab_line = max(i for i, text in enumerate(lines) if text.startswith("stab "))
+    lines[z_line] = lines[z_line][:-1] + "9"
+    lines[stab_line] += "0"
+    got = _spec_error(monkeypatch, lines, one_pass=True)
+    expected = _spec_error(monkeypatch, lines, one_pass=False)
+    assert (got.line_no, str(got)) == (expected.line_no, str(expected))
+    assert str(got) == f"line {stab_line + 1}: expected 5 digits on each side of '|'"
