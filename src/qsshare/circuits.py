@@ -181,7 +181,7 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     # generators carry, give every code-space eigenvalue at once
     try:
         stab_parts, local_parts, coeffs = symplectic.split_on_missing(
-            code, np.vstack([code.logical_x, code.logical_z]), missing, True
+            code, np.vstack([code.logical_x, code.logical_z]), missing
         )
     except NoSolutionError as exc:
         raise NotCorrectableError(f"shares {available} are not a qualified set") from exc

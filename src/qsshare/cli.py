@@ -124,10 +124,10 @@ def cmd_verify(args) -> int:
         "rows": [],
     }
     conv = pauli.make_convention(code)
-    if k == 0:
+    members = None if args.set is None else _parse_share_list(args.set, n)
+    if k == 0:  # nothing to reconstruct: an empty report, for a valid --set too
         plans = []
-    elif args.set is not None:
-        members = _parse_share_list(args.set, n)
+    elif members is not None:
         try:
             plans = [circuits.plan_reconstruction(code, conv, members)]
         except NotCorrectableError:

@@ -97,9 +97,6 @@ class PhasedPauli:
     def z_part(self) -> np.ndarray:
         return self.vec[self.n :]
 
-    def is_identity(self) -> bool:
-        return self.phase == 0 and not self.vec.any()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PhasedPauli)

@@ -16,8 +16,9 @@ The half tables and the row cycles are built on a run's first use and kept
 with it, so a program serves every chunk of secrets that goes through it,
 and share lets circuits that contain the same run use one set of tables;
 the full row tables are formed per control value and dropped after it, so
-a pass holds a few rows of memory however long the circuit. sim runs the
-programs.
+a pass holds a few rows of memory however long the circuit. sim folds the
+single-qudit gates between runs into layers, its one other op kind, and
+runs the programs.
 """
 
 from __future__ import annotations

@@ -5,21 +5,22 @@ significant digit of the index. Erased shares are modeled by never applying a
 gate to them: the global state stays pure.
 
 Gates run in place on one working tensor shaped (p,)*m + (B,), qudit q on
-axis q - 1 and a batch of B states on the last axis. A circuit first becomes
-a runs.program: each maximal run of consecutive controlled Paulis of one
-kind and one control on distinct targets, a lone controlled gate included,
-is one op that runs.apply_run moves as one gather-and-phase pass per control
-value, in rows of at most runs.ROW amplitudes; every other gate is its own
-op. The single-qudit gates w^e X^a Z^b move block t of their axis to block
-t + a times w^{e + c b t} (c = 2 at p = 2 and 1 otherwise): for a != 0 one
-cycle of p blocks, written from its last block back to its first with that
-block saved and each product staged in a one-block buffer; a pure phase
-scales only the blocks whose phase is not 1. One dense kernel, _product,
-multiplies every (p^L, after) block of L consecutive axes by a p^L x p^L
-matrix, one slab of at most BLOCK amplitudes at a time, each written back in
-place (a state of at most BLOCK amplitudes takes one product), or scales
-the blocks' rows when the matrix is a diagonal; a Fourier gate is its
-L = 1 case. apply_gate and apply_circuit run one gate per op, copy their
+axis q - 1 and a batch of B states on the last axis. Every circuit first
+becomes a _program of two op kinds. Each maximal run of consecutive
+controlled Paulis of one kind and one control on distinct targets, a lone
+controlled gate included, is a runs.Run, which runs.apply_run moves as one
+gather-and-phase pass per control value, in rows of at most runs.ROW
+amplitudes. Each maximal sequence of single-qudit gates between runs, on
+any qudits, is one _Layer, the operator (x)_q U_q: U_q is qudit q's gates
+run in order on eye(p), a Fourier gate as a product and w^e X^a Z^b as row
+t moved to row t + a times w^{e + c b t} (c = 2 at p = 2 and 1 otherwise);
+consecutive qudits share one Kronecker-product matrix while p^L <= LAYER,
+and a diagonal one is kept as its diagonal. One dense kernel, _product,
+applies each matrix: it multiplies every (p^L, after) block of L
+consecutive axes by the p^L x p^L matrix, one slab of at most BLOCK
+amplitudes at a time, each written back in place (a state of at most BLOCK
+amplitudes takes one product), or scales the blocks' rows by a diagonal.
+apply_gate and apply_circuit build their program the same way, copy their
 input once and never write it. No operator on the whole register is built:
 pauli.dense_matrix is a test oracle.
 
@@ -36,16 +37,14 @@ form, as a phased uniform superposition over an affine subspace.
 verify_reconstruction runs each circuit ancilla-first: ancilla i becomes
 qudit i and share j becomes qudit k + j. A reconstruction circuit is then
 2k runs of controlled Paulis from leading axes, so rows are contiguous (a
-row reaches back over its control axis only while it is short). Each
-maximal sequence of single-qudit gates on ancillas with no run between them
-is one _Layer, the operator (x)_i U_i, each U_i found by running ancilla
-i's gates on eye(p); consecutive ancillas share one matrix while p^L <=
-LAYER, and a diagonal one only scales. The program is then: the initial
+row reaches back over its control axis only while it is short). Its
+single-qudit gates all sit on ancillas, so the program is: the initial
 state, k runs, one layer (the step-3 phase powers and the step-4 Fourier
-gates), k runs, one diagonal layer (the step-6 phase powers). The first
-layer never touches the joint state: the buffer is written once as
-(x)_i U_i |0> (x) encoded. The trial secrets go through in balanced chunks
-of B <= max(1, BLOCK // p^(n+k)), each riding through every circuit as the
+gates), k runs, one diagonal layer (the step-6 phase powers). A leading
+layer on ancillas only never touches the joint state: it runs on the p^k
+ancilla tensor |0...0>, and the buffer is written once as that ket (x)
+encoded. The trial secrets go through in balanced chunks of
+B <= max(1, BLOCK // p^(n+k)), each riding through every circuit as the
 batch axis of one working buffer; on the bundled [[6,2,3]] qutrit code 10
 secrets make two chunks of 5, and a state of more than BLOCK / 2 amplitudes
 runs one secret at a time. Consecutive chunks of at most max(B, p^k // 2)
@@ -66,6 +65,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from itertools import product as iter_product
 
 import numpy as np
@@ -147,35 +147,6 @@ def fix_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:
     return StateVector(state.p, state.m, amps * (abs(pivot) / pivot))
 
 
-def _monomial(tensor: np.ndarray, axis: int, shift: int, exps, p: int) -> None:
-    """In place on one axis of tensor: block t goes to block t + shift, times
-    w^exps[t]."""
-    phases = pauli.phase_table(p)
-    ring = len(phases)
-    lead = (slice(None),) * axis
-
-    def block(t):  # (..., t, ...) keeps a 0-d view when the tensor has one axis
-        return tensor[lead + (t, ...)]
-
-    if not shift % p:
-        for t in range(p):
-            if exps[t] % ring:
-                view = block(t)
-                np.multiply(view, phases[exps[t] % ring], out=view)
-        return
-    # p is prime, so t -> t + shift is one cycle: walk it from the last block
-    # back to the first, with the last block saved. Each product lands in
-    # `step` first: numpy multiplies between interleaved views of one array
-    # on an overlap-safe path that rounds differently from a plain product.
-    cycle = [shift * i % p for i in range(p)]
-    saved = block(cycle[-1]).copy()
-    step = np.empty_like(saved)
-    for src, dst in zip(cycle[-2::-1], cycle[:0:-1]):
-        np.multiply(block(src), phases[exps[src] % ring], out=step)
-        block(dst)[...] = step
-    np.multiply(saved, phases[exps[cycle[-1]] % ring], out=block(cycle[0]))
-
-
 def apply_phased_pauli(state: StateVector, op: pauli.PhasedPauli) -> StateVector:
     """Apply w^e M(a|b) as one gather-and-phase pass over the state as a
     (p^h, p^(m-h)) matrix, h = m // 2: np.take of the rows, then of the
@@ -238,52 +209,89 @@ def _product(tensor: np.ndarray, axis: int, matrix: np.ndarray, p: int) -> None:
             part[...] = matrix @ part
 
 
-def _apply(tensor: np.ndarray, gate: circuits.Gate, p: int) -> None:
-    """Apply one single-qudit gate in place to the working tensor, qudit q on
-    axis q - 1; trailing axes past the register, such as a batch axis, ride
-    along."""
-    axis = gate.qudits[0] - 1
-    if gate.kind in ("F", "FINV"):
-        _product(tensor, axis, _fourier_matrix(p, gate.kind == "FINV"), p)
-    elif gate.kind == "PPOW":
-        _monomial(tensor, axis, 0, tuple(gate.params[0] * t for t in range(p)), p)
-    elif gate.kind == "PAULI":
-        a, b = gate.params
-        _monomial(tensor, axis, a, pauli.block_exponents(b, 0, p), p)
-    else:  # pragma: no cover - runs.program folds every controlled gate into a Run
-        raise ValueError(f"{gate.kind} is not a single-qudit gate")
+@dataclass(frozen=True)
+class _Layer:
+    """Single-qudit gates with no run between them, as the one operator
+    (x)_q U_q, U_q the product of qudit q's gates in order. groups are
+    (first axis, matrix) pairs, the Kronecker product of the U_q of
+    consecutive qudits, or its diagonal when that is all it has."""
+
+    groups: tuple
+
+
+def _layer(gates, p: int) -> _Layer:
+    phases, ring = pauli.phase_table(p), pauli.phase_order(p)
+    units: dict = {}
+    for g in gates:  # qudit q's gates, in order, on eye(p) give U_q
+        axis = g.qudits[0] - 1
+        unit = units.setdefault(axis, np.eye(p, dtype=np.complex128))
+        if g.kind in ("F", "FINV"):
+            _product(unit, 0, _fourier_matrix(p, g.kind == "FINV"), p)
+            continue
+        # PPOW e and PAULI a b move row t to row t + shift, times w^exps[t]: shift 0 and
+        # exps e t, or shift a and exps c b t (c = 2 at p = 2 and 1 otherwise)
+        if g.kind == "PPOW":
+            shift, exps = 0, [g.params[0] * t for t in range(p)]
+        else:
+            shift, exps = g.params[0] % p, pauli.block_exponents(g.params[1], 0, p)
+        units[axis] = moved = np.empty_like(unit) if shift else unit.copy()
+        for t in range(p):
+            if shift or exps[t] % ring:  # a row that stays with phase 1 is kept as it is
+                np.multiply(unit[t], phases[exps[t] % ring], out=moved[(t + shift) % p])
+    groups: list = []  # [first axis, axis past the last, matrix], greedily while p^L <= LAYER
+    for axis in sorted(units):
+        if groups and groups[-1][1] == axis and len(groups[-1][2]) * p <= LAYER:
+            groups[-1][1:] = axis + 1, np.kron(groups[-1][2], units[axis])
+        else:
+            groups.append([axis, axis + 1, units[axis]])
+    layer = []
+    for axis, _, matrix in groups:
+        diagonal = np.diagonal(matrix)
+        layer.append((axis, diagonal.copy() if np.array_equal(matrix, np.diag(diagonal)) else matrix))
+    return _Layer(tuple(layer))
+
+
+def _program(gates, p: int) -> list:
+    """The ops of a gate sequence, qudit q on axis q - 1: runs.program's
+    runs, with each maximal sequence of single-qudit gates between them
+    folded into one _Layer."""
+    ops: list = []
+    for is_run, group in groupby(runs.program(gates), lambda op: isinstance(op, runs.Run)):
+        if is_run:
+            ops.extend(group)
+        else:
+            ops.append(_layer(group, p))
+    return ops
 
 
 def _execute(tensor: np.ndarray, ops, p: int) -> None:
-    """Run a runs.program, or an ancilla-first one with layers, in place on a
-    working tensor shaped (p,)*m + (B,)."""
+    """Run a _program in place on a working tensor shaped (p,)*m + (B,)."""
     for op in ops:
         if isinstance(op, runs.Run):
             runs.apply_run(tensor, op, p)
-        elif isinstance(op, _Layer):
+        else:
             for axis, matrix in op.groups:
                 _product(tensor, axis, matrix, p)
-        else:
-            _apply(tensor, op, p)
+
+
+def _apply_gates(state: StateVector, gates) -> StateVector:
+    p, m = state.p, state.m
+    tensor = state.amps.reshape((p,) * m + (1,)).copy()
+    _execute(tensor, _program(gates, p), p)
+    return StateVector(p, m, tensor.reshape(-1))
 
 
 def apply_gate(state: StateVector, gate: circuits.Gate) -> StateVector:
-    p, m = state.p, state.m
     for q in gate.qudits:
-        if not 1 <= q <= m:
-            raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {m}-qudit state")
-    tensor = state.amps.reshape((p,) * m + (1,)).copy()
-    _execute(tensor, runs.program((gate,)), p)
-    return StateVector(p, m, tensor.reshape(-1))
+        if not 1 <= q <= state.m:
+            raise IndexOutOfRangeError(f"gate {gate} addresses qudit {q} in a {state.m}-qudit state")
+    return _apply_gates(state, (gate,))
 
 
 def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
-    p, m = state.p, state.m
-    if circuit.p != p or circuit.num_qudits != m:
+    if circuit.p != state.p or circuit.num_qudits != state.m:
         raise ValueError("circuit register does not match the state")
-    tensor = state.amps.reshape((p,) * m + (1,)).copy()
-    _execute(tensor, runs.program(circuit.gates), p)
-    return StateVector(p, m, tensor.reshape(-1))
+    return _apply_gates(state, circuit.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -426,74 +434,35 @@ class ReconstructionReport:
     single_qudit_gates: int
 
 
-@dataclass(frozen=True)
-class _Layer:
-    """Single-qudit gates on ancilla axes with no run between them, as the
-    one operator (x)_i U_i, U_i the product of ancilla i's gates in order.
-    ket is (x)_i U_i |0>, over all k ancillas; groups are (first axis,
-    matrix) pairs, the Kronecker product of the U_i of consecutive ancillas,
-    or its diagonal when that is all it has."""
-
-    ket: np.ndarray
-    groups: tuple
-
-
-def _layer(gates, p: int, k: int) -> _Layer:
-    units: dict = {}
-    for g in gates:  # ancilla i's gates, in order, on eye(p) give U_i
-        unit = units.setdefault(g.qudits[0] - 1, np.eye(p, dtype=np.complex128))
-        _apply(unit, circuits.Gate(g.kind, (1,), g.params), p)
-    ket = np.ones(1, dtype=np.complex128)
-    for axis in range(k):
-        ket = np.kron(ket, units[axis][:, 0] if axis in units else np.eye(p)[0])
-    groups: list = []  # [first axis, axis past the last, matrix], greedily while p^L <= LAYER
-    for axis in sorted(units):
-        if groups and groups[-1][1] == axis and len(groups[-1][2]) * p <= LAYER:
-            groups[-1][1:] = axis + 1, np.kron(groups[-1][2], units[axis])
-        else:
-            groups.append([axis, axis + 1, units[axis]])
-    layer = []
-    for axis, _, matrix in groups:
-        diagonal = np.diagonal(matrix)
-        layer.append((axis, diagonal.copy() if np.array_equal(matrix, np.diag(diagonal)) else matrix))
-    return _Layer(ket, tuple(layer))
-
-
 def _ancilla_first(circuit: circuits.Circuit, n: int) -> list:
-    """The runs.program of a shares-first circuit, relabeled so ancilla i is
-    qudit i and share j is qudit k + j, with each maximal sequence of
-    single-qudit gates on ancillas folded into one _Layer. Its run tables,
-    built on first use, serve every later chunk of secrets."""
-    p, k = circuit.p, circuit.num_qudits - n
+    """The _program of a shares-first circuit, relabeled so ancilla i is
+    qudit i and share j is qudit k + j. Its run tables, built on first use,
+    serve every later chunk of secrets."""
+    k = circuit.num_qudits - n
 
     def move(q):
         return q + k if q <= n else q - n
 
-    ops: list = []
-    for op in runs.program(
-        circuits.Gate(g.kind, tuple(move(q) for q in g.qudits), g.params) for g in circuit.gates
-    ):
-        if isinstance(op, runs.Run) or op.qudits[0] > k:
-            ops.append(op)
-        elif ops and isinstance(ops[-1], list):
-            ops[-1].append(op)
-        else:
-            ops.append([op])
-    return [_layer(op, p, k) if isinstance(op, list) else op for op in ops]
+    return _program(
+        (circuits.Gate(g.kind, tuple(move(q) for q in g.qudits), g.params) for g in circuit.gates), circuit.p
+    )
 
 
 def _final_states(code, program, encoded: np.ndarray) -> np.ndarray:
     """The state after an ancilla-first program acts on |0...0> (x) encoded,
     for a (B, p^n) stack of codewords, as a (p^k, p^n, B) array. A leading
-    layer is folded into the initial state, (x)_i U_i |0> (x) encoded,
-    written in one pass."""
+    layer on ancillas only is run on the p^k ancilla tensor |0...0> and
+    folded into the initial state, ket (x) encoded, written in one pass."""
     p, n, k = code.p, code.n, code.k
-    ket = np.eye(1, p**k)[0]
-    if program and isinstance(program[0], _Layer):
-        ket, program = program[0].ket, program[1:]
+    ket = np.zeros((p,) * k + (1,), dtype=np.complex128)
+    ket.flat[0] = 1
+    lead = program[0] if program and isinstance(program[0], _Layer) else None
+    if lead and all(len(matrix) <= p ** (k - axis) for axis, matrix in lead.groups):
+        _execute(ket, program[:1], p)
+        program = program[1:]
     tensor = np.empty((p,) * (k + n) + (len(encoded),), dtype=np.complex128)
     matrix = tensor.reshape(p**k, p**n, len(encoded))
-    for row, amplitude in zip(matrix, ket):
+    for row, amplitude in zip(matrix, ket.reshape(-1)):
         np.multiply(encoded.T, amplitude, out=row)
     _execute(tensor, program, p)
     return matrix

@@ -62,7 +62,8 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
 
 
 def parse_rows(entries, n: int, p: int) -> np.ndarray:
-    """The (line_no, text) rows of one key as a (rows, 2n) int64 array.
+    """The (line_no, text) rows of one key as a (rows, 2n) int64 array,
+    (0, 2n) for a key with no row.
 
     When every row is packed as exactly n ASCII digits, '|', n ASCII digits
     and every digit is below p, one array op reads them all. Otherwise each
@@ -83,7 +84,8 @@ def parse_rows(entries, n: int, p: int) -> np.ndarray:
         rows = np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(len(texts), 2 * n) - 48
         if (rows < p).all():
             return rows.astype(np.int64)
-    return np.array([parse_row(text, n, p, line_no) for line_no, text in entries], dtype=np.int64)
+    rows = [parse_row(text, n, p, line_no) for line_no, text in entries]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
 
 
 def parse_code_document(text: str) -> CodeSpec:

@@ -62,12 +62,6 @@ def split_parts(vec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return vec[:n], vec[n:]
 
 
-def support(vec, n: int) -> tuple[int, ...]:
-    """1-based share indices where the pattern acts nontrivially."""
-    a, b = split_parts(vec, n)
-    return tuple(i + 1 for i in range(n) if a[i] or b[i])
-
-
 def symplectic_product(x, y, p: int) -> int:
     x = linalg.as_field_vector(x, p)
     y = linalg.as_field_vector(y, p)
@@ -404,7 +398,7 @@ def localize_x(code: CodeSpec, x, available) -> tuple[np.ndarray, np.ndarray]:
     x = linalg.as_field_vector(x, code.p)
     if not linalg.row_space_contains(code.dual_basis(), x, code.p):
         raise NotInDualError("vector outside the dual of the stabilizer space")
-    return split_on_missing(code, x, _qualified_complement(code, available))
+    return split_on_missing(code, x, _qualified_complement(code, available))[:2]
 
 
 def localize_z(code: CodeSpec, z, available) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +407,7 @@ def localize_z(code: CodeSpec, z, available) -> tuple[np.ndarray, np.ndarray]:
     z = linalg.as_field_vector(z, code.p)
     if not linalg.row_space_contains(code.self_dual, z, code.p):
         raise NotInSelfDualError("vector outside the self-dual space")
-    return split_on_missing(code, z, _qualified_complement(code, available))
+    return split_on_missing(code, z, _qualified_complement(code, available))[:2]
 
 
 def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
@@ -424,16 +418,16 @@ def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
     return missing
 
 
-def split_on_missing(code: CodeSpec, vecs, missing, with_coefficients: bool = False):
+def split_on_missing(code: CodeSpec, vecs, missing):
     """Split field vectors vec = s + r, with s in the stabilizer space equal
     to vec on the missing shares, so r is supported on the others.
 
     vecs is one length-2n vector or a stack of them as rows; s and r have its
-    shape, and one elimination serves the whole stack. Returns (s, r), or
-    (s, r, c) with with_coefficients, where c holds the coefficients of s
-    over the stabilizer rows (s = c @ stabilizer, one row of c per row of
-    vecs). Unchecked: the caller has established that every vector lies in
-    dual(C) (localize_x/localize_z do). Raises NoSolutionError when some
+    shape, and one elimination serves the whole stack. Returns (s, r, c),
+    where c holds the coefficients of s over the stabilizer rows
+    (s = c @ stabilizer, one row of c per row of vecs). Unchecked: the
+    caller has established that every vector lies in dual(C)
+    (localize_x/localize_z do). Raises NoSolutionError when some
     vector has no such split; for a stack that spans dual(C) together with
     C, such as the 2k logical rows, that happens exactly when the erasure of
     `missing` is not correctable. Deterministic via the linear solver's
@@ -446,9 +440,7 @@ def split_on_missing(code: CodeSpec, vecs, missing, with_coefficients: bool = Fa
     if cols:
         coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vecs[..., cols].T, p).T
     s = (coeff @ code.stabilizer) % p
-    if with_coefficients:
-        return s, (vecs - s) % p, coeff
-    return s, (vecs - s) % p
+    return s, (vecs - s) % p, coeff
 
 
 def _contains_any(members, sets) -> bool:

@@ -427,7 +427,7 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
                 (hexcode.logical_x[i], plan.u[i], plan.w[i]),
                 (hexcode.logical_z[i], plan.v[i], plan.y[i]),
             ):
-                s0, r0 = split(hexcode, row, missing)
+                s0, r0, _ = split(hexcode, row, missing)
                 assert np.array_equal(s, s0) and np.array_equal(r, r0)
 
 

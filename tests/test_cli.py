@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -49,6 +50,29 @@ def test_analyze_k0(capsys, tmp_path):
     rc, out, _ = run(capsys, "analyze", str(path))
     assert rc == 0
     assert "logical pairs: none" in out
+
+
+def test_verify_k0_checks_the_share_list(capsys, tmp_path):
+    path = tmp_path / "k0.qss"
+    path.write_text("p 3\nn 1\nk 0\nstab 0|1\n", encoding="utf-8")
+    for bad in ("zz,99", "99", ""):
+        rc, out, err = run(capsys, "verify", str(path), "--set", bad)
+        assert (rc, out) == (2, "") and len(err.splitlines()) == 1 and err.startswith("error: bad share list")
+    # a valid list reports what no list does: no set to reconstruct
+    listed = run(capsys, "verify", str(path), "--set", "1", "--trials", "2")
+    assert listed == run(capsys, "verify", str(path), "--trials", "2")
+    rc, out, err = listed
+    assert (rc, err) == (0, "") and json.loads(out)["summary"]["qualified_sets"] == 0
+
+
+def test_analyze_n_equals_k_without_stabilizer_rows(capsys, tmp_path):
+    path = tmp_path / "nk.qss"
+    path.write_text("p 3\nn 2\nk 2\n", encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, err) == (0, "")
+    assert "dim C = 0" in out and out.endswith("minimal qualified sets (1):\n  {1,2}\n")
+    rc, out, _ = run(capsys, "verify", str(path), "--trials", "2", "--seed", "1")
+    assert rc == 0 and json.loads(out)["summary"]["qualified_sets"] == 1
 
 
 def test_analyze_invalid_spec_exit_2(capsys, tmp_path):
@@ -539,3 +563,56 @@ def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_
     rc, _, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
     assert rc == 4
     assert err.strip().endswith("at trial 1 (seed 9): purity deviation 0.03")
+
+
+# Run in a child process: Tracer.install wraps the qsshare functions in place.
+_TRACED_REQUESTS = r"""
+import contextlib, io, json, sys, warnings
+bench, spec, circuit = sys.argv[1:]
+sys.path.insert(0, bench)
+import run, tracer
+import qsshare
+from qsshare import circuits, cli, sim
+
+trace = tracer.Tracer()
+trace.install(qsshare)
+trace.enabled = True
+out = io.StringIO()
+with contextlib.redirect_stdout(out), warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    codes = [
+        cli.main(["analyze", spec]),
+        cli.main(["synthesize", spec, "--set", "3,4,5,6", "-o", circuit]),
+        cli.main(["verify", spec, "--set", "3,4,5,6", "--trials", "1"]),
+    ]
+sim.apply_gate(sim.basis_state(3, 2), circuits.fourier(2))
+trace.end_pass()
+trace.enabled = False
+metrics = {name: value for name, (value, _unit) in run.per_layer(trace, 1, 0.0, 0.0).items()}
+print(json.dumps({"codes": codes, "broken": sorted(trace.broken), "metrics": metrics}, allow_nan=False))
+"""
+
+
+def test_traced_requests_give_every_per_layer_metric(tmp_path):
+    # perfbench reads qsshare functions by name; a renamed or private one, or
+    # an observer whose result no longer fits, shows as null in its table
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # perfbench/ is read, never written
+    spec, circuit = os.path.join(root, "codes", "qutrit_6_2.qss"), str(tmp_path / "c.qsscirc")
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_REQUESTS, os.path.join(root, "perfbench"), spec, circuit],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0, 0] and result["broken"] == []
+    metrics = result["metrics"]
+    absent = [name for name, value in metrics.items() if type(value) not in (int, float) or not math.isfinite(value)]
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
+        declared = {metric["name"] for metric in json.load(handle)["per_layer"]}
+    assert not absent and declared <= set(metrics)
+    assert metrics["sim.apply_gate.calls"] == 1 and metrics["cli.requests"] == 3

@@ -101,7 +101,7 @@ def test_apply_phased_pauli_matches_dense():
 
 def _per_site(state, op):
     """op applied as n single-qudit PAULI gates through apply_circuit, one
-    block walk per axis, times its scalar w^e."""
+    layer of per-axis units, times its scalar w^e."""
     p, n = state.p, state.m
     a, b = op.x_part(), op.z_part()
     gates = tuple(circuits.pauli_gate(q + 1, a[q], b[q]) for q in range(n))
@@ -197,7 +197,8 @@ def test_controlled_gate_matches_dense_on_random_states():
 def _runs_circuit(p, m, rng, segments=10):
     """Gates of all six kinds on m qudits: runs of controlled Paulis of one
     kind and control, on targets before and after the control, runs of one,
-    a run with a repeated target, and single-qudit gates that break runs."""
+    a run with a repeated target, and sequences of up to three single-qudit
+    gates on any qudits, repeats included, that break runs."""
     gates = []
     for _ in range(segments):
         control = int(rng.integers(1, m + 1))
@@ -210,7 +211,7 @@ def _runs_circuit(p, m, rng, segments=10):
         for t in targets:
             params = tuple(int(v) for v in rng.integers(0, p, size=2))
             gates.append(circuits.Gate(kind, (control, t), params))
-        if rng.random() < 0.8:
+        for _ in range(int(rng.integers(0, 4))):
             q = int(rng.integers(1, m + 1))
             breaker = str(rng.choice(["F", "FINV", "PPOW", "PAULI"]))
             params = {
@@ -222,11 +223,16 @@ def _runs_circuit(p, m, rng, segments=10):
 
 
 def _fused_and_per_gate(gates, p, m, batch, rng):
+    """Largest deviation from the per-gate oracle of the gates' _program run
+    on a batch, and of apply_circuit on each member; and the program."""
     tensor = rng.normal(size=(p,) * m + (batch,)) + 1j * rng.normal(size=(p,) * m + (batch,))
     expected = oracles.apply_gates(tensor, gates, p)
-    program = runs.program(gates)
+    circuit = circuits.Circuit(p, m, circuits.share_roles(m, 0), tuple(gates))
+    members = [sim.apply_circuit(sim.StateVector(p, m, tensor[..., b]), circuit).amps for b in range(batch)]
+    program = sim._program(gates, p)
     sim._execute(tensor, program, p)
-    return np.abs(tensor - expected).max(), program
+    per_member = np.abs(np.stack(members, axis=-1) - expected.reshape(-1, batch)).max()
+    return max(np.abs(tensor - expected).max(), per_member), program
 
 
 @pytest.mark.parametrize("p, m", [(2, 7), (3, 5), (5, 4), (7, 3)])
@@ -238,7 +244,13 @@ def test_fused_runs_match_per_gate_oracle(p, m, batch):
         gates = _runs_circuit(p, m, rng)
         error, program = _fused_and_per_gate(gates, p, m, batch, rng)
         assert error < 1e-12, gates
-        assert sum(len(op.targets) if isinstance(op, runs.Run) else 1 for op in program) == len(gates)
+        assert sum(len(op.targets) for op in program if isinstance(op, runs.Run)) == sum(
+            g.is_two_qudit() for g in gates
+        )
+        # runs and layers only, no two layers in a row
+        assert all(isinstance(op, (runs.Run, sim._Layer)) for op in program)
+        layered = [isinstance(op, sim._Layer) for op in program]
+        assert not any(a and b for a, b in zip(layered, layered[1:]))
         for op in program:
             if isinstance(op, runs.Run):
                 first = min(t for t, _, _ in op.targets)
@@ -532,11 +544,12 @@ def _ancilla_gates(p, n, k, rng, diagonal=False):
     return gates
 
 
-def _layered_circuit(p, n, k, rng, lead_run):
+def _layered_circuit(p, n, k, rng, lead_run, lead_share):
     """A shares-first circuit shaped like a reconstruction circuit but with
     random ancilla-only sequences: [sequence,] run, sequence, run, diagonal
     sequence, every run from an ancilla control onto shares, and one
-    single-qudit share gate breaking a sequence."""
+    single-qudit share gate inside the middle sequence and, with lead_share,
+    one inside the leading sequence."""
     m = n + k
 
     def run():
@@ -545,9 +558,13 @@ def _layered_circuit(p, n, k, rng, lead_run):
         kind = str(rng.choice(["CPAULI", "CPAULIINV"]))
         return [circuits.Gate(kind, (control, int(t)), tuple(int(v) for v in rng.integers(0, p, 2))) for t in targets]
 
-    split = _ancilla_gates(p, n, k, rng)
-    split.insert(int(rng.integers(len(split) + 1)), circuits.pauli_gate(int(rng.integers(1, n + 1)), 1, 1))
-    gates = ([] if lead_run else _ancilla_gates(p, n, k, rng)) + run() + split + run()
+    def with_share_gate(gates):
+        gates.insert(int(rng.integers(len(gates) + 1)), circuits.pauli_gate(int(rng.integers(1, n + 1)), 1, 1))
+        return gates
+
+    lead = [] if lead_run else _ancilla_gates(p, n, k, rng)
+    middle = with_share_gate(_ancilla_gates(p, n, k, rng))
+    gates = (with_share_gate(lead) if lead_share else lead) + run() + middle + run()
     gates += _ancilla_gates(p, n, k, rng, diagonal=True)
     return circuits.Circuit(p, m, circuits.share_roles(n, k), tuple(gates))
 
@@ -562,7 +579,8 @@ def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
     code = types.SimpleNamespace(p=p, n=n, k=k)
     seen = set()
     for trial in range(8):
-        circuit = _layered_circuit(p, n, k, rng, lead_run=trial % 2 == 1)
+        # a leading run, a leading layer on ancillas only, or one that also holds a share gate
+        circuit = _layered_circuit(p, n, k, rng, lead_run=trial % 2 == 1, lead_share=trial % 4 == 2)
         encoded = rng.normal(size=(batch, p**n)) + 1j * rng.normal(size=(batch, p**n))
         program = sim._ancilla_first(circuit, n)
         got = sim._final_states(code, program, encoded)
@@ -577,12 +595,16 @@ def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
         assert np.abs(got - expected.reshape(got.shape)).max() < 1e-12, circuit.gates
         assert isinstance(program[0], runs.Run) == (trial % 2 == 1)
         layers = [op for op in program if isinstance(op, sim._Layer)]
-        assert not any(isinstance(op, circuits.Gate) and op.qudits[0] <= k for op in program)
+        # a sequence with a share gate in it is one layer that holds it
+        assert all(isinstance(op, (runs.Run, sim._Layer)) for op in program) and len(layers) == 3 - trial % 2
+        shared = {len(layers) - 2} | ({0} if trial % 4 == 2 else set())
         assert layers[-1].groups and all(matrix.ndim == 1 for _, matrix in layers[-1].groups)
-        for layer in layers:
-            for axis, matrix in layer.groups:
-                assert len(matrix) <= max(p, sim.LAYER) and 0 <= axis < k
-            if np.prod([len(matrix) for _, matrix in layer.groups]) == p**k:  # every ancilla
+        for index, layer in enumerate(layers):
+            for axis, matrix in layer.groups:  # a group's p^L rows end at the register's last axis
+                assert len(matrix) <= max(p, sim.LAYER) and 0 <= axis and len(matrix) <= p ** (k + n - axis)
+            ancillas = all(len(matrix) <= p ** (k - axis) for axis, matrix in layer.groups)
+            assert ancillas == (index not in shared)  # only a share gate's layer reaches past them
+            if ancillas and np.prod([len(matrix) for _, matrix in layer.groups]) == p**k:  # every ancilla
                 seen.add(len(layer.groups))
     # a layer on every ancilla is one group unless p^k exceeds the bound
     assert seen == ({2} if p**k > sim.LAYER else {1})

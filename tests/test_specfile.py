@@ -43,6 +43,12 @@ def test_parse_minimal_document_completes_missing_rows():
     assert code.k == 2
 
 
+def test_parse_rows_of_no_entry_is_an_empty_row_stack():
+    for p, n in ((3, 2), (11, 4)):
+        rows = specfile.parse_rows([], n, p)
+        assert rows.shape == (0, 2 * n) and rows.dtype == np.int64
+
+
 def test_parse_spaced_digits():
     text = "p 3\nn 2\nk 1\nstab 0 1 | 0 0\n"
     code = specfile.parse_code_document(text)
