@@ -58,6 +58,7 @@ def cmd_analyze(args) -> int:
         raise QssError(f"--max-size must be >= 1, got {args.max_size}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
+    minimal = symplectic.qualified_sets(code, max_size=args.max_size)  # may refuse: before any output
     print(f"p {p}  n {n}  k {k}")
     print(f"dim C = {n - k}")
     print(f"dim Cm = {code.self_dual.shape[0]}")
@@ -71,7 +72,6 @@ def cmd_analyze(args) -> int:
             )
     else:
         print("logical pairs: none (k = 0)")
-    minimal = symplectic.qualified_sets(code, max_size=args.max_size)
     print(f"minimal qualified sets ({len(minimal)}):")
     for members in minimal:
         print(f"  {_format_set(members)}")

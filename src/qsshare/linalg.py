@@ -92,39 +92,6 @@ def rank(A, p: int) -> int:
     return rref(A, p)[2]
 
 
-def ranks(stack, p: int) -> np.ndarray:
-    """Ranks over F_p of every matrix in a (B, rows, cols) stack, as a length-B array.
-
-    One elimination runs over the whole stack: per column, each matrix takes
-    its first row with a nonzero entry there as pivot and subtracts multiples
-    of it from all its rows, the pivot row included, so a used row is zero
-    in later columns and never pivots again. Each rank is a pivot count.
-    """
-    # int16 holds every intermediate: |x - y*z| < p^2 <= 169.
-    S = (np.asarray(stack) % check_prime(p)).astype(np.int16)
-    if S.ndim != 3:
-        raise ValueError(f"expected a (B, rows, cols) stack, got shape {S.shape}")
-    if S.shape[2] > S.shape[1]:
-        S = S.transpose(0, 2, 1)  # rank(A) = rank(A^T): loop over the shorter side
-    count, rows, cols = S.shape
-    out = np.zeros(count, dtype=np.int64)
-    if count == 0 or rows == 0:
-        return out
-    inv = _inverses(p).astype(np.int16)
-    which = np.arange(count)
-    for c in range(cols):
-        column = S[:, :, c]
-        first = (column != 0).argmax(axis=1)
-        lead = column[which, first]
-        out += lead != 0
-        # Column c is never read again, so only the columns right of it change.
-        # A matrix with no pivot here has lead 0, and inv[0] = 0 leaves it alone.
-        pivot = S[which, first, c + 1 :] * inv[lead][:, None] % p
-        S[:, :, c + 1 :] -= column[:, :, None] * pivot[:, None, :]
-        S[:, :, c + 1 :] %= p
-    return out
-
-
 def row_basis(A, p: int) -> np.ndarray:
     """Canonical basis (rref nonzero rows) of the row space of A."""
     R, _, rk = rref(A, p)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 
-MAX_ENUMERATION_SHARES = 12
+MAX_ENUMERATION_SHARES = 15
 
 
 def share_set(members, n: int) -> tuple[int, ...]:
@@ -443,64 +442,93 @@ def split_on_missing(code: CodeSpec, vecs, missing):
     return s, (vecs - s) % p, coeff
 
 
-def _contains_any(members, sets) -> bool:
-    members = set(members)
-    return any(members.issuperset(m) for m in sets)
+def _subset_ranks(code: CodeSpec) -> np.ndarray:
+    """Table r with r[S] = rank over F_p of the stabilizer basis G on the a and
+    b columns of S, for every share subset S (share j is bit j-1 of S).
+
+    The bases of the subsets holding share j are copies of those of the
+    subsets below 2^(j-1), with share j's two columns of G inserted. A basis
+    is in echelon form: n-k slots, slot b empty or holding a vector that
+    leads with a 1 at b. An insert reduces the column against every filled
+    slot, n-k elimination steps over all bases at once, and files what is
+    left in the slot of its leading entry; r[S] counts S's filled slots.
+    Stored in int8, computed in int16 (|x - y*z| < p^2 <= 169).
+    """
+    p, n, d = code.p, code.n, code.stabilizer.shape[0]
+    ranks = np.zeros(1 << n, dtype=np.int8)
+    columns = code.stabilizer.T.astype(np.int16)
+    inv = linalg._inverses(p).astype(np.int16)
+    bases = np.zeros((1 << max(n - 1, 0), d, d), dtype=np.int8)  # the last half is not kept
+    for j in range(n if d else 0):
+        work = bases[: 1 << j].astype(np.int16)
+        every = np.arange(1 << j)
+        for column in (columns[j], columns[j + n]):
+            v = np.repeat(column[None], 1 << j, axis=0)
+            for b in range(d):  # an empty slot is zero and leaves v alone
+                v[:, b:] -= v[:, b, None] * work[:, b, b:]
+                v[:, b:] %= p
+            # v is zero at every filled slot, so it leads at an empty one (or is zero)
+            lead = (v != 0).argmax(axis=1)
+            work[every, lead] += v * inv[v[every, lead]][:, None] % p
+        ranks[1 << j : 2 << j] = np.count_nonzero(work[:, range(d), range(d)], axis=1)
+        bases[1 << j : 2 << j] = work[: len(bases) - (1 << j)]
+    return ranks
+
+
+def _qualified_mask(code: CodeSpec) -> np.ndarray:
+    """True at each nonempty qualified S, indexed as in _subset_ranks: erasing
+    M = complement(S) is correctable when erasure_correctable's two ranks
+    agree, (n-k) - r[S] == 2|M| - r[M]. M is index 2^n - 1 - S, so r[M] is
+    the reversed table."""
+    n = code.n
+    if n > MAX_ENUMERATION_SHARES:
+        raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
+    ranks = _subset_ranks(code)
+    missing = np.full(1 << n, n, dtype=np.int16)  # |M|
+    for j in range(n):
+        missing[1 << j : 2 << j] = missing[: 1 << j] - 1
+    mask = code.stabilizer.shape[0] - ranks == 2 * missing - ranks[::-1]
+    mask[0] = False
+    return mask
+
+
+def _listed(mask: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The subsets a mask selects, as share tuples, smallest first then
+    lexicographic: within one size, the largest membership bits read with
+    share 1 as the most significant come first."""
+    bits = (np.flatnonzero(mask)[:, None] >> np.arange(n)) & 1
+    bits = bits[np.lexsort((-(bits @ (1 << np.arange(n)[::-1])), bits.sum(axis=1)))]
+    return [tuple(j for j, bit in enumerate(row, 1) if bit) for row in bits.tolist()]
 
 
 def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[int, ...]]:
-    """Minimal qualified share sets, smallest first then lexicographic.
+    """Minimal qualified share sets of at most max_size shares, smallest
+    first then lexicographic.
 
-    A set J is qualified when erasing its complement M is correctable, which
-    erasure_correctable decides by two ranks of the stabilizer basis: on J's
-    columns and on M's. Here every candidate of one size is decided at once,
-    by one batched rank per side. Candidates containing a smaller qualified
-    set are skipped; two sets of one size never contain each other, so only
-    the smaller levels prune.
+    Qualification comes from one rank table over every share subset
+    (_qualified_mask). A qualified set is minimal when no subset one share
+    smaller contains a qualified set; two subset-OR sweeps decide that.
     """
-    n, p = code.n, code.p
-    if n > MAX_ENUMERATION_SHARES:
-        raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
-    limit = n if max_size is None else min(max_size, n)
-    # Transposed so one gather by column indices restricts every candidate;
-    # int8 (entries < p <= 13) keeps that per-level stack small.
-    space = code.stabilizer.T.astype(np.int8)
-    minimal: list[tuple[int, ...]] = []
-    for size in range(1, limit + 1):
-        level = [m for m in combinations(range(1, n + 1), size) if not _contains_any(m, minimal)]
-        if not level:
-            continue
-        shares = np.array(level) - 1
-        is_erased = np.ones((len(level), n), dtype=bool)
-        is_erased[np.arange(len(level))[:, None], shares] = False
-        erased = np.nonzero(is_erased)[1].reshape(len(level), n - size)
-        # a and b parts; order does not change a rank
-        kept, lost = (np.hstack([idx, idx + n]) for idx in (shares, erased))
-        inner = space.shape[1] - linalg.ranks(space[kept], p)
-        outer = lost.shape[1] - linalg.ranks(space[lost], p)
-        minimal.extend(m for m, ok in zip(level, inner == outer) if ok)
-    return minimal
+    qualified = _qualified_mask(code)
+    covered = qualified.copy()  # contains a qualified set
+    shadowed = np.zeros_like(qualified)  # a subset one share smaller is covered
+    for table in (covered, shadowed):
+        for j in range(code.n):
+            halves = table.reshape(-1, 2, 1 << j)  # without, with share j + 1
+            halves[:, 1] |= covered.reshape(-1, 2, 1 << j)[:, 0]
+    minimal = _listed(qualified & ~shadowed, code.n)
+    return minimal if max_size is None else [m for m in minimal if len(m) <= max_size]
 
 
 def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
-    """Every qualified share set (not only the minimal ones), smallest first
-    then lexicographic.
+    """Every qualified share set, smallest first then lexicographic, from the
+    same rank table as qualified_sets.
 
-    This is the up-closure of qualified_sets, with no further checks.
-    Correctability is monotone: erasing M is correctable iff
+    This is the up-closure of qualified_sets: erasing M is correctable iff
     dual(C) ∩ F^M ⊆ C (C ∩ F^M lies inside it, so equal dimensions mean
     equal spaces), and for M' ⊆ M, dual(C) ∩ F^M' ⊆ dual(C) ∩ F^M ⊆ C.
-    So every superset of a qualified set is qualified, and every qualified
-    set contains a minimal one.
     """
-    minimal = qualified_sets(code)
-    n = code.n
-    return [
-        members
-        for size in range(1, n + 1)
-        for members in combinations(range(1, n + 1), size)
-        if _contains_any(members, minimal)
-    ]
+    return _listed(_qualified_mask(code), code.n)
 
 
 # ---------------------------------------------------------------------------

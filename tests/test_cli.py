@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -389,9 +390,10 @@ def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch,
     assert batches == [5] * 44
 
 
-def test_qualified_sets_ranks_each_level_once(monkeypatch):
+def test_qualified_sets_from_one_rank_table(monkeypatch):
     code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
-    calls = {"ranks": 0, "rank": 0, "rref": 0}
+    assert not hasattr(linalg, "ranks")
+    calls = {"rank": 0, "rref": 0}
     originals = {name: getattr(linalg, name) for name in calls}
 
     def counting(name):
@@ -404,8 +406,7 @@ def test_qualified_sets_ranks_each_level_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name))
     minimal = symplectic.qualified_sets(code)
-    assert calls["ranks"] <= 2 * code.n
-    assert calls["rank"] == calls["rref"] == 0
+    assert calls == {"rank": 0, "rref": 0}
     # an antichain whose up-closure is what one erasure_correctable query
     # per subset finds qualified, so exactly its minimal sets
     monkeypatch.undo()
@@ -416,6 +417,43 @@ def test_qualified_sets_ranks_each_level_once(monkeypatch):
         for members in combinations(range(1, code.n + 1), size)
         if symplectic.erasure_correctable(code, symplectic.complement(members, code.n))
     ]
+
+
+# sha256 of `analyze` stdout, recorded before the enumeration became one rank table
+ANALYZE_DIGESTS = {
+    (2, 12, 2, 0): "6ce6492c6e5db3738402a0c36bdb7f89013e78e834ea4df8c3fc38a9204efbce",
+    (3, 10, 2, 0): "b2c23a5d2f9a491e491f5dfc709e577746225ce47fe87cc4755fc8bd5d78cef5",
+    "bundled": "c46ee0242f82664dedddc398a17bb5080795eb4c4a089b4830422b7ffdd26c0f",
+}
+
+
+@pytest.mark.parametrize("which", list(ANALYZE_DIGESTS))
+def test_analyze_stdout_is_pinned(capsys, tmp_path, spec_path, which):
+    if which == "bundled":
+        path = spec_path
+    else:
+        path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "grid.qss")
+    rc, out, _ = run(capsys, "analyze", path)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_DIGESTS[which]
+
+
+def test_analyze_at_the_enumeration_guard(capsys, tmp_path):
+    n = symplectic.MAX_ENUMERATION_SHARES
+    assert n == 15
+    path = _write_code(symplectic.random_self_orthogonal_code(2, n, 2, 0), tmp_path / "wide.qss")
+    rc, out, err = run(capsys, "analyze", path)
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"p 2  n {n}  k 2\n") and "minimal qualified sets (" in out
+
+
+@pytest.mark.parametrize("extra", [(), ("--max-size", "2")])
+def test_analyze_past_the_enumeration_guard_writes_one_error_line_and_no_report(capsys, tmp_path, extra):
+    n = symplectic.MAX_ENUMERATION_SHARES + 1
+    path = _write_code(symplectic.random_self_orthogonal_code(2, n, 2, 0), tmp_path / "wide.qss")
+    rc, out, err = run(capsys, "analyze", path, *extra)
+    assert rc == 2 and out == ""
+    assert err == f"error: enumeration supports at most {n - 1} shares\n"
 
 
 def _analyze_file(path, content: bytes):
@@ -466,8 +504,8 @@ def test_analyze_of_a_directory_exits_2(capsys, tmp_path):
     assert rc == 2 and err.startswith("error: cannot read")
 
 
-def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, tmp_path):
-    code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
+def _write_code(code, path) -> str:
+    """Write a spec file holding exactly `code`'s rows; returns the path."""
     n = code.n
     lines = [f"p {code.p}", f"n {n}", f"k {code.k}"]
     for key, rows in (
@@ -477,8 +515,13 @@ def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, 
         ("logicalz", code.logical_z),
     ):
         lines.extend(f"{key} {specfile.format_row(r, n, code.p)}" for r in rows)
-    path = tmp_path / "p2n12.qss"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, tmp_path):
+    code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
+    path = _write_code(code, tmp_path / "p2n12.qss")
     members = symplectic.qualified_sets(code)[0]
     calls = {"rref": 0, "nullspace": 0}
     originals = {name: getattr(linalg, name) for name in calls}
@@ -493,7 +536,7 @@ def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, 
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name))
     set_arg = ",".join(map(str, members))
-    rc, out, _ = run(capsys, "synthesize", str(path), "--set", set_arg, "-o", str(tmp_path / "c.qsscirc"))
+    rc, out, _ = run(capsys, "synthesize", path, "--set", set_arg, "-o", str(tmp_path / "c.qsscirc"))
     assert rc == 0 and out.startswith("wrote ")
     # load and validate: stabilizer rank, one reduction of Cm; plan: one
     # solve for the split, which also decides qualification (three in all)

@@ -187,35 +187,3 @@ def test_rref_equals_rowloop_oracle(case):
     assert np.array_equal(R, R0)
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert (pivots, rk) == (pivots0, rk0)
-
-
-@settings(max_examples=150)
-@given(
-    st.sampled_from(linalg.SUPPORTED_PRIMES),
-    st.integers(0, 6),
-    st.integers(0, 24),
-    st.integers(0, 24),
-    st.integers(0, 2**32 - 1),
-)
-def test_ranks_equals_rank_per_matrix(p, count, rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    stack = rng.integers(0, p, size=(count, rows, cols))
-    for b in range(count):
-        if rows and rng.random() < 0.5:  # low rank: rows from a few rows
-            basis = rng.integers(0, p, size=(int(rng.integers(0, 4)), cols))
-            stack[b] = rng.integers(0, p, size=(rows, basis.shape[0])) @ basis % p
-        if rows > 1 and rng.random() < 0.3:
-            stack[b, -1] = stack[b, 0]
-        if cols and rng.random() < 0.3:
-            stack[b, :, int(rng.integers(0, cols))] = 0
-    out = linalg.ranks(stack, p)
-    assert out.shape == (count,)
-    assert out.tolist() == [linalg.rank(m, p) for m in stack]
-
-
-def test_ranks_of_empty_stacks_and_matrices():
-    assert linalg.ranks(np.zeros((0, 3, 4), dtype=int), 5).shape == (0,)
-    assert linalg.ranks(np.zeros((3, 0, 4), dtype=int), 5).tolist() == [0, 0, 0]
-    assert linalg.ranks(np.zeros((2, 4, 0), dtype=int), 5).tolist() == [0, 0]
-    stack = np.array([np.array(H_ROWS), np.zeros((4, 12), dtype=int), np.array(H_ROWS) * 2])
-    assert linalg.ranks(stack, 3).tolist() == [4, 0, 4]

@@ -511,3 +511,31 @@ def test_build_code_of_a_full_spec_reduces_stabilizer_and_self_dual_once(monkeyp
         assert np.array_equal(code.self_dual, ref.self_dual)
         for part in (code.stabilizer, code.self_dual):
             assert sum(np.array_equal(m, part) for m in seen) == 1, (p, n, k)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**16))
+def test_subset_rank_table_equals_one_rank_per_subset(p, n, k, seed):
+    # k = n included: G has no rows and every rank is 0
+    code = symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
+    table = symplectic._subset_ranks(code)
+    assert table.shape == (2**n,)
+    for subset in range(2**n):
+        members = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
+        columns = symplectic._coordinate_columns(members, n)
+        assert table[subset] == linalg.rank(code.stabilizer[:, columns], p), (subset, members)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 4), (13, 5), (2, 7)])
+def test_minimal_sets_of_a_k0_code_are_the_singletons(p, n):
+    # with no secret every nonempty set is qualified; the empty set never counts
+    code = symplectic.random_self_orthogonal_code(p, n, 0, n)
+    assert symplectic.qualified_sets(code) == [(j,) for j in range(1, n + 1)]
+    assert len(symplectic.all_qualified_sets(code)) == 2**n - 1
+
+
+def test_minimal_set_of_an_n_equals_k_code_is_every_share():
+    code = symplectic.random_self_orthogonal_code(3, 4, 4, 1)
+    assert not symplectic._subset_ranks(code).any()
+    assert symplectic.qualified_sets(code) == [(1, 2, 3, 4)]
+    assert symplectic.all_qualified_sets(code) == [(1, 2, 3, 4)]
