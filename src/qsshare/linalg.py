@@ -119,10 +119,8 @@ def nullspace(A, p: int) -> np.ndarray:
     R, pivots, rk = rref(A, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            basis[i, c] = (-R[r, f]) % p
+    basis[range(len(free)), free] = 1
+    basis[:, list(pivots)] = (-R[:rk, free]).T % p
     return basis
 
 

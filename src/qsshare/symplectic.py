@@ -72,10 +72,13 @@ def symplectic_product(x, y, p: int) -> int:
 
 def symplectic_gram(A, B, p: int) -> np.ndarray:
     """Matrix of pairwise symplectic products between rows of A and rows of B."""
-    A = linalg.as_field(A, p)
-    B = linalg.as_field(B, p)
+    return _gram(linalg.as_field(A, p), linalg.as_field(B, p)) % p
+
+
+def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """symplectic_gram of two int64 row stacks, not reduced mod p."""
     n = A.shape[1] // 2
-    return (A[:, :n] @ B[:, n:].T - A[:, n:] @ B[:, :n].T) % p
+    return A[:, :n] @ B[:, n:].T - A[:, n:] @ B[:, :n].T
 
 
 def dual(basis, n: int, p: int) -> np.ndarray:
@@ -131,11 +134,12 @@ class CodeSpec:
 def validate_code(code: CodeSpec) -> None:
     """Check every structural invariant; raise ValidationError on failure."""
     linalg.check_prime(code.p)
-    _validate(code, linalg.rank(code.stabilizer, code.p))
+    _validate(code, stabilizer_checked=False)
 
 
-def _validate(code: CodeSpec, stab_rank: int) -> None:
-    """validate_code for a prime p, given the rank of the stabilizer rows."""
+def _validate(code: CodeSpec, stabilizer_checked: bool) -> None:
+    """validate_code for a prime p. With stabilizer_checked, the caller has
+    already found the stabilizer rows independent and self-orthogonal."""
     p, n, k = code.p, code.n, code.k
     if not (0 <= k <= n):
         raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -151,9 +155,10 @@ def _validate(code: CodeSpec, stab_rank: int) -> None:
     ):
         if arr.shape != (rows, 2 * n):
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {arr.shape}")
-    if stab_rank != n - k:
-        raise ValidationError("stabilizer rows are linearly dependent")
-    _check_self_orthogonal(stab, p)
+    if not stabilizer_checked:
+        if linalg.rank(stab, p) != n - k:
+            raise ValidationError("stabilizer rows are linearly dependent")
+        _check_self_orthogonal(stab, p)
     # One reduction of Cm serves every membership test below: a row v lies in
     # Cm exactly when its residual v - v[pivots] R vanishes.
     R, pivots, cm_rank = linalg.rref(cm, p)
@@ -199,16 +204,16 @@ def _check_self_orthogonal(rows: np.ndarray, p: int, what: str = "stabilizer") -
         )
 
 
-def _hyperbolic_reduce(vectors: np.ndarray, x, z, p: int) -> np.ndarray:
-    """Make every row orthogonal to the hyperbolic pair (x, z), <x,z> = 1."""
-    if vectors.shape[0] == 0:
-        return vectors
-    out = []
-    for w in vectors:
-        lam = symplectic_product(w, z, p)
-        mu = symplectic_product(x, w, p)
-        out.append((w - lam * x - mu * z) % p)
-    return np.array(out, dtype=np.int64)
+def _hyperbolic_reduce(vectors: np.ndarray, xs: np.ndarray, zs: np.ndarray, p: int) -> np.ndarray:
+    """Make every row orthogonal to each hyperbolic pair (x_j, z_j).
+
+    The pairs must be mutually hyperbolic: <x_i, z_j> = delta_ij and every
+    other product between them zero. Taking w to w - <w,z_j> x_j + <w,x_j> z_j
+    makes w orthogonal to pair j and leaves its products with the other pairs
+    alone, so the order of the pairs does not matter and one array
+    expression reduces every row against all of them.
+    """
+    return (vectors - _gram(vectors, zs) @ xs + _gram(vectors, xs) @ zs) % p
 
 
 def self_dual_completion(
@@ -223,37 +228,34 @@ def self_dual_completion(
     """
     stab = linalg.row_basis(stabilizer, p)
     _check_self_orthogonal(stab, p, what="input")
+    return _completion(stab, n, p)
+
+
+def _completion(stab: np.ndarray, n: int, p: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """self_dual_completion of a self-orthogonal basis in reduced form."""
     # Coset representatives: dual-basis rows independent modulo C.
     remaining = _extend_basis(stab, dual(stab, n, p), p)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     while remaining.shape[0]:
-        x = remaining[0]
-        partner = None
-        for idx in range(1, remaining.shape[0]):
-            if symplectic_product(x, remaining[idx], p):
-                partner = idx
-                break
-        if partner is None:  # unreachable for a self-orthogonal input: the
-            # induced form on dual(C)/C is nondegenerate
-            raise ValidationError("no symplectic partner in the quotient")
-        z = (remaining[partner] * linalg.fp_inv(symplectic_product(x, remaining[partner], p), p)) % p
-        rest = np.delete(remaining, [0, partner], axis=0)
-        remaining = _hyperbolic_reduce(rest, x, z, p)
+        # x = remaining[0] pairs with the first row it does not commute with;
+        # one exists, as the form induced on dual(C)/C is nondegenerate.
+        products = symplectic_gram(remaining[:1], remaining, p)[0]
+        partner = int(np.flatnonzero(products)[0])
+        x, z = remaining[0], remaining[partner] * linalg.fp_inv(products[partner], p) % p
+        remaining = _hyperbolic_reduce(np.delete(remaining, [0, partner], axis=0), x[None], z[None], p)
         pairs.append((x, z))
     return np.vstack([stab, *(z for _, z in pairs)]), pairs
 
 
 def _extend_basis(base: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """The rows, in order, that are independent of span(base) and of the
-    rows kept before them."""
-    working, rank = base, linalg.rank(base, p)
-    kept = []
-    for row in rows:
-        grown = np.vstack([working, row])
-        if linalg.rank(grown, p) > rank:
-            kept.append(row)
-            working, rank = grown, rank + 1
-    return np.array(kept, dtype=np.int64).reshape(len(kept), base.shape[1])
+    rows kept before them.
+
+    One elimination of [base; rows] transposed finds them: a column is a
+    pivot exactly when it is independent of the columns before it.
+    """
+    _, pivots, _ = linalg.rref(np.vstack([base, rows]).T, p)
+    return rows[[c - base.shape[0] for c in pivots if c >= base.shape[0]]]
 
 
 def _solve_rows(A: np.ndarray, p: int) -> np.ndarray:
@@ -316,7 +318,7 @@ def build_code(
     stab = linalg.as_field(stabilizer, p)
     if n is None:
         n = stab.shape[1] // 2
-    stab_rank = linalg.rank(stab, p)
+    reduced, _, stab_rank = linalg.rref(stab, p)
     k = n - stab_rank
     if stab.shape[0] != n - k:
         raise ValidationError("stabilizer rows are linearly dependent")
@@ -334,7 +336,7 @@ def build_code(
     if cm is None and lz is not None:
         cm = np.vstack([stab, lz])
     if cm is None:
-        cm, pairs = self_dual_completion(stab, n, p)
+        cm, pairs = _completion(reduced[:stab_rank], n, p)
         lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
         lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
     if lx is None and lz is None:
@@ -351,17 +353,14 @@ def build_code(
         off = pairing - np.diag(np.diag(pairing))
         diag = np.diag(pairing)
         if not off.any() and np.all(diag != 0) and np.any(diag != 1):
-            lz = lz.copy()
-            for i in range(k):
-                if diag[i] != 1:
-                    lz[i] = (lz[i] * linalg.fp_inv(int(diag[i]), p)) % p
+            lz = lz * linalg._inverses(p)[diag][:, None] % p
             warnings.warn(
                 "logical pairing was diag(%s); rescaled z rows to normalize it"
                 % np.array2string(diag),
                 stacklevel=2,
             )
     code = CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
-    _validate(code, stab_rank)
+    _validate(code, stabilizer_checked=True)
     return code
 
 
@@ -536,29 +535,31 @@ def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
 
 
 def random_symplectic_basis(n: int, p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random hyperbolic basis (e_1..e_n, f_1..f_n) of F_p^{2n}."""
+    """Random hyperbolic basis (e_1..e_n, f_1..f_n) of F_p^{2n}.
+
+    Every draw is reduced against the pairs found so far. A nonzero result is
+    orthogonal to their span, which is nondegenerate, so it lies outside it
+    and starts the next pair; a draw inside the span reduces to zero and is
+    drawn again.
+    """
     es = np.zeros((n, 2 * n), dtype=np.int64)
     fs = np.zeros((n, 2 * n), dtype=np.int64)
     found = 0
+
+    def reduced_draw():
+        draw = rng.integers(0, p, size=2 * n, dtype=np.int64)
+        return _hyperbolic_reduce(draw[None], es[:found], fs[:found], p)[0]
+
     while found < n:
-        v = rng.integers(0, p, size=2 * n, dtype=np.int64)
-        for j in range(found):
-            v = _hyperbolic_reduce(v.reshape(1, -1), es[j], fs[j], p)[0]
+        v = reduced_draw()
         if not v.any():
             continue
-        span = np.vstack([es[:found], fs[:found], v])
-        if linalg.rank(span, p) != 2 * found + 1:
-            continue
-        while True:
-            w = rng.integers(0, p, size=2 * n, dtype=np.int64)
-            for j in range(found):
-                w = _hyperbolic_reduce(w.reshape(1, -1), es[j], fs[j], p)[0]
+        c = 0
+        while not c:
+            w = reduced_draw()
             c = symplectic_product(v, w, p)
-            if c:
-                w = (w * linalg.fp_inv(c, p)) % p
-                break
         es[found] = v
-        fs[found] = w
+        fs[found] = w * linalg.fp_inv(c, p) % p
         found += 1
     return es, fs
 

@@ -11,7 +11,10 @@ axes of a state relabeled ancilla-first; a code-space eigenvalue by
 multiplying out the generator powers, where the package sums their phases
 in closed form; a circuit by contracting each gate's dense operator with
 its qudits' axes, one gate at a time, where the package moves whole runs of
-controlled Paulis by index tables).
+controlled Paulis by index tables; a random hyperbolic basis, a basis
+extension and a self-dual completion by one rank test per candidate row and
+one hyperbolic pair at a time, where the package eliminates once and
+reduces against every pair in one array expression).
 """
 
 from __future__ import annotations
@@ -215,3 +218,80 @@ def apply_gates(tensor: np.ndarray, gates, p: int) -> np.ndarray:
         out = np.tensordot(op, out, axes=(list(range(len(axes), 2 * len(axes))), axes))
         out = np.moveaxis(out, list(range(len(axes))), axes)
     return np.array(out)
+
+
+def hyperbolic_reduce_loop(vectors: np.ndarray, x, z, p: int) -> np.ndarray:
+    """Make every row orthogonal to one hyperbolic pair (x, z), <x,z> = 1,
+    one row at a time."""
+    if vectors.shape[0] == 0:
+        return vectors
+    out = []
+    for w in vectors:
+        lam = symplectic.symplectic_product(w, z, p)
+        mu = symplectic.symplectic_product(x, w, p)
+        out.append((w - lam * x - mu * z) % p)
+    return np.array(out, dtype=np.int64)
+
+
+def extend_basis_rankloop(base: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The rows, in order, that are independent of span(base) and of the rows
+    kept before them: one rank test per row."""
+    working, rank = base, linalg.rank(base, p)
+    kept = []
+    for row in rows:
+        grown = np.vstack([working, row])
+        if linalg.rank(grown, p) > rank:
+            kept.append(row)
+            working, rank = grown, rank + 1
+    return np.array(kept, dtype=np.int64).reshape(len(kept), base.shape[1])
+
+
+def random_symplectic_basis_loop(n: int, p: int, rng: np.random.Generator):
+    """Random hyperbolic basis (e_1..e_n, f_1..f_n) of F_p^{2n}, drawn as the
+    package draws it: each draw reduced pair by pair, and each new e kept only
+    after a rank test against the pairs found so far."""
+    es = np.zeros((n, 2 * n), dtype=np.int64)
+    fs = np.zeros((n, 2 * n), dtype=np.int64)
+    found = 0
+    while found < n:
+        v = rng.integers(0, p, size=2 * n, dtype=np.int64)
+        for j in range(found):
+            v = hyperbolic_reduce_loop(v.reshape(1, -1), es[j], fs[j], p)[0]
+        if not v.any():
+            continue
+        span = np.vstack([es[:found], fs[:found], v])
+        if linalg.rank(span, p) != 2 * found + 1:
+            continue
+        while True:
+            w = rng.integers(0, p, size=2 * n, dtype=np.int64)
+            for j in range(found):
+                w = hyperbolic_reduce_loop(w.reshape(1, -1), es[j], fs[j], p)[0]
+            c = symplectic.symplectic_product(v, w, p)
+            if c:
+                w = (w * linalg.fp_inv(c, p)) % p
+                break
+        es[found] = v
+        fs[found] = w
+        found += 1
+    return es, fs
+
+
+def self_dual_completion_loop(stabilizer, n: int, p: int):
+    """(self_dual_rows, pairs) as symplectic.self_dual_completion returns them:
+    each partner found by a scan of single products, each pair removed from
+    the remaining rows one row at a time."""
+    stab = linalg.row_basis(stabilizer, p)
+    remaining = extend_basis_rankloop(stab, symplectic.dual(stab, n, p), p)
+    pairs = []
+    while remaining.shape[0]:
+        x = remaining[0]
+        partner = next(
+            idx for idx in range(1, remaining.shape[0])
+            if symplectic.symplectic_product(x, remaining[idx], p)
+        )
+        c = symplectic.symplectic_product(x, remaining[partner], p)
+        z = (remaining[partner] * linalg.fp_inv(c, p)) % p
+        rest = np.delete(remaining, [0, partner], axis=0)
+        remaining = hyperbolic_reduce_loop(rest, x, z, p)
+        pairs.append((x, z))
+    return np.vstack([stab, *(z for _, z in pairs)]), pairs

@@ -34,6 +34,14 @@ def test_bundled_code_loads_without_warning(path):
         assert np.array_equal(getattr(code, part), getattr(expected, part)), part
 
 
+def test_stabilizer_only_document_of_sixty_four_qubits_loads():
+    ref = symplectic.random_self_orthogonal_code(2, 64, 2, 0)
+    text = "p 2\nn 64\nk 2\n" + "".join(f"stab {specfile.format_row(h, 64, 2)}\n" for h in ref.stabilizer)
+    code = specfile.parse_code_document(text)
+    symplectic.validate_code(code)
+    assert np.array_equal(code.stabilizer, ref.stabilizer) and code.k == 2
+
+
 def test_parse_minimal_document_completes_missing_rows():
     text = "p 3\nn 6\nk 2\n" + "".join(
         f"stab {specfile.format_row(h, 6, 3)}\n" for h in H_ROWS

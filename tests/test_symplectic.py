@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import hashlib
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsshare import linalg, symplectic
@@ -512,6 +515,155 @@ def test_build_code_of_a_full_spec_reduces_stabilizer_and_self_dual_once(monkeyp
         for part in (code.stabilizer, code.self_dual):
             assert sum(np.array_equal(m, part) for m in seen) == 1, (p, n, k)
 
+
+@pytest.mark.parametrize("given", ["nothing", "self_dual", "logical_x", "logical_z", "self_dual+logical_x+logical_z"])
+def test_each_load_checks_self_orthogonality_once(monkeypatch, hexcode, given):
+    calls = []
+    check = symplectic._check_self_orthogonal
+
+    def counted_check(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(symplectic, "_check_self_orthogonal", counted_check)
+    kwargs = {part: getattr(hexcode, part) for part in given.split("+") if part != "nothing"}
+    symplectic.build_code(3, hexcode.stabilizer, **kwargs)
+    assert len(calls) == 1
+    # X on share 1 does not commute with stabilizer row 3; the load names
+    # the pair before deriving anything
+    bad = np.vstack([row("100000|000000"), hexcode.stabilizer[1:]])
+    with pytest.raises(NotSelfOrthogonalError, match=r"^stabilizer rows 1 and 3 have symplectic product 2$"):
+        symplectic.build_code(3, bad, **kwargs)
+    calls.clear()
+    symplectic.validate_code(hexcode)
+    assert len(calls) == 1
+
+
+PRIMES = st.sampled_from(linalg.SUPPORTED_PRIMES)
+
+
+@settings(max_examples=60)
+@given(PRIMES, st.integers(1, 8), st.integers(0, 2**16))
+def test_random_symplectic_basis_equals_pairwise_loop(p, n, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    es, fs = symplectic.random_symplectic_basis(n, p, rng)
+    expected_es, expected_fs = oracles.random_symplectic_basis_loop(n, p, oracle_rng)
+    assert np.array_equal(es, expected_es) and np.array_equal(fs, expected_fs)
+    # the same draws, so both generators are left in the same state
+    assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
+
+
+@settings(max_examples=80)
+@given(PRIMES, st.integers(1, 5), st.integers(0, 4), st.integers(0, 7), st.integers(0, 2**16))
+@example(p=2, n=3, base_rows=0, candidates=5, seed=1)  # empty base
+def test_extend_basis_equals_rank_loop(p, n, base_rows, candidates, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, p, size=(base_rows, 2 * n))
+    rows = np.zeros((0, 2 * n), dtype=np.int64)
+    for _ in range(candidates):
+        # a random row, a zero row or a combination of the base and earlier rows
+        kind, earlier = rng.integers(3), np.vstack([base, rows])
+        if kind == 2 and len(earlier):
+            candidate = rng.integers(0, p, size=len(earlier)) @ earlier % p
+        else:
+            candidate = rng.integers(0, p, size=2 * n) * (kind == 0)
+        rows = np.vstack([rows, candidate])
+    kept = symplectic._extend_basis(base, rows, p)
+    assert kept.dtype == np.int64
+    assert np.array_equal(kept, oracles.extend_basis_rankloop(base, rows, p))
+
+
+@settings(max_examples=60)
+@given(PRIMES, st.integers(1, 6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 2**16))
+def test_hyperbolic_reduce_equals_pair_by_pair_loop(p, n, pairs, count, seed):
+    pairs = min(pairs, n)
+    rng = np.random.default_rng(seed)
+    es, fs = symplectic.random_symplectic_basis(n, p, rng)
+    vectors = rng.integers(0, p, size=(count, 2 * n))
+    expected = vectors
+    for j in range(pairs):
+        expected = oracles.hyperbolic_reduce_loop(expected, es[j], fs[j], p)
+    reduced = symplectic._hyperbolic_reduce(vectors, es[:pairs], fs[:pairs], p)
+    assert np.array_equal(reduced, expected.reshape(count, 2 * n))
+
+
+@settings(max_examples=60)
+@given(PRIMES, st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**16))
+def test_self_dual_completion_equals_pairing_loop(p, n, k, seed):
+    code = symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
+    cm, pairs = symplectic.self_dual_completion(code.stabilizer, n, p)
+    expected_cm, expected_pairs = oracles.self_dual_completion_loop(code.stabilizer, n, p)
+    assert np.array_equal(cm, expected_cm)
+    assert len(pairs) == len(expected_pairs)
+    for (x, z), (expected_x, expected_z) in zip(pairs, expected_pairs):
+        assert np.array_equal(x, expected_x) and np.array_equal(z, expected_z)
+
+
+def _recorded_rrefs(monkeypatch):
+    seen = []
+    rref = linalg.rref
+
+    def recording_rref(A, p):
+        seen.append(np.shape(A))
+        return rref(A, p)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    return seen
+
+
+def test_random_symplectic_basis_eliminates_nothing(monkeypatch):
+    seen = _recorded_rrefs(monkeypatch)
+    for p, n in ((2, 9), (3, 6), (13, 4)):
+        symplectic.random_symplectic_basis(n, p, np.random.default_rng(n))
+    assert seen == []
+
+
+def test_extend_basis_eliminates_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    cases = [(rng.integers(0, 3, size=(b, 8)), rng.integers(0, 3, size=(r, 8))) for b, r in ((0, 6), (3, 5), (4, 0))]
+    seen = _recorded_rrefs(monkeypatch)
+    for base, rows in cases:
+        seen.clear()
+        symplectic._extend_basis(base, rows, 3)
+        assert seen == [(8, len(base) + len(rows))]
+
+
+def _grid(name):
+    """A code grid of perfbench/workloads.py, read from its source."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+# sha256 of the four row blocks (stabilizer, self_dual, logical_x, logical_z)
+# as little-endian int64, for every seeded code the benchmark generates.
+GRID_DIGESTS = {
+    (2, 16, 2, 0): "6c1ed0330f940757a1c533cfd01229383642fb7b62c86b2b94b54a8eb9aab94a",
+    (2, 15, 3, 2): "0dd2033e110c6bc858c7a704b4baa05e2801d76e2c3dc6a941cac45c19d34b1e",
+    (3, 10, 2, 3): "6c802541c2caa69d69d80b5dafe5eeef8677c3aa68274b4dfa2ce23ef9c2a6e3",
+    (5, 6, 2, 0): "43a0b20458cd349db3856eea2de0b0c3a379b168e2821a67064bbade51058c7e",
+    (2, 12, 2, 0): "75ed05114a060bfffbc23ae558cd403a8ecd563c3b663053c6671819f9451859",
+    (3, 10, 2, 0): "aea55ae5c868d178e991c14aabf2f34bb722ca93c09986882180d34ab86fd4e5",
+}
+
+
+def test_benchmark_grid_codes_are_pinned():
+    grids = _grid("WIDE_GRID") + _grid("ACCESS_GRID")
+    assert set(grids) == set(GRID_DIGESTS)
+    for params in grids:
+        code = symplectic.random_self_orthogonal_code(*params)
+        digest = hashlib.sha256()
+        for block in (code.stabilizer, code.self_dual, code.logical_x, code.logical_z):
+            digest.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
+        assert digest.hexdigest() == GRID_DIGESTS[params], params
+
+
+def test_random_code_at_sixty_qutrits_validates():
+    code = symplectic.random_self_orthogonal_code(3, 60, 2, 0)
+    symplectic.validate_code(code)
+    assert (code.n, code.k) == (60, 2)
 
 @settings(max_examples=60)
 @given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**16))
