@@ -2,12 +2,14 @@
 
 Given a prime-qudit stabilizer share code, this package determines which
 share subsets can reconstruct the secret, synthesizes the measurement-free
-reconstruction circuit for a qualified subset, and certifies it end to end
-by exact state-vector simulation.
+reconstruction circuit for a qualified subset, and certifies it exactly from
+its Clifford action on Pauli operators, with no state vector.
 
-The simulator (the sim and runs modules and sim's public names) is imported
-on first use, so a process that imports the package only to analyze or
-synthesize never loads it.
+The certificate (the certify module and its public names) and the dense
+state-vector simulator (the sim and runs modules and sim's public names) are
+imported on first use, so a process that imports the package only to
+analyze or synthesize loads neither, and one that certifies never loads the
+simulator.
 """
 
 from importlib import import_module as _import_module
@@ -36,17 +38,17 @@ from .symplectic import (
 
 __version__ = "0.1.0"
 
-_SIM_NAMES = frozenset(
-    {
-        "ReconstructionReport",
-        "StateVector",
-        "encode_secret",
-        "entanglement_fidelity",
-        "logical_zero",
-        "verify_reconstruction",
-    }
-)
-_LAZY_MODULES = frozenset({"runs", "sim"})
+# name -> the module it is read from on first access
+_LAZY_NAMES = {
+    "ReconstructionReport": "certify",
+    "certify_reconstruction": "certify",
+    "StateVector": "sim",
+    "encode_secret": "sim",
+    "entanglement_fidelity": "sim",
+    "logical_zero": "sim",
+    "verify_reconstruction": "sim",
+}
+_LAZY_MODULES = frozenset({"certify", "runs", "sim"})
 
 __all__ = [
     "Circuit",
@@ -59,6 +61,7 @@ __all__ = [
     "ReconstructionReport",
     "StateVector",
     "build_code",
+    "certify_reconstruction",
     "controlled_pauli_decompose",
     "emit_circuit",
     "encode_secret",
@@ -80,14 +83,15 @@ __all__ = [
 
 
 def __getattr__(name):
-    """The simulator's names and the modules not imported up front, loaded on
-    first access (PEP 562); a sim name is looked up anew on every access."""
-    if name in _SIM_NAMES:
-        return getattr(_import_module(".sim", __name__), name)
+    """The certificate's and the simulator's names and the modules not
+    imported up front, loaded on first access (PEP 562); such a name is looked
+    up anew on every access."""
+    if name in _LAZY_NAMES:
+        return getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     if name in _LAZY_MODULES:
         return _import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _SIM_NAMES | _LAZY_MODULES)
+    return sorted(set(globals()) | set(_LAZY_NAMES) | _LAZY_MODULES)

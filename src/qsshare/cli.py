@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import circuits, pauli, sim, specfile, symplectic
+from . import certify, circuits, pauli, specfile, symplectic
 from .errors import NotCorrectableError, QssError
 
 EXIT_OK = 0
@@ -137,9 +137,9 @@ def cmd_verify(args) -> int:
         sets = symplectic.all_qualified_sets(code)
         plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
     rng = np.random.default_rng(args.seed)
-    secrets = [sim.random_secret(p, k, rng) for _ in range(args.trials)]
+    secrets = [certify.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
-    for plan, rep in zip(plans, sim.verify_reconstruction(code, conv, plans, secrets) if plans else ()):
+    for plan, rep in zip(plans, certify.certify_reconstruction(code, conv, plans, secrets) if plans else ()):
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
             if failure is None and fid < 1.0 - FIDELITY_SLACK:
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     if failure is not None:
         # the failing set's whole secret space, checked only on this path
         plan, trial, check = failure
-        (whole,) = sim.entanglement_fidelity(code, conv, [plan])
+        (whole,) = certify.entanglement_fidelity(code, conv, [plan])
         print(
             f"verification failed for J={_format_set(plan.available)}"
             f" (entanglement fidelity {whole:.12g}) at trial {trial}"
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("-o", "--output", required=True)
     p_synth.set_defaults(func=cmd_synthesize)
 
-    p_verify = sub.add_parser("verify", help="simulate reconstruction over qualified sets")
+    p_verify = sub.add_parser("verify", help="certify reconstruction over qualified sets")
     p_verify.add_argument("spec")
     p_verify.add_argument("--trials", type=int, default=5, help="random secrets per set")
     p_verify.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,6 @@
-"""Exact dense simulation of qudit registers.
+"""Exact dense simulation of qudit registers: a library API, the tests'
+oracle for certify, and demo's verification line. The command line's
+verify certifies circuits with certify and never loads this module.
 
 States are complex amplitude arrays of length p^m with qudit 1 as the most
 significant digit of the index. Erased shares are modeled by never applying a
@@ -57,12 +59,13 @@ state-sized array is made. entanglement_fidelity runs the p^k basis secrets
 the same way and checks the whole secret space at once.
 
 The default size guard admits up to 2^24 amplitudes; the environment
-variable QSS_MAX_AMPLITUDES, a positive integer, overrides it.
+variable QSS_MAX_AMPLITUDES, a positive integer, overrides it. The guard's
+max_amplitudes, ReconstructionReport and random_secret live in certify and
+are imported from there.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -71,9 +74,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import circuits, linalg, pauli, runs
-from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, QssError, TooLargeError
+from .certify import ReconstructionReport, max_amplitudes, random_secret
+from .errors import IndexOutOfRangeError, NoSolutionError, PreparationFailedError, TooLargeError
 
-DEFAULT_MAX_AMPLITUDES = 2**24
 BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a secret batch, 4 runs.ROW rows
 # Consecutive ancilla axes share one layer matrix while their joint dimension
 # p^L stays at most LAYER. One p^L x p^L product against L per-axis Fourier
@@ -81,19 +84,6 @@ BLOCK = 2**16  # amplitudes (1 MiB): a Fourier slab, an M M^H slab, a secret bat
 # 0.40-0.62 at p = 2 up to p^L = 64, 0.53-0.68 at 9 and 27, 0.76-0.94 at 25,
 # 0.81-0.92 at 81, 0.88-1.28 at 49, 1.8-2.2 at 121 and 125.
 LAYER = 32
-
-
-def max_amplitudes() -> int:
-    value = os.environ.get("QSS_MAX_AMPLITUDES")
-    if not value:
-        return DEFAULT_MAX_AMPLITUDES
-    try:
-        limit = int(value)
-    except ValueError:
-        limit = 0
-    if limit < 1:  # a guard no state can pass would only hide the bad value
-        raise QssError(f"QSS_MAX_AMPLITUDES must be a positive integer, got {value!r}")
-    return limit
 
 
 def _guard(p: int, m: int) -> None:
@@ -423,17 +413,6 @@ def fidelity_with_pure(rho: np.ndarray, psi) -> float:
     return float(np.real(psi.conj() @ rho @ psi))
 
 
-@dataclass
-class ReconstructionReport:
-    """One share set's result: one fidelity and one purity per secret."""
-
-    available: tuple[int, ...]
-    fidelity: tuple[float, ...]
-    purity: tuple[float, ...]
-    two_qudit_gates: int
-    single_qudit_gates: int
-
-
 def _ancilla_first(circuit: circuits.Circuit, n: int) -> list:
     """The _program of a shares-first circuit, relabeled so ancilla i is
     qudit i and share j is qudit k + j. Its run tables, built on first use,
@@ -565,9 +544,3 @@ def entanglement_fidelity(code, convention, plans) -> list[float]:
             total += matrix[chunk, :, np.arange(len(chunk))].sum(axis=0)
     return [float(np.vdot(total, total).real) / p ** (2 * k) for total in sums]
 
-
-def random_secret(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unit vector on k qudits, deterministic per generator."""
-    dim = p**k
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)

@@ -155,13 +155,16 @@ def _validate(code: CodeSpec, stabilizer_checked: bool) -> None:
     ):
         if arr.shape != (rows, 2 * n):
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {arr.shape}")
+    # One reduction of Cm serves every membership test below: a row v lies in
+    # Cm exactly when its residual v - v[pivots] R vanishes. Stabilizer rows
+    # that are Cm's first rows are independent when Cm has rank n, with no
+    # elimination of their own.
+    R, pivots, cm_rank = linalg.rref(cm, p)
     if not stabilizer_checked:
-        if linalg.rank(stab, p) != n - k:
+        leading = cm_rank == n and np.array_equal(cm[: n - k], stab)
+        if not leading and linalg.rank(stab, p) != n - k:
             raise ValidationError("stabilizer rows are linearly dependent")
         _check_self_orthogonal(stab, p)
-    # One reduction of Cm serves every membership test below: a row v lies in
-    # Cm exactly when its residual v - v[pivots] R vanishes.
-    R, pivots, cm_rank = linalg.rref(cm, p)
     if cm_rank != n:
         raise ValidationError("self-dual space must have dimension n")
     if symplectic_gram(cm, cm, p).any():

@@ -14,16 +14,23 @@ its qudits' axes, one gate at a time, where the package moves whole runs of
 controlled Paulis by index tables; a random hyperbolic basis, a basis
 extension and a self-dual completion by one rank test per candidate row and
 one hyperbolic pair at a time, where the package eliminates once and
-reduces against every pair in one array expression).
+reduces against every pair in one array expression; a Pauli pulled back
+through a circuit by conjugating its factor on each gate's qudits with the
+gate's dense operator, one gate at a time, where the package updates all
+rows by closed-form tables and a whole run of controlled Paulis at once; a
+Pauli compressed onto the code by multiplying out every matrix element
+<s|V^dag Q V|t> and reading each code-space eigenvalue by a solve, where
+the package reads the logical operator off one echelon form).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
-from qsshare import linalg, pauli, sim, symplectic
+from qsshare import circuits, linalg, pauli, sim, symplectic
 from qsshare.errors import IndexOutOfRangeError, TooLargeError
 
 
@@ -295,3 +302,84 @@ def self_dual_completion_loop(stabilizer, n: int, p: int):
         remaining = hyperbolic_reduce_loop(rest, x, z, p)
         pairs.append((x, z))
     return np.vstack([stab, *(z for _, z in pairs)]), pairs
+
+
+def identify_pauli(matrix: np.ndarray, p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(e, x, z) with matrix = w^e M(x|z) on r qudits: x and w^e read off
+    column 0, each z_t off column e_t, then the whole matrix checked against
+    pauli.dense_matrix. Raises ValueError for a matrix of another form."""
+    dim = matrix.shape[0]
+    r = round(np.log(dim) / np.log(p))
+    places = p ** np.arange(r - 1, -1, -1)
+    ring = pauli.phase_order(p)
+
+    def digits(index):
+        return np.array([index // q % p for q in places], dtype=np.int64)
+
+    def exponent(value, unit):  # the e with value = exp(2 pi i e / unit)
+        return round(np.angle(value) / (2 * np.pi / unit)) % unit
+
+    row = int(np.argmax(np.abs(matrix[:, 0])))
+    x, e = digits(row), exponent(matrix[row, 0], ring)
+    z = np.zeros(r, dtype=np.int64)
+    for t in range(r):
+        source = int(places[t])
+        value = matrix[int((digits(source) + x) % p @ places), source] / matrix[row, 0]
+        z[t] = exponent(value, p)
+    expected = pauli.dense_matrix(pauli.PhasedPauli(p, e, np.concatenate([x, z])))
+    if not np.allclose(matrix, expected, atol=1e-9):
+        raise ValueError("not a phased Pauli")
+    return e, x, z
+
+
+@lru_cache(maxsize=None)
+def _conjugated_factor(p: int, gate, local: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """G^dag M(local) G for a gate on its own qudits, as (e, x, z)."""
+    op = gate_operator(gate, p)
+    op = op.reshape(int(np.sqrt(op.size)), -1)
+    factor = pauli.dense_matrix(pauli.PhasedPauli(p, 0, local))
+    return identify_pauli(op.conj().T @ factor @ op, p)
+
+
+def pull_back_per_gate(gates, p: int, phases, xs, zs):
+    """U^dag (w^e M(x|z)) U for each row, the gates taken last to first, one
+    at a time: the row's factor on the gate's qudits is conjugated by the
+    gate's dense operator and read back as a phased Pauli."""
+    phases, xs, zs = (np.array(v, dtype=np.int64) for v in (phases, xs, zs))
+    for gate in reversed(gates):
+        qs = [q - 1 for q in gate.qudits]
+        key = circuits.Gate(gate.kind, tuple(range(1, len(qs) + 1)), gate.params)
+        for i in range(len(phases)):
+            e, x, z = _conjugated_factor(p, key, tuple(np.concatenate([xs[i, qs], zs[i, qs]]).tolist()))
+            phases[i] = (phases[i] + e) % pauli.phase_order(p)
+            xs[i, qs], zs[i, qs] = x, z
+    return phases, xs, zs
+
+
+def compressed_operator(code, convention, phase: int, vec) -> np.ndarray:
+    """V^dag Q V for Q = w^phase M(vec) on the n shares and k ancillas, as a
+    p^k x p^k matrix, V|s> = Xbar^s|0bar> (x) |0>_A: 0 when Q has an X part
+    on the ancillas, else each <0bar|(Xbar^s)^-1 M Xbar^t|0bar> multiplied
+    out, with the eigenvalue of a self-dual pattern from
+    pauli.stabilizer_eigenvalue and 0 for any other pattern."""
+    p, n, k = code.p, code.n, code.k
+    vec = np.asarray(vec, dtype=np.int64)
+    xs, zs = vec[: n + k], vec[n + k :]
+    out = np.zeros((p**k, p**k), dtype=np.complex128)
+    if xs[n:].any():
+        return out
+    op = pauli.PhasedPauli(p, phase, np.concatenate([xs[:n], zs[:n]]))
+    xbars = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
+    encoders = []
+    for s in product(range(p), repeat=k):
+        enc = pauli.identity_pauli(p, n)
+        for xbar, digit in zip(xbars, s):
+            enc = pauli.pauli_mul(enc, pauli.pauli_pow(xbar, digit))
+        encoders.append(enc)
+    for i, left in enumerate(encoders):
+        for j, right in enumerate(encoders):
+            term = pauli.pauli_mul(pauli.pauli_mul(pauli.pauli_pow(left, -1), op), right)
+            if linalg.row_space_contains(code.self_dual, term.vec, p):
+                h = pauli.stabilizer_eigenvalue(convention.generators, term.vec, p)
+                out[i, j] = pauli.phase_value(term.phase + h, p)
+    return out

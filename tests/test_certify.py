@@ -1,0 +1,244 @@
+"""The Clifford certificate against independent oracles: dense gate
+operators for its tables and its pull-back, a multiplied-out compression for
+its logical read-out, and the dense simulator for its verdicts and reports."""
+
+import dataclasses
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from qsshare import certify, circuits, pauli, sim, symplectic
+from qsshare.demo import six_share_qutrit_code
+from qsshare.errors import TooLargeError
+
+ODD_AND_EVEN = (2, 3, 5, 7)
+
+# The bundled code and ten small codes in both phase rings, every qualified
+# set of each certified both ways.
+SMALL_CODES = (
+    (2, 6, 2, 1), (2, 7, 2, 3), (2, 8, 3, 4), (3, 5, 1, 2), (3, 6, 2, 0),
+    (5, 4, 2, 0), (5, 5, 1, 1), (7, 4, 1, 0), (2, 5, 1, 0), (3, 7, 2, 1),
+)
+
+
+def _code(which):
+    return six_share_qutrit_code() if which == "bundled" else symplectic.random_self_orthogonal_code(*which)
+
+
+def _mutated(kind, synthesize=circuits.synthesize_reconstruction):
+    """synthesize_reconstruction with its first PPOW exponent, or the b of
+    its first CPAULIINV, one too large."""
+
+    def broken(plan, code):
+        circuit = synthesize(plan, code)
+        gates = list(circuit.gates)
+        i = next(i for i, gate in enumerate(gates) if gate.kind == kind)
+        gate = gates[i]
+        params = (gate.params[0] + 1,) if kind == "PPOW" else (gate.params[0], (gate.params[1] + 1) % circuit.p)
+        gates[i] = circuits.Gate(gate.kind, gate.qudits, params)
+        return dataclasses.replace(circuit, gates=tuple(gates))
+
+    return broken
+
+
+@pytest.mark.parametrize("p", ODD_AND_EVEN)
+def test_site_tables_are_the_dense_conjugates(p):
+    ring = pauli.phase_order(p)
+    gates = [circuits.fourier(1), circuits.fourier_inv(1)]
+    gates += [circuits.phase_pow(1, e) for e in range(ring)]
+    gates += [circuits.pauli_gate(1, a, b) for a in range(p) for b in range(p)]
+    for gate in gates:
+        table = certify._site_table(p, gate.kind, gate.params)
+        op = oracles.gate_operator(gate, p)
+        for x, z in product(range(p), repeat=2):
+            new_x, new_z, e = table[:, x * p + z]
+            image = pauli.dense_matrix(pauli.PhasedPauli(p, e, (new_x, new_z)))
+            source = pauli.dense_matrix(pauli.PhasedPauli(p, 0, (x, z)))
+            assert np.allclose(op.conj().T @ source @ op, image, atol=1e-12), (gate, x, z)
+
+
+def _random_gates(draw, p, m):
+    """Blocks of consecutive controlled Paulis of one kind and control on
+    distinct targets (so runs form), sometimes repeating a target, between
+    single-qudit gates on any qudit."""
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = draw(st.integers(1, m))
+        kind = draw(st.sampled_from(["F", "FINV", "PPOW", "PAULI", "CPAULI", "CPAULIINV"]))
+        if kind in ("F", "FINV"):
+            gates.append(circuits.Gate(kind, (q,)))
+        elif kind == "PPOW":
+            gates.append(circuits.phase_pow(q, draw(st.integers(0, pauli.phase_order(p) - 1))))
+        elif kind == "PAULI":
+            gates.append(circuits.pauli_gate(q, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))))
+        else:
+            others = [t for t in range(1, m + 1) if t != q]
+            targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=m))
+            for t in targets:
+                params = (draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+                gates.append(circuits.Gate(kind, (q, t), params))
+    return gates
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_run_rule_equals_per_gate_propagation(data):
+    # a sign error in the run rule passes at p = 2 alone, so every ring is drawn
+    p = data.draw(st.sampled_from(ODD_AND_EVEN))
+    m = data.draw(st.integers(2, 4))
+    gates = _random_gates(data.draw, p, m)
+    rows = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    phases = rng.integers(0, pauli.phase_order(p), size=rows)
+    xs, zs = rng.integers(0, p, size=(2, rows, m))
+    got = certify.pull_back(gates, p, phases, xs, zs)
+    expected = oracles.pull_back_per_gate(gates, p, phases, xs, zs)
+    for part, want in zip(got, expected):
+        assert np.array_equal(part, want)
+
+
+@pytest.mark.parametrize("which", [(2, 6, 2, 1), (3, 5, 1, 2), (5, 4, 2, 0), (7, 4, 1, 0)])
+def test_generator_images_equal_per_gate_propagation(which):
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    k, m = code.k, code.n + code.k
+    eye = np.eye(k, dtype=np.int64)
+    xs, zs = np.zeros((2, 2 * k, m), dtype=np.int64)
+    xs[:k, code.n :], zs[k:, code.n :] = eye, eye
+    for members in symplectic.all_qualified_sets(code):
+        circuit = circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+        got = certify.generator_images(circuit, k)
+        expected = oracles.pull_back_per_gate(circuit.gates, code.p, np.zeros(2 * k), xs, zs)
+        for part, want in zip(got, expected):
+            assert np.array_equal(part, want), members
+
+
+def _operator(p, k, valid, f, a, b):
+    if not valid:
+        return np.zeros((p**k, p**k), dtype=np.complex128)
+    return pauli.dense_matrix(pauli.PhasedPauli(p, f, np.concatenate([a, b])))
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 5, 1, 0), (2, 6, 2, 1), (3, 5, 1, 2), (5, 4, 1, 2), (7, 3, 1, 0)])
+def test_compression_equals_every_matrix_element(which):
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    p, n, k = code.p, code.n, code.k
+    frame = certify._frame(code, conv)
+    rng = np.random.default_rng(n)
+    basis = np.vstack([code.logical_x, code.stabilizer, code.logical_z])
+    # rows in dual(C) with a Z part on the ancillas, which compress to a
+    # Pauli, then the same with an ancilla X part, then random rows
+    inside = rng.integers(0, p, size=(12, n + k)) @ basis % p
+    anc = rng.integers(0, p, size=(12, k))
+    rows = [np.concatenate([r[:n], np.zeros(k, int), r[n:], z]) for r, z in zip(inside, anc)]
+    rows += [np.concatenate([r[:n], np.eye(k, dtype=int)[0], r[n:], z]) for r, z in zip(inside[:4], anc)]
+    rows += list(rng.integers(0, p, size=(8, 2 * (n + k))))
+    rows = np.array(rows)
+    phases = rng.integers(0, pauli.phase_order(p), size=len(rows))
+    valid, f, a, b = certify._compress(code, frame, phases, rows[:, : n + k], rows[:, n + k :])
+    assert valid[:12].all() and not valid[12:16].any()
+    for i, (phase, vec) in enumerate(zip(phases, rows)):
+        expected = oracles.compressed_operator(code, conv, phase, vec)
+        assert np.allclose(_operator(p, k, valid[i], f[i], a[i], b[i]), expected, atol=1e-12), i
+
+
+@pytest.mark.parametrize("which", [(2, 3, 1, 0), (3, 3, 1, 1), (2, 4, 2, 2), (5, 2, 1, 0)])
+def test_multiplied_out_compression_equals_the_dense_one(which):
+    # the oracle against <s|V^dag Q V|t> on dense encoded states
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    p, n, k = code.p, code.n, code.k
+    ancilla_zero = np.zeros(p**k)
+    ancilla_zero[0] = 1
+    encoded = np.array([np.kron(sim.encode_secret(code, conv, e).amps, ancilla_zero) for e in np.eye(p**k)])
+    rng = np.random.default_rng(5)
+    basis = np.vstack([code.logical_x, code.stabilizer, code.logical_z])
+    for draw in range(12):
+        r = rng.integers(0, p, size=n + k) @ basis % p if draw % 2 else rng.integers(0, p, size=2 * n)
+        vec = np.concatenate([r[:n], np.zeros(k, int), r[n:], rng.integers(0, p, size=k)])
+        phase = int(rng.integers(0, pauli.phase_order(p)))
+        dense = encoded.conj() @ pauli.dense_matrix(pauli.PhasedPauli(p, phase, vec)) @ encoded.T
+        assert np.allclose(oracles.compressed_operator(code, conv, phase, vec), dense, atol=1e-12)
+
+
+def _both(code, conv, plans, secrets):
+    return (
+        certify.certify_reconstruction(code, conv, plans, secrets),
+        sim.verify_reconstruction(code, conv, plans, secrets),
+        certify.entanglement_fidelity(code, conv, plans),
+        sim.entanglement_fidelity(code, conv, plans),
+    )
+
+
+def _assert_agree(exact, dense, exact_fe, dense_fe, broken):
+    dense_passes = min(dense.fidelity) > 1 - 1e-9 and max(abs(1 - v) for v in dense.purity) < 1e-9
+    assert (exact.fidelity == (1.0,) * len(exact.fidelity)) == dense_passes == (not broken)
+    assert exact.purity == (1.0,) * len(exact.purity) or broken
+    assert np.allclose(exact.fidelity, dense.fidelity, rtol=0, atol=1e-12)
+    assert np.allclose(exact.purity, dense.purity, rtol=0, atol=1e-12)
+    assert abs(exact_fe - dense_fe) < 1e-12 and (exact_fe < 1 - 1e-9) == broken
+    assert (exact.available, exact.two_qudit_gates, exact.single_qudit_gates) == (
+        dense.available, dense.two_qudit_gates, dense.single_qudit_gates,
+    )
+
+
+@pytest.mark.parametrize("which", ["bundled", *SMALL_CODES])
+def test_certificate_agrees_with_dense_on_every_qualified_set(monkeypatch, which):
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    plans = [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
+    rng = np.random.default_rng(3)
+    secrets = [certify.random_secret(code.p, code.k, rng) for _ in range(3)]
+    for mutation in (None, "PPOW", "CPAULIINV"):
+        if mutation:
+            monkeypatch.setattr(circuits, "synthesize_reconstruction", _mutated(mutation))
+        for row in zip(*_both(code, conv, plans, secrets)):
+            _assert_agree(*row, broken=mutation is not None)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(ODD_AND_EVEN), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16),
+    st.sampled_from([None, "PPOW", "CPAULIINV"]), st.data(),
+)
+def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, data):
+    k = min(k, n)
+    while p ** (2 * k) > 2**12:
+        k -= 1
+    while n > k and p ** (n + k) > 2**12:
+        n -= 1
+    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
+    conv = pauli.make_convention(code)
+    members = data.draw(st.sampled_from(symplectic.all_qualified_sets(code)))
+    plans = [circuits.plan_reconstruction(code, conv, members)]
+    rng = np.random.default_rng(seed)
+    secrets = [certify.random_secret(p, k, rng) for _ in range(2)]
+    synthesize = circuits.synthesize_reconstruction
+    try:
+        if mutation:
+            circuits.synthesize_reconstruction = _mutated(mutation)
+        ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plans, secrets)
+    finally:
+        circuits.synthesize_reconstruction = synthesize
+    _assert_agree(exact, dense, exact_fe, dense_fe, broken=mutation is not None)
+
+
+def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
+    code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
+    conv = pauli.make_convention(code)
+    plans = [circuits.plan_reconstruction(code, conv, range(2, 41))]
+    secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
+    (report,) = certify.certify_reconstruction(code, conv, plans, secrets)  # 3^42 joint amplitudes
+    assert report.fidelity == report.purity == (1.0,)
+    monkeypatch.setenv("QSS_MAX_AMPLITUDES", "80")  # 3^4 = 81 entries of a secret-space operator
+    with pytest.raises(TooLargeError):
+        certify.certify_reconstruction(code, conv, plans, secrets)
+    with pytest.raises(TooLargeError):
+        certify.entanglement_fidelity(code, conv, plans)
+    monkeypatch.setenv("QSS_MAX_AMPLITUDES", "81")
+    assert certify.entanglement_fidelity(code, conv, plans) == [1.0]

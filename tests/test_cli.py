@@ -11,12 +11,13 @@ import sys
 import warnings
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import qsshare
-from qsshare import circuits, cli, linalg, sim, specfile, symplectic
+from qsshare import certify, circuits, cli, linalg, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -353,7 +354,11 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
     assert report["summary"]["min_fidelity"] >= 1 - 1e-9
 
 
-def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path):
+def _hex_plans(code, conv):
+    return [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
+
+
+def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
     calls = {"plan": 0, "encode": 0}
     plan, encode = circuits.plan_reconstruction, sim._encode_rows
 
@@ -370,12 +375,32 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
+    assert calls == {"plan": 22, "encode": 0}  # the certificate encodes no secret
+    # the dense simulator, called on the same 22 plans and 3 secrets
+    calls.update(plan=0, encode=0)
+    rng = np.random.default_rng(0)
+    sim.verify_reconstruction(hexcode, hexconv, _hex_plans(hexcode, hexconv), [sim.random_secret(3, 2, rng) for _ in range(3)])
     assert calls == {"plan": 22, "encode": 3}
 
 
-def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
-    # 3^8 amplitudes per secret: chunks of at most 9 secrets, so 10 trials
-    # make two chunks of 5 and each of the 22 circuits runs twice
+def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path, hexcode, hexconv):
+    # the certificate pulls each of the 22 circuits back once, whatever the
+    # number of secrets
+    pulled = []
+    images = certify.generator_images
+
+    def counting_images(circuit, k):
+        pulled.append(circuit)
+        return images(circuit, k)
+
+    monkeypatch.setattr(certify, "generator_images", counting_images)
+    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "10")
+    assert rc == 0
+    assert json.loads(out)["summary"]["qualified_sets"] == 22
+    assert len(pulled) == 22
+    # the dense simulator: 3^8 amplitudes per secret, chunks of at most 9
+    # secrets, so 10 trials make two chunks of 5 and each of the 22 circuits
+    # runs twice
     batches = []
     density = sim._ancilla_density
 
@@ -384,9 +409,8 @@ def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch,
         return density(code, gates, encoded)
 
     monkeypatch.setattr(sim, "_ancilla_density", counting_density)
-    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "10")
-    assert rc == 0
-    assert json.loads(out)["summary"]["qualified_sets"] == 22
+    rng = np.random.default_rng(0)
+    sim.verify_reconstruction(hexcode, hexconv, _hex_plans(hexcode, hexconv), [sim.random_secret(3, 2, rng) for _ in range(10)])
     assert batches == [5] * 44
 
 
@@ -571,13 +595,13 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
 
 def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch, spec_path, hexcode, hexconv):
     calls = []
-    whole = sim.entanglement_fidelity
+    whole = certify.entanglement_fidelity
 
     def counting(code, convention, plans):
         calls.append([plan.available for plan in plans])
         return whole(code, convention, plans)
 
-    monkeypatch.setattr(sim, "entanglement_fidelity", counting)
+    monkeypatch.setattr(certify, "entanglement_fidelity", counting)
     argv = ("verify", spec_path, "--trials", "2", "--seed", "9")
     rc, _, err = run(capsys, *argv)
     assert (rc, err, calls) == (0, "", [])  # the passing path never computes it
@@ -591,21 +615,30 @@ def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch
         r" at trial 0 \(seed 9\): fidelity \S+",
         line,
     )
-    (expected,) = whole(hexcode, hexconv, [circuits.plan_reconstruction(hexcode, hexconv, first)])
-    assert named and float(named.group(1)) == float(f"{expected:.12g}") and expected < 1 - 1e-9
+    # the dense simulator's F_e of the same broken circuit, 8.3e-32 where the
+    # certificate's sum of roots of unity is exactly 0
+    (expected,) = sim.entanglement_fidelity(hexcode, hexconv, [circuits.plan_reconstruction(hexcode, hexconv, first)])
+    assert named and abs(float(named.group(1)) - expected) < 1e-12 and expected < 1 - 1e-9
+    assert named.group(1) == "0"
     assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
 
 
-def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path):
-    verify = sim.verify_reconstruction
+def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path, hexcode, hexconv):
+    certificate = certify.certify_reconstruction
 
     def mixed(*args):
-        return [dataclasses.replace(rep, purity=(1.0, 0.97)) for rep in verify(*args)]
+        return [dataclasses.replace(rep, purity=(1.0, 0.97)) for rep in certificate(*args)]
 
-    monkeypatch.setattr(sim, "verify_reconstruction", mixed)
+    monkeypatch.setattr(certify, "certify_reconstruction", mixed)
     rc, _, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
     assert rc == 4
     assert err.strip().endswith("at trial 1 (seed 9): purity deviation 0.03")
+    # unbroken, the request's two secrets are pure on the dense simulator too
+    rng = np.random.default_rng(9)
+    secrets = [certify.random_secret(3, 2, rng) for _ in range(2)]
+    plans = [circuits.plan_reconstruction(hexcode, hexconv, (3, 4, 5, 6))]
+    ((dense,), (exact,)) = sim.verify_reconstruction(hexcode, hexconv, plans, secrets), certificate(hexcode, hexconv, plans, secrets)
+    assert exact.purity == (1.0, 1.0) and max(abs(1 - value) for value in dense.purity) < 1e-9
 
 
 # Run in a child process: Tracer.install wraps the qsshare functions in place.
@@ -659,3 +692,96 @@ def test_traced_requests_give_every_per_layer_metric(tmp_path):
         declared = {metric["name"] for metric in json.load(handle)["per_layer"]}
     assert not absent and declared <= set(metrics)
     assert metrics["sim.apply_gate.calls"] == 1 and metrics["cli.requests"] == 3
+
+
+# sha256 of stdout, recorded on the dense state-vector verify before the
+# Clifford certificate replaced it: a passing report does not depend on how
+# it was certified
+VERIFY_DIGESTS = [
+    ("bundled", ("--trials", "10", "--seed", "7"), "37d72a6dda48195cf6bc76db9c2b7ed8e5fdaf98e114742e5ca9bff828b5ebaf"),
+    ("bundled", ("--set", "3,4,5,6", "--trials", "3", "--seed", "5"),
+     "5225dae3612a1bc92d2649362040eb9ed3134b390396a486903557d0915d8467"),
+    ((2, 5, 1, 12), ("--trials", "2", "--seed", "1"), "b0acd9303966bf903a0913744a65867a387f605561d42dab9f04b73bc0c4304d"),
+    ((2, 16, 2, 0), ("--set", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", "--trials", "2", "--seed", "3"),
+     "288adaea3c0f39f2beea5861ffa764a318309063677e12649a94d8dc2e7e1d57"),
+    ((3, 10, 2, 3), ("--set", "2,3,4,5,6,7,8,9,10", "--trials", "2", "--seed", "3"),
+     "2b2072223352eb7248d978a01152f979ddcee8500ce5e84f15952ecf74c0fda2"),
+    ((5, 6, 2, 0), ("--set", "2,3,4,5,6", "--trials", "2", "--seed", "3"),
+     "3be8fcb44ac59396aed7984d4cc9b67b3e17a106055dcd6fcc01982e8c85a692"),
+]
+
+
+@pytest.mark.parametrize("which, extra, digest", VERIFY_DIGESTS, ids=lambda v: str(v)[:24])
+def test_verify_stdout_is_pinned(capsys, tmp_path, spec_path, which, extra, digest):
+    if which == "bundled":
+        path = spec_path
+    else:
+        path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "code.qss")
+    rc, out, err = run(capsys, "verify", path, *extra)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_demo_and_synthesize_stdout_are_pinned(capsys, spec_path, tmp_path):
+    rc, out, _ = run(capsys, "demo")
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0074582c8eaec3fa0bd588273d2d25c22600f56edba6f8e452e72ec498947923"
+    )
+    circuit = tmp_path / "c.qsscirc"
+    rc, out, _ = run(capsys, "synthesize", spec_path, "--set", "3,4,5,6", "-o", str(circuit))
+    assert (rc, out) == (0, f"wrote {circuit}\ngates: 15 two-qudit (bound 16), 4 phase, 4 Fourier\n")
+    assert hashlib.sha256(circuit.read_bytes()).hexdigest() == (
+        "494a83a1f3f28aa1e9772777266b2162ca2b3a553ed5c5f8c1ad7a5609551a2f"
+    )
+
+
+# Run in a child process, so that no other test has loaded the simulator.
+_VERIFY_WITHOUT_SIMULATOR = r"""
+import contextlib, dataclasses, io, sys, warnings
+from qsshare import circuits, cli
+
+def request(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return cli.main(["verify", sys.argv[1], *argv])
+
+synthesize = circuits.synthesize_reconstruction
+
+def broken(plan, code):  # the first PPOW exponent one too large
+    circuit = synthesize(plan, code)
+    gates = list(circuit.gates)
+    i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
+    gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
+    return dataclasses.replace(circuit, gates=tuple(gates))
+
+codes = [request("--trials", "3")]
+circuits.synthesize_reconstruction = broken
+codes.append(request("--trials", "3"))
+print(codes, sorted({"qsshare.sim", "qsshare.runs"} & set(sys.modules)))
+"""
+
+
+def test_verify_never_loads_the_simulator(spec_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _VERIFY_WITHOUT_SIMULATOR, spec_path], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 4] []\n"
+
+
+def test_verify_certifies_a_set_past_the_old_state_vector_guard(capsys, monkeypatch, tmp_path):
+    # 3^102 joint amplitudes, far past any dense simulation
+    code = symplectic.random_self_orthogonal_code(3, 100, 2, 0)
+    path = _write_code(code, tmp_path / "wide.qss")
+    members = ",".join(map(str, range(2, 101)))
+    rc, out, err = run(capsys, "verify", path, "--set", members, "--trials", "2", "--seed", "1")
+    assert (rc, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert (row["min_fidelity"], row["max_purity_deviation"]) == (1.0, 0.0)
+    _break_first_phase_exponent(monkeypatch)
+    rc, out, err = run(capsys, "verify", path, "--set", members, "--trials", "2", "--seed", "1")
+    assert rc == 4 and json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
+    assert err.startswith("verification failed for J={2,3,")

@@ -618,6 +618,28 @@ def test_random_symplectic_basis_eliminates_nothing(monkeypatch):
     assert seen == []
 
 
+def test_random_code_is_validated_by_one_elimination(monkeypatch):
+    # the stabilizer rows are the first n - k self-dual rows, so the one
+    # reduction of the self-dual rows also shows them independent
+    seen = _recorded_rrefs(monkeypatch)
+    for p, n, k, seed in ((2, 9, 2, 0), (3, 6, 2, 1), (5, 4, 1, 2), (13, 3, 3, 3), (2, 5, 0, 4)):
+        seen.clear()
+        symplectic.random_self_orthogonal_code(p, n, k, seed)
+        assert seen == [(n, 2 * n)], (p, n, k)
+
+
+@pytest.mark.parametrize("leading", [False, True])
+def test_validate_code_names_dependent_stabilizer_rows_first(hexcode, leading):
+    # a repeated stabilizer row, beside a self-dual basis of rank n (not
+    # leading) or as the self-dual basis's own first rows (leading)
+    stab = hexcode.stabilizer.copy()
+    stab[1] = stab[0]
+    cm = np.vstack([stab, hexcode.self_dual[4:]]) if leading else hexcode.self_dual
+    code = dataclasses.replace(hexcode, stabilizer=stab, self_dual=cm)
+    with pytest.raises(ValidationError, match="^stabilizer rows are linearly dependent$"):
+        symplectic.validate_code(code)
+
+
 def test_extend_basis_eliminates_once(monkeypatch):
     rng = np.random.default_rng(4)
     cases = [(rng.integers(0, 3, size=(b, 8)), rng.integers(0, 3, size=(r, 8))) for b, r in ((0, 6), (3, 5), (4, 0))]
