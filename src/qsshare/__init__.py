@@ -6,10 +6,9 @@ reconstruction circuit for a qualified subset, and certifies it exactly from
 its Clifford action on Pauli operators, with no state vector.
 
 The certificate (the certify module and its public names) and the dense
-state-vector simulator (the sim and runs modules and sim's public names) are
-imported on first use, so a process that imports the package only to
-analyze or synthesize loads neither, and one that certifies never loads the
-simulator.
+state-vector simulator (the sim module and its public names) are imported on
+first use, so a process that imports the package only to analyze or
+synthesize loads neither, and one that certifies never loads the simulator.
 """
 
 from importlib import import_module as _import_module
@@ -48,7 +47,7 @@ _LAZY_NAMES = {
     "logical_zero": "sim",
     "verify_reconstruction": "sim",
 }
-_LAZY_MODULES = frozenset({"certify", "runs", "sim"})
+_LAZY_MODULES = frozenset({"certify", "sim"})
 
 __all__ = [
     "Circuit",

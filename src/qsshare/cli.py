@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import certify, circuits, pauli, specfile, symplectic
-from .errors import NotCorrectableError, QssError
+from .errors import NotCorrectableError, QssError, TooLargeError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -115,6 +115,12 @@ def cmd_verify(args) -> int:
         raise QssError(f"--seed must be >= 0, got {args.seed}")
     code = _load(args.spec)
     p, n, k = code.p, code.n, code.k
+    limit = certify.max_amplitudes()
+    if args.trials * p**k > limit:  # the sampled secrets' amplitudes, before any is drawn
+        raise TooLargeError(
+            f"--trials {args.trials} secrets of {p}^{k} amplitudes exceed the guard ({limit}); "
+            "set QSS_MAX_AMPLITUDES to raise it"
+        )
     report = {
         "p": p,
         "n": n,

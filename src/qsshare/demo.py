@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from . import circuits, linalg, pauli, sim, specfile, symplectic
+from . import certify, circuits, linalg, pauli, specfile, symplectic
 
 SIX_SHARE_QUTRIT_DOCUMENT = """\
 # [[6,2,3]] qutrit share code
@@ -105,8 +105,8 @@ def run_demo(stream=None) -> str:
     print(f"untouched shares: {untouched}", file=out)
 
     rng = np.random.default_rng(20240521)
-    secrets = (sim.basis_state(p, k).amps, sim.random_secret(p, k, rng))
-    (report,) = sim.verify_reconstruction(code, conv, [plan], secrets)
+    secrets = (np.eye(p**k)[0], certify.random_secret(p, k, rng))
+    (report,) = certify.certify_reconstruction(code, conv, [plan], secrets)
     fid, pur = min(report.fidelity), min(report.purity)
     print(f"verification: fidelity {fid:.9f}  purity {pur:.9f}", file=out)
     return out.getvalue() if isinstance(out, io.StringIO) else ""

@@ -6,12 +6,12 @@ explicit kernels, where the package uses column-restricted ranks; reduced
 forms by a per-row elimination loop, where the package updates all rows of a
 pivot at once; the logical zero by projecting basis states, where the package
 builds it in closed form; a reduced state by tracing out any qudits of a
-state in the circuit's own numbering, where the package reads the leading
-axes of a state relabeled ancilla-first; a code-space eigenvalue by
-multiplying out the generator powers, where the package sums their phases
-in closed form; a circuit by contracting each gate's dense operator with
-its qudits' axes, one gate at a time, where the package moves whole runs of
-controlled Paulis by index tables; a random hyperbolic basis, a basis
+state by a transpose, where the package multiplies a batch of final states
+as (p^n, p^k) matrices; a code-space eigenvalue by multiplying out the
+generator powers, where the package sums their phases in closed form; a
+circuit by contracting each gate's dense operator with its qudits' axes, one
+gate at a time, where the package rolls the target axis and multiplies by a
+phase vector on each control slice; a random hyperbolic basis, a basis
 extension and a self-dual completion by one rank test per candidate row and
 one hyperbolic pair at a time, where the package eliminates once and
 reduces against every pair in one array expression; a Pauli pulled back

@@ -228,6 +228,16 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     _assert_agree(exact, dense, exact_fe, dense_fe, broken=mutation is not None)
 
 
+def test_zero_secrets_give_empty_reports():
+    code = six_share_qutrit_code()
+    conv = pauli.make_convention(code)
+    plans = [circuits.plan_reconstruction(code, conv, (3, 4, 5, 6))]
+    for check in (certify.certify_reconstruction, sim.verify_reconstruction):
+        (report,) = check(code, conv, plans, [])
+        assert (report.available, report.fidelity, report.purity) == ((3, 4, 5, 6), (), ())
+        assert (report.two_qudit_gates, report.single_qudit_gates) == (15, 8)
+
+
 def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
     code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
     conv = pauli.make_convention(code)

@@ -440,7 +440,7 @@ code = symplectic.random_self_orthogonal_code(3, 5, 1, 0)
 conv = pauli.make_convention(code)
 for members in symplectic.all_qualified_sets(code):
     circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
-assert not {"qsshare.sim", "qsshare.runs"} & set(sys.modules)
+assert "qsshare.sim" not in sys.modules
 from qsshare import *
 assert verify_reconstruction is sys.modules["qsshare.sim"].verify_reconstruction
 assert qsshare.StateVector is qsshare.sim.StateVector and "logical_zero" in dir(qsshare)

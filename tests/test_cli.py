@@ -285,12 +285,13 @@ def test_demo_output(capsys, monkeypatch):
         (["verify", "{spec}", "--set", "+3,4,5,6"], None),
         (["verify", "{spec}", "--set", "3,4,5_0,6"], None),
         (["synthesize", "{spec}", "--set", "3,\u0664,5,6", "-o", "{tmp}/x.qsscirc"], None),
+        (["verify", "{spec}", "--trials", "100000000000000000000"], None),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
         "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes", "logical-pairing",
-        "signed-share", "underscored-share", "arabic-indic-share",
+        "signed-share", "underscored-share", "arabic-indic-share", "trials-past-the-guard",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
@@ -360,18 +361,18 @@ def _hex_plans(code, conv):
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
     calls = {"plan": 0, "encode": 0}
-    plan, encode = circuits.plan_reconstruction, sim._encode_rows
+    plan, encode = circuits.plan_reconstruction, sim.encode_secret
 
     def counting_plan(*args, **kwargs):
         calls["plan"] += 1
         return plan(*args, **kwargs)
 
-    def counting_encode(code, convention, secrets, zero):  # counts encoded secret rows
-        calls["encode"] += len(secrets)
-        return encode(code, convention, secrets, zero)
+    def counting_encode(*args, **kwargs):
+        calls["encode"] += 1
+        return encode(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
-    monkeypatch.setattr(sim, "_encode_rows", counting_encode)
+    monkeypatch.setattr(sim, "encode_secret", counting_encode)
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
@@ -383,7 +384,7 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
     assert calls == {"plan": 22, "encode": 3}
 
 
-def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path, hexcode, hexconv):
+def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
     # the certificate pulls each of the 22 circuits back once, whatever the
     # number of secrets
     pulled = []
@@ -398,20 +399,6 @@ def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch,
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
     assert len(pulled) == 22
-    # the dense simulator: 3^8 amplitudes per secret, chunks of at most 9
-    # secrets, so 10 trials make two chunks of 5 and each of the 22 circuits
-    # runs twice
-    batches = []
-    density = sim._ancilla_density
-
-    def counting_density(code, gates, encoded):
-        batches.append(len(encoded))
-        return density(code, gates, encoded)
-
-    monkeypatch.setattr(sim, "_ancilla_density", counting_density)
-    rng = np.random.default_rng(0)
-    sim.verify_reconstruction(hexcode, hexconv, _hex_plans(hexcode, hexconv), [sim.random_secret(3, 2, rng) for _ in range(10)])
-    assert batches == [5] * 44
 
 
 def test_qualified_sets_from_one_rank_table(monkeypatch):
@@ -745,7 +732,7 @@ def request(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return cli.main(["verify", sys.argv[1], *argv])
+            return cli.main(list(argv))
 
 synthesize = circuits.synthesize_reconstruction
 
@@ -756,10 +743,10 @@ def broken(plan, code):  # the first PPOW exponent one too large
     gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
     return dataclasses.replace(circuit, gates=tuple(gates))
 
-codes = [request("--trials", "3")]
+codes = [request("verify", sys.argv[1], "--trials", "3"), request("demo")]
 circuits.synthesize_reconstruction = broken
-codes.append(request("--trials", "3"))
-print(codes, sorted({"qsshare.sim", "qsshare.runs"} & set(sys.modules)))
+codes.append(request("verify", sys.argv[1], "--trials", "3"))
+print(codes, sorted({"qsshare.sim"} & set(sys.modules)))
 """
 
 
@@ -769,7 +756,7 @@ def test_verify_never_loads_the_simulator(spec_path):
         [sys.executable, "-c", _VERIFY_WITHOUT_SIMULATOR, spec_path], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 4] []\n"
+    assert done.stdout == "[0, 0, 4] []\n"
 
 
 def test_verify_certifies_a_set_past_the_old_state_vector_guard(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,4 @@
 import dataclasses
-import tracemalloc
-import types
 from itertools import combinations, product
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsshare import circuits, linalg, pauli, runs, sim, symplectic
+from qsshare import circuits, linalg, pauli, sim, symplectic
 from qsshare.errors import IndexOutOfRangeError, PreparationFailedError, QssError, TooLargeError
 
 import oracles
@@ -48,10 +46,8 @@ def test_fourier_matches_dense_on_every_axis(p):
 
 
 def test_fourier_matches_tensordot_past_a_block():
-    # 2^17 amplitudes: every axis splits into several slabs, by columns
-    # near the front and by rows near the back
+    # 2^17 amplitudes: a Fourier gate on every axis of a wide register
     p, m = 2, 17
-    assert p**m > sim.BLOCK
     rng = np.random.default_rng(67)
     amps = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
     mat = sim._fourier_matrix(p, False)
@@ -222,83 +218,23 @@ def _runs_circuit(p, m, rng, segments=10):
     return gates
 
 
-def _fused_and_per_gate(gates, p, m, batch, rng):
-    """Largest deviation from the per-gate oracle of the gates' _program run
-    on a batch, and of apply_circuit on each member; and the program."""
+def _per_gate_deviation(gates, p, m, batch, rng):
+    """Largest deviation of apply_circuit, on each member of a random batch,
+    from the per-gate oracle."""
     tensor = rng.normal(size=(p,) * m + (batch,)) + 1j * rng.normal(size=(p,) * m + (batch,))
     expected = oracles.apply_gates(tensor, gates, p)
     circuit = circuits.Circuit(p, m, circuits.share_roles(m, 0), tuple(gates))
     members = [sim.apply_circuit(sim.StateVector(p, m, tensor[..., b]), circuit).amps for b in range(batch)]
-    program = sim._program(gates, p)
-    sim._execute(tensor, program, p)
-    per_member = np.abs(np.stack(members, axis=-1) - expected.reshape(-1, batch)).max()
-    return max(np.abs(tensor - expected).max(), per_member), program
+    return np.abs(np.stack(members, axis=-1) - expected.reshape(-1, batch)).max()
 
 
 @pytest.mark.parametrize("p, m", [(2, 7), (3, 5), (5, 4), (7, 3)])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_fused_runs_match_per_gate_oracle(p, m, batch):
     rng = np.random.default_rng(100 * p + batch)
-    shapes = set()
     for _ in range(6):
         gates = _runs_circuit(p, m, rng)
-        error, program = _fused_and_per_gate(gates, p, m, batch, rng)
-        assert error < 1e-12, gates
-        assert sum(len(op.targets) for op in program if isinstance(op, runs.Run)) == sum(
-            g.is_two_qudit() for g in gates
-        )
-        # runs and layers only, no two layers in a row
-        assert all(isinstance(op, (runs.Run, sim._Layer)) for op in program)
-        layered = [isinstance(op, sim._Layer) for op in program]
-        assert not any(a and b for a, b in zip(layered, layered[1:]))
-        for op in program:
-            if isinstance(op, runs.Run):
-                first = min(t for t, _, _ in op.targets)
-                shapes.add((len(op.targets) > 1, op.control < first))
-    # runs of one and longer runs, with the control before and after the first target
-    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
-
-
-@pytest.mark.parametrize(
-    "p, m, batch, gates",
-    [
-        # rows of 3^8: the run's first target is a row-index axis of the slice
-        (3, 10, 1, [(1, 2, 1, 2), (1, 7, 2, 1), (1, 10, 1, 0)]),
-        # control after a target: rows span the control axis and are strided
-        (3, 10, 1, [(6, 1, 2, 2), (6, 4, 0, 1), (6, 10, 1, 1)]),
-        # a batch of 3 inside rows of 2^12 x 3
-        (2, 14, 3, [(1, 2, 1, 1), (1, 3, 1, 0), (1, 14, 0, 1)]),
-    ],
-)
-def test_fused_runs_walk_row_cycles_past_a_block(p, m, batch, gates):
-    rng = np.random.default_rng(m)
-    for kind in ("CPAULI", "CPAULIINV"):
-        run = [circuits.Gate(kind, (c, t), (a, b)) for c, t, a, b in gates]
-        circuit = [circuits.fourier(gates[0][1]), *run, circuits.phase_pow(gates[0][0], 1), *run]
-        error, program = _fused_and_per_gate(circuit, p, m, batch, rng)
-        assert error < 1e-12
-        tables = program[1].tables[batch]
-        assert max(len(cycle) for walk in tables.cycles for cycle in walk) == p
-        assert tables.flat == (gates[0][0] == 1)
-
-
-def test_share_makes_equal_runs_of_circuits_one_object(hexcode, hexconv):
-    plans = _first_plans(hexcode, hexconv, count=22)
-    programs = [
-        sim._ancilla_first(circuits.synthesize_reconstruction(plan, hexcode), hexcode.n) for plan in plans
-    ]
-    shared = runs.share(programs)
-    count = sum(isinstance(op, runs.Run) for ops in programs for op in ops)
-    distinct = {id(op) for ops in shared for op in ops if isinstance(op, runs.Run)}
-    assert count == 88 and len(distinct) < count  # the bundled code's circuits repeat runs
-    for ops, original in zip(shared, programs):
-        assert len(ops) == len(original)
-        for op, before in zip(ops, original):
-            if isinstance(op, runs.Run):
-                fields = (op.inverse, op.control, op.targets)
-                assert fields == (before.inverse, before.control, before.targets)
-            else:
-                assert op is before
+        assert _per_gate_deviation(gates, p, m, batch, rng) < 1e-12, gates
 
 
 def test_norm_preserved_through_long_circuit(hexcode, hexconv):
@@ -524,7 +460,7 @@ def test_ancilla_first_layout_matches_partial_trace(hexcode, hexconv, p, n, k, s
     assert len(circs) >= 4
     circs.append(_random_circuit(p, n, k, rng))  # shares as controls, ancillas as targets
     for circuit in circs:
-        got = sim._ancilla_density(code, sim._ancilla_first(circuit, n), encoded)
+        (got,) = sim._ancilla_density(circuit, encoded[None], k)
         assert np.abs(got - _ancilla_oracle(code, circuit, encoded)).max() < 1e-12, circuit.gates
 
 
@@ -569,93 +505,26 @@ def _layered_circuit(p, n, k, rng, lead_run, lead_share):
     return circuits.Circuit(p, m, circuits.share_roles(n, k), tuple(gates))
 
 
-# (p, n, k): at (5, 3) and (7, 2) a layer is wider than sim.LAYER and splits into groups
 @pytest.mark.parametrize(
     "p, n, k", [(2, 4, 1), (2, 3, 3), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 2, 1), (5, 1, 3), (7, 1, 1), (7, 1, 2)]
 )
 @pytest.mark.parametrize("batch", [1, 3])
 def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
     rng = np.random.default_rng(1000 * p + 10 * k + batch)
-    code = types.SimpleNamespace(p=p, n=n, k=k)
-    seen = set()
     for trial in range(8):
-        # a leading run, a leading layer on ancillas only, or one that also holds a share gate
+        # a leading run, a leading sequence on ancillas only, or one that also holds a share gate
         circuit = _layered_circuit(p, n, k, rng, lead_run=trial % 2 == 1, lead_share=trial % 4 == 2)
         encoded = rng.normal(size=(batch, p**n)) + 1j * rng.normal(size=(batch, p**n))
-        program = sim._ancilla_first(circuit, n)
-        got = sim._final_states(code, program, encoded)
-        # the oracle: ancilla |0...0> (x) encoded, ancilla-first, every gate on its own
-        start = np.zeros((p**k, p**n, batch), dtype=np.complex128)
-        start[0] = encoded.T
-        moved = [
-            circuits.Gate(g.kind, tuple(q + k if q <= n else q - n for q in g.qudits), g.params)
-            for g in circuit.gates
+        # the oracle: encoded (x) ancilla |0...0>, shares first, every gate on its own
+        start = np.zeros((p**n, p**k, batch), dtype=np.complex128)
+        start[:, 0] = encoded.T
+        expected = oracles.apply_gates(start.reshape((p,) * (n + k) + (batch,)), circuit.gates, p)
+        members = [
+            sim.apply_circuit(sim.StateVector(p, n + k, start[..., b]), circuit).amps for b in range(batch)
         ]
-        expected = oracles.apply_gates(start.reshape((p,) * (k + n) + (batch,)), moved, p)
+        assert np.abs(np.stack(members, axis=-1) - expected.reshape(-1, batch)).max() < 1e-12, circuit.gates
+        got = sim._final_states(circuit, encoded, k)  # the whole batch, as verification runs it
         assert np.abs(got - expected.reshape(got.shape)).max() < 1e-12, circuit.gates
-        assert isinstance(program[0], runs.Run) == (trial % 2 == 1)
-        layers = [op for op in program if isinstance(op, sim._Layer)]
-        # a sequence with a share gate in it is one layer that holds it
-        assert all(isinstance(op, (runs.Run, sim._Layer)) for op in program) and len(layers) == 3 - trial % 2
-        shared = {len(layers) - 2} | ({0} if trial % 4 == 2 else set())
-        assert layers[-1].groups and all(matrix.ndim == 1 for _, matrix in layers[-1].groups)
-        for index, layer in enumerate(layers):
-            for axis, matrix in layer.groups:  # a group's p^L rows end at the register's last axis
-                assert len(matrix) <= max(p, sim.LAYER) and 0 <= axis and len(matrix) <= p ** (k + n - axis)
-            ancillas = all(len(matrix) <= p ** (k - axis) for axis, matrix in layer.groups)
-            assert ancillas == (index not in shared)  # only a share gate's layer reaches past them
-            if ancillas and np.prod([len(matrix) for _, matrix in layer.groups]) == p**k:  # every ancilla
-                seen.add(len(layer.groups))
-    # a layer on every ancilla is one group unless p^k exceeds the bound
-    assert seen == ({2} if p**k > sim.LAYER else {1})
-
-
-@pytest.mark.parametrize("p, n, k, seed", [(3, 8, 2, 0), (5, 5, 2, 0)])
-def test_verify_reconstruction_peak_memory(p, n, k, seed):
-    # one working buffer: two joint states are live during a Fourier gate,
-    # and the encoded state and the logical zero add 2/p^k of one
-    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
-    conv = pauli.make_convention(code)
-    members = next(
-        members
-        for members in combinations(range(1, n + 1), n - 1)
-        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
-    )
-    plan = circuits.plan_reconstruction(code, conv, members)
-    rng = np.random.default_rng(47)
-    secrets = [sim.random_secret(p, k, rng) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        sim.verify_reconstruction(code, conv, [plan], secrets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * p ** (n + k) * 16
-
-
-def test_verify_reconstruction_holds_one_state_past_a_block():
-    # a state past BLOCK amplitudes: Fourier gates and M M^H work in slabs of
-    # BLOCK, so one joint state plus slabs and 2/p^k of one is the peak
-    p, n, k = 3, 10, 2
-    assert p ** (n + k) > sim.BLOCK
-    code = symplectic.random_self_orthogonal_code(p, n, k, 0)
-    conv = pauli.make_convention(code)
-    members = next(
-        members
-        for members in combinations(range(1, n + 1), n - 1)
-        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
-    )
-    plan = circuits.plan_reconstruction(code, conv, members)
-    rng = np.random.default_rng(53)
-    secrets = [sim.random_secret(p, k, rng) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        (report,) = sim.verify_reconstruction(code, conv, [plan], secrets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert min(report.fidelity) > 1 - 1e-9
-    assert peak < 1.6 * p ** (n + k) * 16
 
 
 def _first_plans(code, conv, count=2):
@@ -666,10 +535,10 @@ def _first_plans(code, conv, count=2):
 def _batch_case(hexcode, hexconv, p, n, k, seed):
     code = hexcode if seed is None else symplectic.random_self_orthogonal_code(p, n, k, seed)
     conv = hexconv if seed is None else pauli.make_convention(code)
-    return code, conv, max(1, sim.BLOCK // p ** (n + k))
+    return code, conv, 3
 
 
-# (p, n, k, code seed) with chunks of B = 4, 9, 4 and 1 secrets; seed None is the bundled code
+# (p, n, k, code seed), each run with batches of up to 2 B + 1 = 7 secrets; seed None is the bundled code
 _BATCH_CASES = [(2, 12, 2, 0), (3, 6, 2, None), (5, 4, 2, 0), (5, 5, 2, 0)]
 
 
@@ -679,18 +548,18 @@ def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n,
     plans = _first_plans(code, conv)
     rng = np.random.default_rng(59)
     secrets = [sim.random_secret(p, k, rng) for _ in range(2 * batch + 1)]
-    secrets[0] = sim.basis_state(p, k).amps  # zero coefficients ride in a chunk too
+    secrets[0] = sim.basis_state(p, k).amps  # zero coefficients ride in a batch too
     single = [sim.verify_reconstruction(code, conv, plans, [secret]) for secret in secrets]
     zero = sim.logical_zero(code, conv)
     encoded = sim._encode_rows(code, conv, np.array(secrets), zero)
     for row, secret in zip(encoded, secrets):  # bit-identical to the one-row encoder
         assert np.array_equal(row, sim.encode_secret(code, conv, secret, zero=zero).amps)
-    # The Fourier gate's matrix @ part rounds differently for a batch of B and
+    # The Fourier gate's tensordot can round differently for a batch of B and
     # of 1 (final states differ by up to 7e-18 on the bundled code), so the
     # fidelities and purities, all near 1, agree to a few ulps, not bit for
     # bit. A batching bug moves them by O(1), far outside the bound.
     ulps = 4 * np.finfo(float).eps
-    for trials in (1, batch, batch + 1, 2 * batch + 1):  # chunk boundaries, a short last chunk
+    for trials in (1, batch, batch + 1, 2 * batch + 1):
         reports = sim.verify_reconstruction(code, conv, plans, secrets[:trials])
         for i, report in enumerate(reports):
             assert len(report.fidelity) == len(report.purity) == trials
@@ -702,35 +571,6 @@ def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n,
     # the whole secret space, beside the sampled secrets
     for fidelity in sim.entanglement_fidelity(code, conv, plans):
         assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
-
-
-def test_consecutive_chunks_share_one_encoding(monkeypatch):
-    # 3^11 joint amplitudes: chunks of one secret, and p^k // 2 = 4 of them
-    # share one pass over the logical Paulis
-    p, n, k = 3, 9, 2
-    code = symplectic.random_self_orthogonal_code(p, n, k, 0)
-    conv = pauli.make_convention(code)
-    members = next(
-        members
-        for members in combinations(range(1, n + 1), n - 1)
-        if symplectic.erasure_correctable(code, symplectic.complement(members, n))
-    )
-    plans = [circuits.plan_reconstruction(code, conv, members)]
-    rng = np.random.default_rng(71)
-    secrets = [sim.random_secret(p, k, rng) for _ in range(5)]
-    single = [sim.verify_reconstruction(code, conv, plans, [secret])[0] for secret in secrets]
-    sizes, encode = [], sim._encode_rows
-
-    def counting(code, convention, rows, zero):
-        sizes.append(len(rows))
-        return encode(code, convention, rows, zero)
-
-    monkeypatch.setattr(sim, "_encode_rows", counting)
-    (report,) = sim.verify_reconstruction(code, conv, plans, secrets)
-    assert sizes == [4, 1]
-    # each row is encoded as when alone, and each chunk runs as when alone
-    assert report.fidelity == tuple(one.fidelity[0] for one in single)
-    assert report.purity == tuple(one.purity[0] for one in single)
 
 
 @pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
@@ -778,7 +618,7 @@ def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode, hexconv):
     assert all(1 - 1e-12 <= f <= 1 + 1e-12 for f in fidelities), fidelities
 
 
-# (p, n, k, code seed); the p = 3 code has 3^11 joint amplitudes, past BLOCK
+# (p, n, k, code seed); the p = 3 code's 9 basis secrets make a buffer of 3^13 amplitudes
 @pytest.mark.parametrize("p, n, k, seed", [(2, 9, 2, 1), (3, 9, 2, 0), (5, 4, 2, 0)])
 def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
     code = symplectic.random_self_orthogonal_code(p, n, k, seed)
@@ -788,8 +628,6 @@ def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
         for members in combinations(range(1, n + 1), n - 1)
         if symplectic.erasure_correctable(code, symplectic.complement(members, n))
     )
-    if p == 3:
-        assert p ** (n + k) > sim.BLOCK
     (fidelity,) = sim.entanglement_fidelity(code, conv, [circuits.plan_reconstruction(code, conv, members)])
     assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
@@ -843,6 +681,21 @@ def test_size_guard_env_override(monkeypatch):
         monkeypatch.setenv("QSS_MAX_AMPLITUDES", value)
         with pytest.raises(QssError, match="^QSS_MAX_AMPLITUDES must be a positive integer"):
             sim.basis_state(3, 3)
+
+
+def test_guard_bounds_the_working_buffer(monkeypatch, hexcode, hexconv):
+    # 3^8 amplitudes per secret for verify_reconstruction, 3^10 for the 9 basis secrets of entanglement_fidelity
+    plans = _first_plans(hexcode, hexconv, count=1)
+    secrets = [sim.basis_state(3, 2).amps] * 3
+    monkeypatch.setenv("QSS_MAX_AMPLITUDES", str(3 * 3**8 - 1))
+    with pytest.raises(TooLargeError, match=r"^3\^8 x 3 amplitudes exceed the guard"):
+        sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
+    assert len(sim.verify_reconstruction(hexcode, hexconv, plans, secrets[:2])[0].fidelity) == 2
+    with pytest.raises(TooLargeError, match=r"^3\^10 amplitudes exceed the guard"):
+        sim.entanglement_fidelity(hexcode, hexconv, plans)
+    monkeypatch.setenv("QSS_MAX_AMPLITUDES", str(3**10))
+    (fidelity,) = sim.entanglement_fidelity(hexcode, hexconv, plans)
+    assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
 
 def test_fix_global_phase_deterministic():
