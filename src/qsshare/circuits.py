@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, symplectic
-from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
+from .errors import CircuitParseError, DecompositionMismatchError, NoSolutionError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
@@ -64,10 +64,6 @@ def controlled_pauli(c: int, t: int, a: int, b: int) -> Gate:
 
 def controlled_pauli_inv(c: int, t: int, a: int, b: int) -> Gate:
     return Gate("CPAULIINV", (c, t), (int(a), int(b)))
-
-
-def pauli_gate(q: int, a: int, b: int) -> Gate:
-    return Gate("PAULI", (q,), (int(a), int(b)))
 
 
 @dataclass(frozen=True)
@@ -179,38 +175,29 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     # rows 0..k-1 split the logical x, rows k..2k-1 the logical z; the
     # coefficients of u_i, v_i over the stabilizer rows, which the calibrated
     # generators carry, give every code-space eigenvalue at once
+    targets = np.vstack([code.logical_x, code.logical_z])
     try:
-        stab_parts, local_parts, coeffs = symplectic.split_on_missing(
-            code, np.vstack([code.logical_x, code.logical_z]), missing
-        )
+        stab_parts, local_parts, coeffs = symplectic.split_on_missing(code, targets, missing)
     except NoSolutionError as exc:
         raise NotCorrectableError(f"shares {available} are not a qualified set") from exc
+    if not np.array_equal(targets % p, (local_parts + stab_parts) % p):
+        raise DecompositionMismatchError("a logical row is not the sum of its two parts")
     ring = pauli.phase_order(p)
-    plan = ReconstructionPlan(
+    # M(target) = w^phase M(local) M(stab), phase = -kappa (stab_a . local_b)
+    # by pauli_mul's cross term: beta for the x rows, gamma for the z rows
+    kappa = 2 if p == 2 else 1
+    phases = -kappa * (stab_parts[:, :n] * local_parts[:, n:]).sum(axis=1) % ring
+    etas = convention.stabilizer_exponents(coeffs)
+    alpha = np.array(convention.alpha_exponents, dtype=np.int64)
+    step3 = (alpha - phases[k:] - etas[k:]) % ring  # -(alpha^-1 + gamma + eta_v)
+    step6 = (-alpha - phases[:k] - etas[:k]) % ring  # -(alpha + beta + eta_u)
+    return ReconstructionPlan(
         p=p, n=n, k=k, available=available,
-        w=[], y=[], u=[], v=[], beta=[], gamma=[],
-        eta_u=[], eta_v=[], step3_exponents=[], step6_exponents=[],
+        w=list(local_parts[:k]), y=list(local_parts[k:]), u=list(stab_parts[:k]), v=list(stab_parts[k:]),
+        beta=phases[:k].tolist(), gamma=phases[k:].tolist(),
+        eta_u=etas[:k].tolist(), eta_v=etas[k:].tolist(),
+        step3_exponents=step3.tolist(), step6_exponents=step6.tolist(),
     )
-    etas = pauli.eigenvalue_exponents(convention.stabilizer_generators(), coeffs, p)
-    for i in range(k):
-        u, w = stab_parts[i], local_parts[i]
-        v, y = stab_parts[k + i], local_parts[k + i]
-        beta = pauli.relative_phase(code.logical_x[i], w, u, p)
-        gamma = pauli.relative_phase(code.logical_z[i], y, v, p)
-        eta_u, eta_v = int(etas[i]), int(etas[k + i])
-        e_alpha = convention.alpha_exponents[i]
-        e_alpha_inv = convention.alpha_inverse_exponent(i)
-        plan.w.append(w)
-        plan.y.append(y)
-        plan.u.append(u)
-        plan.v.append(v)
-        plan.beta.append(beta)
-        plan.gamma.append(gamma)
-        plan.eta_u.append(eta_u)
-        plan.eta_v.append(eta_v)
-        plan.step3_exponents.append((-(e_alpha_inv + gamma + eta_v)) % ring)
-        plan.step6_exponents.append((-(e_alpha + beta + eta_u)) % ring)
-    return plan
 
 
 def synthesize_reconstruction(plan: ReconstructionPlan, code) -> Circuit:

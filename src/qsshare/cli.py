@@ -80,6 +80,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     code = _load(args.spec)
+    if code.k == 0:
+        raise QssError("nothing to reconstruct: the code has k = 0")
     conv = pauli.make_convention(code)
     members = _parse_share_list(args.set, code.n)
     plan = circuits.plan_reconstruction(code, conv, members)

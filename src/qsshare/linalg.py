@@ -60,10 +60,18 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Reduced row-echelon form of A over F_p.
 
     Returns (R, pivots, rank) where pivots are the pivot column indices in
-    increasing order. The row space of R equals the row space of A.
-    Each pivot clears its column in every other row with one rank-one update.
+    increasing order. The row space of R equals the row space of A. The
+    kernel is chosen by p alone: at p = 2 rows are packed into Python ints
+    (_rref_packed), at odd p each pivot updates the array (_rref_field). The
+    reduced form of a row space is unique, so both return the same triple.
     """
     R = as_field(A, p)
+    return _rref_packed(R) if p == 2 else _rref_field(R, p)
+
+
+def _rref_field(R: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """rref of a canonical array, reduced in place: each pivot clears its
+    column in every other row with one rank-one update."""
     rows, cols = R.shape
     inv = _inverses(p)
     pivots: list[int] = []
@@ -88,6 +96,34 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     return R, tuple(pivots), len(pivots)
 
 
+def _rref_packed(R: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """rref of a canonical F_2 array, each row one Python int with column c
+    at bit c: a pivot clears its column with one XOR per row that holds it."""
+    rows, cols = R.shape
+    width = (cols + 7) // 8
+    packed = np.packbits(R.astype(np.uint8), axis=1, bitorder="little").tobytes()
+    ints = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(rows)]
+    pivots: list[int] = []
+    for r in range(rows):
+        # Rows r.. are zero at every column left of the next pivot.
+        rest = 0
+        for x in ints[r:]:
+            rest |= x
+        if not rest:
+            break
+        bit = rest & -rest
+        i = next(i for i in range(r, rows) if ints[i] & bit)
+        pivot = ints[i]
+        ints[i] = ints[r]
+        ints = [x ^ pivot if x & bit else x for x in ints]
+        ints[r] = pivot
+        pivots.append(bit.bit_length() - 1)
+    packed = b"".join(x.to_bytes(width, "little") for x in ints)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(rows, width)
+    out = np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
+    return out, tuple(pivots), len(pivots)
+
+
 def rank(A, p: int) -> int:
     return rref(A, p)[2]
 
@@ -100,12 +136,11 @@ def row_basis(A, p: int) -> np.ndarray:
 
 def row_space_contains(A, v, p: int) -> bool:
     """True when v lies in the row space of A."""
-    A = as_field(A, p)
     v = as_field_vector(v, p)
-    if not v.any():
-        return True
-    stacked = np.vstack([A, v.reshape(1, -1)])
-    return rank(stacked, p) == rank(A, p)
+    R, pivots, rk = rref(A, p)
+    # R's pivot columns are the identity, so v - v[pivots] R is zero there and
+    # vanishes exactly when v is in the row space
+    return not ((v - v[list(pivots)] @ R[:rk]) % p).any()
 
 
 def nullspace(A, p: int) -> np.ndarray:

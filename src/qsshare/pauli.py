@@ -21,13 +21,12 @@ one rule, and dense_matrix provides the independent oracle for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import linalg, symplectic
+from . import linalg
 from .errors import (
-    DecompositionMismatchError,
     DimensionMismatchError,
     NoSolutionError,
     NotInStabilizerError,
@@ -144,14 +143,6 @@ def pauli_pow(P: PhasedPauli, j: int) -> PhasedPauli:
     return PhasedPauli(p, j * P.phase + cross * (j * (j - 1) // 2), (j * P.vec) % p)
 
 
-def commutation_phase(x, y, p: int) -> int:
-    """Exponent c (mod p) with M(x) M(y) = w_p^c M(y) M(x), w_p = exp(2*pi*i/p).
-
-    Equals -<x, y> mod p; zero exactly when the operators commute.
-    """
-    return (-symplectic.symplectic_product(x, y, p)) % p
-
-
 def single_qudit_matrix(a: int, b: int, p: int) -> np.ndarray:
     """Dense p x p matrix of X^a Z^b."""
     w = np.exp(2j * np.pi / p)
@@ -185,11 +176,16 @@ def calibrate_generator(vec, p: int) -> PhasedPauli:
     coefficient to become an involution.
     """
     vec = linalg.as_field_vector(vec, p)
+    return PhasedPauli(p, int(_calibration_phases(vec[None], p)[0]), vec)
+
+
+def _calibration_phases(rows: np.ndarray, p: int) -> np.ndarray:
+    """calibrate_generator's phase for every row of a canonical stack: the
+    XZ parity at p = 2, and 0 otherwise."""
+    n = rows.shape[1] // 2
     if p == 2:
-        n = vec.shape[0] // 2
-        odd = int(vec[:n] @ vec[n:]) % 2
-        return PhasedPauli(p, odd, vec)
-    return PhasedPauli(p, 0, vec)
+        return (rows[:, :n] * rows[:, n:]).sum(axis=1) % 2
+    return np.zeros(rows.shape[0], dtype=np.int64)
 
 
 def stabilizer_eigenvalue(generators: list[PhasedPauli], u, p: int) -> int:
@@ -223,33 +219,27 @@ def eigenvalue_exponents(generators: list[PhasedPauli], coeffs, p: int) -> np.nd
 
     computed for every row of coeffs at once.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
     if not generators:
-        return np.zeros(coeffs.shape[0], dtype=np.int64)
-    rows = np.array([g.vec for g in generators], dtype=np.int64)
-    n = rows.shape[1] // 2
+        return np.zeros(np.shape(coeffs)[0], dtype=np.int64)
+    return _exponents(_generator_terms(generators, generators[0].n, p), coeffs, p)
+
+
+def _generator_terms(generators: list[PhasedPauli], n: int, p: int) -> tuple[np.ndarray, ...]:
+    """The parts of eigenvalue_exponents' d that do not depend on the
+    coefficients: (phi_i, kappa a_i.b_i, kappa b_j.a_i at [j, i] for j < i)."""
+    rows = np.array([g.vec for g in generators], dtype=np.int64).reshape(len(generators), 2 * n)
+    phases = np.array([g.phase for g in generators], dtype=np.int64)
     a, b = rows[:, :n], rows[:, n:]
     kappa = 2 if p == 2 else 1
-    phases = np.array([g.phase for g in generators], dtype=np.int64)
-    own = (a * b).sum(axis=1)
-    cross = np.triu(b @ a.T, 1)  # cross[j, i] = b_j.a_i for j < i
-    d = (
-        coeffs @ phases
-        + kappa * ((coeffs * (coeffs - 1) // 2) @ own)
-        + kappa * ((coeffs @ cross) * coeffs).sum(axis=1)
-    )
+    return phases, kappa * (a * b).sum(axis=1), kappa * np.triu(b @ a.T, 1)
+
+
+def _exponents(terms: tuple[np.ndarray, ...], coeffs, p: int) -> np.ndarray:
+    """eigenvalue_exponents from the generators' _generator_terms."""
+    phases, own, cross = terms
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    d = coeffs @ phases + (coeffs * (coeffs - 1) // 2) @ own + ((coeffs @ cross) * coeffs).sum(axis=1)
     return (-d) % phase_order(p)
-
-
-def relative_phase(target, left, right, p: int) -> int:
-    """Exponent b with M(target) = w^b M(left) M(right); needs target = left+right."""
-    target = linalg.as_field_vector(target, p)
-    left = linalg.as_field_vector(left, p)
-    right = linalg.as_field_vector(right, p)
-    if not np.array_equal(target, (left + right) % p):
-        raise DecompositionMismatchError("target is not the sum of the two factors")
-    prod = pauli_mul(pauli_from_vec(left, p), pauli_from_vec(right, p))
-    return (-prod.phase) % phase_order(p)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +254,9 @@ class EncodingConvention:
                  first n-k rows generate the stabilizer space, the final k
                  are the logical-z patterns calibrated as 1/alpha_i * M(z_i)
     alpha_exponents : e(alpha_i) in the phase ring, one per secret qudit
+
+    The generators are read as fixed once stabilizer_exponents has used them;
+    a convention with other generators is a new one (dataclasses.replace).
     """
 
     p: int
@@ -278,6 +271,15 @@ class EncodingConvention:
     def alpha_inverse_exponent(self, i: int) -> int:
         return (-self.alpha_exponents[i]) % phase_order(self.p)
 
+    def stabilizer_exponents(self, coeffs) -> np.ndarray:
+        """eigenvalue_exponents(self.stabilizer_generators(), coeffs, p), from
+        the generators' rows and phases read once per convention."""
+        return _exponents(self._stabilizer_terms, coeffs, self.p)
+
+    @cached_property
+    def _stabilizer_terms(self) -> tuple[np.ndarray, ...]:
+        return _generator_terms(self.stabilizer_generators(), self.n, self.p)
+
 
 def make_convention(code) -> EncodingConvention:
     """Calibrate a code's self-dual generators and fix the alpha scalars.
@@ -289,10 +291,8 @@ def make_convention(code) -> EncodingConvention:
     +1 eigenspace, per the fourth-root discussion in the module docstring).
     """
     p, n, k = code.p, code.n, code.k
-    gens = [calibrate_generator(row, p) for row in code.stabilizer]
-    alphas = []
-    for i in range(k):
-        zgen = calibrate_generator(code.logical_z[i], p)
-        gens.append(zgen)
-        alphas.append((-zgen.phase) % phase_order(p))
-    return EncodingConvention(p=p, n=n, k=k, generators=gens, alpha_exponents=tuple(alphas))
+    rows = linalg.as_field(np.vstack([code.stabilizer, code.logical_z]), p)
+    phases = _calibration_phases(rows, p)
+    gens = [PhasedPauli(p, e, row) for e, row in zip(phases.tolist(), rows)]
+    alphas = (-phases[len(rows) - k :]) % phase_order(p)
+    return EncodingConvention(p=p, n=n, k=k, generators=gens, alpha_exponents=tuple(alphas.tolist()))

@@ -105,6 +105,8 @@ def parse_code_document(text: str) -> CodeSpec:
                 raise SpecParseError(line_no, f"'{key}' needs an integer") from exc
             if key == "p" and header[key] not in SUPPORTED_PRIMES:
                 raise SpecParseError(line_no, f"unsupported field size {header[key]}; expected a prime <= 13")
+            if key == "n" and header[key] < 1:
+                raise SpecParseError(line_no, "'n' must be at least 1")
         elif key in rows:
             if not rest:
                 raise SpecParseError(line_no, f"'{key}' needs a row")

@@ -137,9 +137,10 @@ def validate_code(code: CodeSpec) -> None:
     _validate(code, stabilizer_checked=False)
 
 
-def _validate(code: CodeSpec, stabilizer_checked: bool) -> None:
+def _validate(code: CodeSpec, stabilizer_checked: bool, elimination=None) -> None:
     """validate_code for a prime p. With stabilizer_checked, the caller has
-    already found the stabilizer rows independent and self-orthogonal."""
+    already found the stabilizer rows independent and self-orthogonal;
+    elimination, when given, is linalg.rref of the self-dual rows."""
     p, n, k = code.p, code.n, code.k
     if not (0 <= k <= n):
         raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -159,7 +160,7 @@ def _validate(code: CodeSpec, stabilizer_checked: bool) -> None:
     # Cm exactly when its residual v - v[pivots] R vanishes. Stabilizer rows
     # that are Cm's first rows are independent when Cm has rank n, with no
     # elimination of their own.
-    R, pivots, cm_rank = linalg.rref(cm, p)
+    R, pivots, cm_rank = linalg.rref(cm, p) if elimination is None else elimination
     if not stabilizer_checked:
         leading = cm_rank == n and np.array_equal(cm[: n - k], stab)
         if not leading and linalg.rank(stab, p) != n - k:
@@ -321,16 +322,26 @@ def build_code(
     stab = linalg.as_field(stabilizer, p)
     if n is None:
         n = stab.shape[1] // 2
-    reduced, _, stab_rank = linalg.rref(stab, p)
-    k = n - stab_rank
-    if stab.shape[0] != n - k:
-        raise ValidationError("stabilizer rows are linearly dependent")
-    _check_self_orthogonal(stab, p)
-
     cm = None if self_dual is None else linalg.as_field(self_dual, p)
     if cm is not None and cm.shape[0] < n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
+    # When the stabilizer rows lead n self-dual rows of rank n, one elimination
+    # of those rows finds the stabilizer independent, gives k and serves every
+    # membership test in _validate. Otherwise the stabilizer is reduced on its
+    # own, which also names a dependent row first.
+    elimination = None
+    if cm is not None and cm.shape == (n, 2 * n) and np.array_equal(cm[: stab.shape[0]], stab):
+        elimination = linalg.rref(cm, p)
+    if elimination is not None and elimination[2] == n:
+        k = n - stab.shape[0]
+    else:
+        reduced, _, stab_rank = linalg.rref(stab, p)
+        k = n - stab_rank
+        if stab.shape[0] != n - k:
+            raise ValidationError("stabilizer rows are linearly dependent")
+    _check_self_orthogonal(stab, p)
+
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
 
@@ -338,7 +349,7 @@ def build_code(
         lz = _partners_of_x(stab, lx, n, p)
     if cm is None and lz is not None:
         cm = np.vstack([stab, lz])
-    if cm is None:
+    if cm is None:  # so the stabilizer was reduced on its own above
         cm, pairs = _completion(reduced[:stab_rank], n, p)
         lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
         lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
@@ -363,7 +374,7 @@ def build_code(
                 stacklevel=2,
             )
     code = CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
-    _validate(code, stabilizer_checked=True)
+    _validate(code, stabilizer_checked=True, elimination=elimination)
     return code
 
 

@@ -20,7 +20,10 @@ gate's dense operator, one gate at a time, where the package updates all
 rows by closed-form tables and a whole run of controlled Paulis at once; a
 Pauli compressed onto the code by multiplying out every matrix element
 <s|V^dag Q V|t> and reading each code-space eigenvalue by a solve, where
-the package reads the logical operator off one echelon form).
+the package reads the logical operator off one echelon form; a plan's
+relative phases by multiplying out each row's two factors, where the package
+computes every row's in one array expression; membership of a row space by
+comparing two ranks, where the package reads one residual).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import combinations, product
 import numpy as np
 
 from qsshare import circuits, linalg, pauli, sim, symplectic
-from qsshare.errors import IndexOutOfRangeError, TooLargeError
+from qsshare.errors import DecompositionMismatchError, IndexOutOfRangeError, TooLargeError
 
 
 def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -67,6 +70,66 @@ def product_eigenvalue(generators, coeff, p: int) -> int:
     for g, c in zip(generators, coeff):
         out = pauli.pauli_mul(out, pauli.pauli_pow(g, int(c)))
     return (-out.phase) % pauli.phase_order(p)
+
+
+def relative_phase(target, left, right, p: int) -> int:
+    """Exponent b with M(target) = w^b M(left) M(right); needs target = left+right."""
+    target = linalg.as_field_vector(target, p)
+    left = linalg.as_field_vector(left, p)
+    right = linalg.as_field_vector(right, p)
+    if not np.array_equal(target, (left + right) % p):
+        raise DecompositionMismatchError("target is not the sum of the two factors")
+    prod = pauli.pauli_mul(pauli.pauli_from_vec(left, p), pauli.pauli_from_vec(right, p))
+    return (-prod.phase) % pauli.phase_order(p)
+
+
+def commutation_phase(x, y, p: int) -> int:
+    """Exponent c (mod p) with M(x) M(y) = w_p^c M(y) M(x), w_p = exp(2*pi*i/p).
+
+    Equals -<x, y> mod p; zero exactly when the operators commute.
+    """
+    return (-symplectic.symplectic_product(x, y, p)) % p
+
+
+def pauli_gate(q: int, a: int, b: int) -> circuits.Gate:
+    return circuits.Gate("PAULI", (q,), (int(a), int(b)))
+
+
+def row_space_contains_by_ranks(A, v, p: int) -> bool:
+    """True when v lies in the row space of A: appending v leaves the rank."""
+    A = linalg.as_field(A, p)
+    v = linalg.as_field_vector(v, p)
+    return linalg.rank(np.vstack([A, v.reshape(1, -1)]), p) == linalg.rank(A, p)
+
+
+def plan_per_row(code, convention, available) -> dict:
+    """Every computed field of circuits.plan_reconstruction, row by row: each
+    logical row split by its own solve, each relative phase by
+    relative_phase and each eigenvalue by multiplying out the generator
+    powers."""
+    p, n, k = code.p, code.n, code.k
+    ring = pauli.phase_order(p)
+    cols = sorted(c for i in symplectic.complement(available, n) for c in (i - 1, i - 1 + n))
+    stab, gens = code.stabilizer, convention.stabilizer_generators()
+    out = {key: [] for key in ("w", "y", "u", "v", "beta", "gamma", "eta_u", "eta_v")}
+    rows = [(x, "w", "u", "beta", "eta_u") for x in code.logical_x]
+    rows += [(z, "y", "v", "gamma", "eta_v") for z in code.logical_z]
+    for target, local, part, phase, eta in rows:
+        coeff = np.zeros(len(stab), dtype=np.int64)
+        if cols:
+            coeff = linalg.solve_linear(stab[:, cols].T, target[cols], p)
+        s = (coeff @ stab) % p
+        r = (target - s) % p
+        out[part].append(s)
+        out[local].append(r)
+        out[phase].append(relative_phase(target, r, s, p))
+        out[eta].append(product_eigenvalue(gens, coeff, p) if gens else 0)
+    alpha = convention.alpha_exponents
+    out["step3_exponents"] = [
+        (-(convention.alpha_inverse_exponent(i) + out["gamma"][i] + out["eta_v"][i])) % ring for i in range(k)
+    ]
+    out["step6_exponents"] = [(-(alpha[i] + out["beta"][i] + out["eta_u"][i])) % ring for i in range(k)]
+    return out
 
 
 def row_space_equal(A, B, p: int) -> bool:

@@ -91,7 +91,7 @@ def test_criterion_2_worked_phase_values():
     assert eta(gens, V1, p) == 1
 
     # beta1 = w^2 under M(x1) = beta1 M(w1) M(u1)
-    beta1 = pauli.relative_phase(X_ROWS[0], W1, U1, p)
+    beta1 = oracles.relative_phase(X_ROWS[0], W1, U1, p)
     assert beta1 == 2
 
     # dense 729x729 oracle cross-checks (entrywise)
@@ -242,7 +242,7 @@ def test_criterion_6c_phase_arithmetic_oracles():
         Q = pauli.PhasedPauli(p, int(rng.integers(0, pauli.phase_order(p))), rng.integers(0, p, size=2 * n))
         lhs = pauli.dense_matrix(P) @ pauli.dense_matrix(Q)
         assert np.abs(lhs - pauli.dense_matrix(pauli.pauli_mul(P, Q))).max() < TOL_ORACLE
-        c = pauli.commutation_phase(P.vec, Q.vec, p)
+        c = oracles.commutation_phase(P.vec, Q.vec, p)
         w_p = np.exp(2j * np.pi / p)
         mx, my = pauli.dense_matrix(pauli.pauli_from_vec(P.vec, p)), pauli.dense_matrix(
             pauli.pauli_from_vec(Q.vec, p)

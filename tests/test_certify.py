@@ -50,7 +50,7 @@ def test_site_tables_are_the_dense_conjugates(p):
     ring = pauli.phase_order(p)
     gates = [circuits.fourier(1), circuits.fourier_inv(1)]
     gates += [circuits.phase_pow(1, e) for e in range(ring)]
-    gates += [circuits.pauli_gate(1, a, b) for a in range(p) for b in range(p)]
+    gates += [oracles.pauli_gate(1, a, b) for a in range(p) for b in range(p)]
     for gate in gates:
         table = certify._site_table(p, gate.kind, gate.params)
         op = oracles.gate_operator(gate, p)
@@ -74,7 +74,7 @@ def _random_gates(draw, p, m):
         elif kind == "PPOW":
             gates.append(circuits.phase_pow(q, draw(st.integers(0, pauli.phase_order(p) - 1))))
         elif kind == "PAULI":
-            gates.append(circuits.pauli_gate(q, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))))
+            gates.append(oracles.pauli_gate(q, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))))
         else:
             others = [t for t in range(1, m + 1) if t != q]
             targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=m))

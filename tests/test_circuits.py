@@ -12,6 +12,7 @@ import qsshare
 from qsshare import circuits, demo, linalg, pauli, symplectic
 from qsshare.errors import CircuitParseError, NotCorrectableError
 
+import oracles
 from conftest import AVAILABLE, W1
 
 
@@ -448,3 +449,40 @@ assert qsshare.StateVector is qsshare.sim.StateVector and "logical_zero" in dir(
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# The benchmark's six grid codes (perfbench/workloads.py). Every qualified set
+# is planned on those within 12 shares; the 15- and 16-share codes have
+# 5,427 and more qualified sets (the 16-share one is past the enumeration
+# guard), so 200 qualified sets of each are drawn.
+PLAN_GRID = ((2, 12, 2, 0), (3, 10, 2, 0), (3, 10, 2, 3), (5, 6, 2, 0), (2, 15, 3, 2), (2, 16, 2, 0))
+
+
+def _drawn_qualified_sets(code, count, seed):
+    rng = np.random.default_rng(seed)
+    found = set()
+    while len(found) < count:
+        members = tuple(sorted(int(i) + 1 for i in np.flatnonzero(rng.random(code.n) < 0.75)))
+        if members and symplectic.erasure_correctable(code, symplectic.complement(members, code.n)):
+            found.add(members)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("which", ["bundled", *PLAN_GRID], ids=str)
+def test_plan_equals_the_per_row_computation(which):
+    code = demo.six_share_qutrit_code() if which == "bundled" else symplectic.random_self_orthogonal_code(*which)
+    conv = pauli.make_convention(code)
+    sets = symplectic.all_qualified_sets(code) if code.n <= 12 else _drawn_qualified_sets(code, 200, code.n)
+    for members in sets:
+        plan = circuits.plan_reconstruction(code, conv, members)
+        expected = oracles.plan_per_row(code, conv, members)
+        assert (plan.p, plan.n, plan.k, plan.available) == (code.p, code.n, code.k, members)
+        for name, rows in expected.items():
+            got = getattr(plan, name)
+            assert type(got) is list and len(got) == code.k, name
+            if name in ("w", "y", "u", "v"):
+                assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in got), name
+                assert np.array_equal(np.array(got), np.array(rows)), (name, members)
+            else:
+                assert all(type(e) is int for e in got), name
+                assert got == rows, (name, members)

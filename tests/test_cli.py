@@ -286,17 +286,26 @@ def test_demo_output(capsys, monkeypatch):
         (["verify", "{spec}", "--set", "3,4,5_0,6"], None),
         (["synthesize", "{spec}", "--set", "3,\u0664,5,6", "-o", "{tmp}/x.qsscirc"], None),
         (["verify", "{spec}", "--trials", "100000000000000000000"], None),
+        (["synthesize", "{k0}", "--set", "1,2", "-o", "{tmp}/k0.qsscirc"], None),
+        (["analyze", "{n0}"], None),
+        (["synthesize", "{n0}", "--set", "1", "-o", "{tmp}/n0.qsscirc"], None),
+        (["verify", "{n0}"], None),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
         "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes", "logical-pairing",
         "signed-share", "underscored-share", "arabic-indic-share", "trials-past-the-guard",
+        "synthesize-k0", "analyze-n0", "synthesize-n0", "verify-n0",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
     p4 = tmp_path / "p4.qss"
     p4.write_text("p 4\nn 1\nk 0\nstab 0|1\n", encoding="utf-8")
+    k0 = tmp_path / "k0.qss"  # XX and ZZ: a [[2,0]] qubit code
+    k0.write_text("p 2\nn 2\nk 0\nstab 11|00\nstab 00|11\n", encoding="utf-8")
+    n0 = tmp_path / "n0.qss"
+    n0.write_text("p 3\nn 0\nk 0\n", encoding="utf-8")
     pairing = tmp_path / "pairing.qss"  # x2 := x1 + stabilizer row 1: the pairing is not I
     pairing.write_text(
         SIX_SHARE_QUTRIT_DOCUMENT.replace("logicalx 000000|100021", "logicalx 100202|121212"),
@@ -304,7 +313,7 @@ def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_p
     )
     if env is not None:
         monkeypatch.setenv("QSS_MAX_AMPLITUDES", env)
-    argv = [arg.format(spec=spec_path, p4=p4, pairing=pairing, tmp=tmp_path) for arg in argv]
+    argv = [arg.format(spec=spec_path, p4=p4, pairing=pairing, k0=k0, n0=n0, tmp=tmp_path) for arg in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
@@ -772,3 +781,44 @@ def test_verify_certifies_a_set_past_the_old_state_vector_guard(capsys, monkeypa
     rc, out, err = run(capsys, "verify", path, "--set", members, "--trials", "2", "--seed", "1")
     assert rc == 4 and json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
     assert err.startswith("verification failed for J={2,3,")
+
+
+def test_synthesize_of_a_k0_code_writes_no_file(capsys, tmp_path):
+    spec = tmp_path / "k0.qss"
+    spec.write_text("p 2\nn 2\nk 0\nstab 11|00\nstab 00|11\n", encoding="utf-8")
+    out_path = tmp_path / "k0.qsscirc"
+    rc, out, err = run(capsys, "synthesize", str(spec), "--set", "1,2", "-o", str(out_path))
+    assert (rc, out) == (2, "")
+    assert err == "error: nothing to reconstruct: the code has k = 0\n"
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def _counting_rref(monkeypatch) -> list:
+    """Record one entry per linalg.rref call from here on."""
+    calls = []
+    rref = linalg.rref
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 12, 2, 0), (3, 10, 2, 0), (5, 6, 2, 0)])
+def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monkeypatch, tmp_path, spec_path, which):
+    # stab + selfdual + logicalx + logicalz: the self-dual block is the load's
+    # one elimination, the plan's split is the other
+    if which == "bundled":
+        path, members = spec_path, "3,4,5,6"
+    else:
+        code = symplectic.random_self_orthogonal_code(*which)
+        path = _write_code(code, tmp_path / "grid.qss")
+        members = ",".join(map(str, symplectic.qualified_sets(code)[0]))
+    calls = _counting_rref(monkeypatch)
+    rc, _, _ = run(capsys, "analyze", path)
+    assert rc == 0 and len(calls) == 1
+    calls.clear()
+    rc, _, _ = run(capsys, "synthesize", path, "--set", members, "-o", str(tmp_path / "c.qsscirc"))
+    assert rc == 0 and len(calls) == 2

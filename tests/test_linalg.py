@@ -187,3 +187,53 @@ def test_rref_equals_rowloop_oracle(case):
     assert np.array_equal(R, R0)
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert (pivots, rk) == (pivots0, rk0)
+
+
+@st.composite
+def bit_matrices(draw):
+    """A 0/1 matrix with 0..40 rows and 0..150 columns (tall, wide, widths off
+    a multiple of 8 and past 64), often with zero and duplicate rows."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.sampled_from((0, 1, 7, 8, 9, 63, 64, 65, 100, 150)) | st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, 2, size=(rows, cols)) * (rng.random((rows, cols)) < draw(st.floats(0.05, 1)))
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            A[i] = 0 if draw(st.booleans()) else A[j]
+    return A
+
+
+@settings(max_examples=300)
+@given(bit_matrices())
+def test_packed_p2_kernel_equals_the_general_kernel(A):
+    before = A.copy()
+    R, pivots, rk = linalg.rref(A, 2)
+    assert np.array_equal(A, before)  # the input is left alone
+    R0, pivots0, rk0 = linalg._rref_field(linalg.as_field(A, 2), 2)
+    assert R.dtype == R0.dtype and R.shape == R0.shape
+    assert np.array_equal(R, R0)
+    assert (pivots, rk) == (pivots0, rk0)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(0, 8) | st.just(0),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("random", "combination", "zero")),
+)
+def test_row_space_contains_equals_the_two_rank_form(p, rows, cols, seed, kind):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(rows, cols))
+    if rows > 1:
+        A[-1] = (A[0] + 2 * A[1]) % p  # a dependent row
+    v = {
+        "random": rng.integers(0, p, size=cols),
+        "combination": rng.integers(0, p, size=rows) @ A % p,  # the zero vector when A has no row
+        "zero": np.zeros(cols, dtype=np.int64),
+    }[kind]
+    got = linalg.row_space_contains(A, v, p)
+    assert got == oracles.row_space_contains_by_ranks(A, v, p)
+    assert got or kind == "random"

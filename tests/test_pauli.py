@@ -132,9 +132,9 @@ def test_pow_matches_iterated_mul_and_inverse():
 
 def test_commutation_phase_hyperbolic_pair(hexcode):
     x1, z1 = hexcode.logical_x[0], hexcode.logical_z[0]
-    c = pauli.commutation_phase(x1, z1, 3)
+    c = oracles.commutation_phase(x1, z1, 3)
     assert c == 2  # -1 mod 3, the logical XZ relation
-    assert pauli.commutation_phase(x1, x1, 3) == 0
+    assert oracles.commutation_phase(x1, x1, 3) == 0
 
 
 def test_commutation_phase_matches_dense_oracle():
@@ -147,7 +147,7 @@ def test_commutation_phase_matches_dense_oracle():
             continue
         x = rng.integers(0, p, size=2 * n)
         y = rng.integers(0, p, size=2 * n)
-        c = pauli.commutation_phase(x, y, p)
+        c = oracles.commutation_phase(x, y, p)
         mx = pauli.dense_matrix(pauli.pauli_from_vec(x, p))
         my = pauli.dense_matrix(pauli.pauli_from_vec(y, p))
         w_p = np.exp(2j * np.pi / p)
@@ -243,16 +243,16 @@ def test_plan_eigenvalues_equal_the_product_oracle(p, n, k, seed):
 
 
 def test_relative_phase_reference():
-    beta1 = pauli.relative_phase(X_ROWS[0], W1, U1, 3)
+    beta1 = oracles.relative_phase(X_ROWS[0], W1, U1, 3)
     assert beta1 == 2
-    gamma1 = pauli.relative_phase(Z_ROWS[0], Y1, V1, 3)
+    gamma1 = oracles.relative_phase(Z_ROWS[0], Y1, V1, 3)
     assert gamma1 == 2
-    assert pauli.relative_phase(W1, W1, np.zeros(12, dtype=int), 3) == 0
+    assert oracles.relative_phase(W1, W1, np.zeros(12, dtype=int), 3) == 0
 
 
 def test_relative_phase_mismatch():
     with pytest.raises(DecompositionMismatchError):
-        pauli.relative_phase(X_ROWS[0], W1, W1, 3)
+        oracles.relative_phase(X_ROWS[0], W1, W1, 3)
 
 
 def test_relative_phase_matches_dense_oracle():
@@ -263,7 +263,7 @@ def test_relative_phase_matches_dense_oracle():
         left = rng.integers(0, p, size=2 * n)
         right = rng.integers(0, p, size=2 * n)
         target = (left + right) % p
-        e = pauli.relative_phase(target, left, right, p)
+        e = oracles.relative_phase(target, left, right, p)
         lhs = pauli.dense_matrix(pauli.pauli_from_vec(target, p))
         rhs = pauli.phase_value(e, p) * (
             pauli.dense_matrix(pauli.pauli_from_vec(left, p))

@@ -100,7 +100,7 @@ def _per_site(state, op):
     layer of per-axis units, times its scalar w^e."""
     p, n = state.p, state.m
     a, b = op.x_part(), op.z_part()
-    gates = tuple(circuits.pauli_gate(q + 1, a[q], b[q]) for q in range(n))
+    gates = tuple(oracles.pauli_gate(q + 1, a[q], b[q]) for q in range(n))
     circuit = circuits.Circuit(p, n, circuits.share_roles(n, 0), gates)
     return sim.apply_circuit(state, circuit).amps * pauli.phase_value(op.phase, p)
 
@@ -161,7 +161,7 @@ def test_controlled_gate_matches_dense_on_random_states():
                 for kind in (circuits.controlled_pauli, circuits.controlled_pauli_inv)
             ]
             gates += [
-                circuits.pauli_gate(q, int(rng.integers(0, p)), int(rng.integers(0, p)))
+                oracles.pauli_gate(q, int(rng.integers(0, p)), int(rng.integers(0, p)))
                 for q in range(1, m + 1)
             ]
             gates.append(circuits.controlled_pauli(m, 1, 1, 0))  # pure shift
@@ -410,7 +410,7 @@ def test_gate_functions_leave_their_input_untouched():
         circuits.fourier(1),
         circuits.fourier_inv(4),
         circuits.phase_pow(2, 2),
-        circuits.pauli_gate(4, 1, 2),
+        oracles.pauli_gate(4, 1, 2),
         circuits.controlled_pauli(1, 4, 2, 1),
         circuits.controlled_pauli_inv(4, 2, 1, 0),
     )
@@ -495,7 +495,7 @@ def _layered_circuit(p, n, k, rng, lead_run, lead_share):
         return [circuits.Gate(kind, (control, int(t)), tuple(int(v) for v in rng.integers(0, p, 2))) for t in targets]
 
     def with_share_gate(gates):
-        gates.insert(int(rng.integers(len(gates) + 1)), circuits.pauli_gate(int(rng.integers(1, n + 1)), 1, 1))
+        gates.insert(int(rng.integers(len(gates) + 1)), oracles.pauli_gate(int(rng.integers(1, n + 1)), 1, 1))
         return gates
 
     lead = [] if lead_run else _ancilla_gates(p, n, k, rng)

@@ -247,3 +247,46 @@ def test_one_op_parse_names_the_first_bad_key_in_key_order(monkeypatch, p):
     expected = _spec_error(monkeypatch, lines, one_pass=False)
     assert (got.line_no, str(got)) == (expected.line_no, str(expected))
     assert str(got) == f"line {stab_line + 1}: expected 5 digits on each side of '|'"
+
+
+def _listing_every_self_dual_row(text: str) -> str:
+    """The document with its stabilizer rows also listed first under
+    'selfdual', so that the self-dual rows are given in full."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("selfdual"))
+    copies = ["selfdual" + line[len("stab"):] for line in lines if line.startswith("stab")]
+    return "\n".join(lines[:first] + copies + lines[first:]) + "\n"
+
+
+@pytest.mark.parametrize("rows", ("extension", "full"))
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("stab 000011|211002", "stab 100202|020112", "stabilizer rows are linearly dependent"),
+        ("stab 100202|020112", "stab 100000|000000", "stabilizer rows 1 and 3 have symplectic product 2"),
+        ("selfdual 000001|221020", "selfdual 000100|122000", "self-dual space must have dimension n"),
+        ("logicalz 000002|112010", "logicalz 100000|000000", "logical z 2 outside the self-dual space"),
+        (
+            "logicalx 000000|100021",
+            "logicalx 100202|121212",
+            "logical pairing is not the identity matrix: [[1, 0], [1, 0]]",
+        ),
+    ],
+    ids=["dependent-stabilizer", "not-self-orthogonal", "self-dual-rank-n-1", "z-outside-cm", "pairing"],
+)
+def test_first_error_of_a_bad_document_is_pinned(rows, old, new, message):
+    # one elimination of the self-dual rows serves a load; each defect is
+    # still named by the message a separate reduction of the stabilizer gave
+    text = BUNDLED_CODES[0].read_text(encoding="utf-8")
+    assert old in text
+    text = text.replace(old, new)
+    if rows == "full":
+        text = _listing_every_self_dual_row(text)
+    with pytest.raises(ValidationError) as caught:
+        specfile.parse_code_document(text)
+    assert str(caught.value) == message
+
+
+def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
+    with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
+        specfile.parse_code_document("p 3\nn 0\nk 0\n")
