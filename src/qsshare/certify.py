@@ -196,12 +196,13 @@ def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class _Frame:
-    """A code's dual(C) as logical = [alpha_t M(x_t)] + the calibrated
-    generators (stabilizer rows, then logical z rows): reduced is the echelon
-    form of their patterns with its pivots, transform[i] the coefficients of
-    reduced row i over them, and wrap[t] the exponent of (alpha_t M(x_t))^p."""
+    """A code's dual(C) as the generators [alpha_t M(x_t)] + the calibrated
+    generators (stabilizer rows, then logical z rows): terms are their
+    pauli._generator_terms, reduced is the echelon form of their patterns
+    with its pivots, transform[i] the coefficients of reduced row i over
+    them, and wrap[t] the exponent of (alpha_t M(x_t))^p."""
 
-    logical: list
+    terms: tuple
     reduced: np.ndarray
     pivots: list
     transform: np.ndarray
@@ -211,11 +212,10 @@ class _Frame:
 def _frame(code, convention) -> _Frame:
     p, n, k = code.p, code.n, code.k
     xbars = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
-    logical = xbars + convention.generators
-    rows = np.array([g.vec for g in logical], dtype=np.int64)  # n + k independent rows
+    phases, rows = pauli._stacked(xbars + convention.generators, n)  # n + k independent rows
     reduced, pivots, _ = linalg.rref(np.hstack([rows, np.eye(n + k, dtype=np.int64)]), p)
     wrap = np.array([pauli.pauli_pow(g, p).phase for g in xbars], dtype=np.int64)
-    return _Frame(logical, reduced[:, : 2 * n], list(pivots), reduced[:, 2 * n :], wrap)
+    return _Frame(pauli._generator_terms(phases, rows, p), reduced[:, : 2 * n], list(pivots), reduced[:, 2 * n :], wrap)
 
 
 def _compress(code, frame: _Frame, phases, xs, zs):
@@ -229,7 +229,7 @@ def _compress(code, frame: _Frame, phases, xs, zs):
     valid = inside & ~xs[:, n:].any(axis=1)  # <0|X^a Z^b|0> = 0 for a != 0
     coeffs = lead @ frame.transform % p  # over x rows, stabilizer rows, z rows
     a, d = coeffs[:, :k], coeffs[:, n:]
-    f = (phases + pauli.eigenvalue_exponents(frame.logical, coeffs, p)) % ring
+    f = (phases + pauli._exponents(frame.terms, coeffs, p)) % ring
     b = (kappa * d + frame.wrap * a) % ring // kappa
     return valid, f, a, b
 
@@ -248,7 +248,7 @@ def _transfer(code, frame: _Frame, images):
     target, or 0 where not valid."""
     p, n, k = code.p, code.n, code.k
     patterns = np.hstack(images[1:])
-    gens = [pauli.PhasedPauli(p, e, v) for e, v in zip(images[0], patterns)]
+    terms = pauli._generator_terms(images[0], patterns, p)
     places = p ** np.arange(2 * k - 1, -1, -1)
     count, step = p ** (2 * k), max(1, BLOCK // patterns.shape[1])
     parts = []
@@ -256,7 +256,7 @@ def _transfer(code, frame: _Frame, images):
         coeffs = np.arange(start, min(count, start + step))[:, None] // places % p
         # U^dag P U is the product of the images in P's order of the generators
         prods = coeffs @ patterns % p
-        phases = -pauli.eigenvalue_exponents(gens, coeffs, p)
+        phases = -pauli._exponents(terms, coeffs, p)
         valid, f, a, b = _compress(code, frame, phases, prods[:, : n + k], prods[:, n + k :])
         parts.append((valid, f, np.hstack([a, b]) @ places))
     return tuple(np.concatenate(part) for part in zip(*parts))

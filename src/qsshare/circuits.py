@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, symplectic
-from .errors import CircuitParseError, DecompositionMismatchError, NoSolutionError, NotCorrectableError
+from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
@@ -180,8 +180,6 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
         stab_parts, local_parts, coeffs = symplectic.split_on_missing(code, targets, missing)
     except NoSolutionError as exc:
         raise NotCorrectableError(f"shares {available} are not a qualified set") from exc
-    if not np.array_equal(targets % p, (local_parts + stab_parts) % p):
-        raise DecompositionMismatchError("a logical row is not the sum of its two parts")
     ring = pauli.phase_order(p)
     # M(target) = w^phase M(local) M(stab), phase = -kappa (stab_a . local_b)
     # by pauli_mul's cross term: beta for the x rows, gamma for the z rows

@@ -186,13 +186,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(_args) -> int:
-    import io
-
     from . import demo
 
-    buf = io.StringIO()
-    demo.run_demo(buf)
-    sys.stdout.write(buf.getvalue())
+    sys.stdout.write(demo.run_demo())
     return EXIT_OK
 
 

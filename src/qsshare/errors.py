@@ -13,10 +13,6 @@ class NoSolutionError(QssError):
     """Linear system has no solution over the field."""
 
 
-class LengthMismatchError(QssError):
-    """Operands have incompatible vector lengths."""
-
-
 class DimensionMismatchError(QssError):
     """Operands live on registers of different size or field."""
 

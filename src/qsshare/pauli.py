@@ -221,14 +221,20 @@ def eigenvalue_exponents(generators: list[PhasedPauli], coeffs, p: int) -> np.nd
     """
     if not generators:
         return np.zeros(np.shape(coeffs)[0], dtype=np.int64)
-    return _exponents(_generator_terms(generators, generators[0].n, p), coeffs, p)
+    return _exponents(_generator_terms(*_stacked(generators, generators[0].n), p), coeffs, p)
 
 
-def _generator_terms(generators: list[PhasedPauli], n: int, p: int) -> tuple[np.ndarray, ...]:
-    """The parts of eigenvalue_exponents' d that do not depend on the
-    coefficients: (phi_i, kappa a_i.b_i, kappa b_j.a_i at [j, i] for j < i)."""
+def _stacked(generators: list[PhasedPauli], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators' phases and (a|b) rows as arrays."""
     rows = np.array([g.vec for g in generators], dtype=np.int64).reshape(len(generators), 2 * n)
-    phases = np.array([g.phase for g in generators], dtype=np.int64)
+    return np.array([g.phase for g in generators], dtype=np.int64), rows
+
+
+def _generator_terms(phases: np.ndarray, rows: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """The parts of eigenvalue_exponents' d that do not depend on the
+    coefficients, for the generators w^phases[i] M(rows[i]):
+    (phi_i, kappa a_i.b_i, kappa b_j.a_i at [j, i] for j < i)."""
+    n = rows.shape[1] // 2
     a, b = rows[:, :n], rows[:, n:]
     kappa = 2 if p == 2 else 1
     return phases, kappa * (a * b).sum(axis=1), kappa * np.triu(b @ a.T, 1)
@@ -278,7 +284,7 @@ class EncodingConvention:
 
     @cached_property
     def _stabilizer_terms(self) -> tuple[np.ndarray, ...]:
-        return _generator_terms(self.stabilizer_generators(), self.n, self.p)
+        return _generator_terms(*_stacked(self.stabilizer_generators(), self.n), self.p)
 
 
 def make_convention(code) -> EncodingConvention:

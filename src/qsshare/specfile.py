@@ -120,7 +120,7 @@ def parse_code_document(text: str) -> CodeSpec:
     parsed = {key: parse_rows(entries, n, p) for key, entries in rows.items()}
     if len(parsed["stab"]) != n - k:
         raise ValidationError(f"expected {n - k} stabilizer rows, got {len(parsed['stab'])}")
-    code = build_code(
+    return build_code(
         p,
         parsed["stab"],
         self_dual=parsed["selfdual"] if len(parsed["selfdual"]) else None,
@@ -128,9 +128,6 @@ def parse_code_document(text: str) -> CodeSpec:
         logical_z=parsed["logicalz"] if len(parsed["logicalz"]) else None,
         n=n,
     )
-    if code.k != k:
-        raise ValidationError(f"document says k={k} but the stabilizer implies k={code.k}")
-    return code
 
 
 def load_code(path) -> CodeSpec:

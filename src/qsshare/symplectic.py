@@ -134,13 +134,6 @@ class CodeSpec:
 def validate_code(code: CodeSpec) -> None:
     """Check every structural invariant; raise ValidationError on failure."""
     linalg.check_prime(code.p)
-    _validate(code, stabilizer_checked=False)
-
-
-def _validate(code: CodeSpec, stabilizer_checked: bool, elimination=None) -> None:
-    """validate_code for a prime p. With stabilizer_checked, the caller has
-    already found the stabilizer rows independent and self-orthogonal;
-    elimination, when given, is linalg.rref of the self-dual rows."""
     p, n, k = code.p, code.n, code.k
     if not (0 <= k <= n):
         raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -148,27 +141,49 @@ def _validate(code: CodeSpec, stabilizer_checked: bool, elimination=None) -> Non
     cm = linalg.as_field(code.self_dual, p)
     lx = linalg.as_field(code.logical_x, p) if k else linalg.empty_basis(2 * n)
     lz = linalg.as_field(code.logical_z, p) if k else linalg.empty_basis(2 * n)
-    for name, arr, rows in (
-        ("stabilizer", stab, n - k),
-        ("self_dual", cm, n),
-        ("logical_x", lx, k),
-        ("logical_z", lz, k),
-    ):
-        if arr.shape != (rows, 2 * n):
-            raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {arr.shape}")
-    # One reduction of Cm serves every membership test below: a row v lies in
-    # Cm exactly when its residual v - v[pivots] R vanishes. Stabilizer rows
-    # that are Cm's first rows are independent when Cm has rank n, with no
-    # elimination of their own.
-    R, pivots, cm_rank = linalg.rref(cm, p) if elimination is None else elimination
-    if not stabilizer_checked:
-        leading = cm_rank == n and np.array_equal(cm[: n - k], stab)
-        if not leading and linalg.rank(stab, p) != n - k:
+    _check_shapes(n, k, stab, cm, lx, lz)
+    _validate(p, n, k, stab, cm, lx, lz, _check_stabilizer(stab, cm, n, p)[1])
+
+
+def _check_shapes(n: int, k: int, *parts: np.ndarray) -> None:
+    for name, part, rows in zip(("stabilizer", "self_dual", "logical_x", "logical_z"), parts, (n - k, n, k, k)):
+        if part.shape != (rows, 2 * n):
+            raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {part.shape}")
+
+
+def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, tuple | None, np.ndarray | None]:
+    """(k, elimination, reduced) for independent, self-orthogonal stabilizer
+    rows; ValidationError otherwise. When the rows lead n self-dual rows cm,
+    elimination is linalg.rref of cm, which shows them independent if cm has
+    rank n; otherwise the stabilizer is reduced on its own, which names a
+    dependent row first, and reduced is its reduced basis.
+    """
+    elimination = reduced = None
+    if cm is not None and cm.shape == (n, 2 * n) and np.array_equal(cm[: stab.shape[0]], stab):
+        elimination = linalg.rref(cm, p)
+    if elimination is None or elimination[2] != n:
+        reduced, _, rank = linalg.rref(stab, p)
+        if rank != stab.shape[0]:
             raise ValidationError("stabilizer rows are linearly dependent")
-        _check_self_orthogonal(stab, p)
+        reduced = reduced[:rank]
+    _check_self_orthogonal(stab, p)
+    return n - stab.shape[0], elimination, reduced
+
+
+def _validate(p: int, n: int, k: int, stab, cm, lx, lz, elimination) -> None:
+    """The invariants beyond _check_shapes and _check_stabilizer, for
+    canonical parts; elimination is linalg.rref of cm, or None."""
+    # One reduction of Cm serves every membership test below: a row v lies in
+    # Cm exactly when its residual v - v[pivots] R vanishes.
+    R, pivots, cm_rank = linalg.rref(cm, p) if elimination is None else elimination
     if cm_rank != n:
         raise ValidationError("self-dual space must have dimension n")
-    if symplectic_gram(cm, cm, p).any():
+    # One Gram matrix of the stacked rows holds every product checked below;
+    # _check_stabilizer has checked the stabilizer rows' own products.
+    stacked = np.vstack([cm, lx, lz, stab])
+    gram = _gram(stacked[: n + 2 * k], stacked) % p
+    c, x, z, s = slice(0, n), slice(n, n + k), slice(n + k, n + 2 * k), slice(n + 2 * k, None)
+    if gram[c, c].any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
 
     def residual(rows):
@@ -177,14 +192,14 @@ def _validate(code: CodeSpec, stabilizer_checked: bool, elimination=None) -> Non
     _name_first_row(residual(stab), "stabilizer row {} outside the self-dual space")
     if k == 0:
         return
-    _name_first_row(symplectic_gram(lx, stab, p), "logical x {} outside the dual space")
+    _name_first_row(gram[x, s], "logical x {} outside the dual space")
     _name_first_row(residual(lz), "logical z {} outside the self-dual space")
-    pairing = symplectic_gram(lx, lz, p)
+    pairing = gram[x, z]
     if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
         raise ValidationError(f"logical pairing is not the identity matrix: {pairing.tolist()}")
-    if symplectic_gram(lx, lx, p).any():
+    if gram[x, x].any():
         raise ValidationError("logical x representatives do not mutually commute")
-    if symplectic_gram(lz, lz, p).any():
+    if gram[z, z].any():
         raise ValidationError("logical z representatives do not mutually commute")
     # The x rows are now independent modulo Cm, with no further check: if
     # sum_i c_i x_i lay in Cm, pairing it with z_j (in the self-dual Cm) would
@@ -199,7 +214,7 @@ def _name_first_row(defect: np.ndarray, message: str) -> None:
 
 
 def _check_self_orthogonal(rows: np.ndarray, p: int, what: str = "stabilizer") -> None:
-    gram = symplectic_gram(rows, rows, p)
+    gram = _gram(rows, rows) % p
     bad = np.argwhere(gram != 0)
     if bad.size:
         i, j = bad[0]
@@ -326,21 +341,7 @@ def build_code(
     if cm is not None and cm.shape[0] < n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
-    # When the stabilizer rows lead n self-dual rows of rank n, one elimination
-    # of those rows finds the stabilizer independent, gives k and serves every
-    # membership test in _validate. Otherwise the stabilizer is reduced on its
-    # own, which also names a dependent row first.
-    elimination = None
-    if cm is not None and cm.shape == (n, 2 * n) and np.array_equal(cm[: stab.shape[0]], stab):
-        elimination = linalg.rref(cm, p)
-    if elimination is not None and elimination[2] == n:
-        k = n - stab.shape[0]
-    else:
-        reduced, _, stab_rank = linalg.rref(stab, p)
-        k = n - stab_rank
-        if stab.shape[0] != n - k:
-            raise ValidationError("stabilizer rows are linearly dependent")
-    _check_self_orthogonal(stab, p)
+    k, elimination, reduced = _check_stabilizer(stab, cm, n, p)
 
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
@@ -350,7 +351,7 @@ def build_code(
     if cm is None and lz is not None:
         cm = np.vstack([stab, lz])
     if cm is None:  # so the stabilizer was reduced on its own above
-        cm, pairs = _completion(reduced[:stab_rank], n, p)
+        cm, pairs = _completion(reduced, n, p)
         lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
         lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
     if lx is None and lz is None:
@@ -363,7 +364,7 @@ def build_code(
         lx = _biorthogonalize(_pairs_for_fixed_self_dual(stab, cm, n, p)[0], lz, p)
 
     if k and lx.shape[0] == k and lz.shape[0] == k:
-        pairing = symplectic_gram(lx, lz, p)
+        pairing = _gram(lx, lz) % p
         off = pairing - np.diag(np.diag(pairing))
         diag = np.diag(pairing)
         if not off.any() and np.all(diag != 0) and np.any(diag != 1):
@@ -373,9 +374,9 @@ def build_code(
                 % np.array2string(diag),
                 stacklevel=2,
             )
-    code = CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
-    _validate(code, stabilizer_checked=True, elimination=elimination)
-    return code
+    _check_shapes(n, k, stab, cm, lx, lz)
+    _validate(p, n, k, stab, cm, lx, lz, elimination)
+    return CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,26 @@ def test_zero_secrets_give_empty_reports():
         assert (report.two_qudit_gates, report.single_qudit_gates) == (15, 8)
 
 
+def test_generator_terms_are_built_once_per_request(monkeypatch):
+    code = six_share_qutrit_code()
+    conv = pauli.make_convention(code)
+    plans = [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
+    secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
+    calls = []
+    terms = pauli._generator_terms
+
+    def counting(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(pauli, "_generator_terms", counting)
+    for some in (plans[:1], plans):
+        calls.clear()
+        reports = certify.certify_reconstruction(code, conv, some, secrets)
+        assert all(report.fidelity == (1.0,) for report in reports)
+        assert len(calls) == 1, len(some)
+
+
 def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
     code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
     conv = pauli.make_convention(code)

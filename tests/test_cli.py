@@ -539,31 +539,6 @@ def _write_code(code, path) -> str:
     return str(path)
 
 
-def test_synthesize_request_makes_at_most_six_eliminations(capsys, monkeypatch, tmp_path):
-    code = symplectic.random_self_orthogonal_code(2, 12, 2, 0)
-    path = _write_code(code, tmp_path / "p2n12.qss")
-    members = symplectic.qualified_sets(code)[0]
-    calls = {"rref": 0, "nullspace": 0}
-    originals = {name: getattr(linalg, name) for name in calls}
-
-    def counting(name):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return originals[name](*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(linalg, name, counting(name))
-    set_arg = ",".join(map(str, members))
-    rc, out, _ = run(capsys, "synthesize", path, "--set", set_arg, "-o", str(tmp_path / "c.qsscirc"))
-    assert rc == 0 and out.startswith("wrote ")
-    # load and validate: stabilizer rank, one reduction of Cm; plan: one
-    # solve for the split, which also decides qualification (three in all)
-    assert calls["rref"] <= 6
-    assert calls["nullspace"] == 0
-
-
 def _break_first_phase_exponent(monkeypatch):
     """Make every synthesized circuit's first PPOW exponent one too large."""
     synthesize = circuits.synthesize_reconstruction
@@ -793,16 +768,17 @@ def test_synthesize_of_a_k0_code_writes_no_file(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [spec]
 
 
-def _counting_rref(monkeypatch) -> list:
-    """Record one entry per linalg.rref call from here on."""
+def _counting(monkeypatch, module, name) -> list:
+    """Record the shape of the first argument of every call of module.name
+    from here on."""
     calls = []
-    rref = linalg.rref
+    original = getattr(module, name)
 
     def counting(*args):
-        calls.append(args[0].shape)
-        return rref(*args)
+        calls.append(np.shape(args[0]))
+        return original(*args)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -816,9 +792,16 @@ def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monke
         code = symplectic.random_self_orthogonal_code(*which)
         path = _write_code(code, tmp_path / "grid.qss")
         members = ",".join(map(str, symplectic.qualified_sets(code)[0]))
-    calls = _counting_rref(monkeypatch)
+    calls = _counting(monkeypatch, linalg, "rref")
+    grams = _counting(monkeypatch, symplectic, "_gram")
+    nullspaces = _counting(monkeypatch, linalg, "nullspace")
+    # the stabilizer's self-orthogonality, the pairing rescale test and one
+    # Gram matrix of every part hold all of the load's symplectic products
+    specfile.load_code(path)
+    assert len(calls) == 1 and len(grams) == 3
+    calls.clear()
     rc, _, _ = run(capsys, "analyze", path)
     assert rc == 0 and len(calls) == 1
     calls.clear()
     rc, _, _ = run(capsys, "synthesize", path, "--set", members, "-o", str(tmp_path / "c.qsscirc"))
-    assert rc == 0 and len(calls) == 2
+    assert rc == 0 and len(calls) == 2 and nullspaces == []

@@ -287,6 +287,35 @@ def test_first_error_of_a_bad_document_is_pinned(rows, old, new, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("rows", ("extension", "full"))
+@pytest.mark.parametrize(
+    "replacements, message",
+    [
+        # z1 -> z1 + z2 + x2 pairs with x2 and fails to commute with z2; a z
+        # row that does so lies outside the self-dual space, named first
+        ([("logicalz 000200|211000", "logicalz 000202|120001")], "logical z 1 outside the self-dual space"),
+        # x2 -> x2 + x1 + z1 pairs with z1 and fails to commute with x1
+        ([("logicalx 000000|100021", "logicalx 000200|112121")], "logical pairing is not the identity matrix: [[1, 0], [1, 1]]"),
+        # X on share 1 as x1 and as z2: outside the dual and outside Cm
+        (
+            [("logicalx 000000|101100", "logicalx 100000|000000"), ("logicalz 000002|112010", "logicalz 100000|000000")],
+            "logical x 1 outside the dual space",
+        ),
+    ],
+    ids=["pairing+z-z", "pairing+x-x", "x-outside-dual+z-outside-cm"],
+)
+def test_first_of_two_defects_is_pinned(rows, replacements, message):
+    text = BUNDLED_CODES[0].read_text(encoding="utf-8")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    if rows == "full":
+        text = _listing_every_self_dual_row(text)
+    with pytest.raises(ValidationError) as caught:
+        specfile.parse_code_document(text)
+    assert str(caught.value) == message
+
+
 def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
     with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
         specfile.parse_code_document("p 3\nn 0\nk 0\n")
