@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import circuits, linalg, pauli
+from . import circuits, linalg, pauli, symplectic
 from .errors import QssError, TooLargeError
 
 DEFAULT_MAX_AMPLITUDES = 2**24
@@ -80,13 +80,16 @@ def max_amplitudes() -> int:
 
 @dataclass
 class ReconstructionReport:
-    """One share set's result: one fidelity and one purity per secret."""
+    """One share set's result: one fidelity and one purity per secret, and
+    the entanglement fidelity over the whole secret space (None where not
+    computed: sim.verify_reconstruction leaves it out)."""
 
     available: tuple[int, ...]
     fidelity: tuple[float, ...]
     purity: tuple[float, ...]
     two_qudit_gates: int
     single_qudit_gates: int
+    entanglement_fidelity: float | None = None
 
 
 def random_secret(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,12 +201,11 @@ def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.
 class _Frame:
     """A code's dual(C) as the generators [alpha_t M(x_t)] + the calibrated
     generators (stabilizer rows, then logical z rows): terms are their
-    pauli._generator_terms, reduced is the echelon form of their patterns
-    with its pivots, transform[i] the coefficients of reduced row i over
-    them, and wrap[t] the exponent of (alpha_t M(x_t))^p."""
+    pauli._generator_terms, pivots those of the echelon form of their
+    patterns, transform[i] the coefficients of its row i over them, and
+    wrap[t] the exponent of (alpha_t M(x_t))^p."""
 
     terms: tuple
-    reduced: np.ndarray
     pivots: list
     transform: np.ndarray
     wrap: np.ndarray
@@ -215,7 +217,7 @@ def _frame(code, convention) -> _Frame:
     phases, rows = pauli._stacked(xbars + convention.generators, n)  # n + k independent rows
     reduced, pivots, _ = linalg.rref(np.hstack([rows, np.eye(n + k, dtype=np.int64)]), p)
     wrap = np.array([pauli.pauli_pow(g, p).phase for g in xbars], dtype=np.int64)
-    return _Frame(pauli._generator_terms(phases, rows, p), reduced[:, : 2 * n], list(pivots), reduced[:, 2 * n :], wrap)
+    return _Frame(pauli._generator_terms(phases, rows, p), list(pivots), reduced[:, 2 * n :], wrap)
 
 
 def _compress(code, frame: _Frame, phases, xs, zs):
@@ -224,10 +226,9 @@ def _compress(code, frame: _Frame, phases, xs, zs):
     p, n, k = code.p, code.n, code.k
     ring, kappa = pauli.phase_order(p), 2 if p == 2 else 1
     shares = np.hstack([xs[:, :n], zs[:, :n]])
-    lead = shares[:, frame.pivots]
-    inside = ~((shares - lead @ frame.reduced) % p).any(axis=1)  # r in dual(C)
+    inside = ~(symplectic._gram(shares, code.stabilizer) % p).any(axis=1)  # r in dual(C)
     valid = inside & ~xs[:, n:].any(axis=1)  # <0|X^a Z^b|0> = 0 for a != 0
-    coeffs = lead @ frame.transform % p  # over x rows, stabilizer rows, z rows
+    coeffs = shares[:, frame.pivots] @ frame.transform % p  # over x rows, stabilizer rows, z rows
     a, d = coeffs[:, :k], coeffs[:, n:]
     f = (phases + pauli._exponents(frame.terms, coeffs, p)) % ring
     b = (kappa * d + frame.wrap * a) % ring // kappa
@@ -278,26 +279,34 @@ def _characteristic(secret: np.ndarray, p: int, k: int) -> np.ndarray:
 
 def certify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
     """Certify each plan's circuit from its Clifford action, and report each
-    secret's ancilla fidelity and purity.
+    secret's ancilla fidelity and purity and the circuit's entanglement
+    fidelity.
 
     Synthesizes one circuit per circuits.ReconstructionPlan and pulls the 2k
     ancilla generators back through its gates. A circuit that passes returns
-    every secret exactly, so each of its fidelities and purities is 1.0; a
-    failing one is reported from its Pauli transfer. Returns one report per
-    plan, in order.
+    every secret exactly, so each of its fidelities and purities and its
+    entanglement fidelity is 1.0; a failing one is reported from its Pauli
+    transfer. Returns one report per plan, in order.
     """
     p, k = code.p, code.k
     _guard(p, k)
     frame = _frame(code, convention)
     rows = [np.asarray(secret, dtype=np.complex128).reshape(p**k) for secret in secrets]
+    ring = pauli.phase_order(p)
     reports = []
     for plan in plans:
         circuit = circuits.synthesize_reconstruction(plan, code)
         images = generator_images(circuit, k)
         if _passes(code, frame, images):
             fidelity = purity = (1.0,) * len(rows)
+            whole = 1.0
         else:
             valid, f, target = _transfer(code, frame, images)
+            kept = valid & (target == np.arange(p ** (2 * k)))
+            counts = np.bincount(-f[kept] % ring, minlength=ring)
+            if p > 2:  # the p-th roots of unity sum to 0, so a balanced count gives exactly 0
+                counts -= counts.min()
+            whole = float(pauli.phase_table(p).real @ counts) / p ** (2 * k)
             phase = np.where(valid, pauli.phase_table(p)[f], 0)
             fidelity, purity = [], []
             for secret in rows:
@@ -313,6 +322,7 @@ def certify_reconstruction(code, convention, plans, secrets) -> list[Reconstruct
                 purity=purity,
                 two_qudit_gates=circuit.two_qudit_count(),
                 single_qudit_gates=circuit.single_qudit_count(),
+                entanglement_fidelity=whole,
             )
         )
     return reports
@@ -321,17 +331,6 @@ def certify_reconstruction(code, convention, plans, secrets) -> list[Reconstruct
 def entanglement_fidelity(code, convention, plans) -> list[float]:
     """Entanglement fidelity of each plan's circuit over the whole secret
     space, F_e = p^(-2k) sum over the Paulis P that the channel maps to
-    w^f P of w^-f, from the Pauli transfer. Returns one F_e per plan."""
-    p, k = code.p, code.k
-    _guard(p, k)
-    frame = _frame(code, convention)
-    out = []
-    for plan in plans:
-        images = generator_images(circuits.synthesize_reconstruction(plan, code), k)
-        valid, f, target = _transfer(code, frame, images)
-        kept = valid & (target == np.arange(p ** (2 * k)))
-        counts = np.bincount(-f[kept] % pauli.phase_order(p), minlength=pauli.phase_order(p))
-        if p > 2:  # the p-th roots of unity sum to 0, so a balanced count gives exactly 0
-            counts -= counts.min()
-        out.append(float(pauli.phase_table(p).real @ counts) / p ** (2 * k))
-    return out
+    w^f P of w^-f, from the Pauli transfer: certify_reconstruction's, with no
+    secret sampled. Returns one F_e per plan."""
+    return [rep.entanglement_fidelity for rep in certify_reconstruction(code, convention, plans, [])]

@@ -147,13 +147,13 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     secrets = [certify.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
-    for plan, rep in zip(plans, certify.certify_reconstruction(code, conv, plans, secrets) if plans else ()):
+    for rep in certify.certify_reconstruction(code, conv, plans, secrets) if plans else ():
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
             if failure is None and fid < 1.0 - FIDELITY_SLACK:
-                failure = (plan, trial, f"fidelity {fid:.12g}")
+                failure = (rep, trial, f"fidelity {fid:.12g}")
             elif failure is None and dev > FIDELITY_SLACK:
-                failure = (plan, trial, f"purity deviation {dev:.3g}")
+                failure = (rep, trial, f"purity deviation {dev:.3g}")
         report["rows"].append(
             {
                 "J": list(rep.available),
@@ -172,12 +172,10 @@ def cmd_verify(args) -> int:
     }
     print(json.dumps(report, indent=2))
     if failure is not None:
-        # the failing set's whole secret space, checked only on this path
-        plan, trial, check = failure
-        (whole,) = certify.entanglement_fidelity(code, conv, [plan])
+        rep, trial, check = failure
         print(
-            f"verification failed for J={_format_set(plan.available)}"
-            f" (entanglement fidelity {whole:.12g}) at trial {trial}"
+            f"verification failed for J={_format_set(rep.available)}"
+            f" (entanglement fidelity {rep.entanglement_fidelity:.12g}) at trial {trial}"
             f" (seed {args.seed}): {check}",
             file=sys.stderr,
         )

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from . import certify, circuits, linalg, pauli, specfile, symplectic
+from . import certify, circuits, pauli, specfile, symplectic
 
 SIX_SHARE_QUTRIT_DOCUMENT = """\
 # [[6,2,3]] qutrit share code
@@ -62,8 +62,7 @@ def run_demo(stream=None) -> str:
             f"   z{i + 1} = {_row(code.logical_z[i], n, p)}",
             file=out,
         )
-    dual_dim = code.dual_basis().shape[0]
-    print(f"dim C = {n - k}, dim Cm = {n}, dim C_perp = {dual_dim}", file=out)
+    print(f"dim C = {n - k}, dim Cm = {n}, dim C_perp = {n + k}", file=out)
     minimal = symplectic.qualified_sets(code)
     sizes = sorted({len(m) for m in minimal})
     print(f"minimal qualified sets: {len(minimal)} (sizes {sizes})", file=out)
@@ -71,13 +70,13 @@ def run_demo(stream=None) -> str:
     members = DEMO_SHARES
     print(f"\nreconstruction for shares J = {{{', '.join(map(str, members))}}}", file=out)
     plan = circuits.plan_reconstruction(code, conv, members)
-    dual_basis = code.dual_basis()
     for i in range(k):
         w, y, u, v = plan.w[i], plan.y[i], plan.u[i], plan.v[i]
-        ok_w = linalg.row_space_contains(dual_basis, w, p) and not any(
+        # w is in C_perp when orthogonal to C; y is in Cm, its own dual, when orthogonal to Cm
+        ok_w = not symplectic.symplectic_gram(w, code.stabilizer, p).any() and not any(
             symplectic.project_vector(w, symplectic.complement(members, n), n)
         )
-        ok_y = linalg.row_space_contains(code.self_dual, y, p) and not any(
+        ok_y = not symplectic.symplectic_gram(y, code.self_dual, p).any() and not any(
             symplectic.project_vector(y, symplectic.complement(members, n), n)
         )
         print(f"  w{i + 1} = {_row(w, n, p)}  (in C_perp, supported on J: {'ok' if ok_w else 'FAIL'})", file=out)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SpecParseError, ValidationError
 from .linalg import SUPPORTED_PRIMES
-from .symplectic import CodeSpec, build_code
+from .symplectic import CodeSpec, _check_shapes, build_code
 
 
 def parse_decimal(token: str) -> int:
@@ -118,6 +118,7 @@ def parse_code_document(text: str) -> CodeSpec:
             raise SpecParseError(0, f"missing '{key}' directive")
     p, n, k = header["p"], header["n"], header["k"]
     parsed = {key: parse_rows(entries, n, p) for key, entries in rows.items()}
+    _check_shapes(n, k)  # k before the stabilizer row count it sets
     if len(parsed["stab"]) != n - k:
         raise ValidationError(f"expected {n - k} stabilizer rows, got {len(parsed['stab'])}")
     return build_code(

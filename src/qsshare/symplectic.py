@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    NoSolutionError,
     NotCorrectableError,
     NotInDualError,
     NotInSelfDualError,
@@ -135,8 +136,6 @@ def validate_code(code: CodeSpec) -> None:
     """Check every structural invariant; raise ValidationError on failure."""
     linalg.check_prime(code.p)
     p, n, k = code.p, code.n, code.k
-    if not (0 <= k <= n):
-        raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
     stab = linalg.as_field(code.stabilizer, p)
     cm = linalg.as_field(code.self_dual, p)
     lx = linalg.as_field(code.logical_x, p) if k else linalg.empty_basis(2 * n)
@@ -145,38 +144,41 @@ def validate_code(code: CodeSpec) -> None:
     _validate(p, n, k, stab, cm, lx, lz, _check_stabilizer(stab, cm, n, p)[1])
 
 
-def _check_shapes(n: int, k: int, *parts: np.ndarray) -> None:
+def _check_shapes(n: int, k: int, *parts: np.ndarray | None) -> None:
+    """0 <= k <= n, and the parts given, stabilizer, self_dual, logical_x,
+    logical_z in that order, have their number of rows of length 2n; a part
+    given as None is not checked."""
+    if not (0 <= k <= n):
+        raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
     for name, part, rows in zip(("stabilizer", "self_dual", "logical_x", "logical_z"), parts, (n - k, n, k, k)):
-        if part.shape != (rows, 2 * n):
+        if part is not None and part.shape != (rows, 2 * n):
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {part.shape}")
 
 
-def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, tuple | None, np.ndarray | None]:
-    """(k, elimination, reduced) for independent, self-orthogonal stabilizer
-    rows; ValidationError otherwise. When the rows lead n self-dual rows cm,
-    elimination is linalg.rref of cm, which shows them independent if cm has
-    rank n; otherwise the stabilizer is reduced on its own, which names a
-    dependent row first, and reduced is its reduced basis.
+def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, int | None, np.ndarray | None]:
+    """(k, cm_rank, reduced) for independent, self-orthogonal stabilizer
+    rows; ValidationError otherwise. cm_rank is the rank of the self-dual
+    rows cm, or None unless they are n rows of length 2n. When the stabilizer
+    rows lead cm of rank n, that shows them independent; otherwise the
+    stabilizer is reduced on its own, which names a dependent row first, and
+    reduced is its reduced basis.
     """
-    elimination = reduced = None
-    if cm is not None and cm.shape == (n, 2 * n) and np.array_equal(cm[: stab.shape[0]], stab):
-        elimination = linalg.rref(cm, p)
-    if elimination is None or elimination[2] != n:
+    cm_rank = reduced = None
+    if cm is not None and cm.shape == (n, 2 * n):
+        cm_rank = linalg.rank(cm, p)
+    if cm_rank != n or not np.array_equal(cm[: stab.shape[0]], stab):
         reduced, _, rank = linalg.rref(stab, p)
         if rank != stab.shape[0]:
             raise ValidationError("stabilizer rows are linearly dependent")
         reduced = reduced[:rank]
     _check_self_orthogonal(stab, p)
-    return n - stab.shape[0], elimination, reduced
+    return n - stab.shape[0], cm_rank, reduced
 
 
-def _validate(p: int, n: int, k: int, stab, cm, lx, lz, elimination) -> None:
+def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int | None) -> None:
     """The invariants beyond _check_shapes and _check_stabilizer, for
-    canonical parts; elimination is linalg.rref of cm, or None."""
-    # One reduction of Cm serves every membership test below: a row v lies in
-    # Cm exactly when its residual v - v[pivots] R vanishes.
-    R, pivots, cm_rank = linalg.rref(cm, p) if elimination is None else elimination
-    if cm_rank != n:
+    canonical parts; cm_rank is the rank of cm, or None."""
+    if (linalg.rank(cm, p) if cm_rank is None else cm_rank) != n:
         raise ValidationError("self-dual space must have dimension n")
     # One Gram matrix of the stacked rows holds every product checked below;
     # _check_stabilizer has checked the stabilizer rows' own products.
@@ -185,15 +187,13 @@ def _validate(p: int, n: int, k: int, stab, cm, lx, lz, elimination) -> None:
     c, x, z, s = slice(0, n), slice(n, n + k), slice(n + k, n + 2 * k), slice(n + 2 * k, None)
     if gram[c, c].any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
-
-    def residual(rows):
-        return (rows - rows[:, list(pivots)] @ R) % p
-
-    _name_first_row(residual(stab), "stabilizer row {} outside the self-dual space")
+    # Cm now has rank n and is self-orthogonal, so it is its own dual: a row
+    # lies in Cm exactly when it is orthogonal to every row of Cm.
+    _name_first_row(gram[c, s].T, "stabilizer row {} outside the self-dual space")
     if k == 0:
         return
     _name_first_row(gram[x, s], "logical x {} outside the dual space")
-    _name_first_row(residual(lz), "logical z {} outside the self-dual space")
+    _name_first_row(gram[z, c], "logical z {} outside the self-dual space")
     pairing = gram[x, z]
     if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
         raise ValidationError(f"logical pairing is not the identity matrix: {pairing.tolist()}")
@@ -341,10 +341,13 @@ def build_code(
     if cm is not None and cm.shape[0] < n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
-    k, elimination, reduced = _check_stabilizer(stab, cm, n, p)
-
+    k, cm_rank, reduced = _check_stabilizer(stab, cm, n, p)
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
+    # the parts given, before anything is derived from them
+    _check_shapes(n, k, stab, cm, lx, lz)
+    if cm is not None and cm_rank != n:
+        raise ValidationError("self-dual space must have dimension n")
 
     if cm is None and lz is None and lx is not None:
         lz = _partners_of_x(stab, lx, n, p)
@@ -375,7 +378,7 @@ def build_code(
                 stacklevel=2,
             )
     _check_shapes(n, k, stab, cm, lx, lz)
-    _validate(p, n, k, stab, cm, lx, lz, elimination)
+    _validate(p, n, k, stab, cm, lx, lz, cm_rank)
     return CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
 
 
@@ -409,26 +412,29 @@ def localize_x(code: CodeSpec, x, available) -> tuple[np.ndarray, np.ndarray]:
     The split exists whenever the complementary erasures are correctable.
     """
     x = linalg.as_field_vector(x, code.p)
-    if not linalg.row_space_contains(code.dual_basis(), x, code.p):
+    if (_gram(x[None], code.stabilizer) % code.p).any():
         raise NotInDualError("vector outside the dual of the stabilizer space")
-    return split_on_missing(code, x, _qualified_complement(code, available))[:2]
+    return _localize(code, x, available)
 
 
 def localize_z(code: CodeSpec, z, available) -> tuple[np.ndarray, np.ndarray]:
     """Split z = v + y with v in the stabilizer space and y supported on the
     available shares; z must lie in the self-dual space."""
     z = linalg.as_field_vector(z, code.p)
-    if not linalg.row_space_contains(code.self_dual, z, code.p):
+    if (_gram(z[None], code.self_dual) % code.p).any():  # Cm is its own dual
         raise NotInSelfDualError("vector outside the self-dual space")
-    return split_on_missing(code, z, _qualified_complement(code, available))[:2]
+    return _localize(code, z, available)
 
 
-def _qualified_complement(code: CodeSpec, available) -> tuple[int, ...]:
+def _localize(code: CodeSpec, vec: np.ndarray, available) -> tuple[np.ndarray, np.ndarray]:
+    """split_on_missing of vec in dual(C), stacked on the 2k logical rows: they
+    all split exactly when the available shares are qualified."""
     available = share_set(available, code.n)
-    missing = complement(available, code.n)
-    if not erasure_correctable(code, missing):
-        raise NotCorrectableError(f"shares {available} cannot reconstruct")
-    return missing
+    try:
+        s, r, _ = split_on_missing(code, np.vstack([vec, code.logical_x, code.logical_z]), complement(available, code.n))
+    except NoSolutionError as exc:
+        raise NotCorrectableError(f"shares {available} cannot reconstruct") from exc
+    return s[0], r[0]
 
 
 def split_on_missing(code: CodeSpec, vecs, missing):

@@ -565,21 +565,16 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
 
 
 def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch, spec_path, hexcode, hexconv):
-    calls = []
-    whole = certify.entanglement_fidelity
-
-    def counting(code, convention, plans):
-        calls.append([plan.available for plan in plans])
-        return whole(code, convention, plans)
-
-    monkeypatch.setattr(certify, "entanglement_fidelity", counting)
+    transfers = _counting(monkeypatch, certify, "_transfer")
     argv = ("verify", spec_path, "--trials", "2", "--seed", "9")
     rc, _, err = run(capsys, *argv)
-    assert (rc, err, calls) == (0, "", [])  # the passing path never computes it
+    assert (rc, err, transfers) == (0, "", [])  # the passing path never computes a transfer
     _break_first_phase_exponent(monkeypatch)
     rc, out, err = run(capsys, *argv)
     first = symplectic.all_qualified_sets(hexcode)[0]
-    assert rc == 4 and calls == [[first]]  # every set fails; only the named one is checked
+    # every set fails, and each is certified once: its one transfer gives its
+    # report and its entanglement fidelity
+    assert rc == 4 and len(transfers) == len(symplectic.all_qualified_sets(hexcode)) == 22
     (line,) = err.splitlines()
     named = re.fullmatch(
         rf"verification failed for J=\{{{','.join(map(str, first))}\}} \(entanglement fidelity (\S+)\)"
@@ -805,3 +800,31 @@ def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monke
     calls.clear()
     rc, _, _ = run(capsys, "synthesize", path, "--set", members, "-o", str(tmp_path / "c.qsscirc"))
     assert rc == 0 and len(calls) == 2 and nullspaces == []
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 12, 2, 0), (3, 10, 2, 0), (5, 6, 2, 0)])
+def test_no_request_reduces_a_space_to_test_membership(capsys, monkeypatch, tmp_path, spec_path, which):
+    # membership in dual(C) or in Cm, its own dual, is a symplectic product
+    if which == "bundled":
+        path, members = spec_path, "3,4,5,6"
+    else:
+        code = symplectic.random_self_orthogonal_code(*which)
+        path = _write_code(code, tmp_path / "grid.qss")
+        members = ",".join(map(str, symplectic.qualified_sets(code)[0]))
+    nullspaces = _counting(monkeypatch, linalg, "nullspace")
+    memberships = _counting(monkeypatch, linalg, "row_space_contains")
+    for argv in (
+        ("analyze", path),
+        ("synthesize", path, "--set", members, "-o", str(tmp_path / "c.qsscirc")),
+        ("verify", path, "--set", members, "--trials", "1"),
+        ("demo",),
+    ):
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0, argv
+    assert nullspaces == [] and memberships == []
+
+
+def test_demo_costs_one_elimination_to_load_one_to_plan_and_one_to_certify(capsys, monkeypatch):
+    eliminations = _counting(monkeypatch, linalg, "rref")
+    rc, _, _ = run(capsys, "demo")
+    assert rc == 0 and len(eliminations) == 3

@@ -316,6 +316,27 @@ def test_first_of_two_defects_is_pinned(rows, replacements, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("k 3\nstab 11|00\n", "need 0 <= k <= n, got k=3, n=2"),
+        ("k 1\nstab 11|00\nlogicalx 10|00\nlogicalx 01|00\n", "logical_x must be 1 rows of length 4, got (2, 4)"),
+        ("k 1\nstab 11|00\nlogicalz 00|11\nlogicalz 11|00\n", "logical_z must be 1 rows of length 4, got (2, 4)"),
+        (
+            "k 1\nstab 11|00\nselfdual 00|11\nselfdual 11|00\nselfdual 10|10\n",
+            "self_dual must be 2 rows of length 4, got (3, 4)",
+        ),
+        ("k 0\nstab 11|00\nstab 00|11\nlogicalx 10|00\n", "logical_x must be 0 rows of length 4, got (1, 4)"),
+        ("k 1\nstab 11|00\nselfdual 11|00\n", "self-dual space must have dimension n"),
+    ],
+    ids=["k-above-n", "two-x-rows", "two-z-rows", "three-self-dual-rows", "x-row-at-k-0", "self-dual-rank-n-1"],
+)
+def test_a_malformed_part_is_named_before_anything_is_derived_from_it(rows, message):
+    with pytest.raises(ValidationError) as caught:
+        specfile.parse_code_document("p 2\nn 2\n" + rows)
+    assert str(caught.value) == message
+
+
 def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
     with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
         specfile.parse_code_document("p 3\nn 0\nk 0\n")

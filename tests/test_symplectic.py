@@ -199,6 +199,76 @@ def test_localize_errors(hexcode):
         symplectic.localize_x(hexcode, X_ROWS[0], (1, 2, 3))
 
 
+def _localize_code(hexcode, which):
+    return hexcode if which == "bundled" else symplectic.random_self_orthogonal_code(*which)
+
+
+def _counting_rref(monkeypatch) -> list:
+    calls = []
+    rref = linalg.rref
+
+    def counting(A, p):
+        calls.append(np.shape(A))
+        return rref(A, p)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 8, 2, 1), (3, 7, 2, 1)])
+def test_localize_reads_qualification_from_its_one_split(monkeypatch, hexcode, which):
+    code = _localize_code(hexcode, which)
+    n = code.n
+    cases = [(symplectic.localize_x, x) for x in code.logical_x] + [(symplectic.localize_z, z) for z in code.logical_z]
+    subsets = [s for size in range(n + 1) for s in combinations(range(1, n + 1), size)]
+    expected = {}
+    for available in subsets:
+        missing = symplectic.complement(available, n)
+        if symplectic.erasure_correctable(code, missing):
+            expected[available] = [symplectic.split_on_missing(code, vec, missing)[:2] for _, vec in cases]
+    calls = _counting_rref(monkeypatch)
+    for available in subsets:
+        for i, (localize, vec) in enumerate(cases):
+            calls.clear()
+            if available in expected:
+                got = localize(code, vec, available)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected[available][i], strict=True))
+            else:
+                with pytest.raises(NotCorrectableError, match=r"^shares \(.*\) cannot reconstruct$"):
+                    localize(code, vec, available)
+            # membership by products, qualification and split by one elimination,
+            # which a set missing no share does not need
+            assert len(calls) == (1 if len(available) < n else 0), (available, localize.__name__)
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 8, 2, 1), (3, 7, 2, 1)])
+def test_localize_membership_agrees_with_row_reduction(monkeypatch, hexcode, which):
+    code = _localize_code(hexcode, which)
+    p, n = code.p, code.n
+    rng = np.random.default_rng(25)
+    cases = []
+    for localize, space, error in (
+        (symplectic.localize_x, code.dual_basis(), NotInDualError),
+        (symplectic.localize_z, code.self_dual, NotInSelfDualError),
+    ):
+        vecs = rng.integers(0, p, size=(200, space.shape[0])) @ space
+        vecs[1::2] += rng.integers(0, p, size=(100, 2 * n)) * (rng.random((100, 1)) < 0.8)  # most leave the space
+        vecs %= p
+        inside = [linalg.row_space_contains(space, vec, p) for vec in vecs]
+        assert 20 < sum(inside) < 180
+        cases += [(localize, error, vec, member) for vec, member in zip(vecs, inside)]
+    every_share = tuple(range(1, n + 1))
+    calls = _counting_rref(monkeypatch)
+    for localize, error, vec, member in cases:
+        if member:
+            u, w = localize(code, vec, every_share)
+            assert not u.any() and np.array_equal(w, vec)
+        else:
+            with pytest.raises(error):
+                localize(code, vec, every_share)
+    assert calls == []  # no elimination decides membership
+
+
 def test_self_dual_completion_reference(hexcode):
     cm, pairs = symplectic.self_dual_completion(np.array(H_ROWS), 6, 3)
     assert linalg.rank(cm, 3) == 6
