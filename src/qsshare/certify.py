@@ -9,8 +9,9 @@ checked, not a sample of it.
 
 Pull-back. The ancilla generators X_t, Z_t (ancilla t is qudit n + t) go
 back through the emitted gates, last to first, as rows w^e M(x|z) on the
-n + k qudits: Q = U^dag P U. A single-qudit gate G is a lookup in a table of
-the p^2 conjugates G^dag X^x Z^z G = w^e X^x' Z^z' (_site_table). A run of
+n + k qudits: Q = U^dag P U. A single-qudit gate G maps each row's factor
+X^x Z^z on its qudit to its conjugate G^dag X^x Z^z G = w^e X^x' Z^z' by a
+closed-form rule (_site_rule). A run of
 controlled Paulis of one kind, one control c and distinct targets is
 U = sum_j |j><j|_c (x) N^(sigma j), N = M(v), sigma = +1 for CPAULI and -1 for
 CPAULIINV; it maps w^e (X^x Z^z)_c (x) M(S) to w^e' (X^x Z^z')_c (x) M(S + m v)
@@ -21,6 +22,17 @@ in one update of all rows (_pull_run), with kappa = 2 at p = 2 and 1 otherwise:
     e' = e + kappa (v_a.v_b) m(m-1)/2 + kappa S_a.(m v_b)    (mod the ring)
 
 The [p = 2] term is N^2 = -I, met when the control value wraps.
+
+Every circuit circuits.synthesize_reconstruction emits has one shape: F on
+each ancilla, the inverse runs of the y_t, the step-3 phase powers, F
+again, the inverse runs of the w_t, the step-6 phase powers. So
+certify_reconstruction takes all of its plans at once: _shape_images walks
+that shape for a whole circuits.PlanBatch, the rows carrying a leading sets
+axis, each site rule and run rule one array update for every set, with
+per-set patterns and exponents. One compression (below) then reads all of
+the S * 2k images, and only a failing set goes on to its transfer. The
+gate-level pull_back, which reads any gate sequence, is the reference the
+tests hold the shape walk to, and the path for circuits read from a file.
 
 Compression. sim's encoding map is V|s> = Xbar^s |0bar> (x) |0>_A with
 Xbar^s = prod_t (alpha_t M(x_t))^(s_t). U returns every secret iff
@@ -54,7 +66,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,43 +122,47 @@ def _guard(p: int, k: int) -> None:
 # pull-back
 
 
-@lru_cache(maxsize=None)
-def _site_table(p: int, kind: str, params: tuple) -> np.ndarray:
-    """(3, p^2) read-only table of G^dag X^x Z^z G = w^e X^x' Z^z' for the
-    single-qudit gate G: column x p + z holds x', z', e."""
+def _site_rule(p: int, kind: str, params: tuple, x, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G^dag X^x Z^z G = w^e X^x' Z^z' for the single-qudit gate G, as
+    (x', z', e); x, z and the params broadcast together."""
     kappa = 2 if p == 2 else 1
-    x, z = np.divmod(np.arange(p * p), p)
     if kind == "F":  # F^dag X F = Z^-1, F^dag Z F = X, and Z^a X^b = w_p^(ab) X^b Z^a
-        table = (z, -x, -kappa * x * z)
+        rule = (z, -x, -kappa * x * z)
     elif kind == "FINV":  # F X F^dag = Z, F Z F^dag = X^-1
-        table = (-z, x, -kappa * x * z)
+        rule = (-z, x, -kappa * x * z)
     elif kind == "PPOW":  # P^-e X P^e for P = diag(w^j): w^-e X at odd p, w^-e X Z^e at p = 2
-        e = params[0]
-        table = (x, z + e * x * (p == 2), -e * x)
+        (e,) = params
+        rule = (x, z + e * x * (p == 2), -e * x)
     else:  # PAULI a b: X^x Z^z G = w_p^(z a - x b) G X^x Z^z
         a, b = params
-        table = (x, z, kappa * (z * a - x * b))
-    out = np.array(table) % np.array([[p], [p], [pauli.phase_order(p)]])
-    out.flags.writeable = False
-    return out
+        rule = (x, z, kappa * (z * a - x * b))
+    return rule[0] % p, rule[1] % p, rule[2] % pauli.phase_order(p)
 
 
-def _pull_run(p: int, rows, inverse: bool, control: int, targets: dict) -> None:
+def _pull_site(p: int, rows, q: int, kind: str, params: tuple) -> None:
+    """Conjugate rows (phases, xs, zs), any leading axes, in place by one
+    single-qudit gate on column q."""
+    phases, xs, zs = rows
+    xs[..., q], zs[..., q], shift = _site_rule(p, kind, params, xs[..., q], zs[..., q])
+    phases[...] = (phases + shift) % pauli.phase_order(p)
+
+
+def _pull_run(p: int, rows, inverse: bool, control: int, va, vb) -> None:
     """Conjugate rows (phases, xs, zs) in place by one run of controlled
-    Paulis: control column, {target column: (a, b)}."""
+    Paulis on a control column: N = M(va|vb), zero at the control and at
+    every column the run does not target. The rows' leading axes broadcast
+    against those of va and vb, which have one column per row column."""
     phases, xs, zs = rows
     ring, kappa, sigma = pauli.phase_order(p), 2 if p == 2 else 1, -1 if inverse else 1
-    cols = list(targets)
-    va, vb = np.array(list(targets.values()), dtype=np.int64).T
-    x = xs[:, control]
+    x = xs[..., control]
     m = (-sigma * x) % ring
-    own = int(va @ vb)
-    sa_vb = xs[:, cols] @ vb
-    symp = sa_vb - zs[:, cols] @ va  # <S, v>
-    phases[:] = (phases + kappa * (own * (m * (m - 1) // 2) + sa_vb * m)) % ring
-    zs[:, control] = (zs[:, control] - sigma * symp + own * x * (p == 2)) % p
-    xs[:, cols] = (xs[:, cols] + m[:, None] * va) % p
-    zs[:, cols] = (zs[:, cols] + m[:, None] * vb) % p
+    own = (va * vb).sum(axis=-1)[..., None]
+    sa_vb = (xs @ vb[..., None])[..., 0]
+    symp = sa_vb - (zs @ va[..., None])[..., 0]  # <S, v>
+    phases[...] = (phases + kappa * (own * (m * (m - 1) // 2) + sa_vb * m)) % ring
+    zs[..., control] = (zs[..., control] - sigma * symp + own * x * (p == 2)) % p
+    xs[...] = (xs + m[..., None] * va[..., None, :]) % p
+    zs[...] = (zs + m[..., None] * vb[..., None, :]) % p
 
 
 def pull_back(gates, p: int, phases, xs, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,7 +171,13 @@ def pull_back(gates, p: int, phases, xs, zs) -> tuple[np.ndarray, np.ndarray, np
     each maximal run of controlled Paulis of one kind and one control on
     distinct targets in one update."""
     rows = tuple(np.array(v, dtype=np.int64) for v in (phases, xs, zs))
-    ring = pauli.phase_order(p)
+    width = rows[1].shape[-1]
+
+    def pull_run(inverse, control, targets):
+        va, vb = np.zeros((2, width), dtype=np.int64)
+        va[list(targets)], vb[list(targets)] = np.array(list(targets.values()), dtype=np.int64).T
+        _pull_run(p, rows, inverse, control, va, vb)
+
     run = None  # (inverse, control, {target: (a, b)}), gathered last gate first
     for gate in reversed(gates):
         if gate.is_two_qudit():
@@ -166,31 +187,57 @@ def pull_back(gates, p: int, phases, xs, zs) -> tuple[np.ndarray, np.ndarray, np
                 run[2][target] = gate.params
                 continue
             if run is not None:
-                _pull_run(p, rows, *run)
+                pull_run(*run)
             run = (*key, {target: gate.params})
             continue
         if run is not None:
-            _pull_run(p, rows, *run)
+            pull_run(*run)
             run = None
-        phases, xs, zs = rows
-        q = gate.qudits[0] - 1
-        new_x, new_z, shift = _site_table(p, gate.kind, gate.params)[:, xs[:, q] * p + zs[:, q]]
-        xs[:, q], zs[:, q] = new_x, new_z
-        phases[:] = (phases + shift) % ring
+        _pull_site(p, rows, gate.qudits[0] - 1, gate.kind, gate.params)
     if run is not None:
-        _pull_run(p, rows, *run)
+        pull_run(*run)
     return rows
+
+
+def _generators(count: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2k ancilla generators X_1..X_k then Z_1..Z_k on m qudits, the
+    ancillas last, as (phases, xs, zs) rows for each of `count` circuits."""
+    phases = np.zeros((count, 2 * k), dtype=np.int64)
+    xs, zs = np.zeros((2, count, 2 * k, m), dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    xs[:, :k, m - k :], zs[:, k:, m - k :] = eye, eye
+    return phases, xs, zs
 
 
 def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U^dag P U for the 2k ancilla generators P, X_1..X_k then Z_1..Z_k, of a
     shares-first circuit on n + k qudits."""
-    m = circuit.num_qudits
-    eye = np.eye(k, dtype=np.int64)
-    xs = np.zeros((2 * k, m), dtype=np.int64)
-    zs = np.zeros((2 * k, m), dtype=np.int64)
-    xs[:k, m - k :], zs[k:, m - k :] = eye, eye
-    return pull_back(circuit.gates, circuit.p, np.zeros(2 * k, dtype=np.int64), xs, zs)
+    rows = _generators(1, circuit.num_qudits, k)
+    return pull_back(circuit.gates, circuit.p, *(part[0] for part in rows))
+
+
+def _shape_images(plans: circuits.PlanBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """generator_images of every plan's circuits.synthesize_reconstruction
+    circuit at once, as (S, 2k) phases and (S, 2k, n + k) xs and zs.
+
+    Every such circuit has the same six steps, so the pull-back walks them
+    last to first for all plans together: each step's gates act on the
+    ancillas, one per secret qudit t, and each controlled pattern y_t or w_t
+    is one run, CPAULIINV with control n + t on the pattern's support.
+    """
+    p, n, k = plans.p, plans.n, plans.k
+    rows = _generators(len(plans), n + k, k)
+    on_ancillas = np.zeros((len(plans), k), dtype=np.int64)
+    for exponents, patterns in ((plans.step6_exponents, plans.w), (plans.step3_exponents, plans.y)):
+        for t in reversed(range(k)):
+            _pull_site(p, rows, n + t, "PPOW", (exponents[:, t, None],))
+        for t in reversed(range(k)):
+            va = np.hstack([patterns[:, t, :n], on_ancillas])
+            vb = np.hstack([patterns[:, t, n:], on_ancillas])
+            _pull_run(p, rows, True, n + t, va, vb)
+        for t in reversed(range(k)):
+            _pull_site(p, rows, n + t, "F", ())
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +282,16 @@ def _compress(code, frame: _Frame, phases, xs, zs):
     return valid, f, a, b
 
 
-def _passes(code, frame: _Frame, images) -> bool:
-    """Each generator image compresses to its generator: the circuit returns
-    every secret."""
-    valid, f, a, b = _compress(code, frame, *images)
-    return bool(valid.all() and not f.any() and np.array_equal(np.hstack([a, b]), np.eye(2 * code.k)))
+def _passes(code, frame: _Frame, images) -> np.ndarray:
+    """For generator images with a leading sets axis, (S, 2k) phases and
+    (S, 2k, n + k) xs and zs: true where each image compresses to its
+    generator, so that the circuit returns every secret. One _compress
+    serves every set."""
+    count, k = len(images[0]), code.k
+    valid, f, a, b = _compress(code, frame, *(part.reshape(count * 2 * k, *part.shape[2:]) for part in images))
+    read = np.hstack([a, b]).reshape(count, 2 * k, 2 * k)
+    whole = valid.reshape(count, 2 * k).all(axis=1) & ~f.reshape(count, 2 * k).any(axis=1)
+    return whole & (read == np.eye(2 * k, dtype=np.int64)).all(axis=(1, 2))
 
 
 def _transfer(code, frame: _Frame, images):
@@ -282,26 +334,35 @@ def certify_reconstruction(code, convention, plans, secrets) -> list[Reconstruct
     secret's ancilla fidelity and purity and the circuit's entanglement
     fidelity.
 
-    Synthesizes one circuit per circuits.ReconstructionPlan and pulls the 2k
-    ancilla generators back through its gates. A circuit that passes returns
-    every secret exactly, so each of its fidelities and purities and its
-    entanglement fidelity is 1.0; a failing one is reported from its Pauli
-    transfer. Returns one report per plan, in order.
+    plans is a circuits.PlanBatch, or a sequence of
+    circuits.ReconstructionPlan, which is stacked into one. The 2k ancilla
+    generators are pulled back through every plan's
+    circuits.synthesize_reconstruction circuit at once (_shape_images) and
+    compressed in one _compress. A circuit that passes returns every secret
+    exactly, so each of its fidelities and purities and its entanglement
+    fidelity is 1.0; a failing one is reported from its Pauli transfer. The
+    gate counts are read from the patterns' supports: one two-qudit gate per
+    share in the support of each y_t and w_t, and 4k single-qudit gates.
+    Returns one report per plan, in order.
     """
-    p, k = code.p, code.k
+    p, n, k = code.p, code.n, code.k
     _guard(p, k)
+    if not isinstance(plans, circuits.PlanBatch):
+        plans = circuits.PlanBatch.stack(code, plans)
     frame = _frame(code, convention)
     rows = [np.asarray(secret, dtype=np.complex128).reshape(p**k) for secret in secrets]
     ring = pauli.phase_order(p)
+    images = _shape_images(plans)
+    passes = _passes(code, frame, images)
+    patterns = np.concatenate([plans.y, plans.w], axis=1)
+    two_qudit = ((patterns[..., :n] != 0) | (patterns[..., n:] != 0)).sum(axis=(1, 2)).tolist()
     reports = []
-    for plan in plans:
-        circuit = circuits.synthesize_reconstruction(plan, code)
-        images = generator_images(circuit, k)
-        if _passes(code, frame, images):
+    for s, available in enumerate(plans.available):
+        if passes[s]:
             fidelity = purity = (1.0,) * len(rows)
             whole = 1.0
         else:
-            valid, f, target = _transfer(code, frame, images)
+            valid, f, target = _transfer(code, frame, tuple(part[s] for part in images))
             kept = valid & (target == np.arange(p ** (2 * k)))
             counts = np.bincount(-f[kept] % ring, minlength=ring)
             if p > 2:  # the p-th roots of unity sum to 0, so a balanced count gives exactly 0
@@ -317,11 +378,11 @@ def certify_reconstruction(code, convention, plans, secrets) -> list[Reconstruct
             fidelity, purity = tuple(fidelity), tuple(purity)
         reports.append(
             ReconstructionReport(
-                available=plan.available,
+                available=available,
                 fidelity=fidelity,
                 purity=purity,
-                two_qudit_gates=circuit.two_qudit_count(),
-                single_qudit_gates=circuit.single_qudit_count(),
+                two_qudit_gates=two_qudit[s],
+                single_qudit_gates=4 * k,
                 entanglement_fidelity=whole,
             )
         )

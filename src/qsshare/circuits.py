@@ -20,6 +20,7 @@ two-qudit gates phase-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -153,6 +154,55 @@ class ReconstructionPlan:
     step6_exponents: list[int]
 
 
+_PATTERNS = ("w", "y", "u", "v")
+_EXPONENTS = ("beta", "gamma", "eta_u", "eta_v", "step3_exponents", "step6_exponents")
+
+
+@dataclass
+class PlanBatch:
+    """The ReconstructionPlans of S share sets as arrays with a leading sets
+    axis: available[s] is set s, the patterns w, y, u, v are (S, k, 2n) and
+    the phases and exponents (S, k). batch[s] is set s's ReconstructionPlan.
+    """
+
+    p: int
+    n: int
+    k: int
+    available: list[tuple[int, ...]]
+    w: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    eta_u: np.ndarray
+    eta_v: np.ndarray
+    step3_exponents: np.ndarray
+    step6_exponents: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.available)
+
+    def __getitem__(self, s: int) -> ReconstructionPlan:
+        fields = {name: list(getattr(self, name)[s]) for name in _PATTERNS}
+        fields.update((name, getattr(self, name)[s].tolist()) for name in _EXPONENTS)
+        return ReconstructionPlan(p=self.p, n=self.n, k=self.k, available=self.available[s], **fields)
+
+    @classmethod
+    def stack(cls, code, plans) -> PlanBatch:
+        """The batch of the given ReconstructionPlans of `code`, in order."""
+        count, k = len(plans), code.k
+        fields = {
+            name: np.array([getattr(plan, name) for plan in plans], dtype=np.int64).reshape(count, k, 2 * code.n)
+            for name in _PATTERNS
+        }
+        fields.update(
+            (name, np.array([getattr(plan, name) for plan in plans], dtype=np.int64).reshape(count, k))
+            for name in _EXPONENTS
+        )
+        return cls(p=code.p, n=code.n, k=k, available=[plan.available for plan in plans], **fields)
+
+
 def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     """Build the per-coalition reconstruction data.
 
@@ -163,38 +213,74 @@ def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     If erasing M = complement(J) is correctable the split exists. Conversely,
     an L in dual(C) supported on M is orthogonal to those representatives,
     which span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
-    `symplectic.erasure_correctable`'s criterion.
+    `symplectic.erasure_correctable`'s criterion. The plan is plan_sets' for
+    one set, from symplectic.split_on_missing, which is quicker on one set
+    than the stacked elimination.
     """
-    p, n, k = code.p, code.n, code.k
-    if k < 1:
-        raise ValueError("nothing to reconstruct for a k = 0 code")
+    n = code.n
+    _check_k(code)
     available = symplectic.share_set(available, n)
     if not available:
         raise NotCorrectableError("empty share set cannot reconstruct")
-    missing = symplectic.complement(available, n)
-    # rows 0..k-1 split the logical x, rows k..2k-1 the logical z; the
-    # coefficients of u_i, v_i over the stabilizer rows, which the calibrated
-    # generators carry, give every code-space eigenvalue at once
-    targets = np.vstack([code.logical_x, code.logical_z])
     try:
-        stab_parts, local_parts, coeffs = symplectic.split_on_missing(code, targets, missing)
+        parts = symplectic.split_on_missing(code, _targets(code), symplectic.complement(available, n))
     except NoSolutionError as exc:
         raise NotCorrectableError(f"shares {available} are not a qualified set") from exc
+    return _assemble(code, convention, [available], *(part[None] for part in parts))[0]
+
+
+def plan_sets(code, convention, sets) -> PlanBatch:
+    """plan_reconstruction of every share set in `sets`, as one PlanBatch.
+
+    One symplectic.split_on_missing_sets splits the logical rows on every set
+    at once, and gives the coefficients split_on_missing gives each, so
+    batch[s] equals plan_reconstruction of sets[s]. Raises
+    NotCorrectableError, naming the first, when a set is not qualified.
+    """
+    n = code.n
+    _check_k(code)
+    available = [symplectic.share_set(members, n) for members in sets]
+    if not all(available):
+        raise NotCorrectableError("empty share set cannot reconstruct")
+    missing = np.ones((len(available), n), dtype=bool)
+    held = np.fromiter(chain.from_iterable(available), dtype=np.intp)
+    missing[np.repeat(np.arange(len(available)), [len(a) for a in available]), held - 1] = False
+    *parts, split = symplectic.split_on_missing_sets(code, _targets(code), missing)
+    if not split.all():
+        raise NotCorrectableError(f"shares {available[int(np.argmin(split))]} are not a qualified set")
+    return _assemble(code, convention, available, *parts)
+
+
+def _check_k(code) -> None:
+    if code.k < 1:
+        raise ValueError("nothing to reconstruct for a k = 0 code")
+
+
+def _targets(code) -> np.ndarray:
+    """The rows a plan splits: rows 0..k-1 the logical x, rows k..2k-1 the
+    logical z. Their coefficients over the stabilizer rows, which the
+    calibrated generators carry, give every code-space eigenvalue at once."""
+    return np.vstack([code.logical_x, code.logical_z])
+
+
+def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> PlanBatch:
+    """The plans of the given sets from their splits of _targets, each part
+    with a leading sets axis."""
+    p, n, k = code.p, code.n, code.k
     ring = pauli.phase_order(p)
     # M(target) = w^phase M(local) M(stab), phase = -kappa (stab_a . local_b)
     # by pauli_mul's cross term: beta for the x rows, gamma for the z rows
     kappa = 2 if p == 2 else 1
-    phases = -kappa * (stab_parts[:, :n] * local_parts[:, n:]).sum(axis=1) % ring
-    etas = convention.stabilizer_exponents(coeffs)
+    phases = -kappa * (stab_parts[..., :n] * local_parts[..., n:]).sum(axis=-1) % ring
+    etas = convention.stabilizer_exponents(coeffs.reshape(phases.size, coeffs.shape[-1])).reshape(phases.shape)
     alpha = np.array(convention.alpha_exponents, dtype=np.int64)
-    step3 = (alpha - phases[k:] - etas[k:]) % ring  # -(alpha^-1 + gamma + eta_v)
-    step6 = (-alpha - phases[:k] - etas[:k]) % ring  # -(alpha + beta + eta_u)
-    return ReconstructionPlan(
+    step3 = (alpha - phases[:, k:] - etas[:, k:]) % ring  # -(alpha^-1 + gamma + eta_v)
+    step6 = (-alpha - phases[:, :k] - etas[:, :k]) % ring  # -(alpha + beta + eta_u)
+    return PlanBatch(
         p=p, n=n, k=k, available=available,
-        w=list(local_parts[:k]), y=list(local_parts[k:]), u=list(stab_parts[:k]), v=list(stab_parts[k:]),
-        beta=phases[:k].tolist(), gamma=phases[k:].tolist(),
-        eta_u=etas[:k].tolist(), eta_v=etas[k:].tolist(),
-        step3_exponents=step3.tolist(), step6_exponents=step6.tolist(),
+        w=local_parts[:, :k], y=local_parts[:, k:], u=stab_parts[:, :k], v=stab_parts[:, k:],
+        beta=phases[:, :k], gamma=phases[:, k:], eta_u=etas[:, :k], eta_v=etas[:, k:],
+        step3_exponents=step3, step6_exponents=step6,
     )
 
 

@@ -142,8 +142,7 @@ def cmd_verify(args) -> int:
             print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
-        sets = symplectic.all_qualified_sets(code)
-        plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
+        plans = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
     rng = np.random.default_rng(args.seed)
     secrets = [certify.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None

@@ -182,3 +182,46 @@ def solve_linear(A, b, p: int) -> np.ndarray:
     x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
     x[list(pivots)] = R[:rk, cols:]
     return x if b.ndim == 2 else x[:, 0]
+
+
+def solve_stacked(systems, cols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """solve_linear of S systems of one shape at once.
+
+    systems is (S, rows, cols + q), each [A | b] with entries in [0, p) and q
+    right-hand sides. One Gauss-Jordan elimination over the leading axis
+    reduces A's columns of every system, pivoting as rref does. Returns
+    (x, solved): x (S, cols, q) the solutions with every free variable zero,
+    and solved (S,) true where every right-hand side lies in A's column
+    space (x is meaningless where it is false). The reduced form is unique,
+    so each solved system's x is solve_linear's. Stored in int16, as
+    |x - y*z| < p^2 <= 169.
+    """
+    work = np.array(systems, dtype=np.int16)
+    count, rows, width = work.shape
+    inv = _inverses(p).astype(np.int16)
+    every, row_index = np.arange(count), np.arange(rows)
+    rank = np.zeros(count, dtype=np.intp)
+    pivot_of = np.full((count, min(rows, cols)), cols)  # each reduced row's pivot column; cols for none
+    for c in range(cols):
+        if (rank == rows).all():
+            break
+        # rows rank.. are zero left of c, so only columns c.. change
+        live = (work[:, :, c] != 0) & (row_index >= rank[:, None])
+        found = live.any(axis=1)
+        if not found.any():
+            continue
+        i = live.argmax(axis=1)
+        lead = work[every, i, c]
+        pivot = work[every, i, c:] * (inv[lead] * found)[:, None] % p  # zero where no row pivots
+        held, r = every[found], rank[found]
+        work[held, i[found]] = work[held, r]
+        # clearing column c in every row also zeroes row r; it then gets the pivot
+        work[:, :, c:] -= work[:, :, c, None] * pivot[:, None, :]
+        work[:, :, c:] %= p
+        work[held, r, c:] = pivot[found]
+        pivot_of[held, r] = c
+        rank += found
+    solved = ~(work[:, :, cols:].any(axis=2) & (row_index >= rank[:, None])).any(axis=1)
+    x = np.zeros((count, cols + 1, width - cols), dtype=np.int64)
+    x[every[:, None], pivot_of] = work[:, : pivot_of.shape[1], cols:]
+    return x[:, :cols], solved

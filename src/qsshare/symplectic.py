@@ -175,10 +175,10 @@ def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, int | 
     return n - stab.shape[0], cm_rank, reduced
 
 
-def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int | None) -> None:
+def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int) -> None:
     """The invariants beyond _check_shapes and _check_stabilizer, for
-    canonical parts; cm_rank is the rank of cm, or None."""
-    if (linalg.rank(cm, p) if cm_rank is None else cm_rank) != n:
+    canonical parts; cm_rank is the rank of cm."""
+    if cm_rank != n:
         raise ValidationError("self-dual space must have dimension n")
     # One Gram matrix of the stacked rows holds every product checked below;
     # _check_stabilizer has checked the stabilizer rows' own products.
@@ -346,15 +346,24 @@ def build_code(
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
     # the parts given, before anything is derived from them
     _check_shapes(n, k, stab, cm, lx, lz)
-    if cm is not None and cm_rank != n:
-        raise ValidationError("self-dual space must have dimension n")
 
     if cm is None and lz is None and lx is not None:
         lz = _partners_of_x(stab, lx, n, p)
     if cm is None and lz is not None:
         cm = np.vstack([stab, lz])
+        cm_rank = linalg.rank(cm, p)
+    if cm is not None and cm_rank != n:
+        raise ValidationError("self-dual space must have dimension n")
+    if self_dual is not None and (lx is None or lz is None):
+        # the logical rows are derived from the given Cm, which must be
+        # self-orthogonal and hold C: one Gram product, read as _validate reads
+        gram = _gram(np.vstack([cm, stab]), cm) % p
+        if gram[:n].any():
+            raise ValidationError("self-dual rows are not mutually orthogonal")
+        _name_first_row(gram[n:], "stabilizer row {} outside the self-dual space")
     if cm is None:  # so the stabilizer was reduced on its own above
         cm, pairs = _completion(reduced, n, p)
+        cm_rank = n  # the stabilizer rows and one partner per pair
         lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
         lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
     if lx is None and lz is None:
@@ -460,6 +469,35 @@ def split_on_missing(code: CodeSpec, vecs, missing):
         coeff = linalg.solve_linear(code.stabilizer[:, cols].T, vecs[..., cols].T, p).T
     s = (coeff @ code.stabilizer) % p
     return s, (vecs - s) % p, coeff
+
+
+def split_on_missing_sets(code: CodeSpec, vecs, missing):
+    """split_on_missing of one (q, 2n) stack of vectors for each of S share
+    sets at once; missing is an (S, n) boolean mask of each set's missing
+    shares.
+
+    Returns (s, r, c, split): s and r are (S, q, 2n), c is (S, q, n-k), and
+    split (S,) is true where every vector splits (s, r and c are meaningless
+    where it is false). The sets are grouped by their number of missing
+    shares, and one linalg.solve_stacked per group solves the system
+    split_on_missing solves, [stabilizer^T | vecs^T] on the set's missing
+    coordinates, so c is split_on_missing's coefficients.
+    """
+    p, n, d = code.p, code.n, code.stabilizer.shape[0]
+    vecs = np.asarray(vecs, dtype=np.int64)
+    missing = np.asarray(missing, dtype=bool)
+    system = np.hstack([code.stabilizer.T, vecs.T])  # one row per coordinate
+    size = missing.sum(axis=1)
+    coeff = np.zeros((len(missing), d, vecs.shape[0]), dtype=np.int64)
+    split = np.ones(len(missing), dtype=bool)
+    # not np.unique, whose first call imports numpy.ma (about 1 MB resident)
+    for m in np.flatnonzero(np.bincount(size)):
+        group = np.flatnonzero(size == m)
+        shares = np.nonzero(missing[group])[1].reshape(len(group), m)  # ascending in each set
+        coeff[group], split[group] = linalg.solve_stacked(system[np.hstack([shares, shares + n])], d, p)
+    coeff = coeff.transpose(0, 2, 1)
+    s = coeff @ code.stabilizer % p
+    return s, (vecs - s) % p, coeff, split
 
 
 def _subset_ranks(code: CodeSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from qsshare import certify, circuits, pauli, sim, symplectic
 from qsshare.demo import six_share_qutrit_code
-from qsshare.errors import TooLargeError
+from qsshare.errors import NotCorrectableError, TooLargeError
 
 ODD_AND_EVEN = (2, 3, 5, 7)
 
@@ -29,18 +29,22 @@ def _code(which):
     return six_share_qutrit_code() if which == "bundled" else symplectic.random_self_orthogonal_code(*which)
 
 
-def _mutated(kind, synthesize=circuits.synthesize_reconstruction):
-    """synthesize_reconstruction with its first PPOW exponent, or the b of
-    its first CPAULIINV, one too large."""
+def _mutated(kind, assemble=circuits._assemble):
+    """circuits._assemble, which every plan comes from, one set's or a batch's,
+    with the first step-3 exponent (the circuit's first PPOW gate), or the b
+    of y_1's first support entry (its first CPAULIINV gate), one too large."""
 
-    def broken(plan, code):
-        circuit = synthesize(plan, code)
-        gates = list(circuit.gates)
-        i = next(i for i, gate in enumerate(gates) if gate.kind == kind)
-        gate = gates[i]
-        params = (gate.params[0] + 1,) if kind == "PPOW" else (gate.params[0], (gate.params[1] + 1) % circuit.p)
-        gates[i] = circuits.Gate(gate.kind, gate.qudits, params)
-        return dataclasses.replace(circuit, gates=tuple(gates))
+    def broken(code, *args):
+        batch = assemble(code, *args)
+        n, every = code.n, np.arange(len(batch))
+        if kind == "PPOW":
+            step3 = batch.step3_exponents.copy()
+            step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
+            return dataclasses.replace(batch, step3_exponents=step3)
+        y = batch.y.copy()
+        first = ((y[:, 0, :n] != 0) | (y[:, 0, n:] != 0)).argmax(axis=1)
+        y[every, 0, n + first] = (y[every, 0, n + first] + 1) % code.p
+        return dataclasses.replace(batch, y=y)
 
     return broken
 
@@ -51,11 +55,12 @@ def test_site_tables_are_the_dense_conjugates(p):
     gates = [circuits.fourier(1), circuits.fourier_inv(1)]
     gates += [circuits.phase_pow(1, e) for e in range(ring)]
     gates += [oracles.pauli_gate(1, a, b) for a in range(p) for b in range(p)]
+    grid = np.divmod(np.arange(p * p), p)  # x, z at column x p + z
     for gate in gates:
-        table = certify._site_table(p, gate.kind, gate.params)
+        table = certify._site_rule(p, gate.kind, gate.params, *grid)
         op = oracles.gate_operator(gate, p)
         for x, z in product(range(p), repeat=2):
-            new_x, new_z, e = table[:, x * p + z]
+            new_x, new_z, e = (part[x * p + z] for part in table)
             image = pauli.dense_matrix(pauli.PhasedPauli(p, e, (new_x, new_z)))
             source = pauli.dense_matrix(pauli.PhasedPauli(p, 0, (x, z)))
             assert np.allclose(op.conj().T @ source @ op, image, atol=1e-12), (gate, x, z)
@@ -191,14 +196,18 @@ def _assert_agree(exact, dense, exact_fe, dense_fe, broken):
 def test_certificate_agrees_with_dense_on_every_qualified_set(monkeypatch, which):
     code = _code(which)
     conv = pauli.make_convention(code)
-    plans = [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
+    sets = symplectic.all_qualified_sets(code)
     rng = np.random.default_rng(3)
     secrets = [certify.random_secret(code.p, code.k, rng) for _ in range(3)]
     for mutation in (None, "PPOW", "CPAULIINV"):
         if mutation:
-            monkeypatch.setattr(circuits, "synthesize_reconstruction", _mutated(mutation))
+            monkeypatch.setattr(circuits, "_assemble", _mutated(mutation))
+        plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
         for row in zip(*_both(code, conv, plans, secrets)):
             _assert_agree(*row, broken=mutation is not None)
+        # verify's batched plan carries the same mutation to the same reports
+        batched = certify.certify_reconstruction(code, conv, circuits.plan_sets(code, conv, sets), secrets)
+        assert batched == certify.certify_reconstruction(code, conv, plans, secrets)
 
 
 @settings(max_examples=40)
@@ -215,17 +224,60 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     code = symplectic.random_self_orthogonal_code(p, n, k, seed)
     conv = pauli.make_convention(code)
     members = data.draw(st.sampled_from(symplectic.all_qualified_sets(code)))
-    plans = [circuits.plan_reconstruction(code, conv, members)]
     rng = np.random.default_rng(seed)
     secrets = [certify.random_secret(p, k, rng) for _ in range(2)]
-    synthesize = circuits.synthesize_reconstruction
+    assemble = circuits._assemble
     try:
         if mutation:
-            circuits.synthesize_reconstruction = _mutated(mutation)
+            circuits._assemble = _mutated(mutation)
+        plans = [circuits.plan_reconstruction(code, conv, members)]
         ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plans, secrets)
     finally:
-        circuits.synthesize_reconstruction = synthesize
+        circuits._assemble = assemble
     _assert_agree(exact, dense, exact_fe, dense_fe, broken=mutation is not None)
+
+
+@pytest.mark.parametrize("which", ["bundled", *SMALL_CODES, (2, 12, 2, 0), (3, 10, 2, 0)])
+def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
+    # the bundled code, SMALL_CODES and the two access-synth grid codes: the
+    # batched split, the shape pull-back and the support gate counts against
+    # split_on_missing, the gate-level pull-back and the emitted circuit
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    n, k = code.n, code.k
+    sets = symplectic.all_qualified_sets(code)
+    targets = np.vstack([code.logical_x, code.logical_z])
+    missing = np.ones((len(sets), n), dtype=bool)
+    for s, members in enumerate(sets):
+        missing[s, np.array(members) - 1] = False
+    *split, solved = symplectic.split_on_missing_sets(code, targets, missing)
+    batch = circuits.plan_sets(code, conv, sets)
+    images = certify._shape_images(batch)
+    reports = certify.certify_reconstruction(code, conv, batch, [])
+    assert solved.all() and len(batch) == len(reports) == len(sets)
+    for s, members in enumerate(sets):
+        expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))
+        assert all(np.array_equal(got[s], want) for got, want in zip(split, expected)), members
+        plan = circuits.plan_reconstruction(code, conv, members)
+        for field in dataclasses.fields(plan):
+            assert np.array_equal(getattr(batch[s], field.name), getattr(plan, field.name)), (members, field.name)
+        circuit = circuits.synthesize_reconstruction(plan, code)
+        for got, want in zip(images, certify.generator_images(circuit, k)):
+            assert np.array_equal(got[s], want), members
+        counts = (reports[s].two_qudit_gates, reports[s].single_qudit_gates)
+        assert counts == (circuit.two_qudit_count(), circuit.single_qudit_count()), members
+        assert reports[s] == certify.certify_reconstruction(code, conv, [plan], [])[0]
+        assert reports[s].entanglement_fidelity == 1.0
+
+
+def test_batched_plan_names_the_first_unqualified_set():
+    code = six_share_qutrit_code()
+    conv = pauli.make_convention(code)
+    with pytest.raises(NotCorrectableError, match=r"shares \(1, 2\) are not a qualified set"):
+        circuits.plan_sets(code, conv, [(3, 4, 5, 6), (2, 1), (1, 3)])
+    with pytest.raises(NotCorrectableError, match="empty share set"):
+        circuits.plan_sets(code, conv, [(3, 4, 5, 6), ()])
+    assert len(circuits.plan_sets(code, conv, [])) == 0
 
 
 def test_zero_secrets_give_empty_reports():

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qsshare
-from qsshare import certify, circuits, cli, linalg, sim, specfile, symplectic
+from qsshare import certify, circuits, cli, linalg, pauli, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -369,45 +369,44 @@ def _hex_plans(code, conv):
 
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
-    calls = {"plan": 0, "encode": 0}
-    plan, encode = circuits.plan_reconstruction, sim.encode_secret
+    calls = {"plan": 0, "batch": 0, "encode": 0}
+    plan, batch, encode = circuits.plan_reconstruction, circuits.plan_sets, sim.encode_secret
 
-    def counting_plan(*args, **kwargs):
-        calls["plan"] += 1
-        return plan(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    def counting_encode(*args, **kwargs):
-        calls["encode"] += 1
-        return encode(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
-    monkeypatch.setattr(sim, "encode_secret", counting_encode)
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting("plan", plan))
+    monkeypatch.setattr(circuits, "plan_sets", counting("batch", batch))
+    monkeypatch.setattr(sim, "encode_secret", counting("encode", encode))
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
-    assert calls == {"plan": 22, "encode": 0}  # the certificate encodes no secret
+    assert calls == {"plan": 0, "batch": 1, "encode": 0}  # the certificate encodes no secret
+    rc, out, _ = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "3")
+    assert rc == 0 and calls == {"plan": 1, "batch": 1, "encode": 0}
     # the dense simulator, called on the same 22 plans and 3 secrets
     calls.update(plan=0, encode=0)
     rng = np.random.default_rng(0)
     sim.verify_reconstruction(hexcode, hexconv, _hex_plans(hexcode, hexconv), [sim.random_secret(3, 2, rng) for _ in range(3)])
-    assert calls == {"plan": 22, "encode": 3}
+    assert calls == {"plan": 22, "batch": 1, "encode": 3}
 
 
 def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
-    # the certificate pulls each of the 22 circuits back once, whatever the
-    # number of secrets
-    pulled = []
-    images = certify.generator_images
-
-    def counting_images(circuit, k):
-        pulled.append(circuit)
-        return images(circuit, k)
-
-    monkeypatch.setattr(certify, "generator_images", counting_images)
-    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "10")
-    assert rc == 0
-    assert json.loads(out)["summary"]["qualified_sets"] == 22
-    assert len(pulled) == 22
+    # one pull-back of the circuit shape serves the 22 sets and every secret;
+    # no circuit is synthesized or pulled back gate by gate
+    shapes = _counting(monkeypatch, certify, "_shape_images")
+    gate_level = _counting(monkeypatch, certify, "generator_images")
+    synthesized = _counting(monkeypatch, circuits, "synthesize_reconstruction")
+    for trials in ("1", "10"):
+        shapes.clear()
+        rc, out, _ = run(capsys, "verify", spec_path, "--trials", trials)
+        assert rc == 0
+        assert json.loads(out)["summary"]["qualified_sets"] == 22
+        assert len(shapes) == 1 and gate_level == synthesized == []
 
 
 def test_qualified_sets_from_one_rank_table(monkeypatch):
@@ -540,17 +539,17 @@ def _write_code(code, path) -> str:
 
 
 def _break_first_phase_exponent(monkeypatch):
-    """Make every synthesized circuit's first PPOW exponent one too large."""
-    synthesize = circuits.synthesize_reconstruction
+    """Make every plan's first step-3 exponent, the circuit's first PPOW
+    gate, one too large: one set's plan and verify's batched plan alike."""
+    assemble = circuits._assemble
 
-    def off_by_one(plan, code):
-        circuit = synthesize(plan, code)
-        gates = list(circuit.gates)
-        i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
-        gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
-        return dataclasses.replace(circuit, gates=tuple(gates))
+    def off_by_one(code, *args):
+        batch = assemble(code, *args)
+        step3 = batch.step3_exponents.copy()
+        step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
+        return dataclasses.replace(batch, step3_exponents=step3)
 
-    monkeypatch.setattr(circuits, "synthesize_reconstruction", off_by_one)
+    monkeypatch.setattr(circuits, "_assemble", off_by_one)
 
 
 def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch, spec_path):
@@ -705,7 +704,7 @@ def test_demo_and_synthesize_stdout_are_pinned(capsys, spec_path, tmp_path):
 # Run in a child process, so that no other test has loaded the simulator.
 _VERIFY_WITHOUT_SIMULATOR = r"""
 import contextlib, dataclasses, io, sys, warnings
-from qsshare import circuits, cli
+from qsshare import circuits, cli, pauli
 
 def request(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -713,17 +712,16 @@ def request(*argv):
             warnings.simplefilter("ignore")
             return cli.main(list(argv))
 
-synthesize = circuits.synthesize_reconstruction
+assemble = circuits._assemble
 
-def broken(plan, code):  # the first PPOW exponent one too large
-    circuit = synthesize(plan, code)
-    gates = list(circuit.gates)
-    i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
-    gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
-    return dataclasses.replace(circuit, gates=tuple(gates))
+def broken(code, *args):  # every plan's first step-3 exponent one too large
+    batch = assemble(code, *args)
+    step3 = batch.step3_exponents.copy()
+    step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
+    return dataclasses.replace(batch, step3_exponents=step3)
 
 codes = [request("verify", sys.argv[1], "--trials", "3"), request("demo")]
-circuits.synthesize_reconstruction = broken
+circuits._assemble = broken
 codes.append(request("verify", sys.argv[1], "--trials", "3"))
 print(codes, sorted({"qsshare.sim"} & set(sys.modules)))
 """

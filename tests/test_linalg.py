@@ -237,3 +237,29 @@ def test_row_space_contains_equals_the_two_rank_form(p, rows, cols, seed, kind):
     got = linalg.row_space_contains(A, v, p)
     assert got == oracles.row_space_contains_by_ranks(A, v, p)
     assert got or kind == "random"
+
+
+@settings(max_examples=150)
+@given(field_matrices(max_rows=10, max_cols=10), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_stacked_solve_equals_solve_linear_on_each_system(case, count, q, data):
+    # systems sharing A's shape, some with a right-hand side in A's column
+    # space and some (drawn at random) mostly outside it
+    p, A = case
+    rows, cols = A.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    systems = []
+    for _ in range(count):
+        A = rng.permutation(A, axis=0) * rng.integers(0, 2, size=(rows, 1)) % p
+        b = A @ rng.integers(0, p, size=(cols, q)) % p if data.draw(st.booleans()) else rng.integers(0, p, size=(rows, q))
+        systems.append(np.hstack([A, b]))
+    systems = np.array(systems, dtype=np.int64).reshape(count, rows, cols + q)
+    before = systems.copy()
+    x, solved = linalg.solve_stacked(systems, cols, p)
+    assert np.array_equal(systems, before) and x.shape == (count, cols, q)
+    for s in range(count):
+        try:
+            expected = linalg.solve_linear(systems[s, :, :cols], systems[s, :, cols:], p)
+        except NoSolutionError:
+            assert not solved[s]
+        else:
+            assert solved[s] and np.array_equal(x[s], expected)

@@ -337,6 +337,23 @@ def test_a_malformed_part_is_named_before_anything_is_derived_from_it(rows, mess
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # X1X2 is outside span(Z1, Z2): named before any logical row is derived
+        ("stab 11|00\nselfdual 00|10\nselfdual 00|01\n", "stabilizer row 1 outside the self-dual space"),
+        ("stab 11|00\nselfdual 10|00\nselfdual 00|10\n", "self-dual rows are not mutually orthogonal"),
+        # z = X1X2 is the stabilizer row again, so [stab; z] has rank 1
+        ("stab 11|00\nlogicalz 11|00\n", "self-dual space must have dimension n"),
+    ],
+    ids=["stabilizer-outside-self-dual", "self-dual-not-orthogonal", "z-inside-the-stabilizer"],
+)
+def test_a_defect_the_derivation_would_hide_is_named(rows, message):
+    with pytest.raises(ValidationError) as caught:
+        specfile.parse_code_document("p 3\nn 2\nk 1\n" + rows)
+    assert str(caught.value) == message
+
+
 def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
     with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
         specfile.parse_code_document("p 3\nn 0\nk 0\n")

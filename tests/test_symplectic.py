@@ -699,6 +699,18 @@ def test_random_code_is_validated_by_one_elimination(monkeypatch):
         assert seen == [(n, 2 * n)], (p, n, k)
 
 
+def test_a_stabilizer_only_load_eliminates_three_times(monkeypatch):
+    # the stabilizer's independence, dual(C) and the coset representatives;
+    # the completed Cm has rank n by construction and is not ranked again
+    codes = [symplectic.random_self_orthogonal_code(*args) for args in ((2, 9, 2, 0), (3, 6, 2, 1), (5, 4, 1, 2))]
+    seen = _recorded_rrefs(monkeypatch)
+    for code in codes:
+        seen.clear()
+        loaded = symplectic.build_code(code.p, code.stabilizer)
+        assert len(seen) == 3, (code.p, code.n, code.k)
+        symplectic.validate_code(loaded)
+
+
 @pytest.mark.parametrize("leading", [False, True])
 def test_validate_code_names_dependent_stabilizer_rows_first(hexcode, leading):
     # a repeated stabilizer row, beside a self-dual basis of rank n (not
