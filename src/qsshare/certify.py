@@ -26,13 +26,14 @@ The [p = 2] term is N^2 = -I, met when the control value wraps.
 Every circuit circuits.synthesize_reconstruction emits has one shape: F on
 each ancilla, the inverse runs of the y_t, the step-3 phase powers, F
 again, the inverse runs of the w_t, the step-6 phase powers. So
-certify_reconstruction takes all of its plans at once: _shape_images walks
-that shape for a whole circuits.PlanBatch, the rows carrying a leading sets
-axis, each site rule and run rule one array update for every set, with
-per-set patterns and exponents. One compression (below) then reads all of
-the S * 2k images, and only a failing set goes on to its transfer. The
-gate-level pull_back, which reads any gate sequence, is the reference the
-tests hold the shape walk to, and the path for circuits read from a file.
+certify_reconstruction takes all of a plan's sets at once: _shape_images
+walks that shape for a whole circuits.ReconstructionPlan, the rows carrying
+its leading sets axis, each site rule and run rule one array update for
+every set, with per-set patterns and exponents. One compression (below)
+then reads all of the S * 2k images, and only a failing set goes on to its
+transfer. The gate-level pull_back, which reads any gate sequence, is the
+reference the tests hold the shape walk to, and the path for circuits read
+from a file.
 
 Compression. sim's encoding map is V|s> = Xbar^s |0bar> (x) |0>_A with
 Xbar^s = prod_t (alpha_t M(x_t))^(s_t). U returns every secret iff
@@ -216,19 +217,20 @@ def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.
     return pull_back(circuit.gates, circuit.p, *(part[0] for part in rows))
 
 
-def _shape_images(plans: circuits.PlanBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """generator_images of every plan's circuits.synthesize_reconstruction
-    circuit at once, as (S, 2k) phases and (S, 2k, n + k) xs and zs.
+def _shape_images(plan: circuits.ReconstructionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """generator_images of the circuits.synthesize_reconstruction circuit of
+    each of the plan's S sets at once, as (S, 2k) phases and (S, 2k, n + k)
+    xs and zs.
 
     Every such circuit has the same six steps, so the pull-back walks them
-    last to first for all plans together: each step's gates act on the
+    last to first for all sets together: each step's gates act on the
     ancillas, one per secret qudit t, and each controlled pattern y_t or w_t
     is one run, CPAULIINV with control n + t on the pattern's support.
     """
-    p, n, k = plans.p, plans.n, plans.k
-    rows = _generators(len(plans), n + k, k)
-    on_ancillas = np.zeros((len(plans), k), dtype=np.int64)
-    for exponents, patterns in ((plans.step6_exponents, plans.w), (plans.step3_exponents, plans.y)):
+    p, n, k = plan.p, plan.n, plan.k
+    rows = _generators(len(plan), n + k, k)
+    on_ancillas = np.zeros((len(plan), k), dtype=np.int64)
+    for exponents, patterns in ((plan.step6_exponents, plan.w), (plan.step3_exponents, plan.y)):
         for t in reversed(range(k)):
             _pull_site(p, rows, n + t, "PPOW", (exponents[:, t, None],))
         for t in reversed(range(k)):
@@ -329,35 +331,32 @@ def _characteristic(secret: np.ndarray, p: int, k: int) -> np.ndarray:
 # the certificate
 
 
-def certify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
-    """Certify each plan's circuit from its Clifford action, and report each
-    secret's ancilla fidelity and purity and the circuit's entanglement
-    fidelity.
+def certify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
+    """Certify the circuit of each of the plan's sets from its Clifford
+    action, and report each secret's ancilla fidelity and purity and the
+    circuit's entanglement fidelity.
 
-    plans is a circuits.PlanBatch, or a sequence of
-    circuits.ReconstructionPlan, which is stacked into one. The 2k ancilla
-    generators are pulled back through every plan's
+    plan is a circuits.ReconstructionPlan of any number of sets. The 2k
+    ancilla generators are pulled back through every set's
     circuits.synthesize_reconstruction circuit at once (_shape_images) and
     compressed in one _compress. A circuit that passes returns every secret
     exactly, so each of its fidelities and purities and its entanglement
     fidelity is 1.0; a failing one is reported from its Pauli transfer. The
     gate counts are read from the patterns' supports: one two-qudit gate per
     share in the support of each y_t and w_t, and 4k single-qudit gates.
-    Returns one report per plan, in order.
+    Returns one report per set, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, k)
-    if not isinstance(plans, circuits.PlanBatch):
-        plans = circuits.PlanBatch.stack(code, plans)
     frame = _frame(code, convention)
     rows = [np.asarray(secret, dtype=np.complex128).reshape(p**k) for secret in secrets]
     ring = pauli.phase_order(p)
-    images = _shape_images(plans)
+    images = _shape_images(plan)
     passes = _passes(code, frame, images)
-    patterns = np.concatenate([plans.y, plans.w], axis=1)
+    patterns = np.concatenate([plan.y, plan.w], axis=1)
     two_qudit = ((patterns[..., :n] != 0) | (patterns[..., n:] != 0)).sum(axis=(1, 2)).tolist()
     reports = []
-    for s, available in enumerate(plans.available):
+    for s, available in enumerate(plan.available):
         if passes[s]:
             fidelity = purity = (1.0,) * len(rows)
             whole = 1.0
@@ -389,9 +388,10 @@ def certify_reconstruction(code, convention, plans, secrets) -> list[Reconstruct
     return reports
 
 
-def entanglement_fidelity(code, convention, plans) -> list[float]:
-    """Entanglement fidelity of each plan's circuit over the whole secret
-    space, F_e = p^(-2k) sum over the Paulis P that the channel maps to
-    w^f P of w^-f, from the Pauli transfer: certify_reconstruction's, with no
-    secret sampled. Returns one F_e per plan."""
-    return [rep.entanglement_fidelity for rep in certify_reconstruction(code, convention, plans, [])]
+def entanglement_fidelity(code, convention, plan) -> list[float]:
+    """Entanglement fidelity of the circuit of each of the plan's sets over
+    the whole secret space, F_e = p^(-2k) sum over the Paulis P that the
+    channel maps to w^f P of w^-f, from the Pauli transfer:
+    certify_reconstruction's, with no secret sampled. Returns one F_e per
+    set."""
+    return [rep.entanglement_fidelity for rep in certify_reconstruction(code, convention, plan, [])]

@@ -19,13 +19,14 @@ two-qudit gates phase-free.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import linalg, pauli, symplectic
-from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
+from .errors import CircuitParseError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
@@ -129,46 +130,22 @@ def controlled_pauli_decompose(control: int, vec, n: int, *, inverse: bool = Fal
 
 @dataclass
 class ReconstructionPlan:
-    """Everything the available coalition needs to rebuild the secret.
+    """Everything the available coalitions need to rebuild the secret, for S
+    share sets at once, each array with a leading sets axis.
 
-    For each secret qudit i: localized patterns w_i (dual side) and y_i
-    (self-dual side) supported on the available shares; the stabilizer parts
-    u_i, v_i they were split against; the relative phases beta_i, gamma_i;
-    the code-space eigenvalue exponents of M(u_i) and M(v_i); and the two
-    ancilla phase-gate exponents assembled from them.
+    For each set s and secret qudit i: localized patterns w[s, i] (dual side)
+    and y[s, i] (self-dual side) supported on the set's shares available[s];
+    the stabilizer parts u[s, i], v[s, i] they were split against; the
+    relative phases beta, gamma; the code-space eigenvalue exponents eta_u,
+    eta_v of M(u) and M(v); and the two ancilla phase-gate exponents assembled
+    from them. The patterns are (S, k, 2n), the phases and exponents (S, k).
+    len(plan) is S, and plan[s] is set s's one-set plan, of views.
     """
 
     p: int
     n: int
     k: int
-    available: tuple[int, ...]
-    w: list[np.ndarray]
-    y: list[np.ndarray]
-    u: list[np.ndarray]
-    v: list[np.ndarray]
-    beta: list[int]
-    gamma: list[int]
-    eta_u: list[int]
-    eta_v: list[int]
-    step3_exponents: list[int]
-    step6_exponents: list[int]
-
-
-_PATTERNS = ("w", "y", "u", "v")
-_EXPONENTS = ("beta", "gamma", "eta_u", "eta_v", "step3_exponents", "step6_exponents")
-
-
-@dataclass
-class PlanBatch:
-    """The ReconstructionPlans of S share sets as arrays with a leading sets
-    axis: available[s] is set s, the patterns w, y, u, v are (S, k, 2n) and
-    the phases and exponents (S, k). batch[s] is set s's ReconstructionPlan.
-    """
-
-    p: int
-    n: int
-    k: int
-    available: list[tuple[int, ...]]
+    available: tuple[tuple[int, ...], ...]
     w: np.ndarray
     y: np.ndarray
     u: np.ndarray
@@ -184,62 +161,36 @@ class PlanBatch:
         return len(self.available)
 
     def __getitem__(self, s: int) -> ReconstructionPlan:
-        fields = {name: list(getattr(self, name)[s]) for name in _PATTERNS}
-        fields.update((name, getattr(self, name)[s].tolist()) for name in _EXPONENTS)
-        return ReconstructionPlan(p=self.p, n=self.n, k=self.k, available=self.available[s], **fields)
+        s = range(len(self))[s]  # a slice past the end would be empty, not an IndexError
+        per_set = dataclasses.fields(self)[3:]  # every field after p, n, k
+        return dataclasses.replace(self, **{field.name: getattr(self, field.name)[s : s + 1] for field in per_set})
 
-    @classmethod
-    def stack(cls, code, plans) -> PlanBatch:
-        """The batch of the given ReconstructionPlans of `code`, in order."""
-        count, k = len(plans), code.k
-        fields = {
-            name: np.array([getattr(plan, name) for plan in plans], dtype=np.int64).reshape(count, k, 2 * code.n)
-            for name in _PATTERNS
-        }
-        fields.update(
-            (name, np.array([getattr(plan, name) for plan in plans], dtype=np.int64).reshape(count, k))
-            for name in _EXPONENTS
-        )
-        return cls(p=code.p, n=code.n, k=k, available=[plan.available for plan in plans], **fields)
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
 
 
 def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
-    """Build the per-coalition reconstruction data.
+    """The one-set plan of the share set `available`: plan_sets of [available]."""
+    return plan_sets(code, convention, [available])
 
-    Raises NotCorrectableError when the coalition is not qualified (this is
-    the only signal; no partial plan is produced). Qualification is read from
-    the split itself, one elimination: J is qualified exactly when every x_i
-    and z_i has a representative on J (Cleve-Gottesman-Lo, quant-ph/9901025).
-    If erasing M = complement(J) is correctable the split exists. Conversely,
-    an L in dual(C) supported on M is orthogonal to those representatives,
-    which span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
-    `symplectic.erasure_correctable`'s criterion. The plan is plan_sets' for
-    one set, from symplectic.split_on_missing, which is quicker on one set
-    than the stacked elimination.
+
+def plan_sets(code, convention, sets) -> ReconstructionPlan:
+    """Build the reconstruction data of every share set in `sets`, in order.
+
+    Raises NotCorrectableError, naming the first, when a set is not qualified
+    (this is the only signal; no partial plan is produced). Qualification is
+    read from the split itself: J is qualified exactly when every x_i and z_i
+    has a representative on J (Cleve-Gottesman-Lo, quant-ph/9901025). If
+    erasing M = complement(J) is correctable the split exists. Conversely, an
+    L in dual(C) supported on M is orthogonal to those representatives, which
+    span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
+    `symplectic.erasure_correctable`'s criterion. One
+    symplectic.split_on_missing_sets splits the logical rows on every set at
+    once, with the coefficients symplectic.split_on_missing gives each.
     """
     n = code.n
     _check_k(code)
-    available = symplectic.share_set(available, n)
-    if not available:
-        raise NotCorrectableError("empty share set cannot reconstruct")
-    try:
-        parts = symplectic.split_on_missing(code, _targets(code), symplectic.complement(available, n))
-    except NoSolutionError as exc:
-        raise NotCorrectableError(f"shares {available} are not a qualified set") from exc
-    return _assemble(code, convention, [available], *(part[None] for part in parts))[0]
-
-
-def plan_sets(code, convention, sets) -> PlanBatch:
-    """plan_reconstruction of every share set in `sets`, as one PlanBatch.
-
-    One symplectic.split_on_missing_sets splits the logical rows on every set
-    at once, and gives the coefficients split_on_missing gives each, so
-    batch[s] equals plan_reconstruction of sets[s]. Raises
-    NotCorrectableError, naming the first, when a set is not qualified.
-    """
-    n = code.n
-    _check_k(code)
-    available = [symplectic.share_set(members, n) for members in sets]
+    available = tuple(symplectic.share_set(members, n) for members in sets)
     if not all(available):
         raise NotCorrectableError("empty share set cannot reconstruct")
     missing = np.ones((len(available), n), dtype=bool)
@@ -263,8 +214,8 @@ def _targets(code) -> np.ndarray:
     return np.vstack([code.logical_x, code.logical_z])
 
 
-def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> PlanBatch:
-    """The plans of the given sets from their splits of _targets, each part
+def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> ReconstructionPlan:
+    """The plan of the given sets from their splits of _targets, each part
     with a leading sets axis."""
     p, n, k = code.p, code.n, code.k
     ring = pauli.phase_order(p)
@@ -276,7 +227,7 @@ def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> P
     alpha = np.array(convention.alpha_exponents, dtype=np.int64)
     step3 = (alpha - phases[:, k:] - etas[:, k:]) % ring  # -(alpha^-1 + gamma + eta_v)
     step6 = (-alpha - phases[:, :k] - etas[:, :k]) % ring  # -(alpha + beta + eta_u)
-    return PlanBatch(
+    return ReconstructionPlan(
         p=p, n=n, k=k, available=available,
         w=local_parts[:, :k], y=local_parts[:, k:], u=stab_parts[:, :k], v=stab_parts[:, k:],
         beta=phases[:, :k], gamma=phases[:, k:], eta_u=etas[:, :k], eta_v=etas[:, k:],
@@ -285,28 +236,31 @@ def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> P
 
 
 def synthesize_reconstruction(plan: ReconstructionPlan, code) -> Circuit:
-    """Emit the six-step measurement-free reconstruction circuit.
+    """Emit the six-step measurement-free reconstruction circuit of a one-set
+    plan.
 
     Steps: (1) Fourier on every ancilla, (2) inverse controlled self-dual
     patterns, (3) ancilla phase powers, (4) Fourier on every ancilla again,
     (5) inverse controlled dual patterns, (6) ancilla phase powers. No gate
     addresses a share outside the available set.
     """
+    if len(plan) != 1:
+        raise ValueError(f"a circuit is synthesized from a one-set plan, not one of {len(plan)} sets")
     n, k = plan.n, plan.k
     anc = [n + 1 + i for i in range(k)]
     gates: list[Gate] = []
     for i in range(k):
         gates.append(fourier(anc[i]))
     for i in range(k):
-        gates.extend(controlled_pauli_decompose(anc[i], plan.y[i], n, inverse=True))
+        gates.extend(controlled_pauli_decompose(anc[i], plan.y[0, i], n, inverse=True))
     for i in range(k):
-        gates.append(phase_pow(anc[i], plan.step3_exponents[i]))
+        gates.append(phase_pow(anc[i], plan.step3_exponents[0, i]))
     for i in range(k):
         gates.append(fourier(anc[i]))
     for i in range(k):
-        gates.extend(controlled_pauli_decompose(anc[i], plan.w[i], n, inverse=True))
+        gates.extend(controlled_pauli_decompose(anc[i], plan.w[0, i], n, inverse=True))
     for i in range(k):
-        gates.append(phase_pow(anc[i], plan.step6_exponents[i]))
+        gates.append(phase_pow(anc[i], plan.step6_exponents[0, i]))
     return Circuit(p=plan.p, num_qudits=n + k, roles=share_roles(n, k), gates=tuple(gates))
 
 

@@ -134,19 +134,19 @@ def cmd_verify(args) -> int:
     conv = pauli.make_convention(code)
     members = None if args.set is None else _parse_share_list(args.set, n)
     if k == 0:  # nothing to reconstruct: an empty report, for a valid --set too
-        plans = []
+        plan = ()
     elif members is not None:
         try:
-            plans = [circuits.plan_reconstruction(code, conv, members)]
+            plan = circuits.plan_reconstruction(code, conv, members)
         except NotCorrectableError:
             print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
-        plans = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
+        plan = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
     rng = np.random.default_rng(args.seed)
     secrets = [certify.random_secret(p, k, rng) for _ in range(args.trials)]
     failure = None
-    for rep in certify.certify_reconstruction(code, conv, plans, secrets) if plans else ():
+    for rep in certify.certify_reconstruction(code, conv, plan, secrets) if plan else ():
         devs = [abs(1.0 - value) for value in rep.purity]
         for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
             if failure is None and fid < 1.0 - FIDELITY_SLACK:
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
     # round() is monotone: the extremes of the rounded rows are the rounded extremes
     rows = report["rows"]
     report["summary"] = {
-        "qualified_sets": len(plans),
+        "qualified_sets": len(plan),
         "min_fidelity": min([1.0] + [row["min_fidelity"] for row in rows]),
         "max_purity_deviation": max([0.0] + [row["max_purity_deviation"] for row in rows]),
     }

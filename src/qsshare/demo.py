@@ -71,7 +71,7 @@ def run_demo(stream=None) -> str:
     print(f"\nreconstruction for shares J = {{{', '.join(map(str, members))}}}", file=out)
     plan = circuits.plan_reconstruction(code, conv, members)
     for i in range(k):
-        w, y, u, v = plan.w[i], plan.y[i], plan.u[i], plan.v[i]
+        w, y, u, v = plan.w[0, i], plan.y[0, i], plan.u[0, i], plan.v[0, i]
         # w is in C_perp when orthogonal to C; y is in Cm, its own dual, when orthogonal to Cm
         ok_w = not symplectic.symplectic_gram(w, code.stabilizer, p).any() and not any(
             symplectic.project_vector(w, symplectic.complement(members, n), n)
@@ -84,13 +84,13 @@ def run_demo(stream=None) -> str:
         print(f"  y{i + 1} = {_row(y, n, p)}  (in Cm, supported on J: {'ok' if ok_y else 'FAIL'})", file=out)
         print(f"  v{i + 1} = {_row(v, n, p)}", file=out)
     for i in range(k):
-        print(f"eta(M(u{i + 1})) = {pauli.format_phase(plan.eta_u[i], p)}", file=out)
+        print(f"eta(M(u{i + 1})) = {pauli.format_phase(plan.eta_u[0, i], p)}", file=out)
     for i in range(k):
-        print(f"eta(M(v{i + 1})) = {pauli.format_phase(plan.eta_v[i], p)}", file=out)
+        print(f"eta(M(v{i + 1})) = {pauli.format_phase(plan.eta_v[0, i], p)}", file=out)
     for i in range(k):
-        print(f"beta{i + 1} = {pauli.format_phase(plan.beta[i], p)}", file=out)
+        print(f"beta{i + 1} = {pauli.format_phase(plan.beta[0, i], p)}", file=out)
     for i in range(k):
-        print(f"gamma{i + 1} = {pauli.format_phase(plan.gamma[i], p)}", file=out)
+        print(f"gamma{i + 1} = {pauli.format_phase(plan.gamma[0, i], p)}", file=out)
 
     circuit = circuits.synthesize_reconstruction(plan, code)
     counts = circuit.counts()
@@ -105,7 +105,7 @@ def run_demo(stream=None) -> str:
 
     rng = np.random.default_rng(20240521)
     secrets = (np.eye(p**k)[0], certify.random_secret(p, k, rng))
-    (report,) = certify.certify_reconstruction(code, conv, [plan], secrets)
+    (report,) = certify.certify_reconstruction(code, conv, plan, secrets)
     fid, pur = min(report.fidelity), min(report.purity)
     print(f"verification: fidelity {fid:.9f}  purity {pur:.9f}", file=out)
     return out.getvalue() if isinstance(out, io.StringIO) else ""

@@ -41,10 +41,6 @@ class NotInStabilizerError(QssError):
     """Vector is not in the span of the generator set."""
 
 
-class DecompositionMismatchError(QssError):
-    """Claimed additive decomposition of a vector does not hold."""
-
-
 class TooLargeError(QssError):
     """Operation exceeds a configured size guard."""
 

@@ -193,9 +193,16 @@ def solve_stacked(systems, cols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     (x, solved): x (S, cols, q) the solutions with every free variable zero,
     and solved (S,) true where every right-hand side lies in A's column
     space (x is meaningless where it is false). The reduced form is unique,
-    so each solved system's x is solve_linear's. Stored in int16, as
+    so each solved system's x is solve_linear's. The kernel follows the
+    count, as rref's follows p: one system is solve_linear's, whose rref is
+    packed at p = 2, and many are reduced together in int16, as
     |x - y*z| < p^2 <= 169.
     """
+    if len(systems) == 1:
+        try:
+            return solve_linear(systems[0][:, :cols], systems[0][:, cols:], p)[None], np.ones(1, dtype=bool)
+        except NoSolutionError:
+            return np.zeros((1, cols, systems.shape[2] - cols), dtype=np.int64), np.zeros(1, dtype=bool)
     work = np.array(systems, dtype=np.int16)
     count, rows, width = work.shape
     inv = _inverses(p).astype(np.int16)

@@ -325,27 +325,28 @@ def _ancilla_density(circuit: circuits.Circuit, encoded: np.ndarray, k: int) -> 
     return members.transpose(0, 2, 1) @ members.conj()
 
 
-def verify_reconstruction(code, convention, plans, secrets) -> list[ReconstructionReport]:
+def verify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
-    Takes one circuits.ReconstructionPlan per share set, synthesizes each
-    circuit once and encodes each secret once, then runs every circuit on
-    n + k qudits: the encoded shares (missing ones never addressed) plus a
-    fresh |0...0> ancilla register the circuit drives to the secret, with the
-    secrets on the batch axis. Returns one report per plan, in order.
+    Takes a circuits.ReconstructionPlan of any number of share sets,
+    synthesizes each set's circuit once and encodes each secret once, then
+    runs every circuit on n + k qudits: the encoded shares (missing ones never
+    addressed) plus a fresh |0...0> ancilla register the circuit drives to the
+    secret, with the secrets on the batch axis. Returns one report per set,
+    in order.
     """
     p, n, k = code.p, code.n, code.k
     rows = np.asarray(secrets, dtype=np.complex128).reshape(len(secrets), p**k)
     _guard(p, n + k, max(1, len(rows)))
-    circs = [circuits.synthesize_reconstruction(plan, code) for plan in plans]
+    circs = [circuits.synthesize_reconstruction(one, code) for one in plan]
     zero = logical_zero(code, convention)
     encoded = np.array([encode_secret(code, convention, row, zero).amps for row in rows]).reshape(len(rows), p**n)
     reports = []
-    for plan, circuit in zip(plans, circs):
+    for available, circuit in zip(plan.available, circs):
         rhos = _ancilla_density(circuit, encoded, k)
         reports.append(
             ReconstructionReport(
-                available=plan.available,
+                available=available,
                 fidelity=tuple(fidelity_with_pure(rho, row) for rho, row in zip(rhos, rows)),
                 purity=tuple(purity(rho) for rho in rhos),
                 two_qudit_gates=circuit.two_qudit_count(),
@@ -355,23 +356,23 @@ def verify_reconstruction(code, convention, plans, secrets) -> list[Reconstructi
     return reports
 
 
-def entanglement_fidelity(code, convention, plans) -> list[float]:
-    """Entanglement fidelity of each plan's circuit over the whole secret space.
+def entanglement_fidelity(code, convention, plan) -> list[float]:
+    """Entanglement fidelity of each set's circuit over the whole secret space.
 
     Runs the p^k basis secrets |s> through each circuit as the batch axis.
     With M_s the final state as a (p^n, p^k) matrix, F_e = ||sum_s M_s[:, s]||^2
     / p^(2k). F_e = 1 exactly when every basis secret comes out as
     |junk> (x) |s> with one junk state and one phase shared by all s, which by
     linearity is exact reconstruction of every secret (Schumacher,
-    quant-ph/9604023). Returns one F_e per plan, in order.
+    quant-ph/9604023). Returns one F_e per set of the plan, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, n + 2 * k)
     zero = logical_zero(code, convention)
     encoded = _encode_rows(code, convention, np.eye(p**k, dtype=np.complex128), zero)
     out = []
-    for plan in plans:
-        states = _final_states(circuits.synthesize_reconstruction(plan, code), encoded, k)
+    for one in plan:
+        states = _final_states(circuits.synthesize_reconstruction(one, code), encoded, k)
         total = np.trace(states, axis1=1, axis2=2)
         out.append(float(np.vdot(total, total).real) / p ** (2 * k))
     return out

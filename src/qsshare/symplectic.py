@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -120,16 +119,6 @@ class CodeSpec:
     self_dual: np.ndarray
     logical_x: np.ndarray
     logical_z: np.ndarray
-
-    def dual_basis(self) -> np.ndarray:
-        """Basis of dual(C), computed on first use and kept read-only."""
-        return self._dual
-
-    @cached_property
-    def _dual(self) -> np.ndarray:
-        out = dual(self.stabilizer, self.n, self.p)
-        out.flags.writeable = False
-        return out
 
 
 def validate_code(code: CodeSpec) -> None:

@@ -34,7 +34,11 @@ from itertools import combinations, product
 import numpy as np
 
 from qsshare import circuits, linalg, pauli, sim, symplectic
-from qsshare.errors import DecompositionMismatchError, IndexOutOfRangeError, TooLargeError
+from qsshare.errors import IndexOutOfRangeError, QssError, TooLargeError
+
+
+class DecompositionMismatchError(QssError):
+    """Claimed additive decomposition of a vector does not hold."""
 
 
 def rref_rowloop(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -204,7 +208,7 @@ def biorthogonalize_loop(cand, other, p: int) -> np.ndarray:
 def section_correctable(code, missing) -> bool:
     """Erasure correctability as dim(C ∩ F^M) == dim(dual(C) ∩ F^M), by sections."""
     inner = coordinate_section(code.stabilizer, missing, code.n, code.p)
-    outer = coordinate_section(code.dual_basis(), missing, code.n, code.p)
+    outer = coordinate_section(symplectic.dual(code.stabilizer, code.n, code.p), missing, code.n, code.p)
     return inner.shape[0] == outer.shape[0]
 
 

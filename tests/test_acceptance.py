@@ -45,7 +45,7 @@ def test_criterion_1_reference_code_reproduction(hexcode):
     code = hexcode
     assert code.stabilizer.shape[0] == 4
     assert linalg.rank(code.self_dual, 3) == 6
-    dual_basis = code.dual_basis()
+    dual_basis = symplectic.dual(code.stabilizer, code.n, code.p)
     assert dual_basis.shape[0] == 8
 
     assert oracles.coordinate_section(code.stabilizer, (1, 2), 6, 3).shape[0] == 0
@@ -143,7 +143,7 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     assert len(share_sets) == 22
     worst_fidelity = 1.0
     worst_purity_dev = 0.0
-    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in share_sets]
+    plans = circuits.plan_sets(hexcode, hexconv, share_sets)
     reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
     assert [report.available for report in reports] == share_sets
     for report in reports:
@@ -170,10 +170,7 @@ def test_criterion_5_qubit_path(hexcode):
             g.phase % 2 for g in conv.generators
         ) or any(e % 2 for e in conv.alpha_exponents)
         secrets = [sim.random_secret(p, k, rng) for _ in range(3)]
-        plans = [
-            circuits.plan_reconstruction(code, conv, members)
-            for members in symplectic.all_qualified_sets(code)
-        ]
+        plans = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
         reports = sim.verify_reconstruction(code, conv, plans, secrets)
         for report, f_e in zip(reports, sim.entanglement_fidelity(code, conv, plans), strict=True):
             members = report.available
@@ -218,7 +215,7 @@ def test_criterion_6b_projected_space_equality_when_correctable():
                 if not symplectic.erasure_correctable(code, missing):
                     continue
                 pc = oracles.project_rows(code.stabilizer, missing, n, p)
-                pd = oracles.project_rows(code.dual_basis(), missing, n, p)
+                pd = oracles.project_rows(symplectic.dual(code.stabilizer, code.n, code.p), missing, n, p)
                 pm = oracles.project_rows(code.self_dual, missing, n, p)
                 assert oracles.row_space_equal(pc, pd, p)
                 assert oracles.row_space_equal(pc, pm, p)

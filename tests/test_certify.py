@@ -30,7 +30,7 @@ def _code(which):
 
 
 def _mutated(kind, assemble=circuits._assemble):
-    """circuits._assemble, which every plan comes from, one set's or a batch's,
+    """circuits._assemble, which every plan comes from, of one set or many,
     with the first step-3 exponent (the circuit's first PPOW gate), or the b
     of y_1's first support entry (its first CPAULIINV gate), one too large."""
 
@@ -171,12 +171,12 @@ def test_multiplied_out_compression_equals_the_dense_one(which):
         assert np.allclose(oracles.compressed_operator(code, conv, phase, vec), dense, atol=1e-12)
 
 
-def _both(code, conv, plans, secrets):
+def _both(code, conv, plan, secrets):
     return (
-        certify.certify_reconstruction(code, conv, plans, secrets),
-        sim.verify_reconstruction(code, conv, plans, secrets),
-        certify.entanglement_fidelity(code, conv, plans),
-        sim.entanglement_fidelity(code, conv, plans),
+        certify.certify_reconstruction(code, conv, plan, secrets),
+        sim.verify_reconstruction(code, conv, plan, secrets),
+        certify.entanglement_fidelity(code, conv, plan),
+        sim.entanglement_fidelity(code, conv, plan),
     )
 
 
@@ -202,12 +202,13 @@ def test_certificate_agrees_with_dense_on_every_qualified_set(monkeypatch, which
     for mutation in (None, "PPOW", "CPAULIINV"):
         if mutation:
             monkeypatch.setattr(circuits, "_assemble", _mutated(mutation))
-        plans = [circuits.plan_reconstruction(code, conv, members) for members in sets]
-        for row in zip(*_both(code, conv, plans, secrets)):
+        reports = _both(code, conv, circuits.plan_sets(code, conv, sets), secrets)
+        for row in zip(*reports):
             _assert_agree(*row, broken=mutation is not None)
-        # verify's batched plan carries the same mutation to the same reports
-        batched = certify.certify_reconstruction(code, conv, circuits.plan_sets(code, conv, sets), secrets)
-        assert batched == certify.certify_reconstruction(code, conv, plans, secrets)
+        # each set's one-set plan carries the same mutation to the same report
+        for members, report in zip(sets, reports[0]):
+            plan = circuits.plan_reconstruction(code, conv, members)
+            assert certify.certify_reconstruction(code, conv, plan, secrets) == [report]
 
 
 @settings(max_examples=40)
@@ -230,8 +231,8 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     try:
         if mutation:
             circuits._assemble = _mutated(mutation)
-        plans = [circuits.plan_reconstruction(code, conv, members)]
-        ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plans, secrets)
+        plan = circuits.plan_reconstruction(code, conv, members)
+        ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plan, secrets)
     finally:
         circuits._assemble = assemble
     _assert_agree(exact, dense, exact_fe, dense_fe, broken=mutation is not None)
@@ -241,7 +242,8 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
 def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
     # the bundled code, SMALL_CODES and the two access-synth grid codes: the
     # batched split, the shape pull-back and the support gate counts against
-    # split_on_missing, the gate-level pull-back and the emitted circuit
+    # split_on_missing, the gate-level pull-back and the emitted circuit;
+    # iterating the plan gives each set's plan_reconstruction
     code = _code(which)
     conv = pauli.make_convention(code)
     n, k = code.n, code.k
@@ -254,19 +256,22 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
     batch = circuits.plan_sets(code, conv, sets)
     images = certify._shape_images(batch)
     reports = certify.certify_reconstruction(code, conv, batch, [])
-    assert solved.all() and len(batch) == len(reports) == len(sets)
+    ones = list(batch)
+    assert solved.all() and len(batch) == len(ones) == len(reports) == len(sets)
     for s, members in enumerate(sets):
         expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))
         assert all(np.array_equal(got[s], want) for got, want in zip(split, expected)), members
         plan = circuits.plan_reconstruction(code, conv, members)
+        assert len(ones[s]) == len(plan) == 1
         for field in dataclasses.fields(plan):
-            assert np.array_equal(getattr(batch[s], field.name), getattr(plan, field.name)), (members, field.name)
+            got, want = getattr(ones[s], field.name), getattr(plan, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want), (members, field.name)
         circuit = circuits.synthesize_reconstruction(plan, code)
         for got, want in zip(images, certify.generator_images(circuit, k)):
             assert np.array_equal(got[s], want), members
         counts = (reports[s].two_qudit_gates, reports[s].single_qudit_gates)
         assert counts == (circuit.two_qudit_count(), circuit.single_qudit_count()), members
-        assert reports[s] == certify.certify_reconstruction(code, conv, [plan], [])[0]
+        assert [reports[s]] == certify.certify_reconstruction(code, conv, plan, [])
         assert reports[s].entanglement_fidelity == 1.0
 
 
@@ -283,9 +288,9 @@ def test_batched_plan_names_the_first_unqualified_set():
 def test_zero_secrets_give_empty_reports():
     code = six_share_qutrit_code()
     conv = pauli.make_convention(code)
-    plans = [circuits.plan_reconstruction(code, conv, (3, 4, 5, 6))]
+    plan = circuits.plan_reconstruction(code, conv, (3, 4, 5, 6))
     for check in (certify.certify_reconstruction, sim.verify_reconstruction):
-        (report,) = check(code, conv, plans, [])
+        (report,) = check(code, conv, plan, [])
         assert (report.available, report.fidelity, report.purity) == ((3, 4, 5, 6), (), ())
         assert (report.two_qudit_gates, report.single_qudit_gates) == (15, 8)
 
@@ -293,7 +298,7 @@ def test_zero_secrets_give_empty_reports():
 def test_generator_terms_are_built_once_per_request(monkeypatch):
     code = six_share_qutrit_code()
     conv = pauli.make_convention(code)
-    plans = [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
+    plan = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
     secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
     calls = []
     terms = pauli._generator_terms
@@ -303,7 +308,7 @@ def test_generator_terms_are_built_once_per_request(monkeypatch):
         return terms(*args)
 
     monkeypatch.setattr(pauli, "_generator_terms", counting)
-    for some in (plans[:1], plans):
+    for some in (plan[0], plan):
         calls.clear()
         reports = certify.certify_reconstruction(code, conv, some, secrets)
         assert all(report.fidelity == (1.0,) for report in reports)
@@ -313,14 +318,14 @@ def test_generator_terms_are_built_once_per_request(monkeypatch):
 def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
     code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
     conv = pauli.make_convention(code)
-    plans = [circuits.plan_reconstruction(code, conv, range(2, 41))]
+    plan = circuits.plan_reconstruction(code, conv, range(2, 41))
     secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
-    (report,) = certify.certify_reconstruction(code, conv, plans, secrets)  # 3^42 joint amplitudes
+    (report,) = certify.certify_reconstruction(code, conv, plan, secrets)  # 3^42 joint amplitudes
     assert report.fidelity == report.purity == (1.0,)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "80")  # 3^4 = 81 entries of a secret-space operator
     with pytest.raises(TooLargeError):
-        certify.certify_reconstruction(code, conv, plans, secrets)
+        certify.certify_reconstruction(code, conv, plan, secrets)
     with pytest.raises(TooLargeError):
-        certify.entanglement_fidelity(code, conv, plans)
+        certify.entanglement_fidelity(code, conv, plan)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "81")
-    assert certify.entanglement_fidelity(code, conv, plans) == [1.0]
+    assert certify.entanglement_fidelity(code, conv, plan) == [1.0]

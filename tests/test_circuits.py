@@ -141,21 +141,21 @@ def test_plan_localized_patterns_validate(hexcode, hexconv):
     from qsshare import linalg
 
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    dual_basis = hexcode.dual_basis()
+    dual_basis = symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p)
     for i in range(hexcode.k):
-        assert linalg.row_space_contains(dual_basis, plan.w[i], 3)
-        assert linalg.row_space_contains(hexcode.self_dual, plan.y[i], 3)
-        assert not symplectic.project_vector(plan.w[i], (1, 2), 6).any()
-        assert not symplectic.project_vector(plan.y[i], (1, 2), 6).any()
+        assert linalg.row_space_contains(dual_basis, plan.w[0, i], 3)
+        assert linalg.row_space_contains(hexcode.self_dual, plan.y[0, i], 3)
+        assert not symplectic.project_vector(plan.w[0, i], (1, 2), 6).any()
+        assert not symplectic.project_vector(plan.y[0, i], (1, 2), 6).any()
 
 
 def test_plan_full_share_set_trivial_splits(hexcode, hexconv):
     plan = circuits.plan_reconstruction(hexcode, hexconv, tuple(range(1, 7)))
     for i in range(hexcode.k):
-        assert not plan.u[i].any()
-        assert not plan.v[i].any()
-        assert plan.beta[i] == 0 and plan.gamma[i] == 0
-        assert plan.eta_u[i] == 0 and plan.eta_v[i] == 0
+        assert not plan.u[0, i].any()
+        assert not plan.v[0, i].any()
+        assert plan.beta[0, i] == 0 and plan.gamma[0, i] == 0
+        assert plan.eta_u[0, i] == 0 and plan.eta_v[0, i] == 0
 
 
 def test_plan_rejects_unqualified(hexcode, hexconv):
@@ -165,6 +165,30 @@ def test_plan_rejects_unqualified(hexcode, hexconv):
         circuits.plan_reconstruction(hexcode, hexconv, (1, 2))
     with pytest.raises(NotCorrectableError):
         circuits.plan_reconstruction(hexcode, hexconv, ())
+
+
+def test_plan_indexing_gives_one_set_views(hexcode, hexconv):
+    sets = [(3, 4, 5, 6), (1, 2, 3, 4), (2, 3, 5, 6)]
+    plan = circuits.plan_sets(hexcode, hexconv, sets)
+    assert len(plan) == 3 and plan.available == tuple(sets)
+    assert [one.available for one in plan] == [(members,) for members in sets]
+    for s in (1, -2):
+        one = plan[s]
+        assert len(one) == 1 and one.available == (sets[1],)
+        assert one.w.shape == (1, hexcode.k, 2 * hexcode.n) and one.beta.shape == (1, hexcode.k)
+        assert np.shares_memory(one.w, plan.w) and np.shares_memory(one.step6_exponents, plan.step6_exponents)
+    for s in (3, -4):
+        with pytest.raises(IndexError):
+            plan[s]
+
+
+def test_synthesis_refuses_a_plan_of_several_sets(hexcode, hexconv):
+    plan = circuits.plan_sets(hexcode, hexconv, [(3, 4, 5, 6), (1, 2, 3, 4)])
+    for several in (plan, circuits.plan_sets(hexcode, hexconv, [])):
+        with pytest.raises(ValueError, match="one-set plan"):
+            circuits.synthesize_reconstruction(several, hexcode)
+    one = circuits.plan_reconstruction(hexcode, hexconv, (1, 2, 3, 4))
+    assert circuits.synthesize_reconstruction(plan[1], hexcode) == circuits.synthesize_reconstruction(one, hexcode)
 
 
 # (p, n, k): with code seeds 0 and 1, 2,032 subsets, 120 of them sets whose
@@ -397,15 +421,16 @@ def test_control_equal_target_rejected_by_gate():
 
 
 def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexconv):
-    split, solve = symplectic.split_on_missing, linalg.solve_linear
-    counts = {"split": 0, "solve": 0}
+    # a one-set plan's split is one solve_linear, J = all shares included
+    plan, solve = circuits.plan_reconstruction, linalg.solve_linear
+    counts = {"plan": 0, "solve": 0}
     depth = []
 
-    def counting_split(*args):
-        counts["split"] += 1
+    def counting_plan(*args):
+        counts["plan"] += 1
         depth.append(1)
         try:
-            return split(*args)
+            return plan(*args)
         finally:
             depth.pop()
 
@@ -413,22 +438,21 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
         counts["solve"] += bool(depth)
         return solve(*args)
 
-    monkeypatch.setattr(symplectic, "split_on_missing", counting_split)
+    monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
     monkeypatch.setattr(linalg, "solve_linear", counting_solve)
     sets = symplectic.all_qualified_sets(hexcode)
     plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
     monkeypatch.undo()
-    erasing = sum(1 for members in sets if len(members) < hexcode.n)  # nothing to solve for J = all
-    assert counts == {"split": len(sets), "solve": erasing}
+    assert counts == {"plan": len(sets), "solve": len(sets)}
     # the stacked split equals one split per row
-    for plan in plans:
-        missing = symplectic.complement(plan.available, hexcode.n)
+    for one in plans:
+        missing = symplectic.complement(one.available[0], hexcode.n)
         for i in range(hexcode.k):
             for row, s, r in (
-                (hexcode.logical_x[i], plan.u[i], plan.w[i]),
-                (hexcode.logical_z[i], plan.v[i], plan.y[i]),
+                (hexcode.logical_x[i], one.u[0, i], one.w[0, i]),
+                (hexcode.logical_z[i], one.v[0, i], one.y[0, i]),
             ):
-                s0, r0, _ = split(hexcode, row, missing)
+                s0, r0, _ = symplectic.split_on_missing(hexcode, row, missing)
                 assert np.array_equal(s, s0) and np.array_equal(r, r0)
 
 
@@ -476,13 +500,9 @@ def test_plan_equals_the_per_row_computation(which):
     for members in sets:
         plan = circuits.plan_reconstruction(code, conv, members)
         expected = oracles.plan_per_row(code, conv, members)
-        assert (plan.p, plan.n, plan.k, plan.available) == (code.p, code.n, code.k, members)
+        assert (plan.p, plan.n, plan.k, plan.available) == (code.p, code.n, code.k, (members,))
         for name, rows in expected.items():
             got = getattr(plan, name)
-            assert type(got) is list and len(got) == code.k, name
-            if name in ("w", "y", "u", "v"):
-                assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in got), name
-                assert np.array_equal(np.array(got), np.array(rows)), (name, members)
-            else:
-                assert all(type(e) is int for e in got), name
-                assert got == rows, (name, members)
+            patterns = name in ("w", "y", "u", "v")
+            assert got.dtype == np.int64 and got.shape == (1, code.k, 2 * code.n)[: 3 if patterns else 2], name
+            assert np.array_equal(got[0], np.array(rows)), (name, members)

@@ -364,10 +364,6 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
     assert report["summary"]["min_fidelity"] >= 1 - 1e-9
 
 
-def _hex_plans(code, conv):
-    return [circuits.plan_reconstruction(code, conv, members) for members in symplectic.all_qualified_sets(code)]
-
-
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
     calls = {"plan": 0, "batch": 0, "encode": 0}
     plan, batch, encode = circuits.plan_reconstruction, circuits.plan_sets, sim.encode_secret
@@ -386,19 +382,22 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
     assert calls == {"plan": 0, "batch": 1, "encode": 0}  # the certificate encodes no secret
+    # one set's plan is plan_sets of that set: one plan_sets per request
     rc, out, _ = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "3")
-    assert rc == 0 and calls == {"plan": 1, "batch": 1, "encode": 0}
-    # the dense simulator, called on the same 22 plans and 3 secrets
-    calls.update(plan=0, encode=0)
+    assert rc == 0 and calls == {"plan": 1, "batch": 2, "encode": 0}
+    # the dense simulator, called on the same 22 sets' plan and 3 secrets
+    calls.update(batch=0)
+    plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode))
     rng = np.random.default_rng(0)
-    sim.verify_reconstruction(hexcode, hexconv, _hex_plans(hexcode, hexconv), [sim.random_secret(3, 2, rng) for _ in range(3)])
-    assert calls == {"plan": 22, "batch": 1, "encode": 3}
+    sim.verify_reconstruction(hexcode, hexconv, plan, [sim.random_secret(3, 2, rng) for _ in range(3)])
+    assert calls == {"plan": 1, "batch": 1, "encode": 3}
 
 
 def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
     # one pull-back of the circuit shape serves the 22 sets and every secret;
     # no circuit is synthesized or pulled back gate by gate
-    shapes = _counting(monkeypatch, certify, "_shape_images")
+    shapes, shape_images = [], certify._shape_images
+    monkeypatch.setattr(certify, "_shape_images", lambda plan: shapes.append(len(plan)) or shape_images(plan))
     gate_level = _counting(monkeypatch, certify, "generator_images")
     synthesized = _counting(monkeypatch, circuits, "synthesize_reconstruction")
     for trials in ("1", "10"):
@@ -406,7 +405,7 @@ def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch,
         rc, out, _ = run(capsys, "verify", spec_path, "--trials", trials)
         assert rc == 0
         assert json.loads(out)["summary"]["qualified_sets"] == 22
-        assert len(shapes) == 1 and gate_level == synthesized == []
+        assert shapes == [22] and gate_level == synthesized == []
 
 
 def test_qualified_sets_from_one_rank_table(monkeypatch):
@@ -582,7 +581,7 @@ def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch
     )
     # the dense simulator's F_e of the same broken circuit, 8.3e-32 where the
     # certificate's sum of roots of unity is exactly 0
-    (expected,) = sim.entanglement_fidelity(hexcode, hexconv, [circuits.plan_reconstruction(hexcode, hexconv, first)])
+    (expected,) = sim.entanglement_fidelity(hexcode, hexconv, circuits.plan_reconstruction(hexcode, hexconv, first))
     assert named and abs(float(named.group(1)) - expected) < 1e-12 and expected < 1 - 1e-9
     assert named.group(1) == "0"
     assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
@@ -601,8 +600,8 @@ def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_
     # unbroken, the request's two secrets are pure on the dense simulator too
     rng = np.random.default_rng(9)
     secrets = [certify.random_secret(3, 2, rng) for _ in range(2)]
-    plans = [circuits.plan_reconstruction(hexcode, hexconv, (3, 4, 5, 6))]
-    ((dense,), (exact,)) = sim.verify_reconstruction(hexcode, hexconv, plans, secrets), certificate(hexcode, hexconv, plans, secrets)
+    plan = circuits.plan_reconstruction(hexcode, hexconv, (3, 4, 5, 6))
+    ((dense,), (exact,)) = sim.verify_reconstruction(hexcode, hexconv, plan, secrets), certificate(hexcode, hexconv, plan, secrets)
     assert exact.purity == (1.0, 1.0) and max(abs(1 - value) for value in dense.purity) < 1e-9
 
 

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from qsshare import circuits, linalg, pauli, symplectic
 from qsshare.errors import (
-    DecompositionMismatchError,
     DimensionMismatchError,
     NotInStabilizerError,
     TooLargeError,
 )
 
 import oracles
+from oracles import DecompositionMismatchError
 from conftest import H_ROWS, U1, V1, V2, W1, X_ROWS, Y1, Z_ROWS, row
 
 
@@ -236,7 +236,7 @@ def test_plan_eigenvalues_equal_the_product_oracle(p, n, k, seed):
     for members in symplectic.qualified_sets(code)[:4] + [tuple(range(1, n + 1))]:
         plan = circuits.plan_reconstruction(code, conv, members)
         for parts, etas in ((plan.u, plan.eta_u), (plan.v, plan.eta_v)):
-            for part, eta in zip(parts, etas):
+            for part, eta in zip(parts[0], etas[0]):
                 coeff = linalg.solve_linear(code.stabilizer.T, part, p)
                 assert eta == oracles.product_eigenvalue(gens, coeff, p)
                 assert eta == pauli.stabilizer_eigenvalue(gens, part, p)

@@ -529,7 +529,7 @@ def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
 
 def _first_plans(code, conv, count=2):
     sets = symplectic.all_qualified_sets(code)
-    return [circuits.plan_reconstruction(code, conv, members) for members in sets[:count]]
+    return circuits.plan_sets(code, conv, sets[:count])
 
 
 def _batch_case(hexcode, hexconv, p, n, k, seed):
@@ -612,8 +612,7 @@ def _off_by_one(circuit, kind):
 def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode, hexconv):
     sets = symplectic.all_qualified_sets(hexcode)
     assert len(sets) == 22
-    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
-    fidelities = sim.entanglement_fidelity(hexcode, hexconv, plans)
+    fidelities = sim.entanglement_fidelity(hexcode, hexconv, circuits.plan_sets(hexcode, hexconv, sets))
     assert len(fidelities) == 22
     assert all(1 - 1e-12 <= f <= 1 + 1e-12 for f in fidelities), fidelities
 
@@ -628,7 +627,7 @@ def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
         for members in combinations(range(1, n + 1), n - 1)
         if symplectic.erasure_correctable(code, symplectic.complement(members, n))
     )
-    (fidelity,) = sim.entanglement_fidelity(code, conv, [circuits.plan_reconstruction(code, conv, members)])
+    (fidelity,) = sim.entanglement_fidelity(code, conv, circuits.plan_reconstruction(code, conv, members))
     assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
 
@@ -645,7 +644,7 @@ def test_entanglement_fidelity_fails_a_broken_circuit(monkeypatch, hexcode, hexc
 
 def test_verify_reconstruction_reference(hexcode, hexconv):
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    (report,) = sim.verify_reconstruction(hexcode, hexconv, [plan], [sim.basis_state(3, 2).amps])
+    (report,) = sim.verify_reconstruction(hexcode, hexconv, plan, [sim.basis_state(3, 2).amps])
     assert report.available == AVAILABLE
     (fidelity,), (purity,) = report.fidelity, report.purity
     assert fidelity > 1 - 1e-9
@@ -658,7 +657,7 @@ def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
     rng = np.random.default_rng(37)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(3)]
     quads = list(combinations(range(1, 7), 4))
-    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in quads]
+    plans = circuits.plan_sets(hexcode, hexconv, quads)
     reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
     assert [report.available for report in reports] == quads
     for members, report in zip(quads, reports):

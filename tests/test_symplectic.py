@@ -66,7 +66,7 @@ def test_dual_involution_random():
 def test_coordinate_section_reference(hexcode):
     sec = oracles.coordinate_section(hexcode.stabilizer, (1, 2), 6, 3)
     assert sec.shape[0] == 0
-    sec_dual = oracles.coordinate_section(hexcode.dual_basis(), (1, 2), 6, 3)
+    sec_dual = oracles.coordinate_section(symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p), (1, 2), 6, 3)
     assert sec_dual.shape[0] == 0
 
 
@@ -76,7 +76,7 @@ def test_coordinate_section_full_set_is_whole_space(hexcode):
 
 
 def test_coordinate_section_contains_supported_vector(hexcode):
-    sec = oracles.coordinate_section(hexcode.dual_basis(), AVAILABLE, 6, 3)
+    sec = oracles.coordinate_section(symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p), AVAILABLE, 6, 3)
     assert linalg.row_space_contains(sec, W1, 3)
 
 
@@ -89,7 +89,7 @@ def test_project_vector_reference():
 def test_projected_spaces_agree_for_missing_pair(hexcode):
     missing = (1, 2)
     pc = oracles.project_rows(hexcode.stabilizer, missing, 6, 3)
-    pd = oracles.project_rows(hexcode.dual_basis(), missing, 6, 3)
+    pd = oracles.project_rows(symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p), missing, 6, 3)
     pm = oracles.project_rows(hexcode.self_dual, missing, 6, 3)
     assert oracles.row_space_equal(pc, pd, 3)
     assert oracles.row_space_equal(pc, pm, 3)
@@ -136,7 +136,7 @@ def test_erasure_correctable_matches_enumeration_oracle(hexcode):
         return out
 
     cvecs = span(hexcode.stabilizer)
-    dvecs = span(hexcode.dual_basis())
+    dvecs = span(symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p))
 
     def supported(vec, missing):
         cols = {i - 1 for i in missing} | {i + 5 for i in missing}
@@ -151,7 +151,7 @@ def test_erasure_correctable_matches_enumeration_oracle(hexcode):
 
 
 def test_localize_x_reference_and_membership(hexcode):
-    dual_basis = hexcode.dual_basis()
+    dual_basis = symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p)
     for x, w_ref in ((X_ROWS[0], W1), (X_ROWS[1], W2)):
         u, w = symplectic.localize_x(hexcode, x, AVAILABLE)
         # reference split passes the membership validators
@@ -248,7 +248,7 @@ def test_localize_membership_agrees_with_row_reduction(monkeypatch, hexcode, whi
     rng = np.random.default_rng(25)
     cases = []
     for localize, space, error in (
-        (symplectic.localize_x, code.dual_basis(), NotInDualError),
+        (symplectic.localize_x, symplectic.dual(code.stabilizer, code.n, code.p), NotInDualError),
         (symplectic.localize_z, code.self_dual, NotInSelfDualError),
     ):
         vecs = rng.integers(0, p, size=(200, space.shape[0])) @ space
@@ -400,7 +400,7 @@ def test_validate_names_logical_x_outside_the_dual_by_its_stabilizer_products(he
     # the commutation checks; the dual-space check runs first and names row 1
     outside_dual = np.eye(2 * hexcode.n, dtype=np.int64)[0]
     bad = (hexcode.logical_x[0] + hexcode.logical_x[1] + hexcode.logical_z[0] + outside_dual) % 3
-    assert not linalg.row_space_contains(hexcode.dual_basis(), bad, 3)
+    assert not linalg.row_space_contains(symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p), bad, 3)
     assert symplectic.symplectic_gram(bad, hexcode.stabilizer, 3).any()
     lx = np.vstack([bad, hexcode.logical_x[1]])
     with pytest.raises(ValidationError) as err:
