@@ -168,6 +168,12 @@ class ReconstructionPlan:
     def __iter__(self):
         return (self[s] for s in range(len(self)))
 
+    def __array__(self, dtype=None, copy=None):
+        # without it numpy reads a plan as a sequence whose items are plans
+        # again, and recurses to its dimension limit
+        arrays = ", ".join(field.name for field in dataclasses.fields(self)[4:])
+        raise TypeError(f"a ReconstructionPlan is not an array; its array fields are {arrays}")
+
 
 def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
     """The one-set plan of the share set `available`: plan_sets of [available]."""
@@ -190,13 +196,20 @@ def plan_sets(code, convention, sets) -> ReconstructionPlan:
     """
     n = code.n
     _check_k(code)
-    available = tuple(symplectic.share_set(members, n) for members in sets)
+    available = [symplectic.share_set(members, n) for members in sets]
+    rows = np.zeros((len(available), n), dtype=bool)
+    held = np.fromiter(chain.from_iterable(available), dtype=np.intp)
+    rows[np.repeat(np.arange(len(available)), [len(a) for a in available]), held - 1] = True
+    return _plan_rows(code, convention, rows)
+
+
+def _plan_rows(code, convention, rows) -> ReconstructionPlan:
+    """plan_sets of the share sets given as (S, n) boolean membership rows
+    (share j in column j-1), for a code with k >= 1."""
+    available = tuple(symplectic.members_of(rows))
     if not all(available):
         raise NotCorrectableError("empty share set cannot reconstruct")
-    missing = np.ones((len(available), n), dtype=bool)
-    held = np.fromiter(chain.from_iterable(available), dtype=np.intp)
-    missing[np.repeat(np.arange(len(available)), [len(a) for a in available]), held - 1] = False
-    *parts, split = symplectic.split_on_missing_sets(code, _targets(code), missing)
+    *parts, split = symplectic.split_on_missing_sets(code, _targets(code), ~rows)
     if not split.all():
         raise NotCorrectableError(f"shares {available[int(np.argmin(split))]} are not a qualified set")
     return _assemble(code, convention, available, *parts)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -467,23 +468,20 @@ def split_on_missing_sets(code: CodeSpec, vecs, missing):
 
     Returns (s, r, c, split): s and r are (S, q, 2n), c is (S, q, n-k), and
     split (S,) is true where every vector splits (s, r and c are meaningless
-    where it is false). The sets are grouped by their number of missing
-    shares, and one linalg.solve_stacked per group solves the system
-    split_on_missing solves, [stabilizer^T | vecs^T] on the set's missing
-    coordinates, so c is split_on_missing's coefficients.
+    where it is false). One linalg.solve_stacked solves, for every set, the
+    system split_on_missing solves, [stabilizer^T | vecs^T] on the set's
+    missing coordinates, padded with zero rows up to the widest set. A zero
+    row changes neither the rank nor the solvability, and the reduced form is
+    unique, so c is split_on_missing's coefficients.
     """
     p, n, d = code.p, code.n, code.stabilizer.shape[0]
     vecs = np.asarray(vecs, dtype=np.int64)
     missing = np.asarray(missing, dtype=bool)
-    system = np.hstack([code.stabilizer.T, vecs.T])  # one row per coordinate
-    size = missing.sum(axis=1)
-    coeff = np.zeros((len(missing), d, vecs.shape[0]), dtype=np.int64)
-    split = np.ones(len(missing), dtype=bool)
-    # not np.unique, whose first call imports numpy.ma (about 1 MB resident)
-    for m in np.flatnonzero(np.bincount(size)):
-        group = np.flatnonzero(size == m)
-        shares = np.nonzero(missing[group])[1].reshape(len(group), m)  # ascending in each set
-        coeff[group], split[group] = linalg.solve_stacked(system[np.hstack([shares, shares + n])], d, p)
+    system = np.zeros((2 * n + 1, d + len(vecs)), dtype=np.int64)  # a row per coordinate, row 2n zero
+    system[: 2 * n, :d], system[: 2 * n, d:] = code.stabilizer.T, vecs.T
+    # each set's missing shares ascending, then 2n for the padding
+    shares = np.sort(np.where(missing, np.arange(n), 2 * n), axis=1)[:, : missing.sum(axis=1).max(initial=0)]
+    coeff, split = linalg.solve_stacked(system[np.hstack([shares, np.minimum(shares + n, 2 * n)])], d, p)
     coeff = coeff.transpose(0, 2, 1)
     s = coeff @ code.stabilizer % p
     return s, (vecs - s) % p, coeff, split
@@ -499,12 +497,17 @@ def _subset_ranks(code: CodeSpec) -> np.ndarray:
     leads with a 1 at b. An insert reduces the column against every filled
     slot, n-k elimination steps over all bases at once, and files what is
     left in the slot of its leading entry; r[S] counts S's filled slots.
-    Stored in int8, computed in int16 (|x - y*z| < p^2 <= 169).
+    Stored in int8, the bases computed in int16 (entries below p <= 13).
+
+    The inserted column is reduced mod p once, after its n-k steps: a
+    filled slot b leads with 1, so step b makes entry b exactly 0, and each
+    step multiplies the entries' bound by at most p, so they stay below
+    (p-1) p^(n-k) <= 12 * 13^15 < 2^63 under the enumeration guard.
     """
     p, n, d = code.p, code.n, code.stabilizer.shape[0]
     ranks = np.zeros(1 << n, dtype=np.int8)
-    columns = code.stabilizer.T.astype(np.int16)
-    inv = linalg._inverses(p).astype(np.int16)
+    columns = code.stabilizer.T.astype(np.int64)
+    inv = linalg._inverses(p)
     bases = np.zeros((1 << max(n - 1, 0), d, d), dtype=np.int8)  # the last half is not kept
     for j in range(n if d else 0):
         work = bases[: 1 << j].astype(np.int16)
@@ -513,7 +516,7 @@ def _subset_ranks(code: CodeSpec) -> np.ndarray:
             v = np.repeat(column[None], 1 << j, axis=0)
             for b in range(d):  # an empty slot is zero and leaves v alone
                 v[:, b:] -= v[:, b, None] * work[:, b, b:]
-                v[:, b:] %= p
+            v %= p
             # v is zero at every filled slot, so it leads at an empty one (or is zero)
             lead = (v != 0).argmax(axis=1)
             work[every, lead] += v * inv[v[every, lead]][:, None] % p
@@ -539,13 +542,20 @@ def _qualified_mask(code: CodeSpec) -> np.ndarray:
     return mask
 
 
-def _listed(mask: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """The subsets a mask selects, as share tuples, smallest first then
-    lexicographic: within one size, the largest membership bits read with
-    share 1 as the most significant come first."""
+def _listed(mask: np.ndarray, n: int) -> np.ndarray:
+    """The subsets a mask selects, as (S, n) boolean membership rows (share j
+    in column j-1), smallest first then lexicographic: within one size, the
+    largest membership bits read with share 1 as the most significant come
+    first."""
     bits = (np.flatnonzero(mask)[:, None] >> np.arange(n)) & 1
-    bits = bits[np.lexsort((-(bits @ (1 << np.arange(n)[::-1])), bits.sum(axis=1)))]
-    return [tuple(j for j, bit in enumerate(row, 1) if bit) for row in bits.tolist()]
+    return bits[np.lexsort((-(bits @ (1 << np.arange(n)[::-1])), bits.sum(axis=1)))].astype(bool)
+
+
+def members_of(rows) -> list[tuple[int, ...]]:
+    """The share tuples of (S, n) boolean membership rows, in order."""
+    rows = np.asarray(rows)
+    shares = range(1, rows.shape[1] + 1)
+    return [tuple(compress(shares, row)) for row in rows.tolist()]
 
 
 def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[int, ...]]:
@@ -563,7 +573,7 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
         for j in range(code.n):
             halves = table.reshape(-1, 2, 1 << j)  # without, with share j + 1
             halves[:, 1] |= covered.reshape(-1, 2, 1 << j)[:, 0]
-    minimal = _listed(qualified & ~shadowed, code.n)
+    minimal = members_of(_listed(qualified & ~shadowed, code.n))
     return minimal if max_size is None else [m for m in minimal if len(m) <= max_size]
 
 
@@ -575,6 +585,11 @@ def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
     dual(C) ∩ F^M ⊆ C (C ∩ F^M lies inside it, so equal dimensions mean
     equal spaces), and for M' ⊆ M, dual(C) ∩ F^M' ⊆ dual(C) ∩ F^M ⊆ C.
     """
+    return members_of(all_qualified_rows(code))
+
+
+def all_qualified_rows(code: CodeSpec) -> np.ndarray:
+    """all_qualified_sets as (S, n) boolean membership rows, in its order."""
     return _listed(_qualified_mask(code), code.n)
 
 

@@ -23,7 +23,9 @@ Pauli compressed onto the code by multiplying out every matrix element
 the package reads the logical operator off one echelon form; a plan's
 relative phases by multiplying out each row's two factors, where the package
 computes every row's in one array expression; membership of a row space by
-comparing two ranks, where the package reads one residual).
+comparing two ranks, where the package reads one residual; the subset rank
+table with the inserted column reduced mod p after every slot in int16, where
+the package accumulates it in int64 and reduces it once per column).
 """
 
 from __future__ import annotations
@@ -210,6 +212,29 @@ def section_correctable(code, missing) -> bool:
     inner = coordinate_section(code.stabilizer, missing, code.n, code.p)
     outer = coordinate_section(symplectic.dual(code.stabilizer, code.n, code.p), missing, code.n, code.p)
     return inner.shape[0] == outer.shape[0]
+
+
+def subset_ranks_reduced_per_slot(code) -> np.ndarray:
+    """symplectic._subset_ranks with every elimination step reduced mod p, so
+    no entry leaves [0, p^2) and int16 holds them all."""
+    p, n, d = code.p, code.n, code.stabilizer.shape[0]
+    ranks = np.zeros(1 << n, dtype=np.int8)
+    columns = code.stabilizer.T.astype(np.int16)
+    inv = linalg._inverses(p).astype(np.int16)
+    bases = np.zeros((1 << n, d, d), dtype=np.int16)
+    for j in range(n if d else 0):
+        work = bases[: 1 << j].copy()
+        every = np.arange(1 << j)
+        for column in (columns[j], columns[j + n]):
+            v = np.repeat(column[None], 1 << j, axis=0)
+            for b in range(d):
+                v[:, b:] -= v[:, b, None] * work[:, b, b:]
+                v[:, b:] %= p
+            lead = (v != 0).argmax(axis=1)
+            work[every, lead] += v * inv[v[every, lead]][:, None] % p
+        ranks[1 << j : 2 << j] = np.count_nonzero(work[:, range(d), range(d)], axis=1)
+        bases[1 << j : 2 << j] = work
+    return ranks
 
 
 def brute_force_qualified_sets(code) -> list[tuple[int, ...]]:

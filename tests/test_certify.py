@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qsshare import certify, circuits, pauli, sim, symplectic
+from qsshare import certify, circuits, linalg, pauli, sim, symplectic
 from qsshare.demo import six_share_qutrit_code
-from qsshare.errors import NotCorrectableError, TooLargeError
+from qsshare.errors import NoSolutionError, NotCorrectableError, TooLargeError
 
 ODD_AND_EVEN = (2, 3, 5, 7)
 
@@ -273,6 +273,52 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
         assert counts == (circuit.two_qudit_count(), circuit.single_qudit_count()), members
         assert [reports[s]] == certify.certify_reconstruction(code, conv, plan, [])
         assert reports[s].entanglement_fidelity == 1.0
+
+
+@pytest.mark.parametrize("which", ["bundled", *SMALL_CODES, (2, 12, 2, 0), (3, 10, 2, 0)])
+def test_padded_split_equals_split_on_missing_on_sets_of_every_size(which):
+    # the codes above: one padded solve_stacked over every qualified set and
+    # drawn sets of every size, unqualified ones and the empty set among them,
+    # against one split_on_missing per set
+    code = _code(which)
+    n = code.n
+    targets = np.vstack([code.logical_x, code.logical_z])
+    rng = np.random.default_rng(n)
+    drawn = rng.random((200, n)) < rng.random((200, 1))
+    rows = np.vstack([symplectic.all_qualified_rows(code), drawn, np.zeros((1, n), dtype=bool)])
+    rows = rows[rng.permutation(len(rows))]
+    *split, solved = symplectic.split_on_missing_sets(code, targets, ~rows)
+    for s, members in enumerate(symplectic.members_of(rows)):
+        try:
+            expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))
+        except NoSolutionError:
+            assert not solved[s], members
+            continue
+        assert solved[s] and all(np.array_equal(got[s], want) for got, want in zip(split, expected)), members
+    assert not solved.all()
+    # nothing missing, for one set and for several: no coordinate to solve on
+    for count in (1, 3):
+        s, r, c, solved = symplectic.split_on_missing_sets(code, targets, np.zeros((count, n), dtype=bool))
+        assert solved.all() and not s.any() and not c.any() and (r == targets).all()
+
+
+@pytest.mark.parametrize("p", linalg.SUPPORTED_PRIMES)
+def test_batched_secrets_are_successive_random_secret_draws(p):
+    # bit for bit: the same normal samples, each row normalized as
+    # np.linalg.norm normalizes one vector
+    for k in (1, 2, 3):
+        for count in (1, 2, 7):
+            seed = 100 * k + count
+            batch = certify.random_secrets(p, k, count, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            one_by_one = np.array([certify.random_secret(p, k, rng) for _ in range(count)])
+            rng = np.random.default_rng(seed)
+            oracle = []
+            for _ in range(count):
+                vec = rng.normal(size=p**k) + 1j * rng.normal(size=p**k)
+                oracle.append(vec / np.linalg.norm(vec))
+            assert batch.shape == (count, p**k) and batch.dtype == np.complex128
+            assert batch.tobytes() == one_by_one.tobytes() == np.array(oracle).tobytes(), (k, count)
 
 
 def test_batched_plan_names_the_first_unqualified_set():

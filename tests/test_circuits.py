@@ -456,6 +456,16 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
                 assert np.array_equal(s, s0) and np.array_equal(r, r0)
 
 
+def test_a_plan_is_not_an_array(hexcode, hexconv):
+    # a plan's items are plans again; numpy is told so instead of recursing
+    plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode)[:2])
+    for convert in (np.asarray, np.array, np.shape):
+        for value in (plan, plan[0]):
+            with pytest.raises(TypeError, match=r"array fields are w, y, u, v, .*step6_exponents$"):
+                convert(value)
+    assert np.asarray(plan.w).shape == (2, hexcode.k, 2 * hexcode.n)
+
+
 def test_analysis_and_synthesis_never_import_the_simulator():
     script = """
 import sys

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsshare
@@ -365,8 +365,8 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
 
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
-    calls = {"plan": 0, "batch": 0, "encode": 0}
-    plan, batch, encode = circuits.plan_reconstruction, circuits.plan_sets, sim.encode_secret
+    calls = {"plan": 0, "batch": 0, "rows": 0, "encode": 0}
+    plan, batch, rows, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits._plan_rows, sim.encode_secret
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -377,20 +377,22 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting("plan", plan))
     monkeypatch.setattr(circuits, "plan_sets", counting("batch", batch))
+    monkeypatch.setattr(circuits, "_plan_rows", counting("rows", rows))
     monkeypatch.setattr(sim, "encode_secret", counting("encode", encode))
+    # the sweep hands the qualified mask's rows to the planning body itself
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
-    assert calls == {"plan": 0, "batch": 1, "encode": 0}  # the certificate encodes no secret
-    # one set's plan is plan_sets of that set: one plan_sets per request
+    assert calls == {"plan": 0, "batch": 0, "rows": 1, "encode": 0}  # the certificate encodes no secret
+    # one set's plan is plan_sets of that set: one planning body per request
     rc, out, _ = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "3")
-    assert rc == 0 and calls == {"plan": 1, "batch": 2, "encode": 0}
+    assert rc == 0 and calls == {"plan": 1, "batch": 1, "rows": 2, "encode": 0}
     # the dense simulator, called on the same 22 sets' plan and 3 secrets
     calls.update(batch=0)
     plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode))
     rng = np.random.default_rng(0)
     sim.verify_reconstruction(hexcode, hexconv, plan, [sim.random_secret(3, 2, rng) for _ in range(3)])
-    assert calls == {"plan": 1, "batch": 1, "encode": 3}
+    assert calls == {"plan": 1, "batch": 1, "rows": 3, "encode": 3}
 
 
 def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
@@ -758,6 +760,49 @@ def test_synthesize_of_a_k0_code_writes_no_file(capsys, tmp_path):
     assert (rc, out) == (2, "")
     assert err == "error: nothing to reconstruct: the code has k = 0\n"
     assert list(tmp_path.iterdir()) == [spec]
+
+
+_REPORT_FLOATS = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.floats(0, 1).map(lambda value: round(value, 12)),  # a failing row's fidelity
+    st.floats(1e-14, 1e-12),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-13, 0.999999999999, 1 - 1e-9]),
+)
+_REPORT_INTS = st.integers(0, 10**30)
+
+
+@st.composite
+def _verify_reports(draw):
+    row = st.tuples(st.lists(st.integers(1, 15), max_size=15), _REPORT_FLOATS, _REPORT_FLOATS, _REPORT_INTS, _REPORT_INTS)
+    rows = [
+        {"J": members, "min_fidelity": fid, "max_purity_deviation": dev, "two_qudit_gates": two, "single_qudit_gates": one}
+        for members, fid, dev, two, one in draw(st.lists(row, max_size=4))  # k = 0 gives no row
+    ]
+    p, n, k, seed, trials = draw(st.tuples(st.sampled_from(linalg.SUPPORTED_PRIMES), *[_REPORT_INTS] * 4))
+    summary = {"qualified_sets": draw(_REPORT_INTS), "min_fidelity": draw(_REPORT_FLOATS), "max_purity_deviation": draw(_REPORT_FLOATS)}
+    return {"p": p, "n": n, "k": k, "seed": seed, "trials": trials, "rows": rows, "summary": summary}
+
+
+@settings(max_examples=300)
+@given(_verify_reports())
+def test_report_writer_is_json_dumps_with_indent_2(report):
+    assert cli._report_text(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 10, 2, 0), (3, 7, 2, 1)])
+def test_a_full_sweep_is_one_elimination_and_no_json_encoding(capsys, monkeypatch, tmp_path, spec_path, which):
+    # every qualified set, whatever its number of missing shares, in one
+    # padded solve_stacked; the report written without json.dumps
+    if which == "bundled":
+        path = spec_path
+    else:
+        path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "grid.qss")
+    solves = _counting(monkeypatch, linalg, "solve_stacked")
+    dumps = _counting(monkeypatch, json, "dumps")
+    rc, out, _ = run(capsys, "verify", path, "--trials", "2")
+    monkeypatch.undo()
+    (shape,) = solves
+    assert rc == 0 and dumps == [] and json.loads(out)["summary"]["qualified_sets"] == shape[0] > 1
 
 
 def _counting(monkeypatch, module, name) -> list:

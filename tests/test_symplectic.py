@@ -783,6 +783,26 @@ def test_subset_rank_table_equals_one_rank_per_subset(p, n, k, seed):
         assert table[subset] == linalg.rank(code.stabilizer[:, columns], p), (subset, members)
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_subset_rank_table_at_the_largest_accumulator(seed):
+    # p = 13 and n - k = 15 (k = 0) at the enumeration guard: an inserted
+    # column's entries grow toward 12 * 13^15 before their one reduction mod
+    # p. An int32 accumulator wraps, and changes a few dozen 7- and 8-share
+    # entries of the table, so the whole table is held to the oracle's
+    n = symplectic.MAX_ENUMERATION_SHARES
+    code = symplectic.random_self_orthogonal_code(13, n, 0, seed)
+    table = symplectic._subset_ranks(code)
+    assert np.array_equal(table, oracles.subset_ranks_reduced_per_slot(code))
+    qualified = symplectic._qualified_mask(code)
+    subsets = np.random.default_rng(13).integers(0, 2**n, size=150).tolist() + [0, 1, 2**n - 2, 2**n - 1]
+    for subset in subsets:
+        members = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
+        columns = symplectic._coordinate_columns(members, n)
+        assert table[subset] == linalg.rank(code.stabilizer[:, columns], 13), members
+        missing = symplectic.complement(members, n)
+        assert qualified[subset] == (bool(members) and symplectic.erasure_correctable(code, missing)), members
+
+
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 4), (13, 5), (2, 7)])
 def test_minimal_sets_of_a_k0_code_are_the_singletons(p, n):
     # with no secret every nonempty set is qualified; the empty set never counts
