@@ -110,16 +110,12 @@ def random_secret(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return random_secrets(p, k, 1, rng)[0]
 
 
-def random_secrets(p: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` successive random_secret draws as (count, p^k) rows, from one
-    draw of the generator: each row's real parts, then its imaginary parts,
-    are the next 2 p^k normal samples."""
+def random_secrets(p: int, k: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """`count` successive random_secret draws from one draw of the generator:
+    each secret's real parts, then its imaginary parts, are the next 2 p^k
+    normal samples, and each secret is divided by its own np.linalg.norm."""
     draws = rng.normal(size=(count, 2, p**k))
-    vecs = draws[:, 0] + 1j * draws[:, 1]
-    # each squared norm summed as np.linalg.norm sums one vector's: a dot
-    # product of its real parts plus one of its imaginary parts
-    re, im = vecs.real[:, None], vecs.imag[:, None]
-    return vecs / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    return [vec / np.linalg.norm(vec) for vec in draws[:, 0] + 1j * draws[:, 1]]
 
 
 def _guard(p: int, k: int) -> None:

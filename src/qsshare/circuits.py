@@ -195,17 +195,19 @@ def plan_sets(code, convention, sets) -> ReconstructionPlan:
     once, with the coefficients symplectic.split_on_missing gives each.
     """
     n = code.n
-    _check_k(code)
     available = [symplectic.share_set(members, n) for members in sets]
     rows = np.zeros((len(available), n), dtype=bool)
     held = np.fromiter(chain.from_iterable(available), dtype=np.intp)
     rows[np.repeat(np.arange(len(available)), [len(a) for a in available]), held - 1] = True
-    return _plan_rows(code, convention, rows)
+    return plan_rows(code, convention, rows)
 
 
-def _plan_rows(code, convention, rows) -> ReconstructionPlan:
-    """plan_sets of the share sets given as (S, n) boolean membership rows
-    (share j in column j-1), for a code with k >= 1."""
+def plan_rows(code, convention, rows) -> ReconstructionPlan:
+    """plan_sets of the share sets given as (S, n) boolean membership rows,
+    share j in column j-1: the planning body, and a sweep's entry point, which
+    hands it symplectic.all_qualified_rows with no share tuple to validate.
+    The plan's `available` tuples are read back from the rows."""
+    _check_k(code)
     available = tuple(symplectic.members_of(rows))
     if not all(available):
         raise NotCorrectableError("empty share set cannot reconstruct")

@@ -141,25 +141,21 @@ def cmd_verify(args) -> int:
             print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
-        plan = circuits._plan_rows(code, conv, symplectic.all_qualified_rows(code))
+        plan = circuits.plan_rows(code, conv, symplectic.all_qualified_rows(code))
     secrets = certify.random_secrets(p, k, args.trials, np.random.default_rng(args.seed))
-    passed = (1.0,) * args.trials  # what a passing certificate reports for fidelity and purity
     failure = None
     for rep in certify.certify_reconstruction(code, conv, plan, secrets) if plan else ():
-        extremes = (1.0, 0.0)
-        if rep.fidelity != passed or rep.purity != passed:
-            devs = [abs(1.0 - value) for value in rep.purity]
-            for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
-                if failure is None and fid < 1.0 - FIDELITY_SLACK:
-                    failure = (rep, trial, f"fidelity {fid:.12g}")
-                elif failure is None and dev > FIDELITY_SLACK:
-                    failure = (rep, trial, f"purity deviation {dev:.3g}")
-            extremes = (round(min(rep.fidelity), 12), round(max(devs), 12))
+        devs = [abs(1.0 - value) for value in rep.purity]
+        for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
+            if failure is None and fid < 1.0 - FIDELITY_SLACK:
+                failure = (rep, trial, f"fidelity {fid:.12g}")
+            elif failure is None and dev > FIDELITY_SLACK:
+                failure = (rep, trial, f"purity deviation {dev:.3g}")
         report["rows"].append(
             {
                 "J": list(rep.available),
-                "min_fidelity": extremes[0],
-                "max_purity_deviation": extremes[1],
+                "min_fidelity": round(min(rep.fidelity), 12),
+                "max_purity_deviation": round(max(devs), 12),
                 "two_qudit_gates": rep.two_qudit_gates,
                 "single_qudit_gates": rep.single_qudit_gates,
             }
@@ -171,7 +167,7 @@ def cmd_verify(args) -> int:
         "min_fidelity": min([1.0] + [row["min_fidelity"] for row in rows]),
         "max_purity_deviation": max([0.0] + [row["max_purity_deviation"] for row in rows]),
     }
-    print(_report_text(report))
+    print(_json_text(report))
     if failure is not None:
         rep, trial, check = failure
         print(
@@ -193,29 +189,30 @@ def _float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def _report_text(report) -> str:
-    """json.dumps(report, indent=2) of a verify report, written from its fixed
-    keys: with an indent, json falls back to its pure-Python encoder. Its
-    ints are Python ints, which json writes as str does."""
-    rows = []
-    for row in report["rows"]:
-        shares = "[\n        " + ",\n        ".join(map(str, row["J"])) + "\n      ]" if row["J"] else "[]"
-        rows.append(
-            f'    {{\n      "J": {shares},\n'
-            f'      "min_fidelity": {_float(row["min_fidelity"])},\n'
-            f'      "max_purity_deviation": {_float(row["max_purity_deviation"])},\n'
-            f'      "two_qudit_gates": {row["two_qudit_gates"]},\n'
-            f'      "single_qudit_gates": {row["single_qudit_gates"]}\n    }}'
-        )
-    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    summary = report["summary"]
-    return (
-        f'{{\n  "p": {report["p"]},\n  "n": {report["n"]},\n  "k": {report["k"]},\n'
-        f'  "seed": {report["seed"]},\n  "trials": {report["trials"]},\n  "rows": {listed},\n'
-        f'  "summary": {{\n    "qualified_sets": {summary["qualified_sets"]},\n'
-        f'    "min_fidelity": {_float(summary["min_fidelity"])},\n'
-        f'    "max_purity_deviation": {_float(summary["max_purity_deviation"])}\n  }}\n}}'
-    )
+_SCALARS = {int: int.__repr__, float: _float}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) of a dict or list whose keys are plain
+    strings and whose values are dicts, lists, ints and floats, as a verify
+    report's are; any other value is a TypeError. With an indent, json falls
+    back to its pure-Python encoder, about twice as slow as this walk."""
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [
+            f'"{key}": {_SCALARS[type(item)](item) if type(item) in _SCALARS else _json_text(item, inner)}'
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    elif type(value) is list:
+        items = [_SCALARS[type(item)](item) if type(item) in _SCALARS else _json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+    if not items:
+        return brackets
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 
 
 def cmd_demo(_args) -> int:

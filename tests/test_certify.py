@@ -304,12 +304,12 @@ def test_padded_split_equals_split_on_missing_on_sets_of_every_size(which):
 
 @pytest.mark.parametrize("p", linalg.SUPPORTED_PRIMES)
 def test_batched_secrets_are_successive_random_secret_draws(p):
-    # bit for bit: the same normal samples, each row normalized as
-    # np.linalg.norm normalizes one vector
+    # bit for bit: the generator's normal samples do not depend on how the
+    # draws are split, and each secret is normalized as one vector
     for k in (1, 2, 3):
         for count in (1, 2, 7):
             seed = 100 * k + count
-            batch = certify.random_secrets(p, k, count, np.random.default_rng(seed))
+            batch = np.array(certify.random_secrets(p, k, count, np.random.default_rng(seed)))
             rng = np.random.default_rng(seed)
             one_by_one = np.array([certify.random_secret(p, k, rng) for _ in range(count)])
             rng = np.random.default_rng(seed)

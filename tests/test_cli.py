@@ -366,7 +366,7 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
     calls = {"plan": 0, "batch": 0, "rows": 0, "encode": 0}
-    plan, batch, rows, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits._plan_rows, sim.encode_secret
+    plan, batch, rows, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits.plan_rows, sim.encode_secret
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -377,7 +377,7 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting("plan", plan))
     monkeypatch.setattr(circuits, "plan_sets", counting("batch", batch))
-    monkeypatch.setattr(circuits, "_plan_rows", counting("rows", rows))
+    monkeypatch.setattr(circuits, "plan_rows", counting("rows", rows))
     monkeypatch.setattr(sim, "encode_secret", counting("encode", encode))
     # the sweep hands the qualified mask's rows to the planning body itself
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
@@ -783,10 +783,29 @@ def _verify_reports(draw):
     return {"p": p, "n": n, "k": k, "seed": seed, "trials": trials, "rows": rows, "summary": summary}
 
 
+_REPORT_VALUES = st.recursive(
+    st.one_of(_REPORT_FLOATS, st.integers(-(10**30), 10**30)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text("abcdefghij_", max_size=12), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
 @settings(max_examples=300)
-@given(_verify_reports())
+@given(st.one_of(_verify_reports(), st.lists(_REPORT_VALUES, max_size=4), st.dictionaries(st.text("xyz", max_size=3), _REPORT_VALUES)))
 def test_report_writer_is_json_dumps_with_indent_2(report):
-    assert cli._report_text(report) == json.dumps(report, indent=2)
+    # the writer walks the report's own keys: any nesting of dicts, lists,
+    # ints and floats, empty ones and verify reports with no row among them
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value", [True, None, "1", np.int64(1), np.float64(1.0), (1,)])
+def test_report_writer_refuses_what_a_report_never_holds(value):
+    # json.dumps writes True, None and strings otherwise than this writer
+    # would, and refuses numpy ints; the writer refuses all of them
+    with pytest.raises(TypeError):
+        cli._json_text({"rows": [{"J": [1, value]}]})
 
 
 @pytest.mark.parametrize("which", ["bundled", (2, 10, 2, 0), (3, 7, 2, 1)])
