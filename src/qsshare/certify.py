@@ -269,11 +269,13 @@ class _Frame:
 
 def _frame(code, convention) -> _Frame:
     p, n, k = code.p, code.n, code.k
-    xbars = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
-    phases, rows = pauli._stacked(xbars + convention.generators, n)  # n + k independent rows
+    phases = np.concatenate([np.array(convention.alpha_exponents, dtype=np.int64), convention.phases])
+    rows = np.vstack([linalg.as_field(code.logical_x, p), convention.rows])  # n + k independent rows
     reduced, pivots, _ = linalg.rref(np.hstack([rows, np.eye(n + k, dtype=np.int64)]), p)
-    wrap = np.array([pauli.pauli_pow(g, p).phase for g in xbars], dtype=np.int64)
-    return _Frame(pauli._generator_terms(phases, rows, p), list(pivots), reduced[:, 2 * n :], wrap)
+    terms = pauli._generator_terms(phases, rows, p)
+    # (w^e M(a|b))^p = w^(p e + kappa (a.b) p(p-1)/2) by pauli_pow, 0 at odd p
+    wrap = (p * phases[:k] + terms[1][:k] * (p * (p - 1) // 2)) % pauli.phase_order(p)
+    return _Frame(terms, list(pivots), reduced[:, 2 * n :], wrap)
 
 
 def _compress(code, frame: _Frame, phases, xs, zs):

@@ -116,12 +116,8 @@ def controlled_pauli_decompose(control: int, vec, n: int, *, inverse: bool = Fal
     exactly. Targets are emitted in ascending share order.
     """
     a, b = symplectic.split_parts(vec, n)
-    make = controlled_pauli_inv if inverse else controlled_pauli
-    out = []
-    for t in range(n):
-        if a[t] or b[t]:
-            out.append(make(control, t + 1, int(a[t]), int(b[t])))
-    return out
+    kind = "CPAULIINV" if inverse else "CPAULI"
+    return [Gate(kind, (control, t), (x, z)) for t, (x, z) in enumerate(zip(a.tolist(), b.tolist()), start=1) if x or z]
 
 
 # ---------------------------------------------------------------------------

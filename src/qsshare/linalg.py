@@ -56,53 +56,36 @@ def _inverses(p: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The bytes.translate table taking each byte v to v mod p."""
+    return bytes(v % p for v in range(256))
+
+
 def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Reduced row-echelon form of A over F_p.
 
     Returns (R, pivots, rank) where pivots are the pivot column indices in
-    increasing order. The row space of R equals the row space of A. The
-    kernel is chosen by p alone: at p = 2 rows are packed into Python ints
-    (_rref_packed), at odd p each pivot updates the array (_rref_field). The
-    reduced form of a row space is unique, so both return the same triple.
+    increasing order. The row space of R equals the row space of A.
+
+    Each row is one Python int with column c at bit c at p = 2 and at byte c
+    at odd p (word-packed F_p elimination, Dumas-Giorgi-Pernet,
+    arXiv:cs/0601133). A pivot clears its column only in the rows that hold
+    it: one XOR at p = 2, x + (p - e) * pivot at odd p, whose bytes stay at
+    most p(p - 1) <= 156, so no lane carries and one bytes.translate reduces
+    the row mod p.
     """
     R = as_field(A, p)
-    return _rref_packed(R) if p == 2 else _rref_field(R, p)
-
-
-def _rref_field(R: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """rref of a canonical array, reduced in place: each pivot clears its
-    column in every other row with one rank-one update."""
     rows, cols = R.shape
-    inv = _inverses(p)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        # Rows r.. are zero left of c, so only columns c.. change.
-        pivot = R[i, c:] * inv[R[i, c]] % p
-        if i != r:
-            R[i] = R[r]
-        # Clearing column c in every row also zeroes row r; it then gets the pivot.
-        R[:, c:] -= R[:, c, None] * pivot
-        R[:, c:] %= p
-        R[r, c:] = pivot
-        pivots.append(c)
-        r += 1
-    return R, tuple(pivots), len(pivots)
-
-
-def _rref_packed(R: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """rref of a canonical F_2 array, each row one Python int with column c
-    at bit c: a pivot clears its column with one XOR per row that holds it."""
-    rows, cols = R.shape
-    width = (cols + 7) // 8
-    packed = np.packbits(R.astype(np.uint8), axis=1, bitorder="little").tobytes()
-    ints = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(rows)]
+    if p == 2:
+        width, lane = (cols + 7) // 8, 1
+        packed = np.packbits(R.astype(np.uint8), axis=1, bitorder="little").tobytes()
+    else:
+        width, lane = cols, 8
+        packed = R.astype(np.uint8).tobytes()
+        residues, inv = _residues(p), _inverses(p).tolist()
+    from_bytes = int.from_bytes
+    ints = [from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(rows)]
     pivots: list[int] = []
     for r in range(rows):
         # Rows r.. are zero at every column left of the next pivot.
@@ -111,17 +94,29 @@ def _rref_packed(R: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], int]:
             rest |= x
         if not rest:
             break
-        bit = rest & -rest
-        i = next(i for i in range(r, rows) if ints[i] & bit)
+        shift = ((rest & -rest).bit_length() - 1) & -lane
+        held = 1 << shift if p == 2 else 255 << shift
+        for i in range(r, rows):
+            if ints[i] & held:
+                break
         pivot = ints[i]
         ints[i] = ints[r]
-        ints = [x ^ pivot if x & bit else x for x in ints]
+        if p == 2:
+            ints = [x ^ pivot if x & held else x for x in ints]
+        else:
+            if (lead := pivot >> shift & 255) != 1:
+                pivot = from_bytes((pivot * inv[lead]).to_bytes(width, "little").translate(residues), "little")
+            ints = [
+                from_bytes((x + (p - (x >> shift & 255)) * pivot).to_bytes(width, "little").translate(residues), "little")
+                if x & held
+                else x
+                for x in ints
+            ]
         ints[r] = pivot
-        pivots.append(bit.bit_length() - 1)
-    packed = b"".join(x.to_bytes(width, "little") for x in ints)
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(rows, width)
-    out = np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
-    return out, tuple(pivots), len(pivots)
+        pivots.append(shift // lane)
+    lanes = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8).reshape(rows, width)
+    out = np.unpackbits(lanes, axis=1, count=cols, bitorder="little") if p == 2 else lanes
+    return out.astype(np.int64), tuple(pivots), len(pivots)
 
 
 def rank(A, p: int) -> int:
@@ -174,14 +169,24 @@ def solve_linear(A, b, p: int) -> np.ndarray:
     if b.shape[0] != rows:
         raise NoSolutionError(f"right-hand side length {b.shape[0]} != {rows} rows")
     rhs = b.reshape(-1, 1) if b.ndim == 1 else b
-    # With every pivot among A's columns the row operations are A's alone, so
-    # each column of b gets the same solution a separate elimination gives.
-    R, pivots, rk = rref(np.hstack([A, rhs]), p)
-    if rk and pivots[-1] >= cols:
+    x, solved = _solve_one(np.hstack([A, rhs]), cols, p)
+    if not solved:
         raise NoSolutionError("right-hand side outside the column space")
-    x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
-    x[list(pivots)] = R[:rk, cols:]
     return x if b.ndim == 2 else x[:, 0]
+
+
+def _solve_one(system, cols: int, p: int) -> tuple[np.ndarray, bool]:
+    """One rref of [A | b], A with cols columns: (x, solved), x the solution
+    with every free variable zero, and solved false when a pivot lies in b
+    (x is then zero). With every pivot among A's columns the row operations
+    are A's alone, so each column of b gets the solution a separate
+    elimination gives."""
+    R, pivots, rk = rref(system, p)
+    x = np.zeros((cols, R.shape[1] - cols), dtype=np.int64)
+    solved = not rk or pivots[-1] < cols
+    if solved:
+        x[list(pivots)] = R[:rk, cols:]
+    return x, solved
 
 
 def solve_stacked(systems, cols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,16 +198,12 @@ def solve_stacked(systems, cols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     (x, solved): x (S, cols, q) the solutions with every free variable zero,
     and solved (S,) true where every right-hand side lies in A's column
     space (x is meaningless where it is false). The reduced form is unique,
-    so each solved system's x is solve_linear's. The kernel follows the
-    count, as rref's follows p: one system is solve_linear's, whose rref is
-    packed at p = 2, and many are reduced together in int16, as
-    |x - y*z| < p^2 <= 169.
+    so each solved system's x is solve_linear's. One system is one rref of
+    it as given; many are reduced together in int16, as |x - y*z| < p^2 <= 169.
     """
     if len(systems) == 1:
-        try:
-            return solve_linear(systems[0][:, :cols], systems[0][:, cols:], p)[None], np.ones(1, dtype=bool)
-        except NoSolutionError:
-            return np.zeros((1, cols, systems.shape[2] - cols), dtype=np.int64), np.zeros(1, dtype=bool)
+        x, solved = _solve_one(systems[0], cols, p)
+        return x[None], np.array([solved])
     work = np.array(systems, dtype=np.int16)
     count, rows, width = work.shape
     inv = _inverses(p).astype(np.int16)

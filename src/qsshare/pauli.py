@@ -20,7 +20,7 @@ one rule, and dense_matrix provides the independent oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -221,13 +221,8 @@ def eigenvalue_exponents(generators: list[PhasedPauli], coeffs, p: int) -> np.nd
     """
     if not generators:
         return np.zeros(np.shape(coeffs)[0], dtype=np.int64)
-    return _exponents(_generator_terms(*_stacked(generators, generators[0].n), p), coeffs, p)
-
-
-def _stacked(generators: list[PhasedPauli], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The generators' phases and (a|b) rows as arrays."""
-    rows = np.array([g.vec for g in generators], dtype=np.int64).reshape(len(generators), 2 * n)
-    return np.array([g.phase for g in generators], dtype=np.int64), rows
+    phases = np.array([g.phase for g in generators], dtype=np.int64)
+    return _exponents(_generator_terms(phases, np.array([g.vec for g in generators]), p), coeffs, p)
 
 
 def _generator_terms(phases: np.ndarray, rows: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
@@ -252,24 +247,31 @@ def _exponents(terms: tuple[np.ndarray, ...], coeffs, p: int) -> np.ndarray:
 # encoding convention
 
 
-@dataclass
+@dataclass(eq=False)
 class EncodingConvention:
     """Calibrated generators of the self-dual space plus the alpha scalars.
 
-    generators : one calibrated PhasedPauli per self-dual basis row; the
-                 first n-k rows generate the stabilizer space, the final k
-                 are the logical-z patterns calibrated as 1/alpha_i * M(z_i)
+    rows   : the self-dual basis, (n, 2n); the first n-k rows generate the
+             stabilizer space, the final k are the logical-z patterns
+    phases : (n,) the calibration phase of each row, so that generator i is
+             w^phases[i] M(rows[i]); a logical z_i's is that of 1/alpha_i
     alpha_exponents : e(alpha_i) in the phase ring, one per secret qudit
 
-    The generators are read as fixed once stabilizer_exponents has used them;
-    a convention with other generators is a new one (dataclasses.replace).
+    The arrays are read as fixed once stabilizer_exponents has used them;
+    a convention with other ones is a new one (dataclasses.replace).
     """
 
     p: int
     n: int
     k: int
-    generators: list[PhasedPauli] = field(default_factory=list)
+    rows: np.ndarray
+    phases: np.ndarray
     alpha_exponents: tuple[int, ...] = ()
+
+    @property
+    def generators(self) -> list[PhasedPauli]:
+        """One calibrated PhasedPauli per row."""
+        return [PhasedPauli(self.p, e, row) for e, row in zip(self.phases.tolist(), self.rows)]
 
     def stabilizer_generators(self) -> list[PhasedPauli]:
         return self.generators[: self.n - self.k]
@@ -279,12 +281,12 @@ class EncodingConvention:
 
     def stabilizer_exponents(self, coeffs) -> np.ndarray:
         """eigenvalue_exponents(self.stabilizer_generators(), coeffs, p), from
-        the generators' rows and phases read once per convention."""
+        the stabilizer rows and phases read once per convention."""
         return _exponents(self._stabilizer_terms, coeffs, self.p)
 
     @cached_property
     def _stabilizer_terms(self) -> tuple[np.ndarray, ...]:
-        return _generator_terms(*_stacked(self.stabilizer_generators(), self.n), self.p)
+        return _generator_terms(self.phases[: self.n - self.k], self.rows[: self.n - self.k], self.p)
 
 
 def make_convention(code) -> EncodingConvention:
@@ -299,6 +301,5 @@ def make_convention(code) -> EncodingConvention:
     p, n, k = code.p, code.n, code.k
     rows = linalg.as_field(np.vstack([code.stabilizer, code.logical_z]), p)
     phases = _calibration_phases(rows, p)
-    gens = [PhasedPauli(p, e, row) for e, row in zip(phases.tolist(), rows)]
     alphas = (-phases[len(rows) - k :]) % phase_order(p)
-    return EncodingConvention(p=p, n=n, k=k, generators=gens, alpha_exponents=tuple(alphas.tolist()))
+    return EncodingConvention(p=p, n=n, k=k, rows=rows, phases=phases, alpha_exponents=tuple(alphas.tolist()))

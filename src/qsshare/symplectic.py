@@ -371,11 +371,9 @@ def build_code(
         diag = np.diag(pairing)
         if not off.any() and np.all(diag != 0) and np.any(diag != 1):
             lz = lz * linalg._inverses(p)[diag][:, None] % p
-            warnings.warn(
-                "logical pairing was diag(%s); rescaled z rows to normalize it"
-                % np.array2string(diag),
-                stacklevel=2,
-            )
+            values = diag.tolist()  # shown as array2string's one-line form
+            shown = " ".join(str(c).rjust(len(str(max(values)))) for c in values)
+            warnings.warn(f"logical pairing was diag([{shown}]); rescaled z rows to normalize it", stacklevel=2)
     _check_shapes(n, k, stab, cm, lx, lz)
     _validate(p, n, k, stab, cm, lx, lz, cm_rank)
     return CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)

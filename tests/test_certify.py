@@ -361,6 +361,24 @@ def test_generator_terms_are_built_once_per_request(monkeypatch):
         assert len(calls) == 1, len(some)
 
 
+@pytest.mark.parametrize("which", ["bundled", *SMALL_CODES])
+def test_frame_from_the_convention_arrays_equals_the_generator_list_frame(which):
+    # the frame of alpha_t M(x_t) and the calibrated generators, as PhasedPaulis
+    # multiplied out: the same rows, phases, echelon form and p-th powers
+    code = _code(which)
+    conv = pauli.make_convention(code)
+    p, n, k = code.p, code.n, code.k
+    xbars = [pauli.PhasedPauli(p, e, x) for e, x in zip(conv.alpha_exponents, code.logical_x)]
+    gens = xbars + conv.generators
+    phases, rows = np.array([g.phase for g in gens]), np.array([g.vec for g in gens])
+    reduced, pivots, _ = oracles.rref_rowloop(np.hstack([rows, np.eye(n + k, dtype=np.int64)]), p)
+    frame = certify._frame(code, conv)
+    for got, expected in zip(frame.terms, pauli._generator_terms(phases, rows, p)):
+        assert np.array_equal(got, expected)
+    assert frame.pivots == list(pivots) and np.array_equal(frame.transform, reduced[:, 2 * n :])
+    assert frame.wrap.tolist() == [pauli.pauli_pow(g, p).phase for g in xbars]
+
+
 def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
     code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
     conv = pauli.make_convention(code)

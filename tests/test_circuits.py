@@ -421,8 +421,9 @@ def test_control_equal_target_rejected_by_gate():
 
 
 def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexconv):
-    # a one-set plan's split is one solve_linear, J = all shares included
-    plan, solve = circuits.plan_reconstruction, linalg.solve_linear
+    # a one-set plan's split is one elimination (one rref of the stacked
+    # system, which no longer goes through solve_linear), J = all shares included
+    plan, solve = circuits.plan_reconstruction, linalg.rref
     counts = {"plan": 0, "solve": 0}
     depth = []
 
@@ -439,7 +440,7 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
         return solve(*args)
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
-    monkeypatch.setattr(linalg, "solve_linear", counting_solve)
+    monkeypatch.setattr(linalg, "rref", counting_solve)
     sets = symplectic.all_qualified_sets(hexcode)
     plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
     monkeypatch.undo()

@@ -185,6 +185,22 @@ def test_plan_in_a_synthesize_request_runs_one_elimination(capsys, monkeypatch, 
         assert sum(calls) == 1, members
 
 
+def test_a_one_set_request_holds_the_convention_as_arrays(capsys, monkeypatch, spec_path, tmp_path):
+    # make_convention, the plan and the certificate's frame read the
+    # convention's rows and phases: no PhasedPauli, no generator list
+    built, listed = [], []
+    post_init, exponents = pauli.PhasedPauli.__post_init__, pauli.eigenvalue_exponents
+    monkeypatch.setattr(pauli.PhasedPauli, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(pauli, "eigenvalue_exponents", lambda *args: listed.append(1) or exponents(*args))
+    frames = _counting(monkeypatch, certify, "_frame")
+    out_path = str(tmp_path / "c.qsscirc")
+    for argv in (("synthesize", spec_path, "--set", "3,4,5,6", "-o", out_path), ("verify", spec_path, "--set", "3,4,5,6", "--trials", "2")):
+        rc, _, _ = run(capsys, *argv)
+        assert (rc, built, listed) == (0, [], []), argv[0]
+    assert len(frames) == 1
+    assert not hasattr(pauli, "_stacked")  # the generator-list round trip is gone
+
+
 def test_main_builds_one_parser_and_carries_no_arguments_over(capsys, monkeypatch, spec_path):
     assert cli.build_parser() is not cli.build_parser()
     build = cli.build_parser

@@ -210,10 +210,52 @@ def test_packed_p2_kernel_equals_the_general_kernel(A):
     before = A.copy()
     R, pivots, rk = linalg.rref(A, 2)
     assert np.array_equal(A, before)  # the input is left alone
-    R0, pivots0, rk0 = linalg._rref_field(linalg.as_field(A, 2), 2)
+    R0, pivots0, rk0 = oracles.rref_rowloop(A, 2)
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert np.array_equal(R, R0)
     assert (pivots, rk) == (pivots0, rk0)
+
+
+@st.composite
+def byte_lane_matrices(draw):
+    """(p, A) at odd p: 0..30 rows and 0..150 columns (tall and wide), dense
+    rows of p - 1, whose updates reach the byte bound p(p - 1), and zero,
+    duplicate and scaled-copy rows."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    rows = draw(st.integers(0, 30))
+    cols = draw(st.sampled_from((0, 1, 2, 31, 32, 33, 150)) | st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < draw(st.floats(0.05, 1)))
+    if rows:
+        for _ in range(draw(st.integers(0, 5))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            kind = draw(st.sampled_from(("dense", "zero", "copy", "scaled")))
+            A[i] = {"dense": p - 1, "zero": 0, "copy": A[j], "scaled": A[j] * draw(st.integers(2, p - 1)) % p}[kind]
+    return p, A
+
+
+@settings(max_examples=400)
+@given(byte_lane_matrices())
+def test_byte_lane_kernel_equals_the_rowloop_oracle(case):
+    p, A = case
+    before = A.copy()
+    R, pivots, rk = linalg.rref(A, p)
+    assert np.array_equal(A, before)  # the input is left alone
+    R0, pivots0, rk0 = oracles.rref_rowloop(A, p)
+    assert R.dtype == R0.dtype and R.shape == R0.shape
+    assert np.array_equal(R, R0)
+    assert (pivots, rk) == (pivots0, rk0)
+
+
+def test_byte_lane_kernel_on_rows_of_p_minus_one():
+    # every update of an all-(p - 1) block reaches the byte bound p(p - 1)
+    for p in (3, 5, 7, 11, 13):
+        A = np.full((6, 9), p - 1)
+        A[1:, 1:] = np.triu(np.full((5, 8), p - 1))
+        for B in (A, A.T, np.vstack([A, A])):
+            R, pivots, rk = linalg.rref(B, p)
+            R0, pivots0, rk0 = oracles.rref_rowloop(B, p)
+            assert np.array_equal(R, R0) and (pivots, rk) == (pivots0, rk0)
 
 
 @settings(max_examples=300)

@@ -307,9 +307,9 @@ def test_logical_zero_equals_projector_oracle(code):
 
 
 def _shift_phase(conv, index, by):
-    gens = list(conv.generators)
-    gens[index] = pauli.PhasedPauli(conv.p, gens[index].phase + by, gens[index].vec)
-    return dataclasses.replace(conv, generators=gens)
+    phases = conv.phases.copy()
+    phases[index] = (phases[index] + by) % pauli.phase_order(conv.p)
+    return dataclasses.replace(conv, phases=phases)
 
 
 def test_logical_zero_names_the_generator_that_fails():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsshare import linalg, symplectic
+from qsshare import demo, linalg, specfile, symplectic
 from qsshare.errors import (
     NotCorrectableError,
     NotInDualError,
@@ -445,6 +445,28 @@ def test_build_code_normalizes_reference_pairing():
     assert np.array_equal(pairing, np.eye(2, dtype=int))
     # normalization rescales each z row by the inverse of its raw pairing
     assert np.array_equal(code.logical_z[0], (2 * Z_ROWS[0]) % 3)
+
+
+def test_bundled_code_load_warns_with_the_exact_rescale_message():
+    # the built-in [[6,2,3]] document, as the demo and a hex sweep load it
+    with pytest.warns(UserWarning) as caught:
+        specfile.parse_code_document(demo.SIX_SHARE_QUTRIT_DOCUMENT)
+    assert [str(w.message) for w in caught] == ["logical pairing was diag([2 2]); rescaled z rows to normalize it"]
+
+
+@pytest.mark.parametrize("diag", [[2], [1, 12], [12, 1, 5], [3] * 30, [3] * 40])
+def test_rescale_message_shows_the_pairing_as_array2string_on_one_line(diag):
+    # k = n qudits with an empty stabilizer: x_i = X_i and z_i = diag[i] Z_i
+    # pair as diag at p = 13; past 75 columns array2string would wrap
+    n = len(diag)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    with pytest.warns(UserWarning) as caught:
+        symplectic.build_code(
+            13, np.zeros((0, 2 * n), dtype=np.int64), self_dual=np.hstack([zero, eye]),
+            logical_x=np.hstack([eye, zero]), logical_z=np.hstack([zero, np.diag(diag)]),
+        )
+    shown = np.array2string(np.array(diag)).replace("\n ", " ")
+    assert [str(w.message) for w in caught] == [f"logical pairing was diag({shown}); rescaled z rows to normalize it"]
 
 
 def test_build_code_derives_missing_logicals():
