@@ -253,8 +253,8 @@ class EncodingConvention:
 
     rows   : the self-dual basis, (n, 2n); the first n-k rows generate the
              stabilizer space, the final k are the logical-z patterns
-    phases : (n,) the calibration phase of each row, so that generator i is
-             w^phases[i] M(rows[i]); a logical z_i's is that of 1/alpha_i
+    phases : (n,) calibration phases: generator i is w^phases[i] M(rows[i]),
+             which for logical z_i is 1/alpha_i * M(z_i)
     alpha_exponents : e(alpha_i) in the phase ring, one per secret qudit
 
     The arrays are read as fixed once stabilizer_exponents has used them;

@@ -247,11 +247,12 @@ def test_byte_lane_kernel_equals_the_rowloop_oracle(case):
     assert (pivots, rk) == (pivots0, rk0)
 
 
-def test_byte_lane_kernel_on_rows_of_p_minus_one():
-    # every update of an all-(p - 1) block reaches the byte bound p(p - 1)
+def test_byte_lane_kernel_at_the_byte_bound():
+    # rows [1, 0.., p - 1, ..] under the pivot [1, p - 1, ..]: clearing the
+    # lead 1 adds (p - 1) * pivot, so bytes reach (p - 1) + (p - 1)^2 = p(p - 1)
     for p in (3, 5, 7, 11, 13):
-        A = np.full((6, 9), p - 1)
-        A[1:, 1:] = np.triu(np.full((5, 8), p - 1))
+        A = np.triu(np.full((6, 9), p - 1), 1)
+        A[:, 0] = 1
         for B in (A, A.T, np.vstack([A, A])):
             R, pivots, rk = linalg.rref(B, p)
             R0, pivots0, rk0 = oracles.rref_rowloop(B, p)
