@@ -5,10 +5,10 @@ share subsets can reconstruct the secret, synthesizes the measurement-free
 reconstruction circuit for a qualified subset, and certifies it exactly from
 its Clifford action on Pauli operators, with no state vector.
 
-The certificate (the certify module and its public names) and the dense
-state-vector simulator (the sim module and its public names) are imported on
+The certificate (the certify module and its public names) is imported on
 first use, so a process that imports the package only to analyze or
-synthesize loads neither, and one that certifies never loads the simulator.
+synthesize does not load it. The dense state-vector simulator, the tests'
+oracle, is the module qsshare.sim, also loaded on first access.
 """
 
 from importlib import import_module as _import_module
@@ -21,11 +21,10 @@ from .circuits import (
     emit_circuit,
     parse_circuit,
     plan_reconstruction,
-    synthesize_dealer,
     synthesize_reconstruction,
 )
 from .errors import QssError
-from .pauli import EncodingConvention, PhasedPauli, make_convention
+from .pauli import EncodingConvention, make_convention
 from .specfile import load_code, parse_code_document
 from .symplectic import (
     CodeSpec,
@@ -41,11 +40,7 @@ __version__ = "0.1.0"
 _LAZY_NAMES = {
     "ReconstructionReport": "certify",
     "certify_reconstruction": "certify",
-    "StateVector": "sim",
-    "encode_secret": "sim",
-    "entanglement_fidelity": "sim",
-    "logical_zero": "sim",
-    "verify_reconstruction": "sim",
+    "entanglement_fidelity": "certify",
 }
 _LAZY_MODULES = frozenset({"certify", "sim"})
 
@@ -54,37 +49,31 @@ __all__ = [
     "CodeSpec",
     "EncodingConvention",
     "Gate",
-    "PhasedPauli",
     "QssError",
     "ReconstructionPlan",
     "ReconstructionReport",
-    "StateVector",
     "build_code",
     "certify_reconstruction",
     "controlled_pauli_decompose",
     "emit_circuit",
-    "encode_secret",
     "entanglement_fidelity",
     "erasure_correctable",
     "load_code",
-    "logical_zero",
     "make_convention",
     "parse_circuit",
     "parse_code_document",
     "plan_reconstruction",
     "qualified_sets",
     "random_self_orthogonal_code",
-    "synthesize_dealer",
     "synthesize_reconstruction",
-    "verify_reconstruction",
     "__version__",
 ]
 
 
 def __getattr__(name):
-    """The certificate's and the simulator's names and the modules not
-    imported up front, loaded on first access (PEP 562); such a name is looked
-    up anew on every access."""
+    """The certificate's names and the modules not imported up front, loaded
+    on first access (PEP 562); such a name is looked up anew on every
+    access."""
     if name in _LAZY_NAMES:
         return getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     if name in _LAZY_MODULES:

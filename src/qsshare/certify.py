@@ -23,17 +23,15 @@ in one update of all rows (_pull_run), with kappa = 2 at p = 2 and 1 otherwise:
 
 The [p = 2] term is N^2 = -I, met when the control value wraps.
 
-Every circuit circuits.synthesize_reconstruction emits has one shape: F on
-each ancilla, the inverse runs of the y_t, the step-3 phase powers, F
-again, the inverse runs of the w_t, the step-6 phase powers. So
-certify_reconstruction takes all of a plan's sets at once: _shape_images
-walks that shape for a whole circuits.ReconstructionPlan, the rows carrying
-its leading sets axis, each site rule and run rule one array update for
-every set, with per-set patterns and exponents. One compression (below)
-then reads all of the S * 2k images, and only a failing set goes on to its
-transfer. The gate-level pull_back, which reads any gate sequence, is the
-reference the tests hold the shape walk to, and the path for circuits read
-from a file.
+Every circuit circuits.synthesize_reconstruction emits is the expansion of
+circuits.reconstruction_steps, so certify_reconstruction takes all of a
+plan's sets at once: _shape_images walks those steps for a whole
+circuits.ReconstructionPlan, the rows carrying its leading sets axis, each
+site rule and run rule one array update for every set, with per-set
+patterns and exponents. One compression (below) then reads all of the
+S * 2k images, and only a failing set goes on to its transfer. pull_back
+groups any gate sequence into steps of the same walk; the tests hold it to
+a per-gate oracle and the plan's walk to it.
 
 Compression. sim's encoding map is V|s> = Xbar^s |0bar> (x) |0>_A with
 Xbar^s = prod_t (alpha_t M(x_t))^(s_t). U returns every secret iff
@@ -173,38 +171,35 @@ def _pull_run(p: int, rows, inverse: bool, control: int, va, vb) -> None:
     zs[...] = (zs + m[..., None] * vb[..., None, :]) % p
 
 
+def _walk(p: int, rows, steps):
+    """Pull rows (phases, xs, zs) back in place through steps (kind, column,
+    params), last to first: a controlled-Pauli step is one run with params
+    (va, vb), any other one single-qudit gate with its gate params."""
+    for kind, column, params in reversed(steps):
+        if kind in circuits.TWO_QUDIT_KINDS:
+            _pull_run(p, rows, kind == "CPAULIINV", column, *params)
+        else:
+            _pull_site(p, rows, column, kind, params)
+    return rows
+
+
 def pull_back(gates, p: int, phases, xs, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U^dag (w^e M(x|z)) U for U the gate sequence and each row, qudit q in
-    column q - 1, as new (phases, xs, zs) arrays. The gates go last to first,
-    each maximal run of controlled Paulis of one kind and one control on
-    distinct targets in one update."""
+    column q - 1, as new (phases, xs, zs) arrays. Each maximal run of
+    controlled Paulis of one kind and one control on distinct targets is one
+    step of the walk."""
     rows = tuple(np.array(v, dtype=np.int64) for v in (phases, xs, zs))
-    width = rows[1].shape[-1]
-
-    def pull_run(inverse, control, targets):
-        va, vb = np.zeros((2, width), dtype=np.int64)
-        va[list(targets)], vb[list(targets)] = np.array(list(targets.values()), dtype=np.int64).T
-        _pull_run(p, rows, inverse, control, va, vb)
-
-    run = None  # (inverse, control, {target: (a, b)}), gathered last gate first
-    for gate in reversed(gates):
-        if gate.is_two_qudit():
-            control, target = (q - 1 for q in gate.qudits)
-            key = (gate.kind == "CPAULIINV", control)
-            if run is not None and run[:2] == key and target not in run[2]:
-                run[2][target] = gate.params
-                continue
-            if run is not None:
-                pull_run(*run)
-            run = (*key, {target: gate.params})
+    steps = []
+    for gate in gates:
+        column = gate.qudits[0] - 1
+        if not gate.is_two_qudit():
+            steps.append((gate.kind, column, gate.params))
             continue
-        if run is not None:
-            pull_run(*run)
-            run = None
-        _pull_site(p, rows, gate.qudits[0] - 1, gate.kind, gate.params)
-    if run is not None:
-        pull_run(*run)
-    return rows
+        target = gate.qudits[1] - 1
+        if not steps or steps[-1][:2] != (gate.kind, column) or steps[-1][2][:, target].any():
+            steps.append((gate.kind, column, np.zeros((2, rows[1].shape[-1]), dtype=np.int64)))
+        steps[-1][2][:, target] = gate.params
+    return _walk(p, rows, steps)
 
 
 def _generators(count: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,26 +222,18 @@ def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.
 def _shape_images(plan: circuits.ReconstructionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generator_images of the circuits.synthesize_reconstruction circuit of
     each of the plan's S sets at once, as (S, 2k) phases and (S, 2k, n + k)
-    xs and zs.
-
-    Every such circuit has the same six steps, so the pull-back walks them
-    last to first for all sets together: each step's gates act on the
-    ancillas, one per secret qudit t, and each controlled pattern y_t or w_t
-    is one run, CPAULIINV with control n + t on the pattern's support.
-    """
+    xs and zs: the walk of its circuits.reconstruction_steps, each pattern a
+    run padded with zeros on the ancilla columns."""
     p, n, k = plan.p, plan.n, plan.k
-    rows = _generators(len(plan), n + k, k)
-    on_ancillas = np.zeros((len(plan), k), dtype=np.int64)
-    for exponents, patterns in ((plan.step6_exponents, plan.w), (plan.step3_exponents, plan.y)):
-        for t in reversed(range(k)):
-            _pull_site(p, rows, n + t, "PPOW", (exponents[:, t, None],))
-        for t in reversed(range(k)):
-            va = np.hstack([patterns[:, t, :n], on_ancillas])
-            vb = np.hstack([patterns[:, t, n:], on_ancillas])
-            _pull_run(p, rows, True, n + t, va, vb)
-        for t in reversed(range(k)):
-            _pull_site(p, rows, n + t, "F", ())
-    return rows
+    padding = np.zeros((len(plan), k), dtype=np.int64)
+    steps = []
+    for kind, q, param in circuits.reconstruction_steps(plan):
+        if kind in circuits.TWO_QUDIT_KINDS:
+            param = (np.hstack([param[:, :n], padding]), np.hstack([param[:, n:], padding]))
+        else:
+            param = () if param is None else (param[:, None],)
+        steps.append((kind, q - 1, param))
+    return _walk(p, _generators(len(plan), n + k, k), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +338,9 @@ def certify_reconstruction(code, convention, plan, secrets) -> list[Reconstructi
     compressed in one _compress. A circuit that passes returns every secret
     exactly, so each of its fidelities and purities and its entanglement
     fidelity is 1.0; a failing one is reported from its Pauli transfer. The
-    gate counts are read from the patterns' supports: one two-qudit gate per
-    share in the support of each y_t and w_t, and 4k single-qudit gates.
-    Returns one report per set, in order.
+    gate counts are read from the same steps: one two-qudit gate per share in
+    the support of each controlled pattern, and one single-qudit gate per
+    other step. Returns one report per set, in order.
     """
     p, n, k = code.p, code.n, code.k
     _guard(p, k)
@@ -362,8 +349,9 @@ def certify_reconstruction(code, convention, plan, secrets) -> list[Reconstructi
     ring = pauli.phase_order(p)
     images = _shape_images(plan)
     passes = _passes(code, frame, images)
-    patterns = np.concatenate([plan.y, plan.w], axis=1)
-    two_qudit = ((patterns[..., :n] != 0) | (patterns[..., n:] != 0)).sum(axis=(1, 2)).tolist()
+    steps = circuits.reconstruction_steps(plan)
+    runs = np.stack([param for kind, _, param in steps if kind in circuits.TWO_QUDIT_KINDS], axis=1)
+    two_qudit = ((runs[..., :n] != 0) | (runs[..., n:] != 0)).sum(axis=(1, 2)).tolist()
     reports = []
     for s, available in enumerate(plan.available):
         if passes[s]:
@@ -390,7 +378,7 @@ def certify_reconstruction(code, convention, plan, secrets) -> list[Reconstructi
                 fidelity=fidelity,
                 purity=purity,
                 two_qudit_gates=two_qudit[s],
-                single_qudit_gates=4 * k,
+                single_qudit_gates=len(steps) - runs.shape[1],
                 entanglement_fidelity=whole,
             )
         )

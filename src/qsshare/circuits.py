@@ -30,6 +30,7 @@ from .errors import CircuitParseError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
+TWO_QUDIT_KINDS = ("CPAULI", "CPAULIINV")
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class Gate:
             raise ValueError("control and target must differ")
 
     def is_two_qudit(self) -> bool:
-        return self.kind in ("CPAULI", "CPAULIINV")
+        return self.kind in TWO_QUDIT_KINDS
 
 
 def fourier(q: int) -> Gate:
@@ -246,32 +247,39 @@ def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> R
     )
 
 
-def synthesize_reconstruction(plan: ReconstructionPlan, code) -> Circuit:
-    """Emit the six-step measurement-free reconstruction circuit of a one-set
-    plan.
+def reconstruction_steps(plan: ReconstructionPlan) -> list[tuple[str, int, np.ndarray | None]]:
+    """The six steps of the reconstruction circuit of each of the plan's sets,
+    in circuit order, as (kind, ancilla qudit, per-set parameter).
 
     Steps: (1) Fourier on every ancilla, (2) inverse controlled self-dual
-    patterns, (3) ancilla phase powers, (4) Fourier on every ancilla again,
-    (5) inverse controlled dual patterns, (6) ancilla phase powers. No gate
-    addresses a share outside the available set.
+    patterns y_t, (3) ancilla phase powers, (4) Fourier on every ancilla again,
+    (5) inverse controlled dual patterns w_t, (6) ancilla phase powers. Ancilla
+    t is qudit n + t. A Fourier step has no parameter, a CPAULIINV step the
+    sets' (S, 2n) patterns and a PPOW step their (S,) exponents.
+    """
+    anc = range(plan.n + 1, plan.n + plan.k + 1)
+    steps = []
+    for patterns, exponents in ((plan.y, plan.step3_exponents), (plan.w, plan.step6_exponents)):
+        steps += [("F", q, None) for q in anc]
+        steps += [("CPAULIINV", q, patterns[:, t]) for t, q in enumerate(anc)]
+        steps += [("PPOW", q, exponents[:, t]) for t, q in enumerate(anc)]
+    return steps
+
+
+def synthesize_reconstruction(plan: ReconstructionPlan, code) -> Circuit:
+    """Emit the measurement-free reconstruction circuit of a one-set plan: its
+    reconstruction_steps, each controlled pattern one two-qudit gate per share
+    in its support. No gate addresses a share outside the available set.
     """
     if len(plan) != 1:
         raise ValueError(f"a circuit is synthesized from a one-set plan, not one of {len(plan)} sets")
     n, k = plan.n, plan.k
-    anc = [n + 1 + i for i in range(k)]
     gates: list[Gate] = []
-    for i in range(k):
-        gates.append(fourier(anc[i]))
-    for i in range(k):
-        gates.extend(controlled_pauli_decompose(anc[i], plan.y[0, i], n, inverse=True))
-    for i in range(k):
-        gates.append(phase_pow(anc[i], plan.step3_exponents[0, i]))
-    for i in range(k):
-        gates.append(fourier(anc[i]))
-    for i in range(k):
-        gates.extend(controlled_pauli_decompose(anc[i], plan.w[0, i], n, inverse=True))
-    for i in range(k):
-        gates.append(phase_pow(anc[i], plan.step6_exponents[0, i]))
+    for kind, q, param in reconstruction_steps(plan):
+        if kind == "CPAULIINV":
+            gates.extend(controlled_pauli_decompose(q, param[0], n, inverse=True))
+        else:
+            gates.append(fourier(q) if param is None else phase_pow(q, param[0]))
     return Circuit(p=plan.p, num_qudits=n + k, roles=share_roles(n, k), gates=tuple(gates))
 
 

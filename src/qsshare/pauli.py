@@ -21,7 +21,7 @@ one rule, and dense_matrix provides the independent oracle for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,9 +256,6 @@ class EncodingConvention:
     phases : (n,) calibration phases: generator i is w^phases[i] M(rows[i]),
              which for logical z_i is 1/alpha_i * M(z_i)
     alpha_exponents : e(alpha_i) in the phase ring, one per secret qudit
-
-    The arrays are read as fixed once stabilizer_exponents has used them;
-    a convention with other ones is a new one (dataclasses.replace).
     """
 
     p: int
@@ -281,12 +278,9 @@ class EncodingConvention:
 
     def stabilizer_exponents(self, coeffs) -> np.ndarray:
         """eigenvalue_exponents(self.stabilizer_generators(), coeffs, p), from
-        the stabilizer rows and phases read once per convention."""
-        return _exponents(self._stabilizer_terms, coeffs, self.p)
-
-    @cached_property
-    def _stabilizer_terms(self) -> tuple[np.ndarray, ...]:
-        return _generator_terms(self.phases[: self.n - self.k], self.rows[: self.n - self.k], self.p)
+        the stabilizer rows and phases."""
+        terms = _generator_terms(self.phases[: self.n - self.k], self.rows[: self.n - self.k], self.p)
+        return _exponents(terms, coeffs, self.p)
 
 
 def make_convention(code) -> EncodingConvention:

@@ -25,7 +25,9 @@ relative phases by multiplying out each row's two factors, where the package
 computes every row's in one array expression; membership of a row space by
 comparing two ranks, where the package reads one residual; the subset rank
 table with the inserted column reduced mod p after every slot in int16, where
-the package accumulates it in int64 and reduces it once per column).
+the package accumulates it in int64 and reduces it once per column; the
+access structure of a polynomial threshold code from its construction, where
+the package ranks the stabilizer on each share subset).
 """
 
 from __future__ import annotations
@@ -246,6 +248,25 @@ def brute_force_qualified_sets(code) -> list[tuple[int, ...]]:
         for members in combinations(range(1, n + 1), size)
         if section_correctable(code, symplectic.complement(members, n))
     ]
+
+
+def polynomial_threshold_code(p: int, t: int) -> symplectic.CodeSpec:
+    """The quantum polynomial ((t, 2t-1)) threshold scheme (Cleve-Gottesman-Lo,
+    quant-ph/9901025) on the n = 2t - 1 points 1..n of F_p: with D the
+    evaluations of the polynomials of degree at most t - 1 and D0 those with
+    f(0) = 0, the X-type stabilizer rows are a basis of D0 and the Z-type rows
+    one of dual(D); logical x is all ones, and logical z a row of dual(D0)
+    outside dual(D), scaled so that it pairs to 1. A share set is qualified
+    exactly when it holds at least t shares, a fact read off no rank."""
+    n = 2 * t - 1
+    if n >= p:
+        raise ValueError(f"F_{p} has no {n} distinct nonzero points")
+    powers = np.array([[pow(alpha, j, p) for alpha in range(1, n + 1)] for j in range(t)], dtype=np.int64)
+    d0, dual_d = powers[1:], linalg.nullspace(powers, p)
+    z = next(row for row in linalg.nullspace(d0, p) if row.sum() % p)
+    z = z * pow(int(z.sum()), -1, p) % p
+    stabilizer = np.vstack([np.hstack([d0, 0 * d0]), np.hstack([0 * dual_d, dual_d])])
+    return symplectic.build_code(p, stabilizer, logical_x=[[1] * n + [0] * n], logical_z=[np.hstack([0 * z, z])])
 
 
 def logical_zero_projector(code, convention) -> sim.StateVector:

@@ -478,8 +478,9 @@ for members in symplectic.all_qualified_sets(code):
     circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
 assert "qsshare.sim" not in sys.modules
 from qsshare import *
-assert verify_reconstruction is sys.modules["qsshare.sim"].verify_reconstruction
-assert qsshare.StateVector is qsshare.sim.StateVector and "logical_zero" in dir(qsshare)
+assert "qsshare.sim" not in sys.modules and "sim" in dir(qsshare) and "StateVector" not in dir(qsshare)
+assert entanglement_fidelity is qsshare.entanglement_fidelity is qsshare.certify.entanglement_fidelity
+assert qsshare.sim.StateVector.__module__ == "qsshare.sim"
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsshare.__file__)))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qsshare
 from qsshare import certify, circuits, cli, linalg, pauli, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
@@ -356,8 +357,8 @@ def test_closed_stdout_exits_quietly(tmp_path):
         env=env,
     )
     os.close(writer)
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    _, err = proc.communicate(timeout=120)  # reads stderr to its end and closes it
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
     assert err == b""
 
 
@@ -766,6 +767,34 @@ def test_verify_certifies_a_set_past_the_old_state_vector_guard(capsys, monkeypa
     rc, out, err = run(capsys, "verify", path, "--set", members, "--trials", "2", "--seed", "1")
     assert rc == 4 and json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
     assert err.startswith("verification failed for J={2,3,")
+
+
+@pytest.mark.parametrize("p, t", [(5, 2), (7, 3), (11, 4), (13, 6)])
+def test_threshold_codes_have_their_known_access_structure(capsys, tmp_path, p, t):
+    # the ((t, 2t-1)) polynomial scheme: a set is qualified exactly when it
+    # holds t shares, a known answer that no rank formula supplies
+    code = oracles.polynomial_threshold_code(p, t)
+    n = code.n
+    shares = range(1, n + 1)
+    path = _write_code(code, tmp_path / "threshold.qss")
+    minimal = ["{" + ",".join(map(str, j)) + "}" for j in combinations(shares, t)]
+    rc, out, err = run(capsys, "analyze", path)
+    assert (rc, err) == (0, "")
+    assert out.endswith(f"minimal qualified sets ({len(minimal)}):\n" + "".join(f"  {j}\n" for j in minimal))
+    rc, out, err = run(capsys, "verify", path, "--trials", "1")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert [row["J"] for row in report["rows"]] == [list(j) for size in range(t, n + 1) for j in combinations(shares, size)]
+    assert report["summary"]["min_fidelity"] == 1.0
+    for size in range(n + 1):
+        for members in combinations(shares, size):
+            assert symplectic.erasure_correctable(code, symplectic.complement(members, n)) == (size >= t)
+
+
+def test_threshold_builder_refuses_more_points_than_the_field_has():
+    for p, t in ((5, 3), (13, 7)):
+        with pytest.raises(ValueError, match=f"no {2 * t - 1} distinct nonzero points"):
+            oracles.polynomial_threshold_code(p, t)
 
 
 def test_synthesize_of_a_k0_code_writes_no_file(capsys, tmp_path):
