@@ -219,21 +219,21 @@ def generator_images(circuit: circuits.Circuit, k: int) -> tuple[np.ndarray, np.
     return pull_back(circuit.gates, circuit.p, *(part[0] for part in rows))
 
 
-def _shape_images(plan: circuits.ReconstructionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shape_images(plan: circuits.ReconstructionPlan, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generator_images of the circuits.synthesize_reconstruction circuit of
     each of the plan's S sets at once, as (S, 2k) phases and (S, 2k, n + k)
-    xs and zs: the walk of its circuits.reconstruction_steps, each pattern a
-    run padded with zeros on the ancilla columns."""
+    xs and zs: the walk of its steps, circuits.reconstruction_steps(plan),
+    each pattern a run padded with zeros on the ancilla columns."""
     p, n, k = plan.p, plan.n, plan.k
     padding = np.zeros((len(plan), k), dtype=np.int64)
-    steps = []
-    for kind, q, param in circuits.reconstruction_steps(plan):
+    walked = []
+    for kind, q, param in steps:
         if kind in circuits.TWO_QUDIT_KINDS:
             param = (np.hstack([param[:, :n], padding]), np.hstack([param[:, n:], padding]))
         else:
             param = () if param is None else (param[:, None],)
-        steps.append((kind, q - 1, param))
-    return _walk(p, _generators(len(plan), n + k, k), steps)
+        walked.append((kind, q - 1, param))
+    return _walk(p, _generators(len(plan), n + k, k), walked)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +347,9 @@ def certify_reconstruction(code, convention, plan, secrets) -> list[Reconstructi
     frame = _frame(code, convention)
     rows = [np.asarray(secret, dtype=np.complex128).reshape(p**k) for secret in secrets]
     ring = pauli.phase_order(p)
-    images = _shape_images(plan)
-    passes = _passes(code, frame, images)
     steps = circuits.reconstruction_steps(plan)
+    images = _shape_images(plan, steps)
+    passes = _passes(code, frame, images)
     runs = np.stack([param for kind, _, param in steps if kind in circuits.TWO_QUDIT_KINDS], axis=1)
     two_qudit = ((runs[..., :n] != 0) | (runs[..., n:] != 0)).sum(axis=(1, 2)).tolist()
     reports = []

@@ -102,7 +102,7 @@ def cmd_synthesize(args) -> int:
     counts = circuit.counts()
     print(f"wrote {args.output}")
     print(
-        f"gates: {circuit.two_qudit_count()} two-qudit"
+        f"gates: {sum(counts[kind] for kind in circuits.TWO_QUDIT_KINDS)} two-qudit"
         f" (bound {2 * code.k * len(members)}),"
         f" {counts['PPOW']} phase, {counts['F'] + counts['FINV']} Fourier"
     )

@@ -67,6 +67,23 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
 
     Returns (R, pivots, rank) where pivots are the pivot column indices in
     increasing order. The row space of R equals the row space of A.
+    """
+    R = as_field(A, p)
+    ints, pivots, width = _eliminate(R, p, False)
+    lanes = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8).reshape(len(ints), width)
+    out = np.unpackbits(lanes, axis=1, count=R.shape[1], bitorder="little") if p == 2 else lanes
+    return out.astype(np.int64), tuple(pivots), len(pivots)
+
+
+def rank(A, p: int) -> int:
+    """Rank of A over F_p: the pivots of its echelon form, left packed."""
+    return len(_eliminate(as_field(A, p), p, True)[1])
+
+
+def _eliminate(R: np.ndarray, p: int, echelon: bool) -> tuple[list[int], list[int], int]:
+    """(rows, pivots, width): the field array R's rows eliminated, as ints of
+    width bytes, and its pivot columns. With echelon a pivot clears its
+    column only in the rows below it: echelon form, with the same pivots.
 
     Each row is one Python int with column c at bit c at p = 2 and at byte c
     at odd p (word-packed F_p elimination, Dumas-Giorgi-Pernet,
@@ -75,7 +92,6 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     most p(p - 1) <= 156, so no lane carries and one bytes.translate reduces
     the row mod p.
     """
-    R = as_field(A, p)
     rows, cols = R.shape
     if p == 2:
         width, lane = (cols + 7) // 8, 1
@@ -101,26 +117,21 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
                 break
         pivot = ints[i]
         ints[i] = ints[r]
+        start = r + 1 if echelon else 0  # row r then gets the pivot
         if p == 2:
-            ints = [x ^ pivot if x & held else x for x in ints]
+            ints[start:] = [x ^ pivot if x & held else x for x in ints[start:]]
         else:
             if (lead := pivot >> shift & 255) != 1:
                 pivot = from_bytes((pivot * inv[lead]).to_bytes(width, "little").translate(residues), "little")
-            ints = [
+            ints[start:] = [
                 from_bytes((x + (p - (x >> shift & 255)) * pivot).to_bytes(width, "little").translate(residues), "little")
                 if x & held
                 else x
-                for x in ints
+                for x in ints[start:]
             ]
         ints[r] = pivot
         pivots.append(shift // lane)
-    lanes = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), dtype=np.uint8).reshape(rows, width)
-    out = np.unpackbits(lanes, axis=1, count=cols, bitorder="little") if p == 2 else lanes
-    return out.astype(np.int64), tuple(pivots), len(pivots)
-
-
-def rank(A, p: int) -> int:
-    return rref(A, p)[2]
+    return ints, pivots, width
 
 
 def row_basis(A, p: int) -> np.ndarray:

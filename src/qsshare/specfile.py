@@ -14,11 +14,11 @@ Each row is an (a|b) pattern. For p <= 7 the digits may be packed as single
 characters; for any p they may instead be whitespace-separated integers, e.g.
 "1 0 0 2 0 2 | 0 2 0 1 1 2". Every integer, header values included, is
 written in ASCII decimal digits: no sign, no '_', no other script's digits.
-The packed rows under one key are read in one pass, all their digits one
-array; a key with any other row is read row by row, so a bad row is named
-by the same line and message either way. Missing self-dual or logical rows
-are completed automatically at load time; logical pairs with a diagonal but
-non-unit pairing matrix are rescaled (with a warning).
+The packed rows of the whole document are read in one pass, all their digits
+one array; a document with any other row is read row by row, so a bad row is
+named by the same line and message either way. Missing self-dual or logical
+rows are completed automatically at load time; logical pairs with a diagonal
+but non-unit pairing matrix are rescaled (with a warning).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
     parts = []
     for half in (left, right):
         half = half.strip()
-        packed = not (" " in half or "\t" in half)
+        # one entry a side is whitespace-separated too, the only form past 7
+        packed = not (" " in half or "\t" in half) and (p <= 7 or n > 1)
         if packed and p > 7:
             raise SpecParseError(line_no, "packed digits only supported for p <= 7")
         try:
@@ -62,8 +63,8 @@ def parse_row(text: str, n: int, p: int, line_no: int) -> np.ndarray:
 
 
 def parse_rows(entries, n: int, p: int) -> np.ndarray:
-    """The (line_no, text) rows of one key as a (rows, 2n) int64 array,
-    (0, 2n) for a key with no row.
+    """The (line_no, text) rows as a (rows, 2n) int64 array, (0, 2n) for no
+    row.
 
     When every row is packed as exactly n ASCII digits, '|', n ASCII digits
     and every digit is below p, one array op reads them all. Otherwise each
@@ -117,17 +118,16 @@ def parse_code_document(text: str) -> CodeSpec:
         if key not in header:
             raise SpecParseError(0, f"missing '{key}' directive")
     p, n, k = header["p"], header["n"], header["k"]
-    parsed = {key: parse_rows(entries, n, p) for key, entries in rows.items()}
+    # the rows of every key, key after key, read as one array and split back
+    array, parts, end = parse_rows([entry for entries in rows.values() for entry in entries], n, p), {}, 0
+    for key, entries in rows.items():
+        start, end = end, end + len(entries)
+        parts[key] = array[start:end] if entries else None
     _check_shapes(n, k)  # k before the stabilizer row count it sets
-    if len(parsed["stab"]) != n - k:
-        raise ValidationError(f"expected {n - k} stabilizer rows, got {len(parsed['stab'])}")
+    if len(rows["stab"]) != n - k:
+        raise ValidationError(f"expected {n - k} stabilizer rows, got {len(rows['stab'])}")
     return build_code(
-        p,
-        parsed["stab"],
-        self_dual=parsed["selfdual"] if len(parsed["selfdual"]) else None,
-        logical_x=parsed["logicalx"] if len(parsed["logicalx"]) else None,
-        logical_z=parsed["logicalz"] if len(parsed["logicalz"]) else None,
-        n=n,
+        p, array[: n - k], self_dual=parts["selfdual"], logical_x=parts["logicalx"], logical_z=parts["logicalz"], n=n
     )
 
 

@@ -131,7 +131,8 @@ def validate_code(code: CodeSpec) -> None:
     lx = linalg.as_field(code.logical_x, p) if k else linalg.empty_basis(2 * n)
     lz = linalg.as_field(code.logical_z, p) if k else linalg.empty_basis(2 * n)
     _check_shapes(n, k, stab, cm, lx, lz)
-    _validate(p, n, k, stab, cm, lx, lz, _check_stabilizer(stab, cm, n, p)[1])
+    gram, s = _stacked_gram(stab, cm, lx, lz, p)
+    _validate(n, k, gram, s, _check_stabilizer(stab, cm, n, p, gram[s, s])[0])
 
 
 def _check_shapes(n: int, k: int, *parts: np.ndarray | None) -> None:
@@ -145,13 +146,13 @@ def _check_shapes(n: int, k: int, *parts: np.ndarray | None) -> None:
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {part.shape}")
 
 
-def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, int | None, np.ndarray | None]:
-    """(k, cm_rank, reduced) for independent, self-orthogonal stabilizer
-    rows; ValidationError otherwise. cm_rank is the rank of the self-dual
-    rows cm, or None unless they are n rows of length 2n. When the stabilizer
-    rows lead cm of rank n, that shows them independent; otherwise the
-    stabilizer is reduced on its own, which names a dependent row first, and
-    reduced is its reduced basis.
+def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int, gram: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """(cm_rank, reduced) for independent, self-orthogonal stabilizer rows,
+    gram their Gram matrix mod p; ValidationError otherwise. cm_rank is the
+    rank of the self-dual rows cm, or None unless they are n rows of length
+    2n. When the stabilizer rows lead cm of rank n, that shows them
+    independent; otherwise the stabilizer is reduced on its own, which names
+    a dependent row first, and reduced is its reduced basis.
     """
     cm_rank = reduced = None
     if cm is not None and cm.shape == (n, 2 * n):
@@ -161,20 +162,25 @@ def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int) -> tuple[int, int | 
         if rank != stab.shape[0]:
             raise ValidationError("stabilizer rows are linearly dependent")
         reduced = reduced[:rank]
-    _check_self_orthogonal(stab, p)
-    return n - stab.shape[0], cm_rank, reduced
+    _check_self_orthogonal(gram)
+    return cm_rank, reduced
 
 
-def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int) -> None:
-    """The invariants beyond _check_shapes and _check_stabilizer, for
-    canonical parts; cm_rank is the rank of cm."""
+def _stacked_gram(stab, cm, lx, lz, p: int) -> tuple[np.ndarray, slice]:
+    """(gram, s): the Gram matrix mod p of the rows [cm; lx; lz], with the
+    stabilizer rows appended unless they lead cm, and s their rows in it."""
+    d = len(stab)
+    lead = np.array_equal(cm[:d], stab)  # always so for d = 0
+    stacked = np.vstack([cm, lx, lz] if lead else [cm, lx, lz, stab])
+    return _gram(stacked, stacked) % p, slice(0, d) if lead else slice(-d, None)
+
+
+def _validate(n: int, k: int, gram: np.ndarray, s: slice, cm_rank: int) -> None:
+    """The invariants beyond _check_shapes and _check_stabilizer, read from
+    gram and s of _stacked_gram; cm_rank is the rank of cm."""
     if cm_rank != n:
         raise ValidationError("self-dual space must have dimension n")
-    # One Gram matrix of the stacked rows holds every product checked below;
-    # _check_stabilizer has checked the stabilizer rows' own products.
-    stacked = np.vstack([cm, lx, lz, stab])
-    gram = _gram(stacked[: n + 2 * k], stacked) % p
-    c, x, z, s = slice(0, n), slice(n, n + k), slice(n + k, n + 2 * k), slice(n + 2 * k, None)
+    c, x, z = slice(0, n), slice(n, n + k), slice(n + k, n + 2 * k)
     if gram[c, c].any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
     # Cm now has rank n and is self-orthogonal, so it is its own dual: a row
@@ -185,7 +191,7 @@ def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int) -> None:
     _name_first_row(gram[x, s], "logical x {} outside the dual space")
     _name_first_row(gram[z, c], "logical z {} outside the self-dual space")
     pairing = gram[x, z]
-    if not np.array_equal(pairing, np.eye(k, dtype=np.int64) % p):
+    if not np.array_equal(pairing, np.eye(k, dtype=np.int64)):
         raise ValidationError(f"logical pairing is not the identity matrix: {pairing.tolist()}")
     if gram[x, x].any():
         raise ValidationError("logical x representatives do not mutually commute")
@@ -198,16 +204,14 @@ def _validate(p: int, n: int, k: int, stab, cm, lx, lz, cm_rank: int) -> None:
 
 def _name_first_row(defect: np.ndarray, message: str) -> None:
     """Raise ValidationError naming the first row of `defect` that is nonzero."""
-    bad = np.flatnonzero(defect.any(axis=1))
-    if bad.size:
-        raise ValidationError(message.format(int(bad[0]) + 1))
+    if defect.any():
+        raise ValidationError(message.format(int(np.flatnonzero(defect.any(axis=1))[0]) + 1))
 
 
-def _check_self_orthogonal(rows: np.ndarray, p: int, what: str = "stabilizer") -> None:
-    gram = _gram(rows, rows) % p
-    bad = np.argwhere(gram != 0)
-    if bad.size:
-        i, j = bad[0]
+def _check_self_orthogonal(gram: np.ndarray, what: str = "stabilizer") -> None:
+    """NotSelfOrthogonalError naming the first nonzero entry of a Gram matrix."""
+    if gram.any():
+        i, j = np.argwhere(gram)[0]
         raise NotSelfOrthogonalError(
             f"{what} rows {i + 1} and {j + 1} have symplectic product {gram[i, j]}"
         )
@@ -236,7 +240,7 @@ def self_dual_completion(
     Deterministic for the fixed pivoting rule.
     """
     stab = linalg.row_basis(stabilizer, p)
-    _check_self_orthogonal(stab, p, what="input")
+    _check_self_orthogonal(_gram(stab, stab) % p, what="input")
     return _completion(stab, n, p)
 
 
@@ -322,6 +326,8 @@ def build_code(
     Missing self_dual/logical rows are computed by self-dual completion.
     Supplied logical pairs whose pairing matrix is diag(c_1..c_k) with
     c_i != 1 are accepted: each z_i is rescaled by 1/c_i (with a warning).
+    With every part given in its shape, one rank of the self-dual rows and
+    one _stacked_gram hold every check; a derived part costs its own products.
     """
     linalg.check_prime(p)
     stab = linalg.as_field(stabilizer, p)
@@ -331,9 +337,13 @@ def build_code(
     if cm is not None and cm.shape[0] < n:
         # Accept documents that list only the rows extending the stabilizer.
         cm = np.vstack([stab, cm])
-    k, cm_rank, reduced = _check_stabilizer(stab, cm, n, p)
     lx = None if logical_x is None else linalg.as_field(logical_x, p)
     lz = None if logical_z is None else linalg.as_field(logical_z, p)
+    k = n - stab.shape[0]
+    gram = None
+    if [np.shape(part) for part in (stab, cm, lx, lz)] == [(n - k, 2 * n), (n, 2 * n), (k, 2 * n), (k, 2 * n)]:
+        gram, s = _stacked_gram(stab, cm, lx, lz, p)
+    cm_rank, reduced = _check_stabilizer(stab, cm, n, p, _gram(stab, stab) % p if gram is None else gram[s, s])
     # the parts given, before anything is derived from them
     _check_shapes(n, k, stab, cm, lx, lz)
 
@@ -346,11 +356,8 @@ def build_code(
         raise ValidationError("self-dual space must have dimension n")
     if self_dual is not None and (lx is None or lz is None):
         # the logical rows are derived from the given Cm, which must be
-        # self-orthogonal and hold C: one Gram product, read as _validate reads
-        gram = _gram(np.vstack([cm, stab]), cm) % p
-        if gram[:n].any():
-            raise ValidationError("self-dual rows are not mutually orthogonal")
-        _name_first_row(gram[n:], "stabilizer row {} outside the self-dual space")
+        # self-orthogonal and hold C: _validate of Cm and C alone
+        _validate(n, 0, *_stacked_gram(stab, cm, cm[:0], cm[:0], p), cm_rank)
     if cm is None:  # so the stabilizer was reduced on its own above
         cm, pairs = _completion(reduced, n, p)
         cm_rank = n  # the stabilizer rows and one partner per pair
@@ -365,17 +372,21 @@ def build_code(
         # rows (one step from the candidates would give other x rows).
         lx = _biorthogonalize(_pairs_for_fixed_self_dual(stab, cm, n, p)[0], lz, p)
 
-    if k and lx.shape[0] == k and lz.shape[0] == k:
-        pairing = _gram(lx, lz) % p
-        off = pairing - np.diag(np.diag(pairing))
-        diag = np.diag(pairing)
-        if not off.any() and np.all(diag != 0) and np.any(diag != 1):
-            lz = lz * linalg._inverses(p)[diag][:, None] % p
-            values = diag.tolist()  # shown as array2string's one-line form
-            shown = " ".join(str(c).rjust(len(str(max(values)))) for c in values)
-            warnings.warn(f"logical pairing was diag([{shown}]); rescaled z rows to normalize it", stacklevel=2)
-    _check_shapes(n, k, stab, cm, lx, lz)
-    _validate(p, n, k, stab, cm, lx, lz, cm_rank)
+    if gram is None:
+        _check_shapes(n, k, stab, cm, lx, lz)
+        gram, s = _stacked_gram(stab, cm, lx, lz, p)
+    z = slice(n + k, n + 2 * k)
+    pairing = gram[n : n + k, z]
+    diag = pairing.diagonal().copy()  # not a view of the Gram rescaled below
+    if (diag != 1).any() and diag.all() and not (pairing - np.diag(diag)).any():
+        # z_i / c_i: the Gram's z rows and columns scale with it
+        scale = linalg._inverses(p)[diag]
+        lz = lz * scale[:, None] % p
+        gram[z] = gram[z] * scale[:, None] % p
+        gram[:, z] = gram[:, z] * scale % p
+        shown = " ".join(str(c).rjust(len(str(diag.max()))) for c in diag.tolist())  # array2string's one line
+        warnings.warn(f"logical pairing was diag([{shown}]); rescaled z rows to normalize it", stacklevel=2)
+    _validate(n, k, gram, s, cm_rank)
     return CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
 
 

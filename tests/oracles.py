@@ -27,11 +27,16 @@ comparing two ranks, where the package reads one residual; the subset rank
 table with the inserted column reduced mod p after every slot in int16, where
 the package accumulates it in int64 and reduces it once per column; the
 access structure of a polynomial threshold code from its construction, where
-the package ranks the stabilizer on each share subset).
+the package ranks the stabilizer on each share subset; the defects of a
+code's rows by row-loop ranks and one symplectic product per pair of rows,
+where the package reads every product off one Gram matrix).
+mutated_assemble is no oracle: it breaks one gate of every planned circuit,
+for the tests that the certificate refuses it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -267,6 +272,58 @@ def polynomial_threshold_code(p: int, t: int) -> symplectic.CodeSpec:
     z = z * pow(int(z.sum()), -1, p) % p
     stabilizer = np.vstack([np.hstack([d0, 0 * d0]), np.hstack([0 * dual_d, dual_d])])
     return symplectic.build_code(p, stabilizer, logical_x=[[1] * n + [0] * n], logical_z=[np.hstack([0 * z, z])])
+
+
+def code_defect(p: int, stab, cm, lx, lz) -> tuple[str | None, np.ndarray]:
+    """(defect, diag): the first structural defect of a code given as its
+    stabilizer, self-dual, logical x and logical z rows, or None, and the
+    diagonal of its logical pairing. A pairing diag(c) with every c nonzero
+    is no defect: the z rows divided by c pair to the identity. Ranks are
+    rref_rowloop's, products one symplectic_product per pair of rows."""
+    n = cm.shape[1] // 2
+
+    def rank(rows) -> int:
+        return rref_rowloop(np.reshape(rows, (-1, 2 * n)), p)[2]
+
+    def products(rows, others) -> np.ndarray:
+        return np.array([[symplectic.symplectic_product(x, y, p) for y in others] for x in rows], dtype=np.int64)
+
+    pairing = products(lx, lz)
+    diag = np.diag(pairing)
+    scaled = lz * np.array([pow(int(c), -1, p) if c else 0 for c in diag], dtype=np.int64)[:, None] % p
+    checks = (
+        ("stabilizer rows dependent", rank(stab) < len(stab)),
+        ("stabilizer rows do not commute", products(stab, stab).any()),
+        ("self-dual rank below n", rank(cm) < n),
+        ("self-dual rows do not commute", products(cm, cm).any()),
+        ("stabilizer row outside Cm", any(rank(np.vstack([cm, row])) > n for row in stab)),
+        ("logical x outside dual(C)", products(lx, stab).any()),
+        ("logical z outside Cm", any(rank(np.vstack([cm, row])) > n for row in lz)),
+        ("pairing not diagonal with nonzero diagonal", (pairing != np.diag(diag)).any() or not diag.all()),
+        ("logical x rows do not commute", products(lx, lx).any()),
+        ("logical z rows do not commute", products(scaled, scaled).any()),
+    )
+    return next((name for name, failed in checks if failed), None), diag
+
+
+def mutated_assemble(kind, assemble=circuits._assemble):
+    """circuits._assemble, which every plan comes from, of one set or many,
+    with the first step-3 exponent (the circuit's first PPOW gate), or the b
+    of y_1's first support entry (its first CPAULIINV gate), one too large."""
+
+    def broken(code, *args):
+        batch = assemble(code, *args)
+        n, every = code.n, np.arange(len(batch))
+        if kind == "PPOW":
+            step3 = batch.step3_exponents.copy()
+            step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
+            return dataclasses.replace(batch, step3_exponents=step3)
+        y = batch.y.copy()
+        first = ((y[:, 0, :n] != 0) | (y[:, 0, n:] != 0)).argmax(axis=1)
+        y[every, 0, n + first] = (y[every, 0, n + first] + 1) % code.p
+        return dataclasses.replace(batch, y=y)
+
+    return broken
 
 
 def logical_zero_projector(code, convention) -> sim.StateVector:

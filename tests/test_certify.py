@@ -29,26 +29,6 @@ def _code(which):
     return six_share_qutrit_code() if which == "bundled" else symplectic.random_self_orthogonal_code(*which)
 
 
-def _mutated(kind, assemble=circuits._assemble):
-    """circuits._assemble, which every plan comes from, of one set or many,
-    with the first step-3 exponent (the circuit's first PPOW gate), or the b
-    of y_1's first support entry (its first CPAULIINV gate), one too large."""
-
-    def broken(code, *args):
-        batch = assemble(code, *args)
-        n, every = code.n, np.arange(len(batch))
-        if kind == "PPOW":
-            step3 = batch.step3_exponents.copy()
-            step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
-            return dataclasses.replace(batch, step3_exponents=step3)
-        y = batch.y.copy()
-        first = ((y[:, 0, :n] != 0) | (y[:, 0, n:] != 0)).argmax(axis=1)
-        y[every, 0, n + first] = (y[every, 0, n + first] + 1) % code.p
-        return dataclasses.replace(batch, y=y)
-
-    return broken
-
-
 @pytest.mark.parametrize("p", ODD_AND_EVEN)
 def test_site_tables_are_the_dense_conjugates(p):
     ring = pauli.phase_order(p)
@@ -201,7 +181,7 @@ def test_certificate_agrees_with_dense_on_every_qualified_set(monkeypatch, which
     secrets = [certify.random_secret(code.p, code.k, rng) for _ in range(3)]
     for mutation in (None, "PPOW", "CPAULIINV"):
         if mutation:
-            monkeypatch.setattr(circuits, "_assemble", _mutated(mutation))
+            monkeypatch.setattr(circuits, "_assemble", oracles.mutated_assemble(mutation))
         reports = _both(code, conv, circuits.plan_sets(code, conv, sets), secrets)
         for row in zip(*reports):
             _assert_agree(*row, broken=mutation is not None)
@@ -230,7 +210,7 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     assemble = circuits._assemble
     try:
         if mutation:
-            circuits._assemble = _mutated(mutation)
+            circuits._assemble = oracles.mutated_assemble(mutation)
         plan = circuits.plan_reconstruction(code, conv, members)
         ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plan, secrets)
     finally:
@@ -254,7 +234,7 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
         missing[s, np.array(members) - 1] = False
     *split, solved = symplectic.split_on_missing_sets(code, targets, missing)
     batch = circuits.plan_sets(code, conv, sets)
-    images = certify._shape_images(batch)
+    images = certify._shape_images(batch, circuits.reconstruction_steps(batch))
     reports = certify.certify_reconstruction(code, conv, batch, [])
     ones = list(batch)
     assert solved.all() and len(batch) == len(ones) == len(reports) == len(sets)

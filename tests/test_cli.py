@@ -413,18 +413,22 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
 
 
 def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
-    # one pull-back of the circuit shape serves the 22 sets and every secret;
-    # no circuit is synthesized or pulled back gate by gate
+    # one pull-back of the circuit shape serves the 22 sets and every secret,
+    # and its one list of steps also gives the gate counts; no circuit is
+    # synthesized or pulled back gate by gate
     shapes, shape_images = [], certify._shape_images
-    monkeypatch.setattr(certify, "_shape_images", lambda plan: shapes.append(len(plan)) or shape_images(plan))
+    monkeypatch.setattr(certify, "_shape_images", lambda plan, steps: shapes.append(len(plan)) or shape_images(plan, steps))
+    stated, steps_of = [], circuits.reconstruction_steps
+    monkeypatch.setattr(circuits, "reconstruction_steps", lambda plan: stated.append(len(plan)) or steps_of(plan))
     gate_level = _counting(monkeypatch, certify, "generator_images")
     synthesized = _counting(monkeypatch, circuits, "synthesize_reconstruction")
     for trials in ("1", "10"):
         shapes.clear()
+        stated.clear()
         rc, out, _ = run(capsys, "verify", spec_path, "--trials", trials)
         assert rc == 0
         assert json.loads(out)["summary"]["qualified_sets"] == 22
-        assert shapes == [22] and gate_level == synthesized == []
+        assert shapes == stated == [22] and gate_level == synthesized == []
 
 
 def test_qualified_sets_from_one_rank_table(monkeypatch):
@@ -791,6 +795,23 @@ def test_threshold_codes_have_their_known_access_structure(capsys, tmp_path, p, 
             assert symplectic.erasure_correctable(code, symplectic.complement(members, n)) == (size >= t)
 
 
+@pytest.mark.parametrize("mutation", ["PPOW", "CPAULIINV"])
+@pytest.mark.parametrize("p, t", [(5, 2), (7, 3), (11, 4)])
+def test_threshold_codes_fail_every_set_under_mutation(capsys, monkeypatch, tmp_path, p, t, mutation):
+    # the known access structure is no vacuous pass: with one gate of every
+    # circuit broken, the sweep fails each of the sets it passed unbroken
+    code = oracles.polynomial_threshold_code(p, t)
+    path = _write_code(code, tmp_path / "threshold.qss")
+    # packed rows up to p = 7, whitespace-separated rows at p = 11
+    assert (" | " in (tmp_path / "threshold.qss").read_text(encoding="utf-8")) == (p > 7)
+    monkeypatch.setattr(circuits, "_assemble", oracles.mutated_assemble(mutation))
+    rc, out, err = run(capsys, "verify", path, "--trials", "1")
+    rows = json.loads(out)["rows"]
+    assert rc == 4 and err.startswith("verification failed for J={")
+    assert len(rows) == sum(math.comb(code.n, size) for size in range(t, code.n + 1))
+    assert all(row["min_fidelity"] < 1 for row in rows)
+
+
 def test_threshold_builder_refuses_more_points_than_the_field_has():
     for p, t in ((5, 3), (13, 7)):
         with pytest.raises(ValueError, match=f"no {2 * t - 1} distinct nonzero points"):
@@ -885,8 +906,8 @@ def _counting(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("which", ["bundled", (2, 12, 2, 0), (3, 10, 2, 0), (5, 6, 2, 0)])
 def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monkeypatch, tmp_path, spec_path, which):
-    # stab + selfdual + logicalx + logicalz: the self-dual block is the load's
-    # one elimination, the plan's split is the other
+    # stab + selfdual + logicalx + logicalz: the rank of the self-dual block
+    # is the load's one elimination, the plan's split is the other
     if which == "bundled":
         path, members = spec_path, "3,4,5,6"
     else:
@@ -894,18 +915,20 @@ def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monke
         path = _write_code(code, tmp_path / "grid.qss")
         members = ",".join(map(str, symplectic.qualified_sets(code)[0]))
     calls = _counting(monkeypatch, linalg, "rref")
+    ranks = _counting(monkeypatch, linalg, "rank")
     grams = _counting(monkeypatch, symplectic, "_gram")
     nullspaces = _counting(monkeypatch, linalg, "nullspace")
-    # the stabilizer's self-orthogonality, the pairing rescale test and one
-    # Gram matrix of every part hold all of the load's symplectic products
+    # one Gram matrix of every part holds all of the load's symplectic
+    # products: the stabilizer's self-orthogonality, the pairing rescale test
+    # and every membership and commutation check
     specfile.load_code(path)
-    assert len(calls) == 1 and len(grams) == 3
-    calls.clear()
+    assert (len(ranks), len(calls), len(grams)) == (1, 0, 1)
+    ranks.clear()
     rc, _, _ = run(capsys, "analyze", path)
-    assert rc == 0 and len(calls) == 1
-    calls.clear()
+    assert rc == 0 and (len(ranks), len(calls)) == (1, 0)
+    ranks.clear()
     rc, _, _ = run(capsys, "synthesize", path, "--set", members, "-o", str(tmp_path / "c.qsscirc"))
-    assert rc == 0 and len(calls) == 2 and nullspaces == []
+    assert rc == 0 and (len(ranks), len(calls)) == (1, 1) and nullspaces == []
 
 
 @pytest.mark.parametrize("which", ["bundled", (2, 12, 2, 0), (3, 10, 2, 0), (5, 6, 2, 0)])
@@ -931,6 +954,7 @@ def test_no_request_reduces_a_space_to_test_membership(capsys, monkeypatch, tmp_
 
 
 def test_demo_costs_one_elimination_to_load_one_to_plan_and_one_to_certify(capsys, monkeypatch):
+    ranks = _counting(monkeypatch, linalg, "rank")
     eliminations = _counting(monkeypatch, linalg, "rref")
     rc, _, _ = run(capsys, "demo")
-    assert rc == 0 and len(eliminations) == 3
+    assert rc == 0 and (len(ranks), len(eliminations)) == (1, 2)

@@ -187,6 +187,7 @@ def test_rref_equals_rowloop_oracle(case):
     assert np.array_equal(R, R0)
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert (pivots, rk) == (pivots0, rk0)
+    assert linalg.rank(A, p) == rk0  # the echelon-only pass
 
 
 @st.composite
@@ -214,6 +215,7 @@ def test_packed_p2_kernel_equals_the_general_kernel(A):
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert np.array_equal(R, R0)
     assert (pivots, rk) == (pivots0, rk0)
+    assert linalg.rank(A, 2) == rk0  # the echelon-only pass
 
 
 @st.composite
@@ -245,6 +247,7 @@ def test_byte_lane_kernel_equals_the_rowloop_oracle(case):
     assert R.dtype == R0.dtype and R.shape == R0.shape
     assert np.array_equal(R, R0)
     assert (pivots, rk) == (pivots0, rk0)
+    assert linalg.rank(A, p) == rk0 and np.array_equal(A, before)  # the echelon-only pass
 
 
 def test_byte_lane_kernel_at_the_byte_bound():
@@ -256,7 +259,7 @@ def test_byte_lane_kernel_at_the_byte_bound():
         for B in (A, A.T, np.vstack([A, A])):
             R, pivots, rk = linalg.rref(B, p)
             R0, pivots0, rk0 = oracles.rref_rowloop(B, p)
-            assert np.array_equal(R, R0) and (pivots, rk) == (pivots0, rk0)
+            assert np.array_equal(R, R0) and (pivots, rk) == (pivots0, rk0) == (pivots, linalg.rank(B, p))
 
 
 @settings(max_examples=300)

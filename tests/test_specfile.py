@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsshare import specfile, symplectic
+import oracles
+from qsshare import linalg, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT, six_share_qutrit_code
 from qsshare.errors import SpecParseError, ValidationError
 
@@ -357,3 +360,92 @@ def test_a_defect_the_derivation_would_hide_is_named(rows, message):
 def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
     with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
         specfile.parse_code_document("p 3\nn 0\nk 0\n")
+
+
+def test_one_share_rows_above_p_7_are_read_whitespace_separated():
+    # "10 | 0" has one entry a side and no inner space; format_row writes it so
+    code = specfile.parse_code_document("p 11\nn 1\nk 1\nlogicalx 10 | 0\nlogicalz 0 | 10\n")
+    assert code.logical_x.tolist() == [[10, 0]] and code.logical_z.tolist() == [[0, 10]]
+    assert [specfile.format_row(row, 1, 11) for row in (code.logical_x[0], code.logical_z[0])] == ["10 | 0", "0 | 10"]
+    with pytest.raises(SpecParseError, match=r"^line 4: packed digits only supported for p <= 7$"):
+        specfile.parse_code_document("p 11\nn 2\nk 2\nlogicalx 10|00\n")
+
+
+LOADER_DEFECTS = (
+    None, "dependent-stabilizer", "non-commuting-stabilizers", "self-dual-rank-n-1", "z-outside-cm",
+    "x-outside-dual", "pairing", "diagonal-pairing", "non-commuting-logicals",
+)
+
+
+def _written_row(row, n: int, packed: bool) -> str:
+    a, b = (" ".join(map(str, half)) for half in (row[:n], row[n:]))
+    return f"{a.replace(' ', '')}|{b.replace(' ', '')}" if packed else f"{a} | {b}"
+
+
+def _inject(defect, rng, p, stab, listed, extension, lx, lz):
+    """Break the rows in place as defect says: stab, the listed self-dual rows
+    (after the stabilizer rows when extension), lx and lz."""
+    d, k = len(stab), len(lx)
+    if defect == "dependent-stabilizer" and d:
+        i = rng.integers(d)
+        stab[i] = rng.integers(0, p, d - 1) @ np.delete(stab, i, axis=0) % p
+    elif defect == "non-commuting-stabilizers" and d:
+        i = rng.integers(d)
+        stab[i] = (stab[i] + rng.integers(0, p, stab.shape[1])) % p
+    elif defect == "self-dual-rank-n-1":
+        j = rng.integers(len(listed))
+        others = np.vstack([stab, np.delete(listed, j, axis=0)]) if extension else np.delete(listed, j, axis=0)
+        listed[j] = rng.integers(0, p, len(others)) @ others % p
+    elif defect in ("z-outside-cm", "x-outside-dual"):
+        rows = lz if defect == "z-outside-cm" else lx
+        i = rng.integers(k)
+        rows[i] = (rows[i] + rng.integers(0, p, rows.shape[1])) % p
+    elif defect == "pairing":
+        i, j = rng.choice(k, size=2, replace=False) if k > 1 else (0, 0)
+        # x_i + c x_j pairs with z_j; with one pair, x_1 = 0 pairs with nothing
+        lx[i] = (lx[i] + rng.integers(1, p) * lx[j]) % p if k > 1 else 0
+    elif defect == "diagonal-pairing" and p > 2:
+        lz[:] = lz * rng.integers(1, p, size=(k, 1)) % p
+    elif defect == "non-commuting-logicals" and k > 1:
+        i, j = rng.choice(k, size=2, replace=False)
+        rows, other = (lx, lz) if rng.integers(2) else (lz, lx)
+        rows[i] = (rows[i] + rng.integers(1, p) * other[j]) % p
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(linalg.SUPPORTED_PRIMES), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16),
+    st.booleans(), st.booleans(), st.sampled_from(LOADER_DEFECTS), st.integers(0, 2**32 - 1),
+)
+def test_loader_accepts_exactly_the_documents_an_independent_oracle_finds_sound(
+    p, n, k, seed, packed, extension, defect, rng_seed
+):
+    # every part given, packed (p <= 7) or whitespace-separated, the self-dual
+    # rows listed in full or as the extension of the stabilizer rows, with at
+    # most one defect: the one-pass read and the one Gram matrix against row
+    # loop ranks and one symplectic product per pair
+    k, packed = min(k, n), packed and p <= 7
+    code = symplectic.random_self_orthogonal_code(p, n, k, seed)
+    stab, lx, lz = code.stabilizer.copy(), code.logical_x.copy(), code.logical_z.copy()
+    listed = code.self_dual[n - k :].copy() if extension else code.self_dual.copy()
+    _inject(defect, np.random.default_rng(rng_seed), p, stab, listed, extension, lx, lz)
+    cm = np.vstack([stab, listed]) if extension else listed
+    lines = [f"p {p}", f"n {n}", f"k {k}"]
+    for key, rows in (("stab", stab), ("selfdual", listed), ("logicalx", lx), ("logicalz", lz)):
+        lines += [f"{key} {_written_row(row, n, packed)}" for row in rows]
+    found, diag = oracles.code_defect(p, stab, cm, lx, lz)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = specfile.parse_code_document("\n".join(lines) + "\n")
+        except ValidationError:
+            code = None
+    assert (code is None) == (found is not None), found
+    if code is None:
+        return
+    inverse = np.array([pow(int(c), -1, p) for c in diag], dtype=np.int64)
+    assert np.array_equal(code.stabilizer, stab) and np.array_equal(code.self_dual, cm)
+    assert np.array_equal(code.logical_x, lx) and np.array_equal(code.logical_z, lz * inverse[:, None] % p)
+    shown = np.array2string(diag).replace("\n ", " ")
+    rescaled = [f"logical pairing was diag({shown}); rescaled z rows to normalize it"] if (diag != 1).any() else []
+    assert [str(w.message) for w in caught] == rescaled

@@ -588,14 +588,7 @@ def test_biorthogonalize_equals_row_by_row_loop(p, n, k, seed):
 
 @pytest.mark.parametrize("rows", ("extension", "full"))
 def test_build_code_of_a_full_spec_reduces_stabilizer_and_self_dual_once(monkeypatch, rows):
-    seen = []
-    rref = linalg.rref
-
-    def recording_rref(A, p):
-        seen.append(linalg.as_field(A, p))
-        return rref(A, p)
-
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+    seen = _recorded_eliminations(monkeypatch, keep=linalg.as_field)
     for p, n, k, seed in ((3, 6, 2, 0), (2, 7, 3, 1), (5, 4, 1, 2), (3, 5, 4, 3)):
         ref = symplectic.random_self_orthogonal_code(p, n, k, seed)
         given = ref.self_dual[n - k :] if rows == "extension" else ref.self_dual
@@ -692,20 +685,25 @@ def test_self_dual_completion_equals_pairing_loop(p, n, k, seed):
         assert np.array_equal(x, expected_x) and np.array_equal(z, expected_z)
 
 
-def _recorded_rrefs(monkeypatch):
+def _recorded_eliminations(monkeypatch, keep=lambda A, p: np.shape(A)):
+    """Record keep(A, p) of the matrix A of every linalg.rref and linalg.rank
+    call from here on."""
     seen = []
-    rref = linalg.rref
 
-    def recording_rref(A, p):
-        seen.append(np.shape(A))
-        return rref(A, p)
+    def recording(eliminate):
+        def recorded(A, p):
+            seen.append(keep(A, p))
+            return eliminate(A, p)
 
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+        return recorded
+
+    for name in ("rref", "rank"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
     return seen
 
 
 def test_random_symplectic_basis_eliminates_nothing(monkeypatch):
-    seen = _recorded_rrefs(monkeypatch)
+    seen = _recorded_eliminations(monkeypatch)
     for p, n in ((2, 9), (3, 6), (13, 4)):
         symplectic.random_symplectic_basis(n, p, np.random.default_rng(n))
     assert seen == []
@@ -714,7 +712,7 @@ def test_random_symplectic_basis_eliminates_nothing(monkeypatch):
 def test_random_code_is_validated_by_one_elimination(monkeypatch):
     # the stabilizer rows are the first n - k self-dual rows, so the one
     # reduction of the self-dual rows also shows them independent
-    seen = _recorded_rrefs(monkeypatch)
+    seen = _recorded_eliminations(monkeypatch)
     for p, n, k, seed in ((2, 9, 2, 0), (3, 6, 2, 1), (5, 4, 1, 2), (13, 3, 3, 3), (2, 5, 0, 4)):
         seen.clear()
         symplectic.random_self_orthogonal_code(p, n, k, seed)
@@ -725,7 +723,7 @@ def test_a_stabilizer_only_load_eliminates_three_times(monkeypatch):
     # the stabilizer's independence, dual(C) and the coset representatives;
     # the completed Cm has rank n by construction and is not ranked again
     codes = [symplectic.random_self_orthogonal_code(*args) for args in ((2, 9, 2, 0), (3, 6, 2, 1), (5, 4, 1, 2))]
-    seen = _recorded_rrefs(monkeypatch)
+    seen = _recorded_eliminations(monkeypatch)
     for code in codes:
         seen.clear()
         loaded = symplectic.build_code(code.p, code.stabilizer)
@@ -748,7 +746,7 @@ def test_validate_code_names_dependent_stabilizer_rows_first(hexcode, leading):
 def test_extend_basis_eliminates_once(monkeypatch):
     rng = np.random.default_rng(4)
     cases = [(rng.integers(0, 3, size=(b, 8)), rng.integers(0, 3, size=(r, 8))) for b, r in ((0, 6), (3, 5), (4, 0))]
-    seen = _recorded_rrefs(monkeypatch)
+    seen = _recorded_eliminations(monkeypatch)
     for base, rows in cases:
         seen.clear()
         symplectic._extend_basis(base, rows, 3)
