@@ -76,7 +76,7 @@ def rref(A, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
 
 
 def rank(A, p: int) -> int:
-    """Rank of A over F_p: the pivots of its echelon form, left packed."""
+    """Rank of A over F_p: the pivots of its echelon form, its rows never unpacked."""
     return len(_eliminate(as_field(A, p), p, True)[1])
 
 
