@@ -266,7 +266,7 @@ def reconstruction_steps(plan: ReconstructionPlan) -> list[tuple[str, int, np.nd
     return steps
 
 
-def synthesize_reconstruction(plan: ReconstructionPlan, code) -> Circuit:
+def synthesize_reconstruction(plan: ReconstructionPlan) -> Circuit:
     """Emit the measurement-free reconstruction circuit of a one-set plan: its
     reconstruction_steps, each controlled pattern one two-qudit gate per share
     in its support. No gate addresses a share outside the available set.

@@ -84,7 +84,7 @@ def cmd_synthesize(args) -> int:
     conv = pauli.make_convention(code)
     members = _parse_share_list(args.set, code.n)
     plan = circuits.plan_reconstruction(code, conv, members)
-    circuit = circuits.synthesize_reconstruction(plan, code)
+    circuit = circuits.synthesize_reconstruction(plan)
     text = circuits.emit_circuit(circuit)
     directory = os.path.dirname(os.path.abspath(args.output)) or "."
     try:

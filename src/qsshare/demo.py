@@ -92,7 +92,7 @@ def run_demo(stream=None) -> str:
     for i in range(k):
         print(f"gamma{i + 1} = {pauli.format_phase(plan.gamma[0, i], p)}", file=out)
 
-    circuit = circuits.synthesize_reconstruction(plan, code)
+    circuit = circuits.synthesize_reconstruction(plan)
     counts = circuit.counts()
     print(
         f"\ngate counts: {circuit.two_qudit_count()} two-qudit"

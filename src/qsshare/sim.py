@@ -338,7 +338,7 @@ def verify_reconstruction(code, convention, plan, secrets) -> list[Reconstructio
     p, n, k = code.p, code.n, code.k
     rows = np.asarray(secrets, dtype=np.complex128).reshape(len(secrets), p**k)
     _guard(p, n + k, max(1, len(rows)))
-    circs = [circuits.synthesize_reconstruction(one, code) for one in plan]
+    circs = [circuits.synthesize_reconstruction(one) for one in plan]
     zero = logical_zero(code, convention)
     encoded = np.array([encode_secret(code, convention, row, zero).amps for row in rows]).reshape(len(rows), p**n)
     reports = []
@@ -372,7 +372,7 @@ def entanglement_fidelity(code, convention, plan) -> list[float]:
     encoded = _encode_rows(code, convention, np.eye(p**k, dtype=np.complex128), zero)
     out = []
     for one in plan:
-        states = _final_states(circuits.synthesize_reconstruction(one, code), encoded, k)
+        states = _final_states(circuits.synthesize_reconstruction(one), encoded, k)
         total = np.trace(states, axis1=1, axis2=2)
         out.append(float(np.vdot(total, total).real) / p ** (2 * k))
     return out

@@ -10,15 +10,16 @@ Grammar ('#' starts a comment, blank lines ignored):
     logicalx 000000|101100      # optional; derived when absent
     logicalz 000100|122000      # optional; derived when absent
 
-Each row is an (a|b) pattern. For p <= 7 the digits may be packed as single
-characters; for any p they may instead be whitespace-separated integers, e.g.
-"1 0 0 2 0 2 | 0 2 0 1 1 2". Every integer, header values included, is
-written in ASCII decimal digits: no sign, no '_', no other script's digits.
-The packed rows of the whole document are read in one pass, all their digits
-one array; a document with any other row is read row by row, so a bad row is
-named by the same line and message either way. Missing self-dual or logical
-rows are completed automatically at load time; logical pairs with a diagonal
-but non-unit pairing matrix are rescaled (with a warning).
+The header lines p, n and k appear once each. Each row is an (a|b) pattern.
+For p <= 7 the digits may be packed as single characters; for any p they may
+instead be whitespace-separated integers, e.g. "1 0 0 2 0 2 | 0 2 0 1 1 2".
+Every integer, header values included, is written in ASCII decimal digits:
+no sign, no '_', no other script's digits. The packed rows of the whole
+document are read in one pass, all their digits one array; a document with
+any other row is read row by row, so a bad row is named by the same line and
+message either way. The rows given are checked, then missing self-dual or
+logical rows are completed (with k = 0 none is missing: Cm is C); logical
+pairs with a diagonal non-unit pairing are rescaled, with a warning.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def parse_code_document(text: str) -> CodeSpec:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key in ("p", "n", "k"):
+            if key in header:
+                raise SpecParseError(line_no, f"repeated {key!r} directive")
             try:
                 header[key] = parse_decimal(rest)
             except ValueError as exc:

@@ -131,8 +131,7 @@ def validate_code(code: CodeSpec) -> None:
     lx = linalg.as_field(code.logical_x, p) if k else linalg.empty_basis(2 * n)
     lz = linalg.as_field(code.logical_z, p) if k else linalg.empty_basis(2 * n)
     _check_shapes(n, k, stab, cm, lx, lz)
-    gram, s = _stacked_gram(stab, cm, lx, lz, p)
-    _validate(n, k, gram, s, _check_stabilizer(stab, cm, n, p, gram[s, s])[0])
+    _check_parts(p, n, stab, cm, lx, lz)
 
 
 def _check_shapes(n: int, k: int, *parts: np.ndarray | None) -> None:
@@ -146,60 +145,78 @@ def _check_shapes(n: int, k: int, *parts: np.ndarray | None) -> None:
             raise ValidationError(f"{name} must be {rows} rows of length {2 * n}, got {part.shape}")
 
 
-def _check_stabilizer(stab: np.ndarray, cm, n: int, p: int, gram: np.ndarray) -> tuple[int | None, np.ndarray | None]:
-    """(cm_rank, reduced) for independent, self-orthogonal stabilizer rows,
-    gram their Gram matrix mod p; ValidationError otherwise. cm_rank is the
-    rank of the self-dual rows cm, or None unless they are n rows of length
-    2n. When the stabilizer rows lead cm of rank n, that shows them
-    independent; otherwise the stabilizer is reduced on its own, which names
-    a dependent row first, and reduced is its reduced basis.
+def _check_parts(p: int, n: int, stab, cm, lx, lz, rescale: bool = False) -> tuple[np.ndarray | None, ...]:
+    """Check the parts of a code as given, in their _check_shapes shapes, a
+    part still to be derived None; ValidationError names the first defect.
+
+    One Gram matrix of the given rows holds every symplectic product. In
+    order: the stabilizer rows are independent and self-orthogonal, Cm has
+    rank n (Cm is the self-dual rows, or else the stabilizer and logical z
+    rows), rescale normalizes a logical pairing diag(c_1..c_k) with some
+    c_i != 1 by z_i / c_i, with a warning, and _validate runs. Returns
+    (reduced, cm, lz): the stabilizer's reduced basis (None when its rows
+    lead a Cm of rank n, which shows them independent), the rows of Cm (None
+    without self-dual and z rows) and the z rows as rescaled.
     """
-    cm_rank = reduced = None
-    if cm is not None and cm.shape == (n, 2 * n):
-        cm_rank = linalg.rank(cm, p)
-    if cm_rank != n or not np.array_equal(cm[: stab.shape[0]], stab):
+    d, reduced = len(stab), None
+    span = cm if cm is not None or lz is None else np.vstack([stab, lz])
+    span_rank = None if span is None else linalg.rank(span, p)
+    if span_rank != n or not np.array_equal(span[:d], stab):
         reduced, _, rank = linalg.rref(stab, p)
-        if rank != stab.shape[0]:
+        if rank != d:
             raise ValidationError("stabilizer rows are linearly dependent")
-        reduced = reduced[:rank]
-    _check_self_orthogonal(gram)
-    return cm_rank, reduced
+        reduced = reduced[:d]
+    gram, s, c, x, z = _stacked_gram(stab, *(stab[:0] if part is None else part for part in (cm, lx, lz)), p)
+    _check_self_orthogonal(gram[s, s])
+    if span_rank not in (None, n):
+        raise ValidationError("self-dual space must have dimension n")
+    pairing = gram[x, z]  # no rows unless both logical parts are given
+    diag = pairing.diagonal().copy()  # not a view of the Gram rescaled below
+    if rescale and (diag != 1).any() and diag.all() and not (pairing - np.diag(diag)).any():
+        # z_i / c_i: the Gram's z rows and columns scale with it
+        scale = linalg._inverses(p)[diag]
+        lz = lz * scale[:, None] % p
+        gram[z] = gram[z] * scale[:, None] % p
+        gram[:, z] = gram[:, z] * scale % p
+        shown = " ".join(str(v).rjust(len(str(diag.max()))) for v in diag.tolist())  # array2string's one line
+        warnings.warn(f"logical pairing was diag([{shown}]); rescaled z rows to normalize it", stacklevel=3)
+    _validate(gram, s, c, x, z)
+    return reduced, span, lz
 
 
-def _stacked_gram(stab, cm, lx, lz, p: int) -> tuple[np.ndarray, slice]:
-    """(gram, s): the Gram matrix mod p of the rows [cm; lx; lz], with the
-    stabilizer rows appended unless they lead cm, and s their rows in it."""
-    d = len(stab)
+def _stacked_gram(stab, cm, lx, lz, p: int) -> tuple[np.ndarray, slice, slice, slice, slice]:
+    """(gram, s, c, x, z): the Gram matrix mod p of the rows [cm; lx; lz],
+    with the stabilizer rows appended unless they lead cm, and the rows of
+    the stabilizer, cm, lx and lz in it."""
+    d, a, b, e = len(stab), len(cm), len(cm) + len(lx), len(cm) + len(lx) + len(lz)
     lead = np.array_equal(cm[:d], stab)  # always so for d = 0
     stacked = np.vstack([cm, lx, lz] if lead else [cm, lx, lz, stab])
-    return _gram(stacked, stacked) % p, slice(0, d) if lead else slice(-d, None)
+    return _gram(stacked, stacked) % p, slice(0, d) if lead else slice(e, None), slice(0, a), slice(a, b), slice(b, e)
 
 
-def _validate(n: int, k: int, gram: np.ndarray, s: slice, cm_rank: int) -> None:
-    """The invariants beyond _check_shapes and _check_stabilizer, read from
-    gram and s of _stacked_gram; cm_rank is the rank of cm."""
-    if cm_rank != n:
-        raise ValidationError("self-dual space must have dimension n")
-    c, x, z = slice(0, n), slice(n, n + k), slice(n + k, n + 2 * k)
+def _validate(gram: np.ndarray, s: slice, c: slice, x: slice, z: slice) -> None:
+    """The membership, pairing and commutation checks of _check_parts, read
+    from _stacked_gram's gram and row slices; a block of no rows passes.
+    Cm, when given, has rank n, and the stabilizer is self-orthogonal."""
     if gram[c, c].any():
         raise ValidationError("self-dual rows are not mutually orthogonal")
     # Cm now has rank n and is self-orthogonal, so it is its own dual: a row
     # lies in Cm exactly when it is orthogonal to every row of Cm.
     _name_first_row(gram[c, s].T, "stabilizer row {} outside the self-dual space")
-    if k == 0:
-        return
     _name_first_row(gram[x, s], "logical x {} outside the dual space")
     _name_first_row(gram[z, c], "logical z {} outside the self-dual space")
+    # a z row in a given Cm lies in dual(C); without Cm, this is its check
+    _name_first_row(gram[z, s], "logical z {} outside the dual space")
     pairing = gram[x, z]
-    if not np.array_equal(pairing, np.eye(k, dtype=np.int64)):
+    if pairing.size and not np.array_equal(pairing, np.eye(len(pairing), dtype=np.int64)):
         raise ValidationError(f"logical pairing is not the identity matrix: {pairing.tolist()}")
     if gram[x, x].any():
         raise ValidationError("logical x representatives do not mutually commute")
     if gram[z, z].any():
         raise ValidationError("logical z representatives do not mutually commute")
-    # The x rows are now independent modulo Cm, with no further check: if
-    # sum_i c_i x_i lay in Cm, pairing it with z_j (in the self-dual Cm) would
-    # give c_j = 0 for every j.
+    # The x rows of a full listing are now independent modulo Cm, with no
+    # further check: if sum_i c_i x_i lay in Cm, pairing it with z_j (in the
+    # self-dual Cm) would give c_j = 0 for every j.
 
 
 def _name_first_row(defect: np.ndarray, message: str) -> None:
@@ -312,57 +329,16 @@ def _partners_of_x(stab: np.ndarray, lx: np.ndarray, n: int, p: int) -> np.ndarr
     return (-_biorthogonalize(cand, lx, p)) % p
 
 
-def build_code(
-    p: int,
-    stabilizer,
-    self_dual=None,
-    logical_x=None,
-    logical_z=None,
-    *,
-    n: int | None = None,
-) -> CodeSpec:
-    """Assemble and validate a CodeSpec, deriving whatever parts are missing.
-
-    Missing self_dual/logical rows are computed by self-dual completion.
-    Supplied logical pairs whose pairing matrix is diag(c_1..c_k) with
-    c_i != 1 are accepted: each z_i is rescaled by 1/c_i (with a warning).
-    With every part given in its shape, one rank of the self-dual rows and
-    one _stacked_gram hold every check; a derived part costs its own products.
-    """
-    linalg.check_prime(p)
-    stab = linalg.as_field(stabilizer, p)
-    if n is None:
-        n = stab.shape[1] // 2
-    cm = None if self_dual is None else linalg.as_field(self_dual, p)
-    if cm is not None and cm.shape[0] < n:
-        # Accept documents that list only the rows extending the stabilizer.
-        cm = np.vstack([stab, cm])
-    lx = None if logical_x is None else linalg.as_field(logical_x, p)
-    lz = None if logical_z is None else linalg.as_field(logical_z, p)
-    k = n - stab.shape[0]
-    gram = None
-    if [np.shape(part) for part in (stab, cm, lx, lz)] == [(n - k, 2 * n), (n, 2 * n), (k, 2 * n), (k, 2 * n)]:
-        gram, s = _stacked_gram(stab, cm, lx, lz, p)
-    cm_rank, reduced = _check_stabilizer(stab, cm, n, p, _gram(stab, stab) % p if gram is None else gram[s, s])
-    # the parts given, before anything is derived from them
-    _check_shapes(n, k, stab, cm, lx, lz)
-
-    if cm is None and lz is None and lx is not None:
-        lz = _partners_of_x(stab, lx, n, p)
-    if cm is None and lz is not None:
-        cm = np.vstack([stab, lz])
-        cm_rank = linalg.rank(cm, p)
-    if cm is not None and cm_rank != n:
-        raise ValidationError("self-dual space must have dimension n")
-    if self_dual is not None and (lx is None or lz is None):
-        # the logical rows are derived from the given Cm, which must be
-        # self-orthogonal and hold C: _validate of Cm and C alone
-        _validate(n, 0, *_stacked_gram(stab, cm, cm[:0], cm[:0], p), cm_rank)
-    if cm is None:  # so the stabilizer was reduced on its own above
+def _derive(p: int, n: int, stab, reduced, cm, lx, lz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cm, lx, lz), each missing part (None) derived from the parts given,
+    which _check_parts passed and which gave reduced. NoSolutionError when
+    given logical rows are dependent modulo the given Cm, or else C."""
+    if cm is None and lx is None and lz is None:
         cm, pairs = _completion(reduced, n, p)
-        cm_rank = n  # the stabilizer rows and one partner per pair
-        lx = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, 2 * n)
-        lz = np.array([z for _, z in pairs], dtype=np.int64).reshape(-1, 2 * n)
+        return cm, *(np.array(part, dtype=np.int64).reshape(-1, 2 * n) for part in zip(*pairs))
+    if cm is None:
+        lz = _partners_of_x(stab, lx, n, p)
+        cm = np.vstack([stab, lz])
     if lx is None and lz is None:
         lx, lz = _pairs_for_fixed_self_dual(stab, cm, n, p)
     elif lz is None:
@@ -371,22 +347,41 @@ def build_code(
         # Two steps: x paired with Cm's own z rows, then against the given z
         # rows (one step from the candidates would give other x rows).
         lx = _biorthogonalize(_pairs_for_fixed_self_dual(stab, cm, n, p)[0], lz, p)
+    return cm, lx, lz
 
-    if gram is None:
-        _check_shapes(n, k, stab, cm, lx, lz)
-        gram, s = _stacked_gram(stab, cm, lx, lz, p)
-    z = slice(n + k, n + 2 * k)
-    pairing = gram[n : n + k, z]
-    diag = pairing.diagonal().copy()  # not a view of the Gram rescaled below
-    if (diag != 1).any() and diag.all() and not (pairing - np.diag(diag)).any():
-        # z_i / c_i: the Gram's z rows and columns scale with it
-        scale = linalg._inverses(p)[diag]
-        lz = lz * scale[:, None] % p
-        gram[z] = gram[z] * scale[:, None] % p
-        gram[:, z] = gram[:, z] * scale % p
-        shown = " ".join(str(c).rjust(len(str(diag.max()))) for c in diag.tolist())  # array2string's one line
-        warnings.warn(f"logical pairing was diag([{shown}]); rescaled z rows to normalize it", stacklevel=2)
-    _validate(n, k, gram, s, cm_rank)
+
+def build_code(
+    p: int, stabilizer, self_dual=None, logical_x=None, logical_z=None, *, n: int | None = None
+) -> CodeSpec:
+    """Assemble and validate a CodeSpec, deriving whatever parts are missing.
+
+    The parts given are checked (_check_parts) before missing self_dual or
+    logical rows are derived by self-dual completion, and the completed parts
+    checked. Without self_dual rows the logical z rows extend C to Cm; with
+    k = 0, Cm is C and no part is missing. Supplied logical pairs whose
+    pairing matrix is diag(c_1..c_k) with c_i != 1 are accepted: each z_i is
+    rescaled by 1/c_i (with a warning).
+    """
+    linalg.check_prime(p)
+    stab = linalg.as_field(stabilizer, p)
+    if n is None:
+        n = stab.shape[1] // 2
+    k = n - stab.shape[0]
+    cm, lx, lz = (None if part is None else linalg.as_field(part, p) for part in (self_dual, logical_x, logical_z))
+    if cm is not None and cm.shape[0] < n:
+        # Accept documents that list only the rows extending the stabilizer.
+        cm = np.vstack([stab, cm])
+    if k == 0:
+        lx, lz = (linalg.empty_basis(2 * n) if part is None else part for part in (lx, lz))
+    _check_shapes(n, k, stab, cm, lx, lz)
+    reduced, cm, lz = _check_parts(p, n, stab, cm, lx, lz, rescale=True)
+    if lx is None or lz is None:
+        try:
+            cm, lx, lz = _derive(p, n, stab, reduced, cm, lx, lz)
+        except NoSolutionError:
+            part, space = ("x", "stabilizer" if cm is None else "self-dual") if lz is None else ("z", "stabilizer")
+            raise ValidationError(f"logical {part} rows are linearly dependent modulo the {space} space") from None
+        _validate(*_stacked_gram(stab, cm, lx, lz, p))
     return CodeSpec(p=p, n=n, k=k, stabilizer=stab, self_dual=cm, logical_x=lx, logical_z=lz)
 
 

@@ -275,33 +275,51 @@ def polynomial_threshold_code(p: int, t: int) -> symplectic.CodeSpec:
 
 
 def code_defect(p: int, stab, cm, lx, lz) -> tuple[str | None, np.ndarray]:
-    """(defect, diag): the first structural defect of a code given as its
-    stabilizer, self-dual, logical x and logical z rows, or None, and the
-    diagonal of its logical pairing. A pairing diag(c) with every c nonzero
-    is no defect: the z rows divided by c pair to the identity. Ranks are
-    rref_rowloop's, products one symplectic_product per pair of rows."""
-    n = cm.shape[1] // 2
+    """(defect, diag): the first reason why the parts given, the stabilizer,
+    self-dual, logical x and logical z rows with None for a part not given,
+    extend to no code, or None; and the diagonal of the logical pairing, all
+    ones unless both logical parts are given. Cm is the self-dual rows, or
+    else the stabilizer and logical z rows. A pairing diag(c) with every c
+    nonzero is no defect: the z rows divided by c pair to the identity. A
+    missing part can be derived exactly when the given x rows are
+    independent modulo Cm (modulo C without Cm) and the z rows modulo C.
+    Ranks are rref_rowloop's, products one symplectic_product per pair."""
+    n = stab.shape[1] // 2
+    k = n - len(stab)
+    none = np.zeros((0, 2 * n), dtype=np.int64)
+    x, z = (none if part is None else part for part in (lx, lz))
 
     def rank(rows) -> int:
         return rref_rowloop(np.reshape(rows, (-1, 2 * n)), p)[2]
 
     def products(rows, others) -> np.ndarray:
-        return np.array([[symplectic.symplectic_product(x, y, p) for y in others] for x in rows], dtype=np.int64)
+        return np.array([[symplectic.symplectic_product(a, b, p) for b in others] for a in rows], dtype=np.int64)
 
-    pairing = products(lx, lz)
+    def inside(rows, space) -> bool:
+        return all(rank(np.vstack([space, row])) == rank(space) for row in rows)
+
+    def independent(rows, space) -> bool:
+        return rank(np.vstack([space, rows])) == rank(space) + len(rows)
+
+    if cm is None and lz is not None:
+        cm = np.vstack([stab, lz])
+    space = none if cm is None else cm
+    pairing = products(lx, lz) if lx is not None and lz is not None else np.eye(k, dtype=np.int64)
     diag = np.diag(pairing)
-    scaled = lz * np.array([pow(int(c), -1, p) if c else 0 for c in diag], dtype=np.int64)[:, None] % p
+    scaled = z * np.array([pow(int(c), -1, p) if c else 0 for c in diag], dtype=np.int64)[: len(z), None] % p
     checks = (
         ("stabilizer rows dependent", rank(stab) < len(stab)),
         ("stabilizer rows do not commute", products(stab, stab).any()),
-        ("self-dual rank below n", rank(cm) < n),
-        ("self-dual rows do not commute", products(cm, cm).any()),
-        ("stabilizer row outside Cm", any(rank(np.vstack([cm, row])) > n for row in stab)),
-        ("logical x outside dual(C)", products(lx, stab).any()),
-        ("logical z outside Cm", any(rank(np.vstack([cm, row])) > n for row in lz)),
+        ("self-dual rank below n", cm is not None and rank(cm) < n),
+        ("self-dual rows do not commute", products(space, space).any()),
+        ("stabilizer row outside Cm", cm is not None and not inside(stab, cm)),
+        ("logical x outside dual(C)", products(x, stab).any()),
+        ("logical z outside Cm", cm is not None and not inside(z, cm)),
         ("pairing not diagonal with nonzero diagonal", (pairing != np.diag(diag)).any() or not diag.all()),
-        ("logical x rows do not commute", products(lx, lx).any()),
+        ("logical x rows do not commute", products(x, x).any()),
         ("logical z rows do not commute", products(scaled, scaled).any()),
+        ("logical x rows dependent modulo Cm", not independent(x, stab if cm is None else cm)),
+        ("logical z rows dependent modulo C", not independent(z, stab)),
     )
     return next((name for name, failed in checks if failed), None), diag
 

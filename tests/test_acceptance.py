@@ -122,7 +122,7 @@ def test_criterion_2_worked_phase_values():
 def test_criterion_3_circuit_shape(hexcode, hexconv):
     started = time.monotonic()
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    circ = circuits.synthesize_reconstruction(plan, hexcode)
+    circ = circuits.synthesize_reconstruction(plan)
     touched = circ.touched_qudits()
     assert touched.isdisjoint({1, 2})
     assert circ.two_qudit_count() <= 2 * hexcode.k * len(AVAILABLE) == 16
@@ -283,7 +283,7 @@ def test_criterion_6e_dealer_reconstruction_inverse():
         conv = pauli.make_convention(code)
         dealer = dense_circuit(circuits.synthesize_dealer(code, conv))
         plan = circuits.plan_reconstruction(code, conv, tuple(range(1, n + 1)))
-        recon = circuits.synthesize_reconstruction(plan, code)
+        recon = circuits.synthesize_reconstruction(plan)
         tail = circuits.Circuit(
             p=p, num_qudits=n + k, roles=recon.roles, gates=recon.gates[k:]
         )

@@ -95,7 +95,7 @@ def test_generator_images_equal_per_gate_propagation(which):
     xs, zs = np.zeros((2, 2 * k, m), dtype=np.int64)
     xs[:k, code.n :], zs[k:, code.n :] = eye, eye
     for members in symplectic.all_qualified_sets(code):
-        circuit = circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+        circuit = circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
         got = certify.generator_images(circuit, k)
         expected = oracles.pull_back_per_gate(circuit.gates, code.p, np.zeros(2 * k), xs, zs)
         for part, want in zip(got, expected):
@@ -246,7 +246,7 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
         for field in dataclasses.fields(plan):
             got, want = getattr(ones[s], field.name), getattr(plan, field.name)
             assert type(got) is type(want) and np.array_equal(got, want), (members, field.name)
-        circuit = circuits.synthesize_reconstruction(plan, code)
+        circuit = circuits.synthesize_reconstruction(plan)
         for got, want in zip(images, certify.generator_images(circuit, k)):
             assert np.array_equal(got[s], want), members
         counts = (reports[s].two_qudit_gates, reports[s].single_qudit_gates)

@@ -126,7 +126,7 @@ def test_controlled_scalar_equivalence():
 
 def test_plan_reference_counts_and_support(hexcode, hexconv):
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    circ = circuits.synthesize_reconstruction(plan, hexcode)
+    circ = circuits.synthesize_reconstruction(plan)
     assert circ.two_qudit_count() == 15
     assert circ.two_qudit_count() <= 2 * hexcode.k * len(AVAILABLE)
     counts = circ.counts()
@@ -186,9 +186,9 @@ def test_synthesis_refuses_a_plan_of_several_sets(hexcode, hexconv):
     plan = circuits.plan_sets(hexcode, hexconv, [(3, 4, 5, 6), (1, 2, 3, 4)])
     for several in (plan, circuits.plan_sets(hexcode, hexconv, [])):
         with pytest.raises(ValueError, match="one-set plan"):
-            circuits.synthesize_reconstruction(several, hexcode)
+            circuits.synthesize_reconstruction(several)
     one = circuits.plan_reconstruction(hexcode, hexconv, (1, 2, 3, 4))
-    assert circuits.synthesize_reconstruction(plan[1], hexcode) == circuits.synthesize_reconstruction(one, hexcode)
+    assert circuits.synthesize_reconstruction(plan[1]) == circuits.synthesize_reconstruction(one)
 
 
 # (p, n, k): with code seeds 0 and 1, 2,032 subsets, 120 of them sets whose
@@ -234,9 +234,7 @@ def test_synthesized_circuits_are_unitary(hexcode, hexconv):
     conv = pauli.make_convention(code)
     for circ in (
         circuits.synthesize_dealer(code, conv),
-        circuits.synthesize_reconstruction(
-            circuits.plan_reconstruction(code, conv, tuple(range(1, 4))), code
-        ),
+        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, tuple(range(1, 4)))),
     ):
         U = dense_circuit(circ)
         assert np.abs(U @ U.conj().T - np.eye(U.shape[0])).max() < 1e-10
@@ -250,7 +248,7 @@ def test_reconstruction_inverts_dealer_dense():
         conv = pauli.make_convention(code)
         dealer = dense_circuit(circuits.synthesize_dealer(code, conv))
         plan = circuits.plan_reconstruction(code, conv, tuple(range(1, n + 1)))
-        recon = circuits.synthesize_reconstruction(plan, code)
+        recon = circuits.synthesize_reconstruction(plan)
         tail = circuits.Circuit(
             p=p,
             num_qudits=n + k,
@@ -262,7 +260,7 @@ def test_reconstruction_inverts_dealer_dense():
 
 def test_emit_parse_round_trip(hexcode, hexconv):
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    circ = circuits.synthesize_reconstruction(plan, hexcode)
+    circ = circuits.synthesize_reconstruction(plan)
     text = circuits.emit_circuit(circ)
     parsed = circuits.parse_circuit(text)
     assert parsed == circ
@@ -475,7 +473,7 @@ from qsshare import circuits, pauli, symplectic
 code = symplectic.random_self_orthogonal_code(3, 5, 1, 0)
 conv = pauli.make_convention(code)
 for members in symplectic.all_qualified_sets(code):
-    circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+    circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
 assert "qsshare.sim" not in sys.modules
 from qsshare import *
 assert "qsshare.sim" not in sys.modules and "sim" in dir(qsshare) and "StateVector" not in dir(qsshare)

@@ -931,6 +931,56 @@ def test_a_full_spec_costs_one_elimination_to_load_and_one_to_plan(capsys, monke
     assert rc == 0 and (len(ranks), len(calls)) == (1, 1) and nullspaces == []
 
 
+@pytest.mark.parametrize("which", [(3, 5, 0, 1), (3, 10, 0, 0), (2, 6, 0, 3)])
+def test_a_k0_spec_of_stabilizer_rows_loads_in_one_pass_as_written(monkeypatch, tmp_path, which):
+    # with k = 0 the self-dual space is C and there is no logical row, so
+    # nothing is derived: the rank of the stabilizer rows shows them
+    # independent, and one Gram matrix shows them self-orthogonal
+    code = symplectic.random_self_orthogonal_code(*which)
+    path = _write_code(code, tmp_path / "k0.qss")
+    lines = (tmp_path / "k0.qss").read_text(encoding="utf-8").splitlines()
+    assert all(line.startswith(("p ", "n ", "k ", "stab ")) for line in lines)
+    ranks, calls = _counting(monkeypatch, linalg, "rank"), _counting(monkeypatch, linalg, "rref")
+    grams, nullspaces = _counting(monkeypatch, symplectic, "_gram"), _counting(monkeypatch, linalg, "nullspace")
+    loaded = specfile.load_code(path)
+    assert (len(ranks), len(calls), len(nullspaces), len(grams)) == (1, 0, 0, 1)
+    for part in ("stabilizer", "self_dual", "logical_x", "logical_z"):
+        assert np.array_equal(getattr(loaded, part), getattr(code, part)), part
+
+
+@pytest.mark.parametrize(
+    "keep, old, new, message",
+    [
+        # x2 := x1 + h1, in the coset of x1
+        ("logicalx", "logicalx 000000|100021", "logicalx 100202|121212",
+         "logical x rows are linearly dependent modulo the stabilizer space"),
+        # x2 := x2 + z1 does not commute with x1
+        ("logicalx", "logicalx 000000|100021", "logicalx 000100|222021",
+         "logical x representatives do not mutually commute"),
+        # x1 := z1, a row of Cm
+        ("selfdual logicalx", "logicalx 000000|101100", "logicalx 000100|122000",
+         "logical x rows are linearly dependent modulo the self-dual space"),
+        # z1 := h1, a row of C
+        ("selfdual logicalz", "logicalz 000100|122000", "logicalz 100202|020112",
+         "logical z rows are linearly dependent modulo the stabilizer space"),
+        # z1 := z1 + X1, and X1 does not commute with h3
+        ("logicalz", "logicalz 000100|122000", "logicalz 100100|122000", "logical z 1 outside the dual space"),
+    ],
+    ids=["dependent-x", "non-commuting-x", "x-inside-cm", "z-inside-c", "z-outside-dual"],
+)
+def test_a_bad_partial_listing_exits_2_naming_its_part(capsys, tmp_path, keep, old, new, message):
+    # the built-in document without the parts it does not keep: the given
+    # parts are checked before anything is derived from them, and a
+    # derivation that still fails names the logical rows it started from
+    keys = ("p", "n", "k", "stab", *keep.split())
+    lines = [line for line in SIX_SHARE_QUTRIT_DOCUMENT.splitlines() if line.split(" ")[0] in keys]
+    assert old in lines
+    path = tmp_path / "partial.qss"
+    path.write_text("\n".join(lines).replace(old, new) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("which", ["bundled", (2, 12, 2, 0), (3, 10, 2, 0), (5, 6, 2, 0)])
 def test_no_request_reduces_a_space_to_test_membership(capsys, monkeypatch, tmp_path, spec_path, which):
     # membership in dual(C) or in Cm, its own dual, is a symplectic product

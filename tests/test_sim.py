@@ -239,7 +239,7 @@ def test_fused_runs_match_per_gate_oracle(p, m, batch):
 
 def test_norm_preserved_through_long_circuit(hexcode, hexconv):
     plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    circ = circuits.synthesize_reconstruction(plan, hexcode)
+    circ = circuits.synthesize_reconstruction(plan)
     rng = np.random.default_rng(19)
     st = sim.StateVector(3, 8, sim.random_secret(3, 8, rng))
     for _ in range(4):  # ~100 gates total
@@ -454,7 +454,7 @@ def test_ancilla_first_layout_matches_partial_trace(hexcode, hexconv, p, n, k, s
     rng = np.random.default_rng(41)
     encoded = sim.encode_secret(code, conv, sim.random_secret(p, k, rng)).amps
     circs = [
-        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members), code)
+        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
         for members in symplectic.all_qualified_sets(code)
     ]
     assert len(circs) >= 4
@@ -580,8 +580,8 @@ def test_batched_verification_fails_every_secret_of_a_broken_circuit(
     code, conv, batch = _batch_case(hexcode, hexconv, p, n, k, seed)
     synthesize = circuits.synthesize_reconstruction
 
-    def off_by_one(plan, code):  # the first PPOW gate's exponent, plus one
-        circuit = synthesize(plan, code)
+    def off_by_one(plan):  # the first PPOW gate's exponent, plus one
+        circuit = synthesize(plan)
         gates = list(circuit.gates)
         i = next(i for i, gate in enumerate(gates) if gate.kind == "PPOW")
         gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
@@ -635,7 +635,7 @@ def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
 def test_entanglement_fidelity_fails_a_broken_circuit(monkeypatch, hexcode, hexconv, kind):
     synthesize = circuits.synthesize_reconstruction
     monkeypatch.setattr(
-        circuits, "synthesize_reconstruction", lambda plan, code: _off_by_one(synthesize(plan, code), kind)
+        circuits, "synthesize_reconstruction", lambda plan: _off_by_one(synthesize(plan), kind)
     )
     plans = _first_plans(hexcode, hexconv, count=4)
     for fidelity in sim.entanglement_fidelity(hexcode, hexconv, plans):

@@ -357,6 +357,18 @@ def test_a_defect_the_derivation_would_hide_is_named(rows, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("line, repeat", [("p 3", "p 2"), ("p 3", "p 3"), ("n 6", "n 7"), ("k 2", "k 1")])
+@pytest.mark.parametrize("first", [False, True])
+def test_a_repeated_header_directive_is_named_on_its_second_line(line, repeat, first):
+    # "p 2" before or after "p 3" once loaded as the last of them, or failed
+    # on a row digit; either way the second line is named
+    lines = BUNDLED_CODES[0].read_text(encoding="utf-8").splitlines()
+    at = lines.index(line) + (0 if first else 1)
+    lines.insert(at, repeat)
+    with pytest.raises(SpecParseError, match=rf"^line {at + 2 if first else at + 1}: repeated '{line[0]}' directive$"):
+        specfile.parse_code_document("\n".join(lines) + "\n")
+
+
 def test_a_spec_with_no_shares_is_rejected_at_its_n_line():
     with pytest.raises(SpecParseError, match=r"^line 2: 'n' must be at least 1$"):
         specfile.parse_code_document("p 3\nn 0\nk 0\n")
@@ -373,7 +385,8 @@ def test_one_share_rows_above_p_7_are_read_whitespace_separated():
 
 LOADER_DEFECTS = (
     None, "dependent-stabilizer", "non-commuting-stabilizers", "self-dual-rank-n-1", "z-outside-cm",
-    "x-outside-dual", "pairing", "diagonal-pairing", "non-commuting-logicals",
+    "x-outside-dual", "pairing", "diagonal-pairing", "non-commuting-logicals", "dependent-logicals",
+    "x-inside-cm", "z-inside-c",
 )
 
 
@@ -410,20 +423,32 @@ def _inject(defect, rng, p, stab, listed, extension, lx, lz):
         i, j = rng.choice(k, size=2, replace=False)
         rows, other = (lx, lz) if rng.integers(2) else (lz, lx)
         rows[i] = (rows[i] + rng.integers(1, p) * other[j]) % p
+    elif defect == "dependent-logicals":
+        # a combination of the part's other rows and the stabilizer rows
+        rows, i = (lx, lz)[rng.integers(2)], rng.integers(k)
+        rows[i] = (rng.integers(0, p, k - 1) @ np.delete(rows, i, axis=0) + rng.integers(0, p, d) @ stab) % p
+    elif defect == "x-inside-cm":
+        cm = np.vstack([stab, listed]) if extension else listed
+        lx[rng.integers(k)] = rng.integers(0, p, len(cm)) @ cm % p
+    elif defect == "z-inside-c":
+        lz[rng.integers(k)] = rng.integers(0, p, d) @ stab % p
 
 
 @settings(max_examples=300)
 @given(
     st.sampled_from(linalg.SUPPORTED_PRIMES), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16),
     st.booleans(), st.booleans(), st.sampled_from(LOADER_DEFECTS), st.integers(0, 2**32 - 1),
+    st.sets(st.sampled_from(("selfdual", "logicalx", "logicalz"))),
 )
 def test_loader_accepts_exactly_the_documents_an_independent_oracle_finds_sound(
-    p, n, k, seed, packed, extension, defect, rng_seed
+    p, n, k, seed, packed, extension, defect, rng_seed, omitted
 ):
-    # every part given, packed (p <= 7) or whitespace-separated, the self-dual
-    # rows listed in full or as the extension of the stabilizer rows, with at
-    # most one defect: the one-pass read and the one Gram matrix against row
-    # loop ranks and one symplectic product per pair
+    # the stabilizer rows and any subset of the other parts, packed (p <= 7)
+    # or whitespace-separated, the self-dual rows listed in full or as the
+    # extension of the stabilizer rows, with at most one defect: the one-pass
+    # read, the one check body and the derivations against row loop ranks
+    # and one symplectic product per pair. Every rejection is named by a
+    # ValidationError, never by the solver of a derivation.
     k, packed = min(k, n), packed and p <= 7
     code = symplectic.random_self_orthogonal_code(p, n, k, seed)
     stab, lx, lz = code.stabilizer.copy(), code.logical_x.copy(), code.logical_z.copy()
@@ -432,8 +457,9 @@ def test_loader_accepts_exactly_the_documents_an_independent_oracle_finds_sound(
     cm = np.vstack([stab, listed]) if extension else listed
     lines = [f"p {p}", f"n {n}", f"k {k}"]
     for key, rows in (("stab", stab), ("selfdual", listed), ("logicalx", lx), ("logicalz", lz)):
-        lines += [f"{key} {_written_row(row, n, packed)}" for row in rows]
-    found, diag = oracles.code_defect(p, stab, cm, lx, lz)
+        lines += [f"{key} {_written_row(row, n, packed)}" for row in rows] if key not in omitted else []
+    parts = {"selfdual": cm, "logicalx": lx, "logicalz": lz}
+    found, diag = oracles.code_defect(p, stab, *(None if key in omitted else rows for key, rows in parts.items()))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -444,8 +470,11 @@ def test_loader_accepts_exactly_the_documents_an_independent_oracle_finds_sound(
     if code is None:
         return
     inverse = np.array([pow(int(c), -1, p) for c in diag], dtype=np.int64)
-    assert np.array_equal(code.stabilizer, stab) and np.array_equal(code.self_dual, cm)
-    assert np.array_equal(code.logical_x, lx) and np.array_equal(code.logical_z, lz * inverse[:, None] % p)
+    parts["logicalz"] = lz * inverse[:, None] % p
+    assert np.array_equal(code.stabilizer, stab)
+    for (key, rows), part in zip(parts.items(), ("self_dual", "logical_x", "logical_z")):
+        assert key in omitted or np.array_equal(getattr(code, part), rows), part
+    symplectic.validate_code(code)
     shown = np.array2string(diag).replace("\n ", " ")
     rescaled = [f"logical pairing was diag({shown}); rescaled z rows to normalize it"] if (diag != 1).any() else []
     assert [str(w.message) for w in caught] == rescaled

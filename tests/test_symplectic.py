@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -333,17 +334,24 @@ def test_random_code_validates_across_seeds():
 
 
 def test_validate_rejects_bad_pairing(hexcode):
-    broken = symplectic.CodeSpec(
-        p=3,
-        n=6,
-        k=2,
-        stabilizer=hexcode.stabilizer,
-        self_dual=hexcode.self_dual,
-        logical_x=hexcode.logical_x,
-        logical_z=hexcode.logical_z[::-1].copy(),
-    )
-    with pytest.raises(ValidationError):
-        symplectic.validate_code(broken)
+    # swapped z rows, and z rows doubled to pair as diag(2, 2): only
+    # build_code rescales a diagonal pairing, validate_code rejects it
+    swapped, doubled = hexcode.logical_z[::-1].copy(), 2 * hexcode.logical_z % 3
+    for lz, pairing in ((swapped, [[0, 1], [1, 0]]), (doubled, [[2, 0], [0, 2]])):
+        broken = symplectic.CodeSpec(
+            p=3,
+            n=6,
+            k=2,
+            stabilizer=hexcode.stabilizer,
+            self_dual=hexcode.self_dual,
+            logical_x=hexcode.logical_x,
+            logical_z=lz,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                symplectic.validate_code(broken)
+        assert str(err.value) == f"logical pairing is not the identity matrix: {pairing}"
 
 
 def _corrupt_row(code, part, index):
@@ -801,6 +809,20 @@ def test_subset_rank_table_equals_one_rank_per_subset(p, n, k, seed):
         members = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
         columns = symplectic._coordinate_columns(members, n)
         assert table[subset] == linalg.rank(code.stabilizer[:, columns], p), (subset, members)
+
+
+@pytest.mark.parametrize("p, t", [(5, 2), (7, 3), (11, 4)])
+def test_threshold_codes_qualify_by_size_in_the_rank_table_and_the_split(p, t):
+    # the ((t, 2t-1)) polynomial scheme: a share set is qualified exactly
+    # when it holds at least t shares, a rule that reads no rank
+    code = oracles.polynomial_threshold_code(p, t)
+    n = code.n
+    members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # share j + 1 in bit j
+    by_size = members.sum(axis=1) >= t
+    assert np.array_equal(symplectic._qualified_mask(code), by_size)
+    logical = np.vstack([code.logical_x, code.logical_z])
+    *_, split = symplectic.split_on_missing_sets(code, logical, ~members)
+    assert np.array_equal(split, by_size)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
