@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import linalg, pauli, symplectic
-from .errors import CircuitParseError, NotCorrectableError
+from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
 from .specfile import parse_decimal
 
 GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
@@ -187,31 +186,33 @@ def plan_sets(code, convention, sets) -> ReconstructionPlan:
     erasing M = complement(J) is correctable the split exists. Conversely, an
     L in dual(C) supported on M is orthogonal to those representatives, which
     span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
-    `symplectic.erasure_correctable`'s criterion. One
-    symplectic.split_on_missing_sets splits the logical rows on every set at
-    once, with the coefficients symplectic.split_on_missing gives each.
+    `symplectic.erasure_correctable`'s criterion. Each set is split by one
+    elimination, symplectic.split_on_missing's solve, even with no share
+    missing.
     """
     n = code.n
-    available = [symplectic.share_set(members, n) for members in sets]
-    rows = np.zeros((len(available), n), dtype=bool)
-    held = np.fromiter(chain.from_iterable(available), dtype=np.intp)
-    rows[np.repeat(np.arange(len(available)), [len(a) for a in available]), held - 1] = True
-    return plan_rows(code, convention, rows)
-
-
-def plan_rows(code, convention, rows) -> ReconstructionPlan:
-    """plan_sets of the share sets given as (S, n) boolean membership rows,
-    share j in column j-1: the planning body, and a sweep's entry point, which
-    hands it symplectic.all_qualified_rows with no share tuple to validate.
-    The plan's `available` tuples are read back from the rows."""
+    available = tuple(symplectic.share_set(members, n) for members in sets)
     _check_k(code)
-    available = tuple(symplectic.members_of(rows))
     if not all(available):
         raise NotCorrectableError("empty share set cannot reconstruct")
-    *parts, split = symplectic.split_on_missing_sets(code, _targets(code), ~rows)
-    if not split.all():
-        raise NotCorrectableError(f"shares {available[int(np.argmin(split))]} are not a qualified set")
-    return _assemble(code, convention, available, *parts)
+    targets, stab = _targets(code), code.stabilizer
+    coeffs = np.zeros((len(available), len(targets), len(stab)), dtype=np.int64)
+    for s, members in enumerate(available):
+        cols = symplectic._coordinate_columns(symplectic.complement(members, n), n)
+        try:
+            coeffs[s] = linalg.solve_linear(stab[:, cols].T, targets[:, cols].T, code.p).T
+        except NoSolutionError:
+            raise NotCorrectableError(f"shares {members} are not a qualified set") from None
+    return _assemble(code, convention, available, coeffs)
+
+
+def plan_all_qualified(code, convention) -> ReconstructionPlan:
+    """plan_sets of every qualified set, in all_qualified_sets' order: a
+    verify sweep. One symplectic.qualified_splits pass finds the sets and
+    splits the logical rows on each."""
+    _check_k(code)
+    rows, coeffs = symplectic.qualified_splits(code, _targets(code))
+    return _assemble(code, convention, tuple(symplectic.members_of(rows)), coeffs)
 
 
 def _check_k(code) -> None:
@@ -226,10 +227,13 @@ def _targets(code) -> np.ndarray:
     return np.vstack([code.logical_x, code.logical_z])
 
 
-def _assemble(code, convention, available, stab_parts, local_parts, coeffs) -> ReconstructionPlan:
-    """The plan of the given sets from their splits of _targets, each part
-    with a leading sets axis."""
+def _assemble(code, convention, available, coeffs) -> ReconstructionPlan:
+    """The plan of the given sets from their split coefficients of _targets,
+    (S, 2k, n-k): each target t = s + r, with s = c G in the stabilizer
+    space and r supported on the set."""
     p, n, k = code.p, code.n, code.k
+    stab_parts = coeffs @ code.stabilizer % p
+    local_parts = (_targets(code) - stab_parts) % p
     ring = pauli.phase_order(p)
     # M(target) = w^phase M(local) M(stab), phase = -kappa (stab_a . local_b)
     # by pauli_mul's cross term: beta for the x rows, gamma for the z rows

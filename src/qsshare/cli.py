@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
             print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
-        plan = circuits.plan_rows(code, conv, symplectic.all_qualified_rows(code))
+        plan = circuits.plan_all_qualified(code, conv)
     secrets = certify.random_secrets(p, k, args.trials, np.random.default_rng(args.seed))
     failure = None
     for rep in certify.certify_reconstruction(code, conv, plan, secrets) if plan else ():

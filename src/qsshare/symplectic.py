@@ -152,11 +152,12 @@ def _check_parts(p: int, n: int, stab, cm, lx, lz, rescale: bool = False) -> tup
     One Gram matrix of the given rows holds every symplectic product. In
     order: the stabilizer rows are independent and self-orthogonal, Cm has
     rank n (Cm is the self-dual rows, or else the stabilizer and logical z
-    rows), rescale normalizes a logical pairing diag(c_1..c_k) with some
-    c_i != 1 by z_i / c_i, with a warning, and _validate runs. Returns
-    (reduced, cm, lz): the stabilizer's reduced basis (None when its rows
-    lead a Cm of rank n, which shows them independent), the rows of Cm (None
-    without self-dual and z rows) and the z rows as rescaled.
+    rows, and then a shortfall names the z rows), rescale normalizes a
+    logical pairing diag(c_1..c_k) with some c_i != 1 by z_i / c_i, with a
+    warning, and _validate runs. Returns (reduced, cm, lz): the stabilizer's
+    reduced basis (None when its rows lead a Cm of rank n, which shows them
+    independent), the rows of Cm (None without self-dual and z rows) and the
+    z rows as rescaled.
     """
     d, reduced = len(stab), None
     span = cm if cm is not None or lz is None else np.vstack([stab, lz])
@@ -168,8 +169,10 @@ def _check_parts(p: int, n: int, stab, cm, lx, lz, rescale: bool = False) -> tup
         reduced = reduced[:d]
     gram, s, c, x, z = _stacked_gram(stab, *(stab[:0] if part is None else part for part in (cm, lx, lz)), p)
     _check_self_orthogonal(gram[s, s])
-    if span_rank not in (None, n):
+    if span_rank not in (None, n) and cm is not None:
         raise ValidationError("self-dual space must have dimension n")
+    if span_rank not in (None, n):  # the stabilizer rows are independent
+        raise ValidationError("logical z rows are linearly dependent modulo the stabilizer space")
     pairing = gram[x, z]  # no rows unless both logical parts are given
     diag = pairing.diagonal().copy()  # not a view of the Gram rescaled below
     if rescale and (diag != 1).any() and diag.all() and not (pairing - np.diag(diag)).any():
@@ -465,79 +468,91 @@ def split_on_missing(code: CodeSpec, vecs, missing):
     return s, (vecs - s) % p, coeff
 
 
-def split_on_missing_sets(code: CodeSpec, vecs, missing):
-    """split_on_missing of one (q, 2n) stack of vectors for each of S share
-    sets at once; missing is an (S, n) boolean mask of each set's missing
-    shares.
+def _subset_lattice(code: CodeSpec, targets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ranks, split, bases) of the system split_on_missing solves, for every
+    share subset M of missing shares at once (share j is bit j-1 of M).
 
-    Returns (s, r, c, split): s and r are (S, q, 2n), c is (S, q, n-k), and
-    split (S,) is true where every vector splits (s, r and c are meaningless
-    where it is false). One linalg.solve_stacked solves, for every set, the
-    system split_on_missing solves, [stabilizer^T | vecs^T] on the set's
-    missing coordinates, padded with zero rows up to the widest set. A zero
-    row changes neither the rank nor the solvability, and the reduced form is
-    unique, so c is split_on_missing's coefficients.
+    Coordinate c (an a or b column of one share) has the row [G column c |
+    targets column c]: the d = n-k stabilizer entries, then one per (q, 2n)
+    target row (none without targets). M's system is the rows of M's
+    coordinates. The bases of the subsets holding share j are copies of those
+    of the subsets below 2^(j-1), with share j's two rows inserted. A basis
+    has d slots and is reduced echelon on the stabilizer part: slot b is empty
+    (zero) or holds a row that leads with 1 at b and is 0 at every other
+    filled slot's lead. So a row is reduced by one product with the basis;
+    if its stabilizer part is then nonzero it is scaled to lead with 1,
+    cleared from the other slots and filed in the slot of its lead.
+
+    ranks[M] counts M's filled slots, the rank of G on M's coordinates.
+    split[M] is false once a row's stabilizer part reduces to zero while its
+    target part does not: some target has no split on M. Where split[M]
+    holds, bases[M][:, d:] is the coefficient of each stabilizer row in each
+    target's split (q columns, zero on empty slots). The reduced form is
+    unique, so these are split_on_missing's coefficients.
+
+    Stored and eliminated in uint8: a cleared entry is below p + p(p-1) =
+    p^2 <= 169 before its reduction mod p. A row's product with a basis sums
+    in uint16, below p + d(p-1)^2 <= 13 + 15 * 144 under the enumeration
+    guard. numpy divides unsigned arrays by a constant far faster than it
+    takes their remainder, so x mod p is x - (x // p) p.
     """
     p, n, d = code.p, code.n, code.stabilizer.shape[0]
-    vecs = np.asarray(vecs, dtype=np.int64)
-    missing = np.asarray(missing, dtype=bool)
-    system = np.zeros((2 * n + 1, d + len(vecs)), dtype=np.int64)  # a row per coordinate, row 2n zero
-    system[: 2 * n, :d], system[: 2 * n, d:] = code.stabilizer.T, vecs.T
-    # each set's missing shares ascending, then 2n for the padding
-    shares = np.sort(np.where(missing, np.arange(n), 2 * n), axis=1)[:, : missing.sum(axis=1).max(initial=0)]
-    coeff, split = linalg.solve_stacked(system[np.hstack([shares, np.minimum(shares + n, 2 * n)])], d, p)
-    coeff = coeff.transpose(0, 2, 1)
-    s = coeff @ code.stabilizer % p
-    return s, (vecs - s) % p, coeff, split
+    if n > MAX_ENUMERATION_SHARES:
+        raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
+    rows = code.stabilizer if targets is None else np.vstack([code.stabilizer, targets])
+    coordinates = rows.T.astype(np.uint16)
+    negated = (p - coordinates[:, :d]) % p
+    inv = linalg._inverses(p).astype(np.uint8)
+    bases = np.zeros((1 << n, d, len(rows)), dtype=np.uint8)
+    split = np.ones(1 << n, dtype=bool)
+    for j in range(n):
+        work, ok = bases[: 1 << j].copy(), split[: 1 << j].copy()
+        for c in (j, j + n):
+            v = negated[c] @ work + coordinates[c]
+            v = (v - v // p * p).astype(np.uint8)
+            filed = v[:, :d].any(axis=1)
+            ok &= v[:, d:].any(axis=1) <= filed
+            new = np.flatnonzero(filed)
+            if not len(new):
+                continue
+            v, cleared, every = v[new], work[new], np.arange(len(new))
+            lead = (v[:, :d] != 0).argmax(axis=1)
+            v *= inv[v[every, lead]][:, None]
+            v -= v // p * p
+            cleared += (p - cleared[every, :, lead])[:, :, None] * v[:, None, :]
+            cleared -= cleared // p * p
+            cleared[every, lead] = v  # the empty slot, which clearing left zero
+            work[new] = cleared
+        bases[1 << j : 2 << j], split[1 << j : 2 << j] = work, ok
+    return np.count_nonzero(bases[:, range(d), range(d)], axis=1), split, bases
 
 
-def _subset_ranks(code: CodeSpec) -> np.ndarray:
-    """Table r with r[S] = rank over F_p of the stabilizer basis G on the a and
-    b columns of S, for every share subset S (share j is bit j-1 of S).
+def qualified_splits(code: CodeSpec, vecs) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty share set S on whose complement each of the (q, 2n)
+    vecs splits, as (S, n) boolean membership rows in all_qualified_sets'
+    order, and each set's split_on_missing coefficients, (S, q, n-k).
 
-    The bases of the subsets holding share j are copies of those of the
-    subsets below 2^(j-1), with share j's two columns of G inserted. A basis
-    is in echelon form: n-k slots, slot b empty or holding a vector that
-    leads with a 1 at b. An insert reduces the column against every filled
-    slot, n-k elimination steps over all bases at once, and files what is
-    left in the slot of its leading entry; r[S] counts S's filled slots.
-    Stored in int8, the bases computed in int16 (entries below p <= 13).
-
-    The inserted column is reduced mod p once, after its n-k steps: a
-    filled slot b leads with 1, so step b makes entry b exactly 0, and each
-    step multiplies the entries' bound by at most p, so they stay below
-    (p-1) p^(n-k) <= 12 * 13^15 < 2^63 under the enumeration guard.
+    For the 2k logical rows the sets are the qualified ones
+    (circuits.plan_sets says why): one _subset_lattice pass qualifies every
+    set and splits the rows on it. M = complement(S) is index 2^n - 1 - S, so
+    S's flag is the reversed split table.
     """
-    p, n, d = code.p, code.n, code.stabilizer.shape[0]
-    ranks = np.zeros(1 << n, dtype=np.int8)
-    columns = code.stabilizer.T.astype(np.int64)
-    inv = linalg._inverses(p)
-    bases = np.zeros((1 << max(n - 1, 0), d, d), dtype=np.int8)  # the last half is not kept
-    for j in range(n if d else 0):
-        work = bases[: 1 << j].astype(np.int16)
-        every = np.arange(1 << j)
-        for column in (columns[j], columns[j + n]):
-            v = np.repeat(column[None], 1 << j, axis=0)
-            for b in range(d):  # an empty slot is zero and leaves v alone
-                v[:, b:] -= v[:, b, None] * work[:, b, b:]
-            v %= p
-            # v is zero at every filled slot, so it leads at an empty one (or is zero)
-            lead = (v != 0).argmax(axis=1)
-            work[every, lead] += v * inv[v[every, lead]][:, None] % p
-        ranks[1 << j : 2 << j] = np.count_nonzero(work[:, range(d), range(d)], axis=1)
-        bases[1 << j : 2 << j] = work[: len(bases) - (1 << j)]
-    return ranks
+    n, d = code.n, code.stabilizer.shape[0]
+    _, split, bases = _subset_lattice(code, vecs)
+    qualified = split[::-1].copy()
+    qualified[0] = False
+    rows = _listed(qualified, n)
+    missing = ~rows @ (1 << np.arange(n))
+    return rows, bases[missing, :, d:].transpose(0, 2, 1).astype(np.int64)
 
 
 def _qualified_mask(code: CodeSpec) -> np.ndarray:
-    """True at each nonempty qualified S, indexed as in _subset_ranks: erasing
-    M = complement(S) is correctable when erasure_correctable's two ranks
-    agree, (n-k) - r[S] == 2|M| - r[M]. M is index 2^n - 1 - S, so r[M] is
-    the reversed table."""
+    """True at each nonempty qualified S, indexed as in _subset_lattice:
+    erasing M = complement(S) is correctable when erasure_correctable's two
+    ranks agree, (n-k) - r[S] == 2|M| - r[M]. M is index 2^n - 1 - S, so r[M]
+    is the reversed table."""
     n = code.n
-    if n > MAX_ENUMERATION_SHARES:
-        raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
-    ranks = _subset_ranks(code)
+    ranks = _subset_lattice(code)[0]
     missing = np.full(1 << n, n, dtype=np.int16)  # |M|
     for j in range(n):
         missing[1 << j : 2 << j] = missing[: 1 << j] - 1
@@ -567,8 +582,9 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
     first then lexicographic.
 
     Qualification comes from one rank table over every share subset
-    (_qualified_mask). A qualified set is minimal when no subset one share
-    smaller contains a qualified set; two subset-OR sweeps decide that.
+    (_qualified_mask, from _subset_lattice without targets). A qualified set
+    is minimal when no subset one share smaller contains a qualified set; two
+    subset-OR sweeps decide that.
     """
     qualified = _qualified_mask(code)
     covered = qualified.copy()  # contains a qualified set
@@ -589,12 +605,7 @@ def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
     dual(C) ∩ F^M ⊆ C (C ∩ F^M lies inside it, so equal dimensions mean
     equal spaces), and for M' ⊆ M, dual(C) ∩ F^M' ⊆ dual(C) ∩ F^M ⊆ C.
     """
-    return members_of(all_qualified_rows(code))
-
-
-def all_qualified_rows(code: CodeSpec) -> np.ndarray:
-    """all_qualified_sets as (S, n) boolean membership rows, in its order."""
-    return _listed(_qualified_mask(code), code.n)
+    return members_of(_listed(_qualified_mask(code), code.n))
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,10 @@ def section_correctable(code, missing) -> bool:
 
 
 def subset_ranks_reduced_per_slot(code) -> np.ndarray:
-    """symplectic._subset_ranks with every elimination step reduced mod p, so
-    no entry leaves [0, p^2) and int16 holds them all."""
+    """The rank of G on every subset's coordinates, as symplectic._subset_lattice
+    gives it, by an independent insertion: an echelon basis (not reduced)
+    whose inserted column is reduced slot by slot, every step mod p, so no
+    entry leaves [0, p^2) and int16 holds them all."""
     p, n, d = code.p, code.n, code.stabilizer.shape[0]
     ranks = np.zeros(1 << n, dtype=np.int8)
     columns = code.stabilizer.T.astype(np.int16)

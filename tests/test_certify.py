@@ -221,26 +221,29 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
 @pytest.mark.parametrize("which", ["bundled", *SMALL_CODES, (2, 12, 2, 0), (3, 10, 2, 0)])
 def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
     # the bundled code, SMALL_CODES and the two access-synth grid codes: the
-    # batched split, the shape pull-back and the support gate counts against
-    # split_on_missing, the gate-level pull-back and the emitted circuit;
-    # iterating the plan gives each set's plan_reconstruction
+    # sweep's lattice split, the shape pull-back and the support gate counts
+    # against split_on_missing, the gate-level pull-back and the emitted
+    # circuit; iterating the sweep's plan gives each set's plan_reconstruction
     code = _code(which)
     conv = pauli.make_convention(code)
     n, k = code.n, code.k
     sets = symplectic.all_qualified_sets(code)
     targets = np.vstack([code.logical_x, code.logical_z])
-    missing = np.ones((len(sets), n), dtype=bool)
-    for s, members in enumerate(sets):
-        missing[s, np.array(members) - 1] = False
-    *split, solved = symplectic.split_on_missing_sets(code, targets, missing)
-    batch = circuits.plan_sets(code, conv, sets)
+    rows, coeffs = symplectic.qualified_splits(code, targets)
+    batch = circuits.plan_all_qualified(code, conv)
     images = certify._shape_images(batch, circuits.reconstruction_steps(batch))
     reports = certify.certify_reconstruction(code, conv, batch, [])
     ones = list(batch)
-    assert solved.all() and len(batch) == len(ones) == len(reports) == len(sets)
+    assert symplectic.members_of(rows) == list(batch.available) == sets
+    assert len(batch) == len(ones) == len(reports) == len(coeffs) == len(sets)
+    listed = circuits.plan_sets(code, conv, sets)
+    assert (listed.p, listed.n, listed.k, listed.available) == (batch.p, batch.n, batch.k, batch.available)
+    for field in dataclasses.fields(batch)[4:]:  # the arrays
+        got, want = getattr(batch, field.name), getattr(listed, field.name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field.name
     for s, members in enumerate(sets):
-        expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))
-        assert all(np.array_equal(got[s], want) for got, want in zip(split, expected)), members
+        expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))[2]
+        assert coeffs.dtype == expected.dtype and np.array_equal(coeffs[s], expected), members
         plan = circuits.plan_reconstruction(code, conv, members)
         assert len(ones[s]) == len(plan) == 1
         for field in dataclasses.fields(plan):
@@ -257,29 +260,23 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
 
 @pytest.mark.parametrize("which", ["bundled", *SMALL_CODES, (2, 12, 2, 0), (3, 10, 2, 0)])
 def test_padded_split_equals_split_on_missing_on_sets_of_every_size(which):
-    # the codes above: one padded solve_stacked over every qualified set and
-    # drawn sets of every size, unqualified ones and the empty set among them,
-    # against one split_on_missing per set
+    # the codes above: the subset lattice's split of the logical rows on
+    # every set M of missing shares, every size, nothing missing and every
+    # share missing included, against one split_on_missing per set: its
+    # flag where the split fails and its coefficients where it exists
     code = _code(which)
-    n = code.n
+    n, d = code.n, code.stabilizer.shape[0]
     targets = np.vstack([code.logical_x, code.logical_z])
-    rng = np.random.default_rng(n)
-    drawn = rng.random((200, n)) < rng.random((200, 1))
-    rows = np.vstack([symplectic.all_qualified_rows(code), drawn, np.zeros((1, n), dtype=bool)])
-    rows = rows[rng.permutation(len(rows))]
-    *split, solved = symplectic.split_on_missing_sets(code, targets, ~rows)
-    for s, members in enumerate(symplectic.members_of(rows)):
+    _, split, bases = symplectic._subset_lattice(code, targets)
+    for subset in range(2**n):
+        missing = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
         try:
-            expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))
+            expected = symplectic.split_on_missing(code, targets, missing)[2]
         except NoSolutionError:
-            assert not solved[s], members
+            assert not split[subset], missing
             continue
-        assert solved[s] and all(np.array_equal(got[s], want) for got, want in zip(split, expected)), members
-    assert not solved.all()
-    # nothing missing, for one set and for several: no coordinate to solve on
-    for count in (1, 3):
-        s, r, c, solved = symplectic.split_on_missing_sets(code, targets, np.zeros((count, n), dtype=bool))
-        assert solved.all() and not s.any() and not c.any() and (r == targets).all()
+        assert split[subset] and np.array_equal(bases[subset, :, d:].T, expected), missing
+    assert split[0] and not split[-1]
 
 
 @pytest.mark.parametrize("p", linalg.SUPPORTED_PRIMES)

@@ -382,8 +382,8 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
 
 
 def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
-    calls = {"plan": 0, "batch": 0, "rows": 0, "encode": 0}
-    plan, batch, rows, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits.plan_rows, sim.encode_secret
+    calls = {"plan": 0, "batch": 0, "sweep": 0, "encode": 0}
+    plan, batch, sweep, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits.plan_all_qualified, sim.encode_secret
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -394,22 +394,22 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting("plan", plan))
     monkeypatch.setattr(circuits, "plan_sets", counting("batch", batch))
-    monkeypatch.setattr(circuits, "plan_rows", counting("rows", rows))
+    monkeypatch.setattr(circuits, "plan_all_qualified", counting("sweep", sweep))
     monkeypatch.setattr(sim, "encode_secret", counting("encode", encode))
-    # the sweep hands the qualified mask's rows to the planning body itself
+    # the sweep plans every qualified set in one call
     rc, out, _ = run(capsys, "verify", spec_path, "--trials", "3")
     assert rc == 0
     assert json.loads(out)["summary"]["qualified_sets"] == 22
-    assert calls == {"plan": 0, "batch": 0, "rows": 1, "encode": 0}  # the certificate encodes no secret
+    assert calls == {"plan": 0, "batch": 0, "sweep": 1, "encode": 0}  # the certificate encodes no secret
     # one set's plan is plan_sets of that set: one planning body per request
     rc, out, _ = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "3")
-    assert rc == 0 and calls == {"plan": 1, "batch": 1, "rows": 2, "encode": 0}
+    assert rc == 0 and calls == {"plan": 1, "batch": 1, "sweep": 1, "encode": 0}
     # the dense simulator, called on the same 22 sets' plan and 3 secrets
     calls.update(batch=0)
     plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode))
     rng = np.random.default_rng(0)
     sim.verify_reconstruction(hexcode, hexconv, plan, [sim.random_secret(3, 2, rng) for _ in range(3)])
-    assert calls == {"plan": 1, "batch": 1, "rows": 3, "encode": 3}
+    assert calls == {"plan": 1, "batch": 1, "sweep": 1, "encode": 3}
 
 
 def test_verify_runs_each_circuit_once_per_chunk_of_secrets(capsys, monkeypatch, spec_path):
@@ -876,18 +876,29 @@ def test_report_writer_refuses_what_a_report_never_holds(value):
 
 @pytest.mark.parametrize("which", ["bundled", (2, 10, 2, 0), (3, 7, 2, 1)])
 def test_a_full_sweep_is_one_elimination_and_no_json_encoding(capsys, monkeypatch, tmp_path, spec_path, which):
-    # every qualified set, whatever its number of missing shares, in one
-    # padded solve_stacked; the report written without json.dumps
+    # every qualified set, whatever its number of missing shares, found and
+    # split by one subset-lattice pass: the sweep's planning calls no rref
+    # and no rank; the report written without json.dumps
     if which == "bundled":
         path = spec_path
     else:
         path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "grid.qss")
-    solves = _counting(monkeypatch, linalg, "solve_stacked")
+    lattices = _counting(monkeypatch, symplectic, "_subset_lattice")
+    eliminations = [_counting(monkeypatch, linalg, name) for name in ("rref", "rank")]
+    sweep, planned = circuits.plan_all_qualified, []
+
+    def planning(*args):
+        before = sum(map(len, eliminations))
+        plan = sweep(*args)
+        planned.append(sum(map(len, eliminations)) - before)
+        return plan
+
+    monkeypatch.setattr(circuits, "plan_all_qualified", planning)
     dumps = _counting(monkeypatch, json, "dumps")
     rc, out, _ = run(capsys, "verify", path, "--trials", "2")
     monkeypatch.undo()
-    (shape,) = solves
-    assert rc == 0 and dumps == [] and json.loads(out)["summary"]["qualified_sets"] == shape[0] > 1
+    assert rc == 0 and dumps == [] and planned == [0] and len(lattices) == 1
+    assert json.loads(out)["summary"]["qualified_sets"] > 1
 
 
 def _counting(monkeypatch, module, name) -> list:

@@ -346,8 +346,9 @@ def test_a_malformed_part_is_named_before_anything_is_derived_from_it(rows, mess
         # X1X2 is outside span(Z1, Z2): named before any logical row is derived
         ("stab 11|00\nselfdual 00|10\nselfdual 00|01\n", "stabilizer row 1 outside the self-dual space"),
         ("stab 11|00\nselfdual 10|00\nselfdual 00|10\n", "self-dual rows are not mutually orthogonal"),
-        # z = X1X2 is the stabilizer row again, so [stab; z] has rank 1
-        ("stab 11|00\nlogicalz 11|00\n", "self-dual space must have dimension n"),
+        # z = X1X2 is the stabilizer row again, so [stab; z] has rank 1: the
+        # z rows are named, as with selfdual rows listed
+        ("stab 11|00\nlogicalz 11|00\n", "logical z rows are linearly dependent modulo the stabilizer space"),
     ],
     ids=["stabilizer-outside-self-dual", "self-dual-not-orthogonal", "z-inside-the-stabilizer"],
 )
