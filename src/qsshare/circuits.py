@@ -181,26 +181,20 @@ def plan_sets(code, convention, sets) -> ReconstructionPlan:
 
     Raises NotCorrectableError, naming the first, when a set is not qualified
     (this is the only signal; no partial plan is produced). Qualification is
-    read from the split itself: J is qualified exactly when every x_i and z_i
-    has a representative on J (Cleve-Gottesman-Lo, quant-ph/9901025). If
-    erasing M = complement(J) is correctable the split exists. Conversely, an
-    L in dual(C) supported on M is orthogonal to those representatives, which
-    span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
-    `symplectic.erasure_correctable`'s criterion. Each set is split by one
-    elimination, symplectic.split_on_missing's solve, even with no share
-    missing.
+    read from the split itself, the rule symplectic._qualified_mask states:
+    each set's logical rows are split by symplectic.split_on_missing, one
+    elimination for a set that misses a share and none for every share.
     """
     n = code.n
     available = tuple(symplectic.share_set(members, n) for members in sets)
     _check_k(code)
     if not all(available):
         raise NotCorrectableError("empty share set cannot reconstruct")
-    targets, stab = _targets(code), code.stabilizer
-    coeffs = np.zeros((len(available), len(targets), len(stab)), dtype=np.int64)
+    logical = symplectic.logical_rows(code)
+    coeffs = np.zeros((len(available), len(logical), code.stabilizer.shape[0]), dtype=np.int64)
     for s, members in enumerate(available):
-        cols = symplectic._coordinate_columns(symplectic.complement(members, n), n)
         try:
-            coeffs[s] = linalg.solve_linear(stab[:, cols].T, targets[:, cols].T, code.p).T
+            coeffs[s] = symplectic.split_on_missing(code, logical, symplectic.complement(members, n))[2]
         except NoSolutionError:
             raise NotCorrectableError(f"shares {members} are not a qualified set") from None
     return _assemble(code, convention, available, coeffs)
@@ -211,7 +205,7 @@ def plan_all_qualified(code, convention) -> ReconstructionPlan:
     verify sweep. One symplectic.qualified_splits pass finds the sets and
     splits the logical rows on each."""
     _check_k(code)
-    rows, coeffs = symplectic.qualified_splits(code, _targets(code))
+    rows, coeffs = symplectic.qualified_splits(code)
     return _assemble(code, convention, tuple(symplectic.members_of(rows)), coeffs)
 
 
@@ -220,20 +214,13 @@ def _check_k(code) -> None:
         raise ValueError("nothing to reconstruct for a k = 0 code")
 
 
-def _targets(code) -> np.ndarray:
-    """The rows a plan splits: rows 0..k-1 the logical x, rows k..2k-1 the
-    logical z. Their coefficients over the stabilizer rows, which the
-    calibrated generators carry, give every code-space eigenvalue at once."""
-    return np.vstack([code.logical_x, code.logical_z])
-
-
 def _assemble(code, convention, available, coeffs) -> ReconstructionPlan:
-    """The plan of the given sets from their split coefficients of _targets,
-    (S, 2k, n-k): each target t = s + r, with s = c G in the stabilizer
-    space and r supported on the set."""
+    """The plan of the given sets from the split coefficients of
+    symplectic.logical_rows, (S, 2k, n-k): each logical row t = s + r, with
+    s = c G in the stabilizer space and r supported on the set."""
     p, n, k = code.p, code.n, code.k
     stab_parts = coeffs @ code.stabilizer % p
-    local_parts = (_targets(code) - stab_parts) % p
+    local_parts = (symplectic.logical_rows(code) - stab_parts) % p
     ring = pauli.phase_order(p)
     # M(target) = w^phase M(local) M(stab), phase = -kappa (stab_a . local_b)
     # by pauli_mul's cross term: beta for the x rows, gamma for the z rows

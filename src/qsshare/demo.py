@@ -45,9 +45,9 @@ def _row(vec, n, p):
     return specfile.format_row(np.asarray(vec, dtype=np.int64), n, p)
 
 
-def run_demo(stream=None) -> str:
+def run_demo() -> str:
     """Walk the built-in code end to end and return the printed report."""
-    out = stream or io.StringIO()
+    out = io.StringIO()
     code = six_share_qutrit_code()
     p, n, k = code.p, code.n, code.k
     conv = pauli.make_convention(code)
@@ -108,4 +108,4 @@ def run_demo(stream=None) -> str:
     (report,) = certify.certify_reconstruction(code, conv, plan, secrets)
     fid, pur = min(report.fidelity), min(report.purity)
     print(f"verification: fidelity {fid:.9f}  purity {pur:.9f}", file=out)
-    return out.getvalue() if isinstance(out, io.StringIO) else ""
+    return out.getvalue()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpecParseError, ValidationError
-from .linalg import SUPPORTED_PRIMES
+from .linalg import check_prime
 from .symplectic import CodeSpec, _check_shapes, build_code
 
 
@@ -107,8 +107,11 @@ def parse_code_document(text: str) -> CodeSpec:
                 header[key] = parse_decimal(rest)
             except ValueError as exc:
                 raise SpecParseError(line_no, f"'{key}' needs an integer") from exc
-            if key == "p" and header[key] not in SUPPORTED_PRIMES:
-                raise SpecParseError(line_no, f"unsupported field size {header[key]}; expected a prime <= 13")
+            if key == "p":
+                try:
+                    check_prime(header[key])
+                except ValueError as exc:
+                    raise SpecParseError(line_no, str(exc)) from exc
             if key == "n" and header[key] < 1:
                 raise SpecParseError(line_no, "'n' must be at least 1")
         elif key in rows:

@@ -401,7 +401,8 @@ def erasure_correctable(code: CodeSpec, missing) -> bool:
     on M are those with c in the left kernel of G restricted to the columns
     outside M, so dim(C ∩ F^M) = dim C - rank(G outside M). A vector
     supported on M is orthogonal to C exactly when it is orthogonal to C's
-    restriction to M, so dim(dual(C) ∩ F^M) = 2|M| - rank(G on M).
+    restriction to M, so dim(dual(C) ∩ F^M) = 2|M| - rank(G on M). No
+    logical row is read: this checks the split rule (_qualified_mask).
     """
     outside = _coordinate_columns(complement(missing, code.n), code.n)
     inside = _coordinate_columns(missing, code.n)
@@ -437,10 +438,16 @@ def _localize(code: CodeSpec, vec: np.ndarray, available) -> tuple[np.ndarray, n
     all split exactly when the available shares are qualified."""
     available = share_set(available, code.n)
     try:
-        s, r, _ = split_on_missing(code, np.vstack([vec, code.logical_x, code.logical_z]), complement(available, code.n))
+        s, r, _ = split_on_missing(code, np.vstack([vec, logical_rows(code)]), complement(available, code.n))
     except NoSolutionError as exc:
         raise NotCorrectableError(f"shares {available} cannot reconstruct") from exc
     return s[0], r[0]
+
+
+def logical_rows(code: CodeSpec) -> np.ndarray:
+    """The 2k rows whose split qualifies a share set: rows 0..k-1 the
+    logical x, rows k..2k-1 the logical z."""
+    return np.vstack([code.logical_x, code.logical_z])
 
 
 def split_on_missing(code: CodeSpec, vecs, missing):
@@ -448,15 +455,14 @@ def split_on_missing(code: CodeSpec, vecs, missing):
     to vec on the missing shares, so r is supported on the others.
 
     vecs is one length-2n vector or a stack of them as rows; s and r have its
-    shape, and one elimination serves the whole stack. Returns (s, r, c),
-    where c holds the coefficients of s over the stabilizer rows
-    (s = c @ stabilizer, one row of c per row of vecs). Unchecked: the
-    caller has established that every vector lies in dual(C)
-    (localize_x/localize_z do). Raises NoSolutionError when some
-    vector has no such split; for a stack that spans dual(C) together with
-    C, such as the 2k logical rows, that happens exactly when the erasure of
-    `missing` is not correctable. Deterministic via the linear solver's
-    tie-break.
+    shape, and one elimination serves the whole stack (none when no share is
+    missing). Returns (s, r, c), where c holds the coefficients of s over
+    the stabilizer rows (s = c @ stabilizer, one row of c per row of vecs).
+    Unchecked: the caller has established that every vector lies in dual(C)
+    (localize_x/localize_z do). Raises NoSolutionError when some vector has
+    no such split; for a stack that spans dual(C) together with C, such as
+    the 2k logical rows, that happens exactly when the erasure of `missing`
+    is not correctable. Deterministic via the linear solver's tie-break.
     """
     p, n = code.p, code.n
     vecs = np.asarray(vecs, dtype=np.int64)
@@ -468,27 +474,29 @@ def split_on_missing(code: CodeSpec, vecs, missing):
     return s, (vecs - s) % p, coeff
 
 
-def _subset_lattice(code: CodeSpec, targets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ranks, split, bases) of the system split_on_missing solves, for every
-    share subset M of missing shares at once (share j is bit j-1 of M).
+def _subset_lattice(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ranks, split, bases) of the system split_on_missing solves for the
+    logical rows, for every share subset M of missing shares at once (share
+    j is bit j-1 of M).
 
     Coordinate c (an a or b column of one share) has the row [G column c |
-    targets column c]: the d = n-k stabilizer entries, then one per (q, 2n)
-    target row (none without targets). M's system is the rows of M's
-    coordinates. The bases of the subsets holding share j are copies of those
-    of the subsets below 2^(j-1), with share j's two rows inserted. A basis
-    has d slots and is reduced echelon on the stabilizer part: slot b is empty
-    (zero) or holds a row that leads with 1 at b and is 0 at every other
-    filled slot's lead. So a row is reduced by one product with the basis;
-    if its stabilizer part is then nonzero it is scaled to lead with 1,
-    cleared from the other slots and filed in the slot of its lead.
+    logical column c]: d = n-k stabilizer entries, then 2k logical ones.
+    M's system is the rows of M's coordinates. The bases of the subsets
+    holding share j are copies of those of the subsets below 2^(j-1), with
+    share j's two rows inserted. A basis has d slots and is reduced echelon
+    on the stabilizer part: slot b is empty (zero) or holds a row that leads
+    with 1 at b and is 0 at every other filled slot's lead. So a row is
+    reduced by one product with the basis; if its stabilizer part is then
+    nonzero it is scaled to lead with 1, cleared from the other slots and
+    filed in the slot of its lead.
 
     ranks[M] counts M's filled slots, the rank of G on M's coordinates.
     split[M] is false once a row's stabilizer part reduces to zero while its
-    target part does not: some target has no split on M. Where split[M]
+    logical part does not: some logical row has no split on M. Where split[M]
     holds, bases[M][:, d:] is the coefficient of each stabilizer row in each
-    target's split (q columns, zero on empty slots). The reduced form is
-    unique, so these are split_on_missing's coefficients.
+    logical row's split (2k columns, zero on empty slots): 2^n (n-k)(n+k)
+    bytes. The reduced form is unique, so these are split_on_missing's
+    coefficients.
 
     Stored and eliminated in uint8: a cleared entry is below p + p(p-1) =
     p^2 <= 169 before its reduction mod p. A row's product with a basis sums
@@ -499,7 +507,7 @@ def _subset_lattice(code: CodeSpec, targets=None) -> tuple[np.ndarray, np.ndarra
     p, n, d = code.p, code.n, code.stabilizer.shape[0]
     if n > MAX_ENUMERATION_SHARES:
         raise TooLargeError(f"enumeration supports at most {MAX_ENUMERATION_SHARES} shares")
-    rows = code.stabilizer if targets is None else np.vstack([code.stabilizer, targets])
+    rows = np.vstack([code.stabilizer, logical_rows(code)])
     coordinates = rows.T.astype(np.uint16)
     negated = (p - coordinates[:, :d]) % p
     inv = linalg._inverses(p).astype(np.uint8)
@@ -527,36 +535,32 @@ def _subset_lattice(code: CodeSpec, targets=None) -> tuple[np.ndarray, np.ndarra
     return np.count_nonzero(bases[:, range(d), range(d)], axis=1), split, bases
 
 
-def qualified_splits(code: CodeSpec, vecs) -> tuple[np.ndarray, np.ndarray]:
-    """Every nonempty share set S on whose complement each of the (q, 2n)
-    vecs splits, as (S, n) boolean membership rows in all_qualified_sets'
-    order, and each set's split_on_missing coefficients, (S, q, n-k).
-
-    For the 2k logical rows the sets are the qualified ones
-    (circuits.plan_sets says why): one _subset_lattice pass qualifies every
-    set and splits the rows on it. M = complement(S) is index 2^n - 1 - S, so
-    S's flag is the reversed split table.
+def qualified_splits(code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every qualified share set S, as (S, n) boolean membership rows in
+    all_qualified_sets' order, and the split_on_missing coefficients of the
+    logical rows on each, (S, 2k, n-k): one _subset_lattice pass qualifies
+    every set and splits the rows on it.
     """
     n, d = code.n, code.stabilizer.shape[0]
-    _, split, bases = _subset_lattice(code, vecs)
-    qualified = split[::-1].copy()
-    qualified[0] = False
-    rows = _listed(qualified, n)
+    _, split, bases = _subset_lattice(code)
+    rows = _listed(_qualified_mask(split), n)
     missing = ~rows @ (1 << np.arange(n))
     return rows, bases[missing, :, d:].transpose(0, 2, 1).astype(np.int64)
 
 
-def _qualified_mask(code: CodeSpec) -> np.ndarray:
-    """True at each nonempty qualified S, indexed as in _subset_lattice:
-    erasing M = complement(S) is correctable when erasure_correctable's two
-    ranks agree, (n-k) - r[S] == 2|M| - r[M]. M is index 2^n - 1 - S, so r[M]
-    is the reversed table."""
-    n = code.n
-    ranks = _subset_lattice(code)[0]
-    missing = np.full(1 << n, n, dtype=np.int16)  # |M|
-    for j in range(n):
-        missing[1 << j : 2 << j] = missing[: 1 << j] - 1
-    mask = code.stabilizer.shape[0] - ranks == 2 * missing - ranks[::-1]
+def _qualified_mask(split: np.ndarray) -> np.ndarray:
+    """True at each nonempty share set S, indexed as in _subset_lattice, on
+    whose complement M the logical rows split. M is index 2^n - 1 - S, so
+    S's flag is the reversed split table.
+
+    These are the qualified sets: J is qualified exactly when every x_i and
+    z_i has a representative on J (Cleve-Gottesman-Lo, quant-ph/9901025). If
+    erasing M = complement(J) is correctable the split exists. Conversely, an
+    L in dual(C) supported on M is orthogonal to those representatives, which
+    span dual(C) with C, so L lies in C: dual(C) ∩ F^M ⊆ C, which is
+    erasure_correctable's criterion.
+    """
+    mask = split[::-1].copy()
     mask[0] = False
     return mask
 
@@ -581,12 +585,12 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
     """Minimal qualified share sets of at most max_size shares, smallest
     first then lexicographic.
 
-    Qualification comes from one rank table over every share subset
-    (_qualified_mask, from _subset_lattice without targets). A qualified set
-    is minimal when no subset one share smaller contains a qualified set; two
-    subset-OR sweeps decide that.
+    Qualification is the split of the logical rows on each set's complement,
+    read for every share subset from one _subset_lattice pass
+    (_qualified_mask). A qualified set is minimal when no subset one share
+    smaller contains a qualified set; two subset-OR sweeps decide that.
     """
-    qualified = _qualified_mask(code)
+    qualified = _qualified_mask(_subset_lattice(code)[1])
     covered = qualified.copy()  # contains a qualified set
     shadowed = np.zeros_like(qualified)  # a subset one share smaller is covered
     for table in (covered, shadowed):
@@ -599,13 +603,12 @@ def qualified_sets(code: CodeSpec, max_size: int | None = None) -> list[tuple[in
 
 def all_qualified_sets(code: CodeSpec) -> list[tuple[int, ...]]:
     """Every qualified share set, smallest first then lexicographic, from the
-    same rank table as qualified_sets.
+    same lattice pass as qualified_sets.
 
-    This is the up-closure of qualified_sets: erasing M is correctable iff
-    dual(C) ∩ F^M ⊆ C (C ∩ F^M lies inside it, so equal dimensions mean
-    equal spaces), and for M' ⊆ M, dual(C) ∩ F^M' ⊆ dual(C) ∩ F^M ⊆ C.
+    This is the up-closure of qualified_sets: representatives of the logical
+    rows on J are representatives on every J' containing J.
     """
-    return members_of(_listed(_qualified_mask(code), code.n))
+    return members_of(_listed(_qualified_mask(_subset_lattice(code)[1]), code.n))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,22 @@ def subset_ranks_reduced_per_slot(code) -> np.ndarray:
     return ranks
 
 
+def qualified_by_ranks(code) -> np.ndarray:
+    """True at each nonempty share set S, indexed as in
+    symplectic._subset_lattice, whose complement M passes
+    symplectic.erasure_correctable's rank formula on the lattice's rank
+    table: (n-k) - r[S] == 2|M| - r[M], with M at index 2^n - 1 - S, so r[M]
+    is the reversed table. No logical row is read."""
+    n = code.n
+    ranks = symplectic._subset_lattice(code)[0]
+    missing = np.full(1 << n, n, dtype=np.int16)  # |M|
+    for j in range(n):
+        missing[1 << j : 2 << j] = missing[: 1 << j] - 1
+    mask = code.stabilizer.shape[0] - ranks == 2 * missing - ranks[::-1]
+    mask[0] = False
+    return mask
+
+
 def brute_force_qualified_sets(code) -> list[tuple[int, ...]]:
     """Every nonempty share set whose complement is correctable, by size then lexicographic."""
     n = code.n

@@ -229,7 +229,7 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
     n, k = code.n, code.k
     sets = symplectic.all_qualified_sets(code)
     targets = np.vstack([code.logical_x, code.logical_z])
-    rows, coeffs = symplectic.qualified_splits(code, targets)
+    rows, coeffs = symplectic.qualified_splits(code)
     batch = circuits.plan_all_qualified(code, conv)
     images = certify._shape_images(batch, circuits.reconstruction_steps(batch))
     reports = certify.certify_reconstruction(code, conv, batch, [])
@@ -267,7 +267,7 @@ def test_padded_split_equals_split_on_missing_on_sets_of_every_size(which):
     code = _code(which)
     n, d = code.n, code.stabilizer.shape[0]
     targets = np.vstack([code.logical_x, code.logical_z])
-    _, split, bases = symplectic._subset_lattice(code, targets)
+    _, split, bases = symplectic._subset_lattice(code)
     for subset in range(2**n):
         missing = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
         try:

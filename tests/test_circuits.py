@@ -420,7 +420,7 @@ def test_control_equal_target_rejected_by_gate():
 
 def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexconv):
     # a one-set plan's split is one elimination (one rref of the stacked
-    # system, which no longer goes through solve_linear), J = all shares included
+    # system) when the set misses a share, and none for J = every share
     plan, solve = circuits.plan_reconstruction, linalg.rref
     counts = {"plan": 0, "solve": 0}
     depth = []
@@ -442,7 +442,8 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
     sets = symplectic.all_qualified_sets(hexcode)
     plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
     monkeypatch.undo()
-    assert counts == {"plan": len(sets), "solve": len(sets)}
+    assert tuple(range(1, hexcode.n + 1)) in sets
+    assert counts == {"plan": len(sets), "solve": len(sets) - 1} == {"plan": 22, "solve": 21}
     # the stacked split equals one split per row
     for one in plans:
         missing = symplectic.complement(one.available[0], hexcode.n)

@@ -460,11 +460,16 @@ def test_qualified_sets_from_one_rank_table(monkeypatch):
     ]
 
 
-# sha256 of `analyze` stdout, recorded before the enumeration became one rank table
+# sha256 of `analyze` stdout: the first three recorded before the enumeration
+# became one rank table, the last three (a 15-share code, k = 0 and p = 13)
+# while qualification was still a rank formula, before it became the split
 ANALYZE_DIGESTS = {
     (2, 12, 2, 0): "6ce6492c6e5db3738402a0c36bdb7f89013e78e834ea4df8c3fc38a9204efbce",
     (3, 10, 2, 0): "b2c23a5d2f9a491e491f5dfc709e577746225ce47fe87cc4755fc8bd5d78cef5",
     "bundled": "c46ee0242f82664dedddc398a17bb5080795eb4c4a089b4830422b7ffdd26c0f",
+    (2, 15, 3, 2): "99a8f8682e91173b09423cf340c32cc673384bb180a3e20ef9005a96073db570",
+    (3, 8, 0, 1): "07e149e0a7a82ca2f31f2d7d731534deab6d4677e1710178ade5123d48e1c2c7",
+    (13, 6, 2, 0): "92bcf71c5d4a9991c21e8cb4ed288f9a78af942ddbb2d4976c5139e3e432628a",
 }
 
 
@@ -538,6 +543,16 @@ def test_analyze_of_a_non_integer_row_entry_exits_2(capsys, tmp_path):
     path.write_text("p 3\nn 2\nk 1\nstab 1x|00\n", encoding="utf-8")
     rc, _, err = run(capsys, "analyze", str(path))
     assert rc == 2 and err == "error: line 4: row entries must be integers\n"
+
+
+@pytest.mark.parametrize("p", [4, 17])
+def test_analyze_of_an_unsupported_field_size_exits_2(capsys, tmp_path, p):
+    # the spec parser states linalg.check_prime's rule and message, with the line
+    path = tmp_path / "code.qss"
+    path.write_text(f"p {p}\nn 2\nk 0\n", encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 1: unsupported field size {p}; expected a prime <= 13\n"
 
 
 def test_analyze_of_a_directory_exits_2(capsys, tmp_path):
@@ -899,6 +914,30 @@ def test_a_full_sweep_is_one_elimination_and_no_json_encoding(capsys, monkeypatc
     monkeypatch.undo()
     assert rc == 0 and dumps == [] and planned == [0] and len(lattices) == 1
     assert json.loads(out)["summary"]["qualified_sets"] > 1
+
+
+@pytest.mark.parametrize("which", ["bundled", (2, 10, 2, 0), (3, 8, 0, 1)])
+def test_analyze_is_one_lattice_pass_and_no_elimination_after_the_load(capsys, monkeypatch, tmp_path, spec_path, which):
+    # qualification is read from the split flag of one subset-lattice pass,
+    # k = 0 included: once the spec is loaded, no rank and no rref
+    if which == "bundled":
+        path = spec_path
+    else:
+        path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "grid.qss")
+    lattices = _counting(monkeypatch, symplectic, "_subset_lattice")
+    eliminations = [_counting(monkeypatch, linalg, name) for name in ("rref", "rank")]
+    load, loaded = cli._load, []
+
+    def loading(*args):
+        code = load(*args)
+        loaded.append(sum(map(len, eliminations)))
+        return code
+
+    monkeypatch.setattr(cli, "_load", loading)
+    rc, out, _ = run(capsys, "analyze", path)
+    monkeypatch.undo()
+    assert rc == 0 and len(lattices) == 1 and loaded == [sum(map(len, eliminations))]
+    assert "minimal qualified sets (" in out
 
 
 def _counting(monkeypatch, module, name) -> list:

@@ -803,7 +803,7 @@ def test_random_code_at_sixty_qutrits_validates():
 @given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**16))
 def test_subset_rank_table_equals_one_rank_per_subset(p, n, k, seed):
     # k = n included: G has no rows and every rank is 0; the lattice's
-    # ranks are those of G alone with or without target columns
+    # ranks are those of G alone, whatever its logical columns
     code = symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
     table = symplectic._subset_lattice(code)[0]
     assert table.shape == (2**n,)
@@ -811,27 +811,26 @@ def test_subset_rank_table_equals_one_rank_per_subset(p, n, k, seed):
         members = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
         columns = symplectic._coordinate_columns(members, n)
         assert table[subset] == linalg.rank(code.stabilizer[:, columns], p), (subset, members)
-    targets = np.vstack([code.logical_x, code.logical_z])
-    assert np.array_equal(symplectic._subset_lattice(code, targets)[0], table)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7, 13)), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**16))
 @example(3, 4, 4, 1)  # d = 0: no stabilizer row, only S = every share is qualified
-@example(5, 5, 0, 2)  # k = 0: no target, every nonempty set is qualified
+@example(5, 5, 0, 2)  # k = 0: no logical row, every nonempty set is qualified
 def test_subset_lattice_equals_the_rank_formula_the_sections_and_one_split_per_set(p, n, k, seed):
     # the lattice's split of the 2k logical rows, read as "S qualified" at
-    # M = complement(S), against _qualified_mask's rank formula and the
-    # brute-force sections; its ranks against the slot-by-slot oracle; its
+    # M = complement(S), against the rank formula (oracles.qualified_by_ranks)
+    # and the brute-force sections; its ranks against the slot-by-slot oracle; its
     # coefficients against one split_on_missing per set; and the sweep's
     # rows and coefficients read from it
     code = symplectic.random_self_orthogonal_code(p, n, min(k, n), seed)
     n, d = code.n, code.stabilizer.shape[0]
     targets = np.vstack([code.logical_x, code.logical_z])
-    ranks, split, bases = symplectic._subset_lattice(code, targets)
+    ranks, split, bases = symplectic._subset_lattice(code)
     assert np.array_equal(ranks, oracles.subset_ranks_reduced_per_slot(code))
-    qualified = split[::-1] & (np.arange(2**n) > 0)
-    assert np.array_equal(qualified, symplectic._qualified_mask(code))
+    qualified = symplectic._qualified_mask(split)
+    assert np.array_equal(qualified, split[::-1] & (np.arange(2**n) > 0))
+    assert np.array_equal(qualified, oracles.qualified_by_ranks(code))
     members = [tuple(j for j in range(1, n + 1) if subset >> (j - 1) & 1) for subset in range(2**n)]
     by_size = sorted((m for subset, m in enumerate(members) if qualified[subset]), key=lambda m: (len(m), m))
     assert by_size == oracles.brute_force_qualified_sets(code)
@@ -842,7 +841,7 @@ def test_subset_lattice_equals_the_rank_formula_the_sections_and_one_split_per_s
             assert not split[subset], missing
             continue
         assert split[subset] and np.array_equal(bases[subset, :, d:].T, expected), missing
-    rows, coeffs = symplectic.qualified_splits(code, targets)
+    rows, coeffs = symplectic.qualified_splits(code)
     assert symplectic.members_of(rows) == by_size and coeffs.shape == (len(by_size), 2 * code.k, d)
     for available, c in zip(by_size, coeffs):
         assert np.array_equal(c, symplectic.split_on_missing(code, targets, symplectic.complement(available, n))[2])
@@ -858,11 +857,11 @@ def test_threshold_codes_qualify_by_size_in_the_rank_table_and_the_split(p, t):
     n = code.n
     members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # share j + 1 in bit j
     by_size = members.sum(axis=1) >= t
-    assert np.array_equal(symplectic._qualified_mask(code), by_size)
-    logical = np.vstack([code.logical_x, code.logical_z])
-    _, split, _ = symplectic._subset_lattice(code, logical)
+    assert np.array_equal(oracles.qualified_by_ranks(code), by_size)
+    _, split, _ = symplectic._subset_lattice(code)
     assert np.array_equal(split[::-1], by_size)
-    rows, _ = symplectic.qualified_splits(code, logical)
+    assert np.array_equal(symplectic._qualified_mask(split), by_size)
+    rows, _ = symplectic.qualified_splits(code)
     expected = [m for size in range(t, n + 1) for m in combinations(range(1, n + 1), size)]
     assert symplectic.members_of(rows) == expected
 
@@ -872,12 +871,13 @@ def test_subset_rank_table_at_the_largest_accumulator(seed):
     # p = 13 and n - k = 15 (k = 0) at the enumeration guard: a row's product
     # with a basis sums 15 terms of up to 12^2 in uint16, and a cleared entry
     # reaches 168 in uint8 before its reduction mod p, so the whole table is
-    # held to the oracle's
+    # held to the oracle's, and the qualified mask to the rank formula's
     n = symplectic.MAX_ENUMERATION_SHARES
     code = symplectic.random_self_orthogonal_code(13, n, 0, seed)
-    table = symplectic._subset_lattice(code)[0]
+    table, split, _ = symplectic._subset_lattice(code)
     assert np.array_equal(table, oracles.subset_ranks_reduced_per_slot(code))
-    qualified = symplectic._qualified_mask(code)
+    qualified = symplectic._qualified_mask(split)
+    assert np.array_equal(qualified, oracles.qualified_by_ranks(code))
     subsets = np.random.default_rng(13).integers(0, 2**n, size=150).tolist() + [0, 1, 2**n - 2, 2**n - 1]
     for subset in subsets:
         members = [j for j in range(1, n + 1) if subset >> (j - 1) & 1]
