@@ -39,6 +39,7 @@ __version__ = "0.1.0"
 # name -> the module it is read from on first access
 _LAZY_NAMES = {
     "ReconstructionReport": "certify",
+    "certify_plan": "certify",
     "certify_reconstruction": "certify",
     "entanglement_fidelity": "certify",
 }
@@ -53,6 +54,7 @@ __all__ = [
     "ReconstructionPlan",
     "ReconstructionReport",
     "build_code",
+    "certify_plan",
     "certify_reconstruction",
     "controlled_pauli_decompose",
     "emit_circuit",

@@ -24,12 +24,13 @@ in one update of all rows (_pull_run), with kappa = 2 at p = 2 and 1 otherwise:
 The [p = 2] term is N^2 = -I, met when the control value wraps.
 
 Every circuit circuits.synthesize_reconstruction emits is the expansion of
-circuits.reconstruction_steps, so certify_reconstruction takes all of a
-plan's sets at once: _shape_images walks those steps for a whole
+circuits.reconstruction_steps, so certify_plan takes all of a plan's sets
+at once: _shape_images walks those steps for a whole
 circuits.ReconstructionPlan, the rows carrying its leading sets axis, each
 site rule and run rule one array update for every set, with per-set
 patterns and exponents. One compression (below) then reads all of the
-S * 2k images, and only a failing set goes on to its transfer. pull_back
+S * 2k images into one pass mask, and only a failing set goes on to its
+transfer (set_transfer_report). pull_back
 groups any gate sequence into steps of the same walk; the tests hold it to
 a per-gate oracle and the plan's walk to it.
 
@@ -56,9 +57,10 @@ sigma = Phi(|psi><psi|) has tr(P^dag sigma) = conj(w^f chi(P')), so
     fidelity = p^-k sum_P tr(P^dag sigma) chi(P),    purity = p^-k sum_P |tr(P^dag sigma)|^2,
     F_e = p^(-3k) sum_P tr(P^dag Phi(P)) = p^(-2k) sum_{P' = P} w^-f.
 
-On a pass every fidelity and purity is exactly 1.0. The size guard
-QSS_MAX_AMPLITUDES (default 2^24) bounds p^(2k), the entries of one operator
-on the secret space.
+On a pass every fidelity and purity is exactly 1.0 whatever the secret, so
+certify_plan reads no secret, and a secret is read only to report a
+failing set. The size guard QSS_MAX_AMPLITUDES (default 2^24) bounds
+p^(2k), the entries of one operator on the secret space.
 """
 
 from __future__ import annotations
@@ -327,58 +329,91 @@ def _characteristic(secret: np.ndarray, p: int, k: int) -> np.ndarray:
 # the certificate
 
 
-def certify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
+@dataclass(frozen=True)
+class PlanCertificate:
+    """certify_plan's verdict on the circuits of a plan's S sets: passes[s]
+    is true where set s's circuit returns every secret exactly, and
+    two_qudit_gates[s] and single_qudit_gates are its gate counts. code,
+    frame and images (the generator images with their leading sets axis) are
+    what set_transfer_report reads of a failing set."""
+
+    passes: np.ndarray
+    two_qudit_gates: list[int]
+    single_qudit_gates: int
+    code: symplectic.CodeSpec
+    frame: _Frame
+    images: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def certify_plan(code, convention, plan) -> PlanCertificate:
     """Certify the circuit of each of the plan's sets from its Clifford
-    action, and report each secret's ancilla fidelity and purity and the
-    circuit's entanglement fidelity.
+    action, reading no secret.
 
     plan is a circuits.ReconstructionPlan of any number of sets. The 2k
     ancilla generators are pulled back through every set's
     circuits.synthesize_reconstruction circuit at once (_shape_images) and
-    compressed in one _compress. A circuit that passes returns every secret
-    exactly, so each of its fidelities and purities and its entanglement
-    fidelity is 1.0; a failing one is reported from its Pauli transfer. The
-    gate counts are read from the same steps: one two-qudit gate per share in
-    the support of each controlled pattern, and one single-qudit gate per
-    other step. Returns one report per set, in order.
+    compressed in one _compress. The gate counts are read from the same
+    steps: one two-qudit gate per share in the support of each controlled
+    pattern, and one single-qudit gate per other step.
     """
-    p, n, k = code.p, code.n, code.k
-    _guard(p, k)
+    n = code.n
+    _guard(code.p, code.k)
     frame = _frame(code, convention)
-    rows = [np.asarray(secret, dtype=np.complex128).reshape(p**k) for secret in secrets]
-    ring = pauli.phase_order(p)
     steps = circuits.reconstruction_steps(plan)
     images = _shape_images(plan, steps)
-    passes = _passes(code, frame, images)
     runs = np.stack([param for kind, _, param in steps if kind in circuits.TWO_QUDIT_KINDS], axis=1)
     two_qudit = ((runs[..., :n] != 0) | (runs[..., n:] != 0)).sum(axis=(1, 2)).tolist()
+    return PlanCertificate(
+        _passes(code, frame, images), two_qudit, len(steps) - runs.shape[1], code, frame, images
+    )
+
+
+def set_transfer_report(certificate: PlanCertificate, s: int, secrets) -> tuple[tuple, tuple, float]:
+    """Set s's report from its one Pauli transfer, for a set that
+    certify_plan fails: (fidelity, purity, F_e), one ancilla fidelity and one
+    purity per secret, each a unit vector of p^k amplitudes, and the
+    entanglement fidelity over the whole secret space."""
+    code = certificate.code
+    p, k = code.p, code.k
+    ring = pauli.phase_order(p)
+    valid, f, target = _transfer(code, certificate.frame, tuple(part[s] for part in certificate.images))
+    kept = valid & (target == np.arange(p ** (2 * k)))
+    counts = np.bincount(-f[kept] % ring, minlength=ring)
+    if p > 2:  # the p-th roots of unity sum to 0, so a balanced count gives exactly 0
+        counts -= counts.min()
+    whole = float(pauli.phase_table(p).real @ counts) / p ** (2 * k)
+    phase = np.where(valid, pauli.phase_table(p)[f], 0)
+    fidelity, purity = [], []
+    for secret in secrets:
+        chi = _characteristic(np.asarray(secret, dtype=np.complex128).reshape(p**k), p, k)
+        traces = phase * chi[target]  # conj(tr(P^dag sigma)) for every P
+        fidelity.append(float(np.vdot(traces, chi).real) / p**k)
+        purity.append(float(np.vdot(traces, traces).real) / p**k)
+    return tuple(fidelity), tuple(purity), whole
+
+
+def certify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
+    """Each of the plan's sets' report: each secret's ancilla fidelity and
+    purity and the circuit's entanglement fidelity. A set that certify_plan
+    passes returns every secret exactly, so each of its values is 1.0; a
+    failing one is reported by set_transfer_report. Returns one report per
+    set, in order."""
+    secrets = list(secrets)
+    certificate = certify_plan(code, convention, plan)
     reports = []
     for s, available in enumerate(plan.available):
-        if passes[s]:
-            fidelity = purity = (1.0,) * len(rows)
+        if certificate.passes[s]:
+            fidelity = purity = (1.0,) * len(secrets)
             whole = 1.0
         else:
-            valid, f, target = _transfer(code, frame, tuple(part[s] for part in images))
-            kept = valid & (target == np.arange(p ** (2 * k)))
-            counts = np.bincount(-f[kept] % ring, minlength=ring)
-            if p > 2:  # the p-th roots of unity sum to 0, so a balanced count gives exactly 0
-                counts -= counts.min()
-            whole = float(pauli.phase_table(p).real @ counts) / p ** (2 * k)
-            phase = np.where(valid, pauli.phase_table(p)[f], 0)
-            fidelity, purity = [], []
-            for secret in rows:
-                chi = _characteristic(secret, p, k)
-                traces = phase * chi[target]  # conj(tr(P^dag sigma)) for every P
-                fidelity.append(float(np.vdot(traces, chi).real) / p**k)
-                purity.append(float(np.vdot(traces, traces).real) / p**k)
-            fidelity, purity = tuple(fidelity), tuple(purity)
+            fidelity, purity, whole = set_transfer_report(certificate, s, secrets)
         reports.append(
             ReconstructionReport(
                 available=available,
                 fidelity=fidelity,
                 purity=purity,
-                two_qudit_gates=two_qudit[s],
-                single_qudit_gates=len(steps) - runs.shape[1],
+                two_qudit_gates=certificate.two_qudit_gates[s],
+                single_qudit_gates=certificate.single_qudit_gates,
                 entanglement_fidelity=whole,
             )
         )

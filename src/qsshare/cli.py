@@ -48,6 +48,16 @@ def _parse_share_list(text: str, n: int):
     return members
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII decimal digits after an optional '-', the
+    rule of --set and the spec headers. int() would also take a '+', spaces,
+    underscores and non-ASCII digits."""
+    try:
+        return -specfile.parse_decimal(text[1:]) if text.startswith("-") else specfile.parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _format_set(members) -> str:
     return "{" + ",".join(str(i) for i in members) + "}"
 
@@ -142,26 +152,35 @@ def cmd_verify(args) -> int:
             return EXIT_NOT_CORRECTABLE
     else:
         plan = circuits.plan_all_qualified(code, conv)
-    secrets = certify.random_secrets(p, k, args.trials, np.random.default_rng(args.seed))
-    failure = None
-    for rep in certify.certify_reconstruction(code, conv, plan, secrets) if plan else ():
-        devs = [abs(1.0 - value) for value in rep.purity]
-        for trial, (fid, dev) in enumerate(zip(rep.fidelity, devs)):
-            if failure is None and fid < 1.0 - FIDELITY_SLACK:
-                failure = (rep, trial, f"fidelity {fid:.12g}")
-            elif failure is None and dev > FIDELITY_SLACK:
-                failure = (rep, trial, f"purity deviation {dev:.3g}")
-        report["rows"].append(
-            {
-                "J": list(rep.available),
-                "min_fidelity": round(min(rep.fidelity), 12),
-                "max_purity_deviation": round(max(devs), 12),
-                "two_qudit_gates": rep.two_qudit_gates,
-                "single_qudit_gates": rep.single_qudit_gates,
-            }
-        )
+    rows, failure = report["rows"], None
+    if plan:
+        certificate = certify.certify_plan(code, conv, plan)
+        secrets = None  # drawn at the first failing set: a passing row reads no secret
+        for s, (available, passes, two_qudit) in enumerate(
+            zip(plan.available, certificate.passes.tolist(), certificate.two_qudit_gates)
+        ):
+            low, high = 1.0, 0.0
+            if not passes:
+                if secrets is None:
+                    secrets = certify.random_secrets(p, k, args.trials, np.random.default_rng(args.seed))
+                fidelity, purity, whole = certify.set_transfer_report(certificate, s, secrets)
+                devs = [abs(1.0 - value) for value in purity]
+                for trial, (fid, dev) in enumerate(zip(fidelity, devs)):
+                    if failure is None and fid < 1.0 - FIDELITY_SLACK:
+                        failure = (available, whole, trial, f"fidelity {fid:.12g}")
+                    elif failure is None and dev > FIDELITY_SLACK:
+                        failure = (available, whole, trial, f"purity deviation {dev:.3g}")
+                low, high = round(min(fidelity), 12), round(max(devs), 12)
+            rows.append(
+                {
+                    "J": list(available),
+                    "min_fidelity": low,
+                    "max_purity_deviation": high,
+                    "two_qudit_gates": two_qudit,
+                    "single_qudit_gates": certificate.single_qudit_gates,
+                }
+            )
     # round() is monotone: the extremes of the rounded rows are the rounded extremes
-    rows = report["rows"]
     report["summary"] = {
         "qualified_sets": len(plan),
         "min_fidelity": min([1.0] + [row["min_fidelity"] for row in rows]),
@@ -169,10 +188,10 @@ def cmd_verify(args) -> int:
     }
     print(_json_text(report))
     if failure is not None:
-        rep, trial, check = failure
+        available, whole, trial, check = failure
         print(
-            f"verification failed for J={_format_set(rep.available)}"
-            f" (entanglement fidelity {rep.entanglement_fidelity:.12g}) at trial {trial}"
+            f"verification failed for J={_format_set(available)}"
+            f" (entanglement fidelity {whole:.12g}) at trial {trial}"
             f" (seed {args.seed}): {check}",
             file=sys.stderr,
         )
@@ -231,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="report code dimensions and qualified sets")
     p_analyze.add_argument("spec", help="code specification file")
-    p_analyze.add_argument("--max-size", type=int, default=None, help="largest set size to enumerate")
+    p_analyze.add_argument("--max-size", type=_integer, default=None, help="largest set size to enumerate")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_synth = sub.add_parser("synthesize", help="write a reconstruction circuit file")
@@ -242,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify reconstruction over qualified sets")
     p_verify.add_argument("spec")
-    p_verify.add_argument("--trials", type=int, default=5, help="random secrets per set")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_integer, default=5, help="random secrets a failing set is reported on")
+    p_verify.add_argument("--seed", type=_integer, default=0)
     p_verify.add_argument("--set", default=None, help="restrict to one share set")
     p_verify.set_defaults(func=cmd_verify)
 

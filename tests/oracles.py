@@ -342,21 +342,22 @@ def code_defect(p: int, stab, cm, lx, lz) -> tuple[str | None, np.ndarray]:
     return next((name for name, failed in checks if failed), None), diag
 
 
-def mutated_assemble(kind, assemble=circuits._assemble):
+def mutated_assemble(kind, assemble=circuits._assemble, sets=slice(None)):
     """circuits._assemble, which every plan comes from, of one set or many,
     with the first step-3 exponent (the circuit's first PPOW gate), or the b
-    of y_1's first support entry (its first CPAULIINV gate), one too large."""
+    of y_1's first support entry (its first CPAULIINV gate), one too large in
+    the plan's sets selected by `sets` (every set by default)."""
 
     def broken(code, *args):
         batch = assemble(code, *args)
-        n, every = code.n, np.arange(len(batch))
+        n, chosen = code.n, np.arange(len(batch))[sets]
         if kind == "PPOW":
             step3 = batch.step3_exponents.copy()
-            step3[:, 0] = (step3[:, 0] + 1) % pauli.phase_order(code.p)
+            step3[chosen, 0] = (step3[chosen, 0] + 1) % pauli.phase_order(code.p)
             return dataclasses.replace(batch, step3_exponents=step3)
         y = batch.y.copy()
-        first = ((y[:, 0, :n] != 0) | (y[:, 0, n:] != 0)).argmax(axis=1)
-        y[every, 0, n + first] = (y[every, 0, n + first] + 1) % code.p
+        first = ((y[chosen, 0, :n] != 0) | (y[chosen, 0, n:] != 0)).argmax(axis=1)
+        y[chosen, 0, n + first] = (y[chosen, 0, n + first] + 1) % code.p
         return dataclasses.replace(batch, y=y)
 
     return broken

@@ -627,12 +627,20 @@ def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch
 
 def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path, hexcode, hexconv):
     certificate = certify.certify_reconstruction
+    certify_plan, set_transfer_report = certify.certify_plan, certify.set_transfer_report
 
-    def mixed(*args):
-        return [dataclasses.replace(rep, purity=(1.0, 0.97)) for rep in certificate(*args)]
+    def failing(*args):  # the set fails in the certificate
+        whole = certify_plan(*args)
+        return dataclasses.replace(whole, passes=np.zeros_like(whole.passes))
 
-    monkeypatch.setattr(certify, "certify_reconstruction", mixed)
+    def mixed(*args):  # and its report names a mixed second secret
+        fidelity, _, entanglement = set_transfer_report(*args)
+        return fidelity, (1.0, 0.97), entanglement
+
+    monkeypatch.setattr(certify, "certify_plan", failing)
+    monkeypatch.setattr(certify, "set_transfer_report", mixed)
     rc, _, err = run(capsys, "verify", spec_path, "--set", "3,4,5,6", "--trials", "2", "--seed", "9")
+    monkeypatch.undo()
     assert rc == 4
     assert err.strip().endswith("at trial 1 (seed 9): purity deviation 0.03")
     # unbroken, the request's two secrets are pure on the dense simulator too
@@ -641,6 +649,56 @@ def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_
     plan = circuits.plan_reconstruction(hexcode, hexconv, (3, 4, 5, 6))
     ((dense,), (exact,)) = sim.verify_reconstruction(hexcode, hexconv, plan, secrets), certificate(hexcode, hexconv, plan, secrets)
     assert exact.purity == (1.0, 1.0) and max(abs(1 - value) for value in dense.purity) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["bundled", "bundled-set", "k0"])
+def test_a_passing_verify_draws_no_secret_and_builds_no_report(capsys, monkeypatch, tmp_path, spec_path, which):
+    # a passing set returns every secret exactly: its row is written from the
+    # certificate's arrays, with no secret drawn and no per-set report built
+    path, extra = spec_path, ()
+    if which == "bundled-set":
+        extra = ("--set", "3,4,5,6")
+    elif which == "k0":
+        path = _write_code(symplectic.random_self_orthogonal_code(3, 5, 0, 1), tmp_path / "k0.qss")
+    draws = _counting(monkeypatch, certify, "random_secrets")
+    reports = []
+    monkeypatch.setattr(certify, "ReconstructionReport", lambda **fields: reports.append(fields))
+    transfers = _counting(monkeypatch, certify, "_transfer")
+    rc, out, err = run(capsys, "verify", path, "--trials", "3", "--seed", "2", *extra)
+    assert (rc, err) == (0, "") and json.loads(out)["summary"]["min_fidelity"] == 1.0
+    assert (draws, reports, transfers) == ([], [], [])
+
+
+@pytest.mark.parametrize("kind, every", [("PPOW", (0, 1)), ("CPAULIINV", (1, 2)), ("PPOW", (21, 1))])
+def test_a_failing_sweep_draws_its_secrets_once(capsys, monkeypatch, spec_path, kind, every):
+    # every set, every other one, or only the last set fails: one draw at the
+    # first failure, and one transfer per failing set
+    monkeypatch.setattr(circuits, "_assemble", oracles.mutated_assemble(kind, sets=slice(every[0], None, every[1])))
+    draws = _counting(monkeypatch, certify, "random_secrets")
+    transfers = _counting(monkeypatch, certify, "_transfer")
+    rc, out, _ = run(capsys, "verify", spec_path, "--trials", "2", "--seed", "9")
+    failing = [row["J"] for row in json.loads(out)["rows"] if row["min_fidelity"] < 1]
+    assert rc == 4 and len(failing) == len(range(22)[every[0] :: every[1]]) == len(transfers)
+    assert draws == [()]
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed", "--max-size"])
+@pytest.mark.parametrize("text", ["1_0", "+5", " 5", "5 ", "\u0663", "\uff15", "0x5", "5.0", "-", "--5", ""])
+def test_integer_options_take_ascii_decimal_digits_only(capsys, spec_path, option, text):
+    # the rule of --set and the spec headers: int() would read 10, 5, 5, 5, 3
+    # and 5 from the first six
+    command = "analyze" if option == "--max-size" else "verify"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, spec_path, f"{option}={text}")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("007", 7), ("-0", 0), ("-3", -3)])
+def test_integer_options_take_a_leading_minus(text, value):
+    args = cli.build_parser().parse_args(["verify", "spec", "--trials", text, "--seed", text])
+    assert (args.trials, args.seed) == (value, value)
+    assert cli.build_parser().parse_args(["analyze", "spec", "--max-size", text]).max_size == value
 
 
 # Run in a child process: Tracer.install wraps the qsshare functions in place.
@@ -721,6 +779,51 @@ def test_verify_stdout_is_pinned(capsys, tmp_path, spec_path, which, extra, dige
         path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "code.qss")
     rc, out, err = run(capsys, "verify", path, *extra)
     assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# exit code, stderr line and sha256 of stdout of failing requests, recorded
+# before a passing set stopped drawing secrets: a circuit broken by
+# _break_first_phase_exponent ("phase") or oracles.mutated_assemble(kind) in
+# the plan's sets [start::step], every set, one set or every other one
+FAILING_VERIFY_DIGESTS = [
+    ("bundled", "phase", (0, 1), ("--trials", "2", "--seed", "9"),
+     "verification failed for J={1,2,3,4} (entanglement fidelity 0) at trial 0 (seed 9): fidelity 0.0136334857121",
+     "51f622b92c5271d520f55dd3a2d95b534cf5fded0968d807dc0ae2faf7ba6d83"),
+    ("bundled", "PPOW", (0, 1), ("--set", "3,4,5,6", "--trials", "2", "--seed", "9"),
+     "verification failed for J={3,4,5,6} (entanglement fidelity 0) at trial 0 (seed 9): fidelity 0.0136334857121",
+     "ca12473c441e70f1e54d9547b1969153e5a25b3f12ad442790bd482e07fdf3ef"),
+    ("bundled", "CPAULIINV", (0, 1), ("--set", "3,4,5,6", "--trials", "2", "--seed", "9"),
+     "verification failed for J={3,4,5,6} (entanglement fidelity 0.111111111111) at trial 0 (seed 9): fidelity 0.176884441199",
+     "e45fb7d5a067f0cf0f70bcdef1f1caecb48c0537837c7c9f282e872c0eae87a9"),
+    ("bundled", "PPOW", (1, 2), ("--trials", "3", "--seed", "4"),
+     "verification failed for J={1,2,3,5} (entanglement fidelity 0) at trial 0 (seed 4): fidelity 0.0683390400451",
+     "50c75a96be69e6bbb98308de9b3afece2fcc3c9230e8ec7c4f5fe32d6cfea280"),
+    ("bundled", "CPAULIINV", (0, 2), ("--trials", "2", "--seed", "11"),
+     "verification failed for J={1,2,3,4} (entanglement fidelity 0.111111111111) at trial 0 (seed 11): fidelity 0.145098800694",
+     "da5735d3492fd0f3b6775d9afc83f02e595f01ed29addcd01a3ea4cba1908c55"),
+    ((2, 5, 1, 12), "PPOW", (1, 3), ("--trials", "2", "--seed", "1"),
+     "verification failed for J={1,3,5} (entanglement fidelity 0.5) at trial 0 (seed 1): fidelity 0.506355548767",
+     "d23c1a9cbb54d9cd17e8224e4c00b79e7a1014b7651edc732d9430058427fafe"),
+    ((2, 16, 2, 0), "CPAULIINV", (0, 1), ("--set", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", "--trials", "2", "--seed", "3"),
+     "verification failed for J={2,3,4,5,6,7,8,9,10,11,12,13,14,15,16} (entanglement fidelity 0.25) at trial 0 (seed 3):"
+     " fidelity 0.297189140652",
+     "dc2d9e66a3e9016c689455fe8df804c08485c28c934ce50fe0bebaea16ab7101"),
+]
+
+
+@pytest.mark.parametrize("which, kind, every, extra, line, digest", FAILING_VERIFY_DIGESTS, ids=lambda v: str(v)[:24])
+def test_failing_verify_is_pinned(capsys, monkeypatch, tmp_path, spec_path, which, kind, every, extra, line, digest):
+    if which == "bundled":
+        path = spec_path
+    else:
+        path = _write_code(symplectic.random_self_orthogonal_code(*which), tmp_path / "code.qss")
+    if kind == "phase":
+        _break_first_phase_exponent(monkeypatch)
+    else:
+        monkeypatch.setattr(circuits, "_assemble", oracles.mutated_assemble(kind, sets=slice(every[0], None, every[1])))
+    rc, out, err = run(capsys, "verify", path, *extra)
+    assert (rc, err) == (4, line + "\n")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
