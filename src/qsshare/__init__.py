@@ -24,7 +24,6 @@ from .circuits import (
     synthesize_reconstruction,
 )
 from .errors import QssError
-from .pauli import EncodingConvention, make_convention
 from .specfile import load_code, parse_code_document
 from .symplectic import (
     CodeSpec,
@@ -48,7 +47,6 @@ _LAZY_MODULES = frozenset({"certify", "sim"})
 __all__ = [
     "Circuit",
     "CodeSpec",
-    "EncodingConvention",
     "Gate",
     "QssError",
     "ReconstructionPlan",
@@ -61,7 +59,6 @@ __all__ = [
     "entanglement_fidelity",
     "erasure_correctable",
     "load_code",
-    "make_convention",
     "parse_circuit",
     "parse_code_document",
     "plan_reconstruction",

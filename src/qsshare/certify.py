@@ -72,6 +72,7 @@ import numpy as np
 
 from . import circuits, linalg, pauli, symplectic
 from .errors import QssError, TooLargeError
+from .specfile import parse_decimal
 
 DEFAULT_MAX_AMPLITUDES = 2**24
 BLOCK = 2**16  # pattern entries of the transfer rows compressed at once
@@ -82,7 +83,7 @@ def max_amplitudes() -> int:
     if not value:
         return DEFAULT_MAX_AMPLITUDES
     try:
-        limit = int(value)
+        limit = parse_decimal(value)  # ASCII digits only, the rule of the integer options
     except ValueError:
         limit = 0
     if limit < 1:  # a guard no state can pass would only hide the bad value
@@ -226,7 +227,7 @@ def _shape_images(plan: circuits.ReconstructionPlan, steps) -> tuple[np.ndarray,
     each of the plan's S sets at once, as (S, 2k) phases and (S, 2k, n + k)
     xs and zs: the walk of its steps, circuits.reconstruction_steps(plan),
     each pattern a run padded with zeros on the ancilla columns."""
-    p, n, k = plan.p, plan.n, plan.k
+    p, n, k = plan.code.p, plan.code.n, plan.code.k
     padding = np.zeros((len(plan), k), dtype=np.int64)
     walked = []
     for kind, q, param in steps:
@@ -345,20 +346,21 @@ class PlanCertificate:
     images: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def certify_plan(code, convention, plan) -> PlanCertificate:
+def certify_plan(plan) -> PlanCertificate:
     """Certify the circuit of each of the plan's sets from its Clifford
     action, reading no secret.
 
-    plan is a circuits.ReconstructionPlan of any number of sets. The 2k
+    plan is a circuits.ReconstructionPlan of any number of sets, read
+    against the code and convention it carries. The 2k
     ancilla generators are pulled back through every set's
     circuits.synthesize_reconstruction circuit at once (_shape_images) and
     compressed in one _compress. The gate counts are read from the same
     steps: one two-qudit gate per share in the support of each controlled
     pattern, and one single-qudit gate per other step.
     """
-    n = code.n
+    code, n = plan.code, plan.code.n
     _guard(code.p, code.k)
-    frame = _frame(code, convention)
+    frame = _frame(code, plan.convention)
     steps = circuits.reconstruction_steps(plan)
     images = _shape_images(plan, steps)
     runs = np.stack([param for kind, _, param in steps if kind in circuits.TWO_QUDIT_KINDS], axis=1)
@@ -392,14 +394,14 @@ def set_transfer_report(certificate: PlanCertificate, s: int, secrets) -> tuple[
     return tuple(fidelity), tuple(purity), whole
 
 
-def certify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
+def certify_reconstruction(plan, secrets) -> list[ReconstructionReport]:
     """Each of the plan's sets' report: each secret's ancilla fidelity and
     purity and the circuit's entanglement fidelity. A set that certify_plan
     passes returns every secret exactly, so each of its values is 1.0; a
     failing one is reported by set_transfer_report. Returns one report per
     set, in order."""
     secrets = list(secrets)
-    certificate = certify_plan(code, convention, plan)
+    certificate = certify_plan(plan)
     reports = []
     for s, available in enumerate(plan.available):
         if certificate.passes[s]:
@@ -420,10 +422,10 @@ def certify_reconstruction(code, convention, plan, secrets) -> list[Reconstructi
     return reports
 
 
-def entanglement_fidelity(code, convention, plan) -> list[float]:
+def entanglement_fidelity(plan) -> list[float]:
     """Entanglement fidelity of the circuit of each of the plan's sets over
     the whole secret space, F_e = p^(-2k) sum over the Paulis P that the
     channel maps to w^f P of w^-f, from the Pauli transfer:
     certify_reconstruction's, with no secret sampled. Returns one F_e per
     set."""
-    return [rep.entanglement_fidelity for rep in certify_reconstruction(code, convention, plan, [])]
+    return [rep.entanglement_fidelity for rep in certify_reconstruction(plan, [])]

@@ -28,8 +28,10 @@ from . import linalg, pauli, symplectic
 from .errors import CircuitParseError, NoSolutionError, NotCorrectableError
 from .specfile import parse_decimal
 
-GATE_KINDS = ("F", "FINV", "PPOW", "CPAULI", "CPAULIINV", "PAULI")
-TWO_QUDIT_KINDS = ("CPAULI", "CPAULIINV")
+# kind -> (qudits, parameters)
+_GATE_ARITY = {"F": (1, 0), "FINV": (1, 0), "PPOW": (1, 1), "CPAULI": (2, 2), "CPAULIINV": (2, 2), "PAULI": (1, 2)}
+GATE_KINDS = tuple(_GATE_ARITY)
+TWO_QUDIT_KINDS = tuple(kind for kind, (qudits, _) in _GATE_ARITY.items() if qudits == 2)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,10 @@ class Gate:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if (len(self.qudits), len(self.params)) != _GATE_ARITY[self.kind]:
+            raise ValueError(f"{self.kind} takes (qudits, parameters) {_GATE_ARITY[self.kind]}, not {self}")
         if self.is_two_qudit() and self.qudits[0] == self.qudits[1]:
             raise ValueError("control and target must differ")
 
@@ -124,23 +128,24 @@ def controlled_pauli_decompose(control: int, vec, n: int, *, inverse: bool = Fal
 # reconstruction planning
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, as its convention is
 class ReconstructionPlan:
     """Everything the available coalitions need to rebuild the secret, for S
-    share sets at once, each array with a leading sets axis.
+    share sets of one code at once, each array with a leading sets axis.
 
-    For each set s and secret qudit i: localized patterns w[s, i] (dual side)
-    and y[s, i] (self-dual side) supported on the set's shares available[s];
-    the stabilizer parts u[s, i], v[s, i] they were split against; the
-    relative phases beta, gamma; the code-space eigenvalue exponents eta_u,
-    eta_v of M(u) and M(v); and the two ancilla phase-gate exponents assembled
-    from them. The patterns are (S, k, 2n), the phases and exponents (S, k).
-    len(plan) is S, and plan[s] is set s's one-set plan, of views.
+    code is that code and convention its pauli.make_convention, in which
+    every phase below is read. For each set s and secret qudit i: localized
+    patterns w[s, i] (dual side) and y[s, i] (self-dual side) supported on
+    the set's shares available[s]; the stabilizer parts u[s, i], v[s, i]
+    they were split against; the relative phases beta, gamma; the code-space
+    eigenvalue exponents eta_u, eta_v of M(u) and M(v); and the two ancilla
+    phase-gate exponents assembled from them. The patterns are (S, k, 2n),
+    the phases and exponents (S, k). len(plan) is S, and plan[s] is set s's
+    one-set plan, of views.
     """
 
-    p: int
-    n: int
-    k: int
+    code: symplectic.CodeSpec
+    convention: pauli.EncodingConvention
     available: tuple[tuple[int, ...], ...]
     w: np.ndarray
     y: np.ndarray
@@ -158,7 +163,7 @@ class ReconstructionPlan:
 
     def __getitem__(self, s: int) -> ReconstructionPlan:
         s = range(len(self))[s]  # a slice past the end would be empty, not an IndexError
-        per_set = dataclasses.fields(self)[3:]  # every field after p, n, k
+        per_set = dataclasses.fields(self)[2:]  # every field after code and convention
         return dataclasses.replace(self, **{field.name: getattr(self, field.name)[s : s + 1] for field in per_set})
 
     def __iter__(self):
@@ -167,16 +172,16 @@ class ReconstructionPlan:
     def __array__(self, dtype=None, copy=None):
         # without it numpy reads a plan as a sequence whose items are plans
         # again, and recurses to its dimension limit
-        arrays = ", ".join(field.name for field in dataclasses.fields(self)[4:])
+        arrays = ", ".join(field.name for field in dataclasses.fields(self)[3:])
         raise TypeError(f"a ReconstructionPlan is not an array; its array fields are {arrays}")
 
 
-def plan_reconstruction(code, convention, available) -> ReconstructionPlan:
+def plan_reconstruction(code, available) -> ReconstructionPlan:
     """The one-set plan of the share set `available`: plan_sets of [available]."""
-    return plan_sets(code, convention, [available])
+    return plan_sets(code, [available])
 
 
-def plan_sets(code, convention, sets) -> ReconstructionPlan:
+def plan_sets(code, sets) -> ReconstructionPlan:
     """Build the reconstruction data of every share set in `sets`, in order.
 
     Raises NotCorrectableError, naming the first, when a set is not qualified
@@ -197,16 +202,16 @@ def plan_sets(code, convention, sets) -> ReconstructionPlan:
             coeffs[s] = symplectic.split_on_missing(code, logical, symplectic.complement(members, n))[2]
         except NoSolutionError:
             raise NotCorrectableError(f"shares {members} are not a qualified set") from None
-    return _assemble(code, convention, available, coeffs)
+    return _assemble(code, available, coeffs)
 
 
-def plan_all_qualified(code, convention) -> ReconstructionPlan:
+def plan_all_qualified(code) -> ReconstructionPlan:
     """plan_sets of every qualified set, in all_qualified_sets' order: a
     verify sweep. One symplectic.qualified_splits pass finds the sets and
     splits the logical rows on each."""
     _check_k(code)
     rows, coeffs = symplectic.qualified_splits(code)
-    return _assemble(code, convention, tuple(symplectic.members_of(rows)), coeffs)
+    return _assemble(code, tuple(symplectic.members_of(rows)), coeffs)
 
 
 def _check_k(code) -> None:
@@ -214,11 +219,12 @@ def _check_k(code) -> None:
         raise ValueError("nothing to reconstruct for a k = 0 code")
 
 
-def _assemble(code, convention, available, coeffs) -> ReconstructionPlan:
+def _assemble(code, available, coeffs) -> ReconstructionPlan:
     """The plan of the given sets from the split coefficients of
     symplectic.logical_rows, (S, 2k, n-k): each logical row t = s + r, with
     s = c G in the stabilizer space and r supported on the set."""
     p, n, k = code.p, code.n, code.k
+    convention = pauli.make_convention(code)
     stab_parts = coeffs @ code.stabilizer % p
     local_parts = (symplectic.logical_rows(code) - stab_parts) % p
     ring = pauli.phase_order(p)
@@ -231,7 +237,7 @@ def _assemble(code, convention, available, coeffs) -> ReconstructionPlan:
     step3 = (alpha - phases[:, k:] - etas[:, k:]) % ring  # -(alpha^-1 + gamma + eta_v)
     step6 = (-alpha - phases[:, :k] - etas[:, :k]) % ring  # -(alpha + beta + eta_u)
     return ReconstructionPlan(
-        p=p, n=n, k=k, available=available,
+        code=code, convention=convention, available=available,
         w=local_parts[:, :k], y=local_parts[:, k:], u=stab_parts[:, :k], v=stab_parts[:, k:],
         beta=phases[:, :k], gamma=phases[:, k:], eta_u=etas[:, :k], eta_v=etas[:, k:],
         step3_exponents=step3, step6_exponents=step6,
@@ -248,7 +254,7 @@ def reconstruction_steps(plan: ReconstructionPlan) -> list[tuple[str, int, np.nd
     t is qudit n + t. A Fourier step has no parameter, a CPAULIINV step the
     sets' (S, 2n) patterns and a PPOW step their (S,) exponents.
     """
-    anc = range(plan.n + 1, plan.n + plan.k + 1)
+    anc = range(plan.code.n + 1, plan.code.n + plan.code.k + 1)
     steps = []
     for patterns, exponents in ((plan.y, plan.step3_exponents), (plan.w, plan.step6_exponents)):
         steps += [("F", q, None) for q in anc]
@@ -264,17 +270,17 @@ def synthesize_reconstruction(plan: ReconstructionPlan) -> Circuit:
     """
     if len(plan) != 1:
         raise ValueError(f"a circuit is synthesized from a one-set plan, not one of {len(plan)} sets")
-    n, k = plan.n, plan.k
+    p, n, k = plan.code.p, plan.code.n, plan.code.k
     gates: list[Gate] = []
     for kind, q, param in reconstruction_steps(plan):
         if kind == "CPAULIINV":
             gates.extend(controlled_pauli_decompose(q, param[0], n, inverse=True))
         else:
             gates.append(fourier(q) if param is None else phase_pow(q, param[0]))
-    return Circuit(p=plan.p, num_qudits=n + k, roles=share_roles(n, k), gates=tuple(gates))
+    return Circuit(p=p, num_qudits=n + k, roles=share_roles(n, k), gates=tuple(gates))
 
 
-def synthesize_dealer(code, convention) -> Circuit:
+def synthesize_dealer(code) -> Circuit:
     """Emit the dealer's two encoding stages on a shares+message register.
 
     Stage one applies controlled logical-x patterns (with alpha as a control
@@ -283,6 +289,7 @@ def synthesize_dealer(code, convention) -> Circuit:
     preparation is not a gate sequence here; the simulator supplies it.
     """
     p, n, k = code.p, code.n, code.k
+    convention = pauli.make_convention(code)
     msg = [n + 1 + i for i in range(k)]
     gates: list[Gate] = []
     for i in range(k):
@@ -317,16 +324,6 @@ def emit_circuit(circuit: Circuit) -> str:
         fields = [str(v) for v in (*g.qudits, *g.params)]
         lines.append(f"gate {g.kind} {' '.join(fields)}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-_GATE_ARITY = {
-    "F": (1, 0),
-    "FINV": (1, 0),
-    "PPOW": (1, 1),
-    "CPAULI": (2, 2),
-    "CPAULIINV": (2, 2),
-    "PAULI": (1, 2),
-}
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import certify, circuits, pauli, specfile, symplectic
+from . import certify, circuits, specfile, symplectic
 from .errors import NotCorrectableError, QssError, TooLargeError
 
 EXIT_OK = 0
@@ -91,9 +91,8 @@ def cmd_synthesize(args) -> int:
     code = _load(args.spec)
     if code.k == 0:
         raise QssError("nothing to reconstruct: the code has k = 0")
-    conv = pauli.make_convention(code)
     members = _parse_share_list(args.set, code.n)
-    plan = circuits.plan_reconstruction(code, conv, members)
+    plan = circuits.plan_reconstruction(code, members)
     circuit = circuits.synthesize_reconstruction(plan)
     text = circuits.emit_circuit(circuit)
     directory = os.path.dirname(os.path.abspath(args.output)) or "."
@@ -140,21 +139,20 @@ def cmd_verify(args) -> int:
         "trials": args.trials,
         "rows": [],
     }
-    conv = pauli.make_convention(code)
     members = None if args.set is None else _parse_share_list(args.set, n)
     if k == 0:  # nothing to reconstruct: an empty report, for a valid --set too
         plan = ()
     elif members is not None:
         try:
-            plan = circuits.plan_reconstruction(code, conv, members)
+            plan = circuits.plan_reconstruction(code, members)
         except NotCorrectableError:
             print(f"share set {_format_set(members)} is not qualified", file=sys.stderr)
             return EXIT_NOT_CORRECTABLE
     else:
-        plan = circuits.plan_all_qualified(code, conv)
+        plan = circuits.plan_all_qualified(code)
     rows, failure = report["rows"], None
     if plan:
-        certificate = certify.certify_plan(code, conv, plan)
+        certificate = certify.certify_plan(plan)
         secrets = None  # drawn at the first failing set: a passing row reads no secret
         for s, (available, passes, two_qudit) in enumerate(
             zip(plan.available, certificate.passes.tolist(), certificate.two_qudit_gates)

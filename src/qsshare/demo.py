@@ -50,7 +50,6 @@ def run_demo() -> str:
     out = io.StringIO()
     code = six_share_qutrit_code()
     p, n, k = code.p, code.n, code.k
-    conv = pauli.make_convention(code)
     print(f"six-share qutrit code: p={p}, n={n}, k={k}", file=out)
     print("stabilizer rows:", file=out)
     for i, row in enumerate(code.stabilizer, start=1):
@@ -69,7 +68,7 @@ def run_demo() -> str:
 
     members = DEMO_SHARES
     print(f"\nreconstruction for shares J = {{{', '.join(map(str, members))}}}", file=out)
-    plan = circuits.plan_reconstruction(code, conv, members)
+    plan = circuits.plan_reconstruction(code, members)
     for i in range(k):
         w, y, u, v = plan.w[0, i], plan.y[0, i], plan.u[0, i], plan.v[0, i]
         # w is in C_perp when orthogonal to C; y is in Cm, its own dual, when orthogonal to Cm
@@ -105,7 +104,7 @@ def run_demo() -> str:
 
     rng = np.random.default_rng(20240521)
     secrets = (np.eye(p**k)[0], certify.random_secret(p, k, rng))
-    (report,) = certify.certify_reconstruction(code, conv, plan, secrets)
+    (report,) = certify.certify_reconstruction(plan, secrets)
     fid, pur = min(report.fidelity), min(report.purity)
     print(f"verification: fidelity {fid:.9f}  purity {pur:.9f}", file=out)
     return out.getvalue()

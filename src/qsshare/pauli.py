@@ -284,7 +284,8 @@ class EncodingConvention:
 
 
 def make_convention(code) -> EncodingConvention:
-    """Calibrate a code's self-dual generators and fix the alpha scalars.
+    """Calibrate a code's self-dual generators and fix the alpha scalars: the
+    code's one convention, which a circuits.ReconstructionPlan carries.
 
     The logical-zero state is the joint +1 eigenvector of the returned
     generators, so alpha_i is pinned by requiring 1/alpha_i * M(z_i) to be

@@ -16,11 +16,12 @@ F and FINV are one tensordot with the p x p matrix. apply_gate and
 apply_circuit copy their input once and never write it. apply_phased_pauli
 takes the same step on every qudit of its operator. The logical zero is
 built in closed form, as a phased uniform superposition over an affine
-subspace.
+subspace, from the code's own pauli.make_convention.
 
-verify_reconstruction and entanglement_fidelity run every secret (or every
-basis secret) as the batch axis of one working buffer, in the circuit's own
-shares-first numbering, and read each ancilla state off the last k digits.
+verify_reconstruction and entanglement_fidelity read a plan's code, not its
+convention, and run every secret (or every basis secret) as the batch axis
+of one working buffer, in the circuit's own shares-first numbering, and
+read each ancilla state off the last k digits.
 
 The size guard bounds the working buffer of the call that holds it: p^m
 amplitudes for a state, p^(n+k) B for verify_reconstruction with B secrets
@@ -180,8 +181,8 @@ def apply_circuit(state: StateVector, circuit: circuits.Circuit) -> StateVector:
 # code states
 
 
-def logical_zero(code, convention) -> StateVector:
-    """Joint +1 eigenvector of the calibrated self-dual generators, in closed form.
+def logical_zero(code) -> StateVector:
+    """Joint +1 eigenvector of the code's calibrated self-dual generators, in closed form.
 
     A stabilizer state is a uniform superposition over an affine subspace with
     exact phases (Dehaene & De Moor, quant-ph/0304125; Hostens, Dehaene &
@@ -195,7 +196,7 @@ def logical_zero(code, convention) -> StateVector:
     """
     p, n = code.p, code.n
     _guard(p, n)
-    gens = convention.generators
+    gens = pauli.make_convention(code).generators
     ring, c = pauli.phase_order(p), 2 if p == 2 else 1
     xs = np.array([g.x_part() for g in gens], dtype=np.int64).reshape(len(gens), n)
     reduced, pivots, _ = linalg.rref(np.hstack([xs, np.eye(len(gens), dtype=np.int64)]), p)
@@ -234,7 +235,7 @@ def logical_zero(code, convention) -> StateVector:
     return state
 
 
-def encode_secret(code, convention, secret, zero: StateVector | None = None) -> StateVector:
+def encode_secret(code, secret, zero: StateVector | None = None) -> StateVector:
     """Encode a k-qudit secret into an n-share codeword state.
 
     Basis-wise route: basis state |i_1..i_k> maps to the logical codeword
@@ -243,12 +244,12 @@ def encode_secret(code, convention, secret, zero: StateVector | None = None) -> 
     p, n = code.p, code.n
     _guard(p, n)
     if zero is None:
-        zero = logical_zero(code, convention)
+        zero = logical_zero(code)
     rows = np.asarray(secret, dtype=np.complex128).reshape(1, -1)
-    return StateVector(p, n, _encode_rows(code, convention, rows, zero)[0])
+    return StateVector(p, n, _encode_rows(code, rows, zero)[0])
 
 
-def _encode_rows(code, convention, secrets: np.ndarray, zero: StateVector) -> np.ndarray:
+def _encode_rows(code, secrets: np.ndarray, zero: StateVector) -> np.ndarray:
     """Codewords of a (B, p^k) stack of secrets as (B, p^n) rows, in one pass
     over the p^k logical Paulis. A coefficient below 1e-15 counts as exactly
     0, so each row is the sum of the same products, in the same order, as a
@@ -256,7 +257,8 @@ def _encode_rows(code, convention, secrets: np.ndarray, zero: StateVector) -> np
     p, n, k = code.p, code.n, code.k
     if secrets.shape[1] != p**k:
         raise ValueError(f"secret must have {p}**{k} amplitudes")
-    xs = [pauli.PhasedPauli(p, e, x) for e, x in zip(convention.alpha_exponents, code.logical_x)]
+    alphas = pauli.make_convention(code).alpha_exponents
+    xs = [pauli.PhasedPauli(p, e, x) for e, x in zip(alphas, code.logical_x)]
     coeffs = np.where(np.abs(secrets) < 1e-15, 0, secrets)
     out = np.zeros((len(secrets), p**n), dtype=np.complex128)
     for idx, digits in enumerate(iter_product(range(p), repeat=k)):
@@ -269,9 +271,7 @@ def _encode_rows(code, convention, secrets: np.ndarray, zero: StateVector) -> np
     return out
 
 
-def encode_secret_via_dealer(
-    code, convention, secret, zero: StateVector | None = None
-) -> tuple[StateVector, float]:
+def encode_secret_via_dealer(code, secret, zero: StateVector | None = None) -> tuple[StateVector, float]:
     """Encode by running the dealer circuit on shares + message register.
 
     Returns (codeword state on the n shares, residual) where the residual is
@@ -282,9 +282,9 @@ def encode_secret_via_dealer(
     secret = np.asarray(secret, dtype=np.complex128).reshape(-1)
     _guard(p, n + k)
     if zero is None:
-        zero = logical_zero(code, convention)
+        zero = logical_zero(code)
     joint = StateVector(p, n + k, np.kron(zero.amps, secret))
-    joint = apply_circuit(joint, circuits.synthesize_dealer(code, convention))
+    joint = apply_circuit(joint, circuits.synthesize_dealer(code))
     matrix = joint.amps.reshape(p**n, p**k)
     uniform = np.full(p**k, 1 / np.sqrt(p**k), dtype=np.complex128)
     shares = matrix @ uniform.conj()
@@ -325,7 +325,7 @@ def _ancilla_density(circuit: circuits.Circuit, encoded: np.ndarray, k: int) -> 
     return members.transpose(0, 2, 1) @ members.conj()
 
 
-def verify_reconstruction(code, convention, plan, secrets) -> list[ReconstructionReport]:
+def verify_reconstruction(plan, secrets) -> list[ReconstructionReport]:
     """Encode, erase, reconstruct, and report ancilla fidelity and purity.
 
     Takes a circuits.ReconstructionPlan of any number of share sets,
@@ -335,12 +335,12 @@ def verify_reconstruction(code, convention, plan, secrets) -> list[Reconstructio
     secret, with the secrets on the batch axis. Returns one report per set,
     in order.
     """
-    p, n, k = code.p, code.n, code.k
+    p, n, k = plan.code.p, plan.code.n, plan.code.k
     rows = np.asarray(secrets, dtype=np.complex128).reshape(len(secrets), p**k)
     _guard(p, n + k, max(1, len(rows)))
     circs = [circuits.synthesize_reconstruction(one) for one in plan]
-    zero = logical_zero(code, convention)
-    encoded = np.array([encode_secret(code, convention, row, zero).amps for row in rows]).reshape(len(rows), p**n)
+    zero = logical_zero(plan.code)
+    encoded = np.array([encode_secret(plan.code, row, zero).amps for row in rows]).reshape(len(rows), p**n)
     reports = []
     for available, circuit in zip(plan.available, circs):
         rhos = _ancilla_density(circuit, encoded, k)
@@ -356,7 +356,7 @@ def verify_reconstruction(code, convention, plan, secrets) -> list[Reconstructio
     return reports
 
 
-def entanglement_fidelity(code, convention, plan) -> list[float]:
+def entanglement_fidelity(plan) -> list[float]:
     """Entanglement fidelity of each set's circuit over the whole secret space.
 
     Runs the p^k basis secrets |s> through each circuit as the batch axis.
@@ -366,10 +366,9 @@ def entanglement_fidelity(code, convention, plan) -> list[float]:
     linearity is exact reconstruction of every secret (Schumacher,
     quant-ph/9604023). Returns one F_e per set of the plan, in order.
     """
-    p, n, k = code.p, code.n, code.k
+    p, n, k = plan.code.p, plan.code.n, plan.code.k
     _guard(p, n + 2 * k)
-    zero = logical_zero(code, convention)
-    encoded = _encode_rows(code, convention, np.eye(p**k, dtype=np.complex128), zero)
+    encoded = _encode_rows(plan.code, np.eye(p**k, dtype=np.complex128), logical_zero(plan.code))
     out = []
     for one in plan:
         states = _final_states(circuits.synthesize_reconstruction(one), encoded, k)

@@ -119,9 +119,9 @@ def test_criterion_2_worked_phase_values():
     _announce(2, "worked phase values (dense-oracle pinned)", started, 10.0)
 
 
-def test_criterion_3_circuit_shape(hexcode, hexconv):
+def test_criterion_3_circuit_shape(hexcode):
     started = time.monotonic()
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
     circ = circuits.synthesize_reconstruction(plan)
     touched = circ.touched_qudits()
     assert touched.isdisjoint({1, 2})
@@ -131,7 +131,7 @@ def test_criterion_3_circuit_shape(hexcode, hexconv):
     _announce(3, "reconstruction circuit shape and gate counts", started, 1.0)
 
 
-def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
+def test_criterion_4_end_to_end_reconstruction(hexcode):
     started = time.monotonic()
     rng = np.random.default_rng(20240607)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(20)]
@@ -143,8 +143,8 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     assert len(share_sets) == 22
     worst_fidelity = 1.0
     worst_purity_dev = 0.0
-    plans = circuits.plan_sets(hexcode, hexconv, share_sets)
-    reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
+    plans = circuits.plan_sets(hexcode, share_sets)
+    reports = sim.verify_reconstruction(plans, secrets)
     assert [report.available for report in reports] == share_sets
     for report in reports:
         assert len(report.fidelity) == len(report.purity) == 20
@@ -153,7 +153,7 @@ def test_criterion_4_end_to_end_reconstruction(hexcode, hexconv):
     assert worst_fidelity >= 1 - TOL_END_TO_END, worst_fidelity
     assert worst_purity_dev <= TOL_END_TO_END, worst_purity_dev
     # the whole secret space, not just the sampled secrets
-    for members, f_e in zip(share_sets, sim.entanglement_fidelity(hexcode, hexconv, plans), strict=True):
+    for members, f_e in zip(share_sets, sim.entanglement_fidelity(plans), strict=True):
         assert f_e >= 1 - 1e-12, (members, f_e)
     _announce(4, f"end-to-end sweep (min fidelity {worst_fidelity:.12f})", started, 120.0)
 
@@ -170,9 +170,9 @@ def test_criterion_5_qubit_path(hexcode):
             g.phase % 2 for g in conv.generators
         ) or any(e % 2 for e in conv.alpha_exponents)
         secrets = [sim.random_secret(p, k, rng) for _ in range(3)]
-        plans = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
-        reports = sim.verify_reconstruction(code, conv, plans, secrets)
-        for report, f_e in zip(reports, sim.entanglement_fidelity(code, conv, plans), strict=True):
+        plans = circuits.plan_sets(code, symplectic.all_qualified_sets(code))
+        reports = sim.verify_reconstruction(plans, secrets)
+        for report, f_e in zip(reports, sim.entanglement_fidelity(plans), strict=True):
             members = report.available
             assert len(report.fidelity) == len(report.purity) == 3, (seed, members)
             for fidelity, purity in zip(report.fidelity, report.purity):
@@ -280,9 +280,8 @@ def test_criterion_6e_dealer_reconstruction_inverse():
 
     for p, n, k, seed in ((3, 3, 1, 5), (2, 4, 2, 6), (5, 2, 1, 7)):
         code = symplectic.random_self_orthogonal_code(p, n, k, seed)
-        conv = pauli.make_convention(code)
-        dealer = dense_circuit(circuits.synthesize_dealer(code, conv))
-        plan = circuits.plan_reconstruction(code, conv, tuple(range(1, n + 1)))
+        dealer = dense_circuit(circuits.synthesize_dealer(code))
+        plan = circuits.plan_reconstruction(code, tuple(range(1, n + 1)))
         recon = circuits.synthesize_reconstruction(plan)
         tail = circuits.Circuit(
             p=p, num_qudits=n + k, roles=recon.roles, gates=recon.gates[k:]
@@ -293,11 +292,11 @@ def test_criterion_6e_dealer_reconstruction_inverse():
     _announce(6, "e: dealer then reconstruction is the identity", started, 60.0)
 
 
-def test_criterion_7_negative_path(hexcode, hexconv, tmp_path, capsys):
+def test_criterion_7_negative_path(hexcode, tmp_path, capsys):
     started = time.monotonic()
     for members in [(1,), (5,), (1, 2), (3, 6)]:
         with pytest.raises(NotCorrectableError):
-            circuits.plan_reconstruction(hexcode, hexconv, members)
+            circuits.plan_reconstruction(hexcode, members)
     # a failing 3-subset found by enumeration (all of them fail for this code)
     failing = next(
         members
@@ -305,7 +304,7 @@ def test_criterion_7_negative_path(hexcode, hexconv, tmp_path, capsys):
         if not symplectic.erasure_correctable(hexcode, symplectic.complement(members, 6))
     )
     with pytest.raises(NotCorrectableError):
-        circuits.plan_reconstruction(hexcode, hexconv, failing)
+        circuits.plan_reconstruction(hexcode, failing)
 
     from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 

@@ -89,13 +89,12 @@ def test_run_rule_equals_per_gate_propagation(data):
 @pytest.mark.parametrize("which", [(2, 6, 2, 1), (3, 5, 1, 2), (5, 4, 2, 0), (7, 4, 1, 0)])
 def test_generator_images_equal_per_gate_propagation(which):
     code = _code(which)
-    conv = pauli.make_convention(code)
     k, m = code.k, code.n + code.k
     eye = np.eye(k, dtype=np.int64)
     xs, zs = np.zeros((2, 2 * k, m), dtype=np.int64)
     xs[:k, code.n :], zs[k:, code.n :] = eye, eye
     for members in symplectic.all_qualified_sets(code):
-        circuit = circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
+        circuit = circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, members))
         got = certify.generator_images(circuit, k)
         expected = oracles.pull_back_per_gate(circuit.gates, code.p, np.zeros(2 * k), xs, zs)
         for part, want in zip(got, expected):
@@ -140,7 +139,7 @@ def test_multiplied_out_compression_equals_the_dense_one(which):
     p, n, k = code.p, code.n, code.k
     ancilla_zero = np.zeros(p**k)
     ancilla_zero[0] = 1
-    encoded = np.array([np.kron(sim.encode_secret(code, conv, e).amps, ancilla_zero) for e in np.eye(p**k)])
+    encoded = np.array([np.kron(sim.encode_secret(code, e).amps, ancilla_zero) for e in np.eye(p**k)])
     rng = np.random.default_rng(5)
     basis = np.vstack([code.logical_x, code.stabilizer, code.logical_z])
     for draw in range(12):
@@ -151,12 +150,12 @@ def test_multiplied_out_compression_equals_the_dense_one(which):
         assert np.allclose(oracles.compressed_operator(code, conv, phase, vec), dense, atol=1e-12)
 
 
-def _both(code, conv, plan, secrets):
+def _both(plan, secrets):
     return (
-        certify.certify_reconstruction(code, conv, plan, secrets),
-        sim.verify_reconstruction(code, conv, plan, secrets),
-        certify.entanglement_fidelity(code, conv, plan),
-        sim.entanglement_fidelity(code, conv, plan),
+        certify.certify_reconstruction(plan, secrets),
+        sim.verify_reconstruction(plan, secrets),
+        certify.entanglement_fidelity(plan),
+        sim.entanglement_fidelity(plan),
     )
 
 
@@ -175,20 +174,19 @@ def _assert_agree(exact, dense, exact_fe, dense_fe, broken):
 @pytest.mark.parametrize("which", ["bundled", *SMALL_CODES])
 def test_certificate_agrees_with_dense_on_every_qualified_set(monkeypatch, which):
     code = _code(which)
-    conv = pauli.make_convention(code)
     sets = symplectic.all_qualified_sets(code)
     rng = np.random.default_rng(3)
     secrets = [certify.random_secret(code.p, code.k, rng) for _ in range(3)]
     for mutation in (None, "PPOW", "CPAULIINV"):
         if mutation:
             monkeypatch.setattr(circuits, "_assemble", oracles.mutated_assemble(mutation))
-        reports = _both(code, conv, circuits.plan_sets(code, conv, sets), secrets)
+        reports = _both(circuits.plan_sets(code, sets), secrets)
         for row in zip(*reports):
             _assert_agree(*row, broken=mutation is not None)
         # each set's one-set plan carries the same mutation to the same report
         for members, report in zip(sets, reports[0]):
-            plan = circuits.plan_reconstruction(code, conv, members)
-            assert certify.certify_reconstruction(code, conv, plan, secrets) == [report]
+            plan = circuits.plan_reconstruction(code, members)
+            assert certify.certify_reconstruction(plan, secrets) == [report]
 
 
 @settings(max_examples=40)
@@ -203,7 +201,6 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     while n > k and p ** (n + k) > 2**12:
         n -= 1
     code = symplectic.random_self_orthogonal_code(p, n, k, seed)
-    conv = pauli.make_convention(code)
     members = data.draw(st.sampled_from(symplectic.all_qualified_sets(code)))
     rng = np.random.default_rng(seed)
     secrets = [certify.random_secret(p, k, rng) for _ in range(2)]
@@ -211,11 +208,17 @@ def test_certificate_agrees_with_dense_on_random_codes(p, n, k, seed, mutation, 
     try:
         if mutation:
             circuits._assemble = oracles.mutated_assemble(mutation)
-        plan = circuits.plan_reconstruction(code, conv, members)
-        ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(code, conv, plan, secrets)
+        plan = circuits.plan_reconstruction(code, members)
+        ((exact,), (dense,), (exact_fe,), (dense_fe,)) = _both(plan, secrets)
     finally:
         circuits._assemble = assemble
     _assert_agree(exact, dense, exact_fe, dense_fe, broken=mutation is not None)
+
+
+def _convention_arrays(source):
+    """The rows, phases and alpha exponents of a convention, or of a plan's."""
+    convention = getattr(source, "convention", source)
+    return convention.rows.tobytes(), convention.phases.tobytes(), convention.alpha_exponents
 
 
 @pytest.mark.parametrize("which", ["bundled", *SMALL_CODES, (2, 12, 2, 0), (3, 10, 2, 0)])
@@ -225,28 +228,30 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
     # against split_on_missing, the gate-level pull-back and the emitted
     # circuit; iterating the sweep's plan gives each set's plan_reconstruction
     code = _code(which)
-    conv = pauli.make_convention(code)
     n, k = code.n, code.k
     sets = symplectic.all_qualified_sets(code)
     targets = np.vstack([code.logical_x, code.logical_z])
     rows, coeffs = symplectic.qualified_splits(code)
-    batch = circuits.plan_all_qualified(code, conv)
+    batch = circuits.plan_all_qualified(code)
     images = certify._shape_images(batch, circuits.reconstruction_steps(batch))
-    reports = certify.certify_reconstruction(code, conv, batch, [])
+    reports = certify.certify_reconstruction(batch, [])
     ones = list(batch)
     assert symplectic.members_of(rows) == list(batch.available) == sets
     assert len(batch) == len(ones) == len(reports) == len(coeffs) == len(sets)
-    listed = circuits.plan_sets(code, conv, sets)
-    assert (listed.p, listed.n, listed.k, listed.available) == (batch.p, batch.n, batch.k, batch.available)
-    for field in dataclasses.fields(batch)[4:]:  # the arrays
+    listed = circuits.plan_sets(code, sets)
+    assert listed.code is batch.code is code and listed.available == batch.available
+    assert _convention_arrays(listed) == _convention_arrays(batch) == _convention_arrays(pauli.make_convention(code))
+    for field in dataclasses.fields(batch)[3:]:  # the arrays
         got, want = getattr(batch, field.name), getattr(listed, field.name)
         assert got.dtype == want.dtype and np.array_equal(got, want), field.name
     for s, members in enumerate(sets):
         expected = symplectic.split_on_missing(code, targets, symplectic.complement(members, n))[2]
         assert coeffs.dtype == expected.dtype and np.array_equal(coeffs[s], expected), members
-        plan = circuits.plan_reconstruction(code, conv, members)
+        plan = circuits.plan_reconstruction(code, members)
         assert len(ones[s]) == len(plan) == 1
-        for field in dataclasses.fields(plan):
+        assert ones[s].code is plan.code and ones[s].convention is batch.convention
+        assert _convention_arrays(plan) == _convention_arrays(batch)
+        for field in dataclasses.fields(plan)[2:]:  # available and the arrays
             got, want = getattr(ones[s], field.name), getattr(plan, field.name)
             assert type(got) is type(want) and np.array_equal(got, want), (members, field.name)
         circuit = circuits.synthesize_reconstruction(plan)
@@ -254,7 +259,7 @@ def test_batched_plans_images_and_reports_equal_the_per_set_ones(which):
             assert np.array_equal(got[s], want), members
         counts = (reports[s].two_qudit_gates, reports[s].single_qudit_gates)
         assert counts == (circuit.two_qudit_count(), circuit.single_qudit_count()), members
-        assert [reports[s]] == certify.certify_reconstruction(code, conv, plan, [])
+        assert [reports[s]] == certify.certify_reconstruction(plan, [])
         assert reports[s].entanglement_fidelity == 1.0
 
 
@@ -300,28 +305,24 @@ def test_batched_secrets_are_successive_random_secret_draws(p):
 
 def test_batched_plan_names_the_first_unqualified_set():
     code = six_share_qutrit_code()
-    conv = pauli.make_convention(code)
     with pytest.raises(NotCorrectableError, match=r"shares \(1, 2\) are not a qualified set"):
-        circuits.plan_sets(code, conv, [(3, 4, 5, 6), (2, 1), (1, 3)])
+        circuits.plan_sets(code, [(3, 4, 5, 6), (2, 1), (1, 3)])
     with pytest.raises(NotCorrectableError, match="empty share set"):
-        circuits.plan_sets(code, conv, [(3, 4, 5, 6), ()])
-    assert len(circuits.plan_sets(code, conv, [])) == 0
+        circuits.plan_sets(code, [(3, 4, 5, 6), ()])
+    assert len(circuits.plan_sets(code, [])) == 0
 
 
 def test_zero_secrets_give_empty_reports():
-    code = six_share_qutrit_code()
-    conv = pauli.make_convention(code)
-    plan = circuits.plan_reconstruction(code, conv, (3, 4, 5, 6))
+    plan = circuits.plan_reconstruction(six_share_qutrit_code(), (3, 4, 5, 6))
     for check in (certify.certify_reconstruction, sim.verify_reconstruction):
-        (report,) = check(code, conv, plan, [])
+        (report,) = check(plan, [])
         assert (report.available, report.fidelity, report.purity) == ((3, 4, 5, 6), (), ())
         assert (report.two_qudit_gates, report.single_qudit_gates) == (15, 8)
 
 
 def test_generator_terms_are_built_once_per_request(monkeypatch):
     code = six_share_qutrit_code()
-    conv = pauli.make_convention(code)
-    plan = circuits.plan_sets(code, conv, symplectic.all_qualified_sets(code))
+    plan = circuits.plan_sets(code, symplectic.all_qualified_sets(code))
     secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
     calls = []
     terms = pauli._generator_terms
@@ -333,7 +334,7 @@ def test_generator_terms_are_built_once_per_request(monkeypatch):
     monkeypatch.setattr(pauli, "_generator_terms", counting)
     for some in (plan[0], plan):
         calls.clear()
-        reports = certify.certify_reconstruction(code, conv, some, secrets)
+        reports = certify.certify_reconstruction(some, secrets)
         assert all(report.fidelity == (1.0,) for report in reports)
         assert len(calls) == 1, len(some)
 
@@ -358,15 +359,14 @@ def test_frame_from_the_convention_arrays_equals_the_generator_list_frame(which)
 
 def test_guard_bounds_the_secret_space_not_the_register(monkeypatch):
     code = symplectic.random_self_orthogonal_code(3, 40, 2, 0)
-    conv = pauli.make_convention(code)
-    plan = circuits.plan_reconstruction(code, conv, range(2, 41))
+    plan = circuits.plan_reconstruction(code, range(2, 41))
     secrets = [certify.random_secret(3, 2, np.random.default_rng(0))]
-    (report,) = certify.certify_reconstruction(code, conv, plan, secrets)  # 3^42 joint amplitudes
+    (report,) = certify.certify_reconstruction(plan, secrets)  # 3^42 joint amplitudes
     assert report.fidelity == report.purity == (1.0,)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "80")  # 3^4 = 81 entries of a secret-space operator
     with pytest.raises(TooLargeError):
-        certify.certify_reconstruction(code, conv, plan, secrets)
+        certify.certify_reconstruction(plan, secrets)
     with pytest.raises(TooLargeError):
-        certify.entanglement_fidelity(code, conv, plan)
+        certify.entanglement_fidelity(plan)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "81")
-    assert certify.entanglement_fidelity(code, conv, plan) == [1.0]
+    assert certify.entanglement_fidelity(plan) == [1.0]

@@ -124,8 +124,8 @@ def test_controlled_scalar_equivalence():
         assert np.abs(got - expected).max() < 1e-12
 
 
-def test_plan_reference_counts_and_support(hexcode, hexconv):
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+def test_plan_reference_counts_and_support(hexcode):
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
     circ = circuits.synthesize_reconstruction(plan)
     assert circ.two_qudit_count() == 15
     assert circ.two_qudit_count() <= 2 * hexcode.k * len(AVAILABLE)
@@ -137,10 +137,10 @@ def test_plan_reference_counts_and_support(hexcode, hexconv):
     assert {3, 4, 5, 6, 7, 8} == touched
 
 
-def test_plan_localized_patterns_validate(hexcode, hexconv):
+def test_plan_localized_patterns_validate(hexcode):
     from qsshare import linalg
 
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
     dual_basis = symplectic.dual(hexcode.stabilizer, hexcode.n, hexcode.p)
     for i in range(hexcode.k):
         assert linalg.row_space_contains(dual_basis, plan.w[0, i], 3)
@@ -149,8 +149,8 @@ def test_plan_localized_patterns_validate(hexcode, hexconv):
         assert not symplectic.project_vector(plan.y[0, i], (1, 2), 6).any()
 
 
-def test_plan_full_share_set_trivial_splits(hexcode, hexconv):
-    plan = circuits.plan_reconstruction(hexcode, hexconv, tuple(range(1, 7)))
+def test_plan_full_share_set_trivial_splits(hexcode):
+    plan = circuits.plan_reconstruction(hexcode, tuple(range(1, 7)))
     for i in range(hexcode.k):
         assert not plan.u[0, i].any()
         assert not plan.v[0, i].any()
@@ -158,18 +158,18 @@ def test_plan_full_share_set_trivial_splits(hexcode, hexconv):
         assert plan.eta_u[0, i] == 0 and plan.eta_v[0, i] == 0
 
 
-def test_plan_rejects_unqualified(hexcode, hexconv):
+def test_plan_rejects_unqualified(hexcode):
     with pytest.raises(NotCorrectableError):
-        circuits.plan_reconstruction(hexcode, hexconv, (1, 2, 3))
+        circuits.plan_reconstruction(hexcode, (1, 2, 3))
     with pytest.raises(NotCorrectableError):
-        circuits.plan_reconstruction(hexcode, hexconv, (1, 2))
+        circuits.plan_reconstruction(hexcode, (1, 2))
     with pytest.raises(NotCorrectableError):
-        circuits.plan_reconstruction(hexcode, hexconv, ())
+        circuits.plan_reconstruction(hexcode, ())
 
 
-def test_plan_indexing_gives_one_set_views(hexcode, hexconv):
+def test_plan_indexing_gives_one_set_views(hexcode):
     sets = [(3, 4, 5, 6), (1, 2, 3, 4), (2, 3, 5, 6)]
-    plan = circuits.plan_sets(hexcode, hexconv, sets)
+    plan = circuits.plan_sets(hexcode, sets)
     assert len(plan) == 3 and plan.available == tuple(sets)
     assert [one.available for one in plan] == [(members,) for members in sets]
     for s in (1, -2):
@@ -182,12 +182,12 @@ def test_plan_indexing_gives_one_set_views(hexcode, hexconv):
             plan[s]
 
 
-def test_synthesis_refuses_a_plan_of_several_sets(hexcode, hexconv):
-    plan = circuits.plan_sets(hexcode, hexconv, [(3, 4, 5, 6), (1, 2, 3, 4)])
-    for several in (plan, circuits.plan_sets(hexcode, hexconv, [])):
+def test_synthesis_refuses_a_plan_of_several_sets(hexcode):
+    plan = circuits.plan_sets(hexcode, [(3, 4, 5, 6), (1, 2, 3, 4)])
+    for several in (plan, circuits.plan_sets(hexcode, [])):
         with pytest.raises(ValueError, match="one-set plan"):
             circuits.synthesize_reconstruction(several)
-    one = circuits.plan_reconstruction(hexcode, hexconv, (1, 2, 3, 4))
+    one = circuits.plan_reconstruction(hexcode, (1, 2, 3, 4))
     assert circuits.synthesize_reconstruction(plan[1]) == circuits.synthesize_reconstruction(one)
 
 
@@ -210,12 +210,11 @@ def test_plan_qualification_matches_erasure_correctable(shape):
         else [symplectic.random_self_orthogonal_code(*shape, seed) for seed in (0, 1)]
     )
     for code in codes:
-        conv = pauli.make_convention(code)
         n = code.n
         for members in (J for size in range(n + 1) for J in combinations(range(1, n + 1), size)):
             qualified = symplectic.erasure_correctable(code, symplectic.complement(members, n))
             try:
-                circuits.plan_reconstruction(code, conv, members)
+                circuits.plan_reconstruction(code, members)
             except NotCorrectableError:
                 assert not qualified, members
             else:
@@ -224,17 +223,15 @@ def test_plan_qualification_matches_erasure_correctable(shape):
 
 def test_dealer_counts_for_k0_code():
     code = symplectic.random_self_orthogonal_code(2, 4, 0, 1)
-    conv = pauli.make_convention(code)
-    circ = circuits.synthesize_dealer(code, conv)
+    circ = circuits.synthesize_dealer(code)
     assert circ.gates == ()
 
 
-def test_synthesized_circuits_are_unitary(hexcode, hexconv):
+def test_synthesized_circuits_are_unitary(hexcode):
     code = symplectic.random_self_orthogonal_code(3, 3, 1, 9)
-    conv = pauli.make_convention(code)
     for circ in (
-        circuits.synthesize_dealer(code, conv),
-        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, tuple(range(1, 4)))),
+        circuits.synthesize_dealer(code),
+        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, tuple(range(1, 4)))),
     ):
         U = dense_circuit(circ)
         assert np.abs(U @ U.conj().T - np.eye(U.shape[0])).max() < 1e-10
@@ -245,9 +242,8 @@ def test_reconstruction_inverts_dealer_dense():
     # when every share is available, as full dense operators
     for p, n, k, seed in ((3, 3, 1, 5), (2, 3, 1, 3), (2, 4, 2, 6)):
         code = symplectic.random_self_orthogonal_code(p, n, k, seed)
-        conv = pauli.make_convention(code)
-        dealer = dense_circuit(circuits.synthesize_dealer(code, conv))
-        plan = circuits.plan_reconstruction(code, conv, tuple(range(1, n + 1)))
+        dealer = dense_circuit(circuits.synthesize_dealer(code))
+        plan = circuits.plan_reconstruction(code, tuple(range(1, n + 1)))
         recon = circuits.synthesize_reconstruction(plan)
         tail = circuits.Circuit(
             p=p,
@@ -258,8 +254,8 @@ def test_reconstruction_inverts_dealer_dense():
         assert np.abs(dense_circuit(tail) - dealer.conj().T).max() < 1e-9
 
 
-def test_emit_parse_round_trip(hexcode, hexconv):
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+def test_emit_parse_round_trip(hexcode):
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
     circ = circuits.synthesize_reconstruction(plan)
     text = circuits.emit_circuit(circ)
     parsed = circuits.parse_circuit(text)
@@ -345,7 +341,7 @@ def test_parse_rejects_bad_header():
         circuits.parse_circuit("NOTAFORMAT 1\n")
 
 
-def test_parse_allows_comments(hexconv, hexcode):
+def test_parse_allows_comments(hexcode):
     text = "QSSCIRC 1\n# comment\np 3\nqudits 1\nrole 1 share 1\ngate F 1  # fourier\n"
     circ = circuits.parse_circuit(text)
     assert circ.gates == (circuits.fourier(1),)
@@ -370,6 +366,8 @@ _ROLES = "role 1 share 1\nrole 2 share 2\n"
         ("p 2\nqudits 2\n" + _ROLES + "gate PPOW 1 4\n", 6),
         ("p 3\nqudits 2\n" + _ROLES + "gate CPAULI 1 1 1 0\n", 6),
         ("p 3\nqudits 2\n" + _ROLES + "gate F 3\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate F 1 2\n", 6),
+        ("p 3\nqudits 2\n" + _ROLES + "gate CPAULI 1 2 1\n", 6),
         ("p 3\nqudits 2\nrole 1 share 1\nrole 2 bogus 2\n", 5),
         ("p 3\nqudits 2\nrole 1 share -7\nrole 2 share 2\n", 4),
         ("p 3\nqudits 2\nrole 1 share 1\nrole 2 ancilla 0\n", 5),
@@ -377,7 +375,8 @@ _ROLES = "role 1 share 1\nrole 2 share 2\n"
     ids=[
         "role-past-register", "role-zero", "repeated-p", "repeated-qudits", "repeated-role",
         "a-equals-p", "b-negative", "pauli-b-past-p", "ppow-negative", "ppow-equals-p",
-        "ppow-past-ring-p2", "control-equals-target", "gate-past-register",
+        "ppow-past-ring-p2", "control-equals-target", "gate-past-register", "f-of-two-integers",
+        "cpauli-of-three-integers",
         "role-kind-unknown", "role-index-negative", "role-index-zero",
     ],
 )
@@ -418,7 +417,18 @@ def test_control_equal_target_rejected_by_gate():
             circuits.Gate(kind, (2, 2), (1, 0))
 
 
-def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexconv):
+@pytest.mark.parametrize(
+    "kind, qudits, params",
+    [("F", (1, 2), (5,)), ("F", (1,), (5,)), ("FINV", (), ()), ("PPOW", (1,), ()), ("PPOW", (1, 2), (1,)),
+     ("CPAULI", (1,), (1, 1)), ("CPAULIINV", (1, 2), (1,)), ("CPAULI", (1, 2, 3), (1, 1)), ("PAULI", (1,), (1,))],
+)
+def test_gate_checks_its_qudit_and_parameter_counts(kind, qudits, params):
+    with pytest.raises(ValueError, match=rf"^{kind} takes \(qudits, parameters\) \(\d, \d\), not Gate\("):
+        circuits.Gate(kind, qudits, params)
+
+
+
+def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode):
     # a one-set plan's split is one elimination (one rref of the stacked
     # system) when the set misses a share, and none for J = every share
     plan, solve = circuits.plan_reconstruction, linalg.rref
@@ -440,7 +450,7 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
     monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
     monkeypatch.setattr(linalg, "rref", counting_solve)
     sets = symplectic.all_qualified_sets(hexcode)
-    plans = [circuits.plan_reconstruction(hexcode, hexconv, members) for members in sets]
+    plans = [circuits.plan_reconstruction(hexcode, members) for members in sets]
     monkeypatch.undo()
     assert tuple(range(1, hexcode.n + 1)) in sets
     assert counts == {"plan": len(sets), "solve": len(sets) - 1} == {"plan": 22, "solve": 21}
@@ -456,9 +466,9 @@ def test_plan_splits_every_logical_row_with_one_solve(monkeypatch, hexcode, hexc
                 assert np.array_equal(s, s0) and np.array_equal(r, r0)
 
 
-def test_a_plan_is_not_an_array(hexcode, hexconv):
+def test_a_plan_is_not_an_array(hexcode):
     # a plan's items are plans again; numpy is told so instead of recursing
-    plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode)[:2])
+    plan = circuits.plan_sets(hexcode, symplectic.all_qualified_sets(hexcode)[:2])
     for convert in (np.asarray, np.array, np.shape):
         for value in (plan, plan[0]):
             with pytest.raises(TypeError, match=r"array fields are w, y, u, v, .*step6_exponents$"):
@@ -470,11 +480,10 @@ def test_analysis_and_synthesis_never_import_the_simulator():
     script = """
 import sys
 import qsshare
-from qsshare import circuits, pauli, symplectic
+from qsshare import circuits, symplectic
 code = symplectic.random_self_orthogonal_code(3, 5, 1, 0)
-conv = pauli.make_convention(code)
 for members in symplectic.all_qualified_sets(code):
-    circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
+    circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, members))
 assert "qsshare.sim" not in sys.modules
 from qsshare import *
 assert "qsshare.sim" not in sys.modules and "sim" in dir(qsshare) and "StateVector" not in dir(qsshare)
@@ -509,9 +518,9 @@ def test_plan_equals_the_per_row_computation(which):
     conv = pauli.make_convention(code)
     sets = symplectic.all_qualified_sets(code) if code.n <= 12 else _drawn_qualified_sets(code, 200, code.n)
     for members in sets:
-        plan = circuits.plan_reconstruction(code, conv, members)
+        plan = circuits.plan_reconstruction(code, members)
         expected = oracles.plan_per_row(code, conv, members)
-        assert (plan.p, plan.n, plan.k, plan.available) == (code.p, code.n, code.k, (members,))
+        assert plan.code is code and plan.available == (members,)
         for name, rows in expected.items():
             got = getattr(plan, name)
             patterns = name in ("w", "y", "u", "v")

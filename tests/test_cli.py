@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 import qsshare
-from qsshare import certify, circuits, cli, linalg, pauli, sim, specfile, symplectic
+from qsshare import certify, circuits, cli, demo, linalg, pauli, sim, specfile, symplectic
 from qsshare.demo import SIX_SHARE_QUTRIT_DOCUMENT
 
 
@@ -146,9 +147,9 @@ def test_verify_unqualified_set_is_read_from_its_plan(capsys, monkeypatch, spec_
     plan = circuits.plan_reconstruction
     planned = []
 
-    def counting_plan(code, conv, members):
+    def counting_plan(code, members):
         planned.append(members)
-        return plan(code, conv, members)
+        return plan(code, members)
 
     def no_second_check(*_args):
         raise AssertionError("verify --set decides qualification from the plan")
@@ -268,7 +269,7 @@ def test_demo_output(capsys, monkeypatch):
     calls = []
 
     def counting_plan(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return plan(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "plan_reconstruction", counting_plan)
@@ -307,13 +308,19 @@ def test_demo_output(capsys, monkeypatch):
         (["analyze", "{n0}"], None),
         (["synthesize", "{n0}", "--set", "1", "-o", "{tmp}/n0.qsscirc"], None),
         (["verify", "{n0}"], None),
+        # int() would read each of these four as a guard the request passes
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "1_000000"),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "+99999"),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], " 99999"),
+        (["verify", "{spec}", "--set", "3,4,5,6", "--trials", "1"], "\u0669\u0669\u0669\u0669\u0669"),
     ],
     ids=[
         "negative-trials", "zero-trials-unqualified-set", "empty-set", "share-zero", "p4-spec",
         "missing-out-dir", "bad-max-amplitudes", "max-size-zero", "max-size-negative",
         "negative-seed", "zero-max-amplitudes", "negative-max-amplitudes", "logical-pairing",
         "signed-share", "underscored-share", "arabic-indic-share", "trials-past-the-guard",
-        "synthesize-k0", "analyze-n0", "synthesize-n0", "verify-n0",
+        "synthesize-k0", "analyze-n0", "synthesize-n0", "verify-n0", "underscored-max-amplitudes",
+        "signed-max-amplitudes", "spaced-max-amplitudes", "arabic-indic-max-amplitudes",
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, spec_path, tmp_path, argv, env):
@@ -381,7 +388,7 @@ def test_logical_x_only_spec_loads_and_verifies(capsys, tmp_path):
     assert report["summary"]["min_fidelity"] >= 1 - 1e-9
 
 
-def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode, hexconv):
+def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeypatch, spec_path, hexcode):
     calls = {"plan": 0, "batch": 0, "sweep": 0, "encode": 0}
     plan, batch, sweep, encode = circuits.plan_reconstruction, circuits.plan_sets, circuits.plan_all_qualified, sim.encode_secret
 
@@ -406,9 +413,9 @@ def test_verify_plans_each_set_once_and_encodes_each_secret_once(capsys, monkeyp
     assert rc == 0 and calls == {"plan": 1, "batch": 1, "sweep": 1, "encode": 0}
     # the dense simulator, called on the same 22 sets' plan and 3 secrets
     calls.update(batch=0)
-    plan = circuits.plan_sets(hexcode, hexconv, symplectic.all_qualified_sets(hexcode))
+    plan = circuits.plan_sets(hexcode, symplectic.all_qualified_sets(hexcode))
     rng = np.random.default_rng(0)
-    sim.verify_reconstruction(hexcode, hexconv, plan, [sim.random_secret(3, 2, rng) for _ in range(3)])
+    sim.verify_reconstruction(plan, [sim.random_secret(3, 2, rng) for _ in range(3)])
     assert calls == {"plan": 1, "batch": 1, "sweep": 1, "encode": 3}
 
 
@@ -600,7 +607,7 @@ def test_verify_exits_4_when_a_phase_exponent_is_off_by_one(capsys, monkeypatch,
     assert check and float(check.group(1)) < 1 - 1e-9
 
 
-def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch, spec_path, hexcode, hexconv):
+def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch, spec_path, hexcode):
     transfers = _counting(monkeypatch, certify, "_transfer")
     argv = ("verify", spec_path, "--trials", "2", "--seed", "9")
     rc, _, err = run(capsys, *argv)
@@ -619,13 +626,13 @@ def test_verify_failure_line_names_the_entanglement_fidelity(capsys, monkeypatch
     )
     # the dense simulator's F_e of the same broken circuit, 8.3e-32 where the
     # certificate's sum of roots of unity is exactly 0
-    (expected,) = sim.entanglement_fidelity(hexcode, hexconv, circuits.plan_reconstruction(hexcode, hexconv, first))
+    (expected,) = sim.entanglement_fidelity(circuits.plan_reconstruction(hexcode, first))
     assert named and abs(float(named.group(1)) - expected) < 1e-12 and expected < 1 - 1e-9
     assert named.group(1) == "0"
     assert json.loads(out)["summary"]["min_fidelity"] < 1 - 1e-9
 
 
-def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path, hexcode, hexconv):
+def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_path, hexcode):
     certificate = certify.certify_reconstruction
     certify_plan, set_transfer_report = certify.certify_plan, certify.set_transfer_report
 
@@ -646,8 +653,8 @@ def test_verify_failure_line_names_a_purity_deviation(capsys, monkeypatch, spec_
     # unbroken, the request's two secrets are pure on the dense simulator too
     rng = np.random.default_rng(9)
     secrets = [certify.random_secret(3, 2, rng) for _ in range(2)]
-    plan = circuits.plan_reconstruction(hexcode, hexconv, (3, 4, 5, 6))
-    ((dense,), (exact,)) = sim.verify_reconstruction(hexcode, hexconv, plan, secrets), certificate(hexcode, hexconv, plan, secrets)
+    plan = circuits.plan_reconstruction(hexcode, (3, 4, 5, 6))
+    ((dense,), (exact,)) = sim.verify_reconstruction(plan, secrets), certificate(plan, secrets)
     assert exact.purity == (1.0, 1.0) and max(abs(1 - value) for value in dense.purity) < 1e-9
 
 
@@ -1154,6 +1161,40 @@ def test_no_request_reduces_a_space_to_test_membership(capsys, monkeypatch, tmp_
         rc, _, _ = run(capsys, *argv)
         assert rc == 0, argv
     assert nullspaces == [] and memberships == []
+
+
+@pytest.mark.parametrize(
+    "argv, made",
+    [
+        (("verify", "{spec}", "--trials", "2"), 1),
+        (("verify", "{spec}", "--set", "3,4,5,6", "--trials", "2"), 1),
+        (("synthesize", "{spec}", "--set", "3,4,5,6", "-o", "{tmp}/c.qsscirc"), 1),
+        (("demo",), 1),
+        (("analyze", "{spec}"), 0),
+        (("verify", "{k0}", "--trials", "2"), 0),
+    ],
+    ids=["verify-sweep", "verify-set", "synthesize", "demo", "analyze", "verify-k0"],
+)
+def test_a_request_makes_the_convention_at_most_once(capsys, monkeypatch, tmp_path, spec_path, argv, made):
+    # the plan makes it and carries it: the certificate and the demo read it there
+    k0 = _write_code(symplectic.random_self_orthogonal_code(3, 5, 0, 1), tmp_path / "k0.qss")
+    make, calls = pauli.make_convention, []
+    monkeypatch.setattr(pauli, "make_convention", lambda code: calls.append(code) or make(code))
+    rc, _, err = run(capsys, *(arg.format(spec=spec_path, k0=k0, tmp=tmp_path) for arg in argv))
+    assert (rc, err, len(calls)) == (0, "", made)
+
+
+def test_no_public_function_outside_pauli_takes_a_convention():
+    # a plan carries its code and convention; the rest derive the convention from the code
+    checked = 0
+    for module in (circuits, certify, sim, cli, demo):
+        for name, value in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(value) or value.__module__ != module.__name__:
+                continue
+            checked += 1
+            params = set(inspect.signature(value).parameters)
+            assert not params & {"convention", "conv"}, f"{module.__name__}.{name}"
+    assert checked > 40
 
 
 def test_demo_costs_one_elimination_to_load_one_to_plan_and_one_to_certify(capsys, monkeypatch):

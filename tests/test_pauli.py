@@ -234,7 +234,7 @@ def test_plan_eigenvalues_equal_the_product_oracle(p, n, k, seed):
     conv = pauli.make_convention(code)
     gens = conv.stabilizer_generators()
     for members in symplectic.qualified_sets(code)[:4] + [tuple(range(1, n + 1))]:
-        plan = circuits.plan_reconstruction(code, conv, members)
+        plan = circuits.plan_reconstruction(code, members)
         for parts, etas in ((plan.u, plan.eta_u), (plan.v, plan.eta_v)):
             for part, eta in zip(parts[0], etas[0]):
                 coeff = linalg.solve_linear(code.stabilizer.T, part, p)

@@ -237,8 +237,8 @@ def test_fused_runs_match_per_gate_oracle(p, m, batch):
         assert _per_gate_deviation(gates, p, m, batch, rng) < 1e-12, gates
 
 
-def test_norm_preserved_through_long_circuit(hexcode, hexconv):
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
+def test_norm_preserved_through_long_circuit(hexcode):
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
     circ = circuits.synthesize_reconstruction(plan)
     rng = np.random.default_rng(19)
     st = sim.StateVector(3, 8, sim.random_secret(3, 8, rng))
@@ -248,7 +248,7 @@ def test_norm_preserved_through_long_circuit(hexcode, hexconv):
 
 
 def test_logical_zero_reference(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
+    zero = sim.logical_zero(hexcode)
     assert zero.amps.shape[0] == 729
     for g in hexconv.generators:
         out = sim.apply_phased_pauli(zero, g)
@@ -262,17 +262,15 @@ def test_logical_zero_reference(hexcode, hexconv):
 
 def test_logical_zero_single_qudit_z_code():
     code = symplectic.build_code(3, np.array([[0, 1]]))
-    conv = pauli.make_convention(code)
-    zero = sim.logical_zero(code, conv)
+    zero = sim.logical_zero(code)
     assert np.abs(zero.amps - np.array([1, 0, 0])).max() < 1e-12
 
 
 def test_logical_zero_qubit_random_codes():
     for seed in range(5):
         code = symplectic.random_self_orthogonal_code(2, 5, 1, seed)
-        conv = pauli.make_convention(code)
-        zero = sim.logical_zero(code, conv)
-        for g in conv.generators:
+        zero = sim.logical_zero(code)
+        for g in pauli.make_convention(code).generators:
             out = sim.apply_phased_pauli(zero, g)
             assert np.abs(out.amps - zero.amps).max() < 1e-9
 
@@ -300,9 +298,8 @@ def small_codes(draw):
 @settings(max_examples=80)
 @given(small_codes())
 def test_logical_zero_equals_projector_oracle(code):
-    conv = pauli.make_convention(code)
-    got = sim.logical_zero(code, conv).amps
-    expected = oracles.logical_zero_projector(code, conv).amps
+    got = sim.logical_zero(code).amps
+    expected = oracles.logical_zero_projector(code, pauli.make_convention(code)).amps
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -312,60 +309,62 @@ def _shift_phase(conv, index, by):
     return dataclasses.replace(conv, phases=phases)
 
 
-def test_logical_zero_names_the_generator_that_fails():
+def test_logical_zero_names_the_generator_that_fails(monkeypatch):
     code = symplectic.build_code(2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))  # XX, ZZ
     conv = pauli.make_convention(code)
-    assert np.allclose(sim.logical_zero(code, conv).amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert np.allclose(sim.logical_zero(code).amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
     # i XX squares to -1, and i ZZ has eigenvalues +-i only: each moves the state by sqrt(2)
     for index in (0, 1):
+        monkeypatch.setattr(pauli, "make_convention", lambda _code, shifted=_shift_phase(conv, index, 1): shifted)
         with pytest.raises(PreparationFailedError, match=rf"^generator {index + 1} does not fix .*norm 1\.41\)$"):
-            sim.logical_zero(code, _shift_phase(conv, index, 1))
+            sim.logical_zero(code)
     # -ZZ is a valid generator: its +1 state is (|01> + |10>)/sqrt(2)
-    flipped = sim.logical_zero(code, _shift_phase(conv, 1, 2)).amps
+    monkeypatch.setattr(pauli, "make_convention", lambda _code: _shift_phase(conv, 1, 2))
+    flipped = sim.logical_zero(code).amps
     assert np.allclose(flipped, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
 
 def test_logical_z_eigenvalue_on_basis_codewords(hexcode, hexconv):
     # 1/alpha_i M(z_i) reads out digit i of a basis codeword as w_p^{digit}
-    zero = sim.logical_zero(hexcode, hexconv)
+    zero = sim.logical_zero(hexcode)
     w_p = np.exp(2j * np.pi / 3)
     for digits in ((1, 0), (0, 1), (2, 1)):
         secret = sim.basis_state(3, 2, digits)
-        encoded = sim.encode_secret(hexcode, hexconv, secret.amps, zero=zero)
+        encoded = sim.encode_secret(hexcode, secret.amps, zero=zero)
         for i in range(2):
             op = pauli.PhasedPauli(3, hexconv.alpha_inverse_exponent(i), hexcode.logical_z[i])
             out = sim.apply_phased_pauli(encoded, op)
             assert np.abs(out.amps - w_p ** digits[i] * encoded.amps).max() < 1e-9
 
 
-def test_encode_zero_secret_is_logical_zero(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
-    encoded = sim.encode_secret(hexcode, hexconv, sim.basis_state(3, 2).amps, zero=zero)
+def test_encode_zero_secret_is_logical_zero(hexcode):
+    zero = sim.logical_zero(hexcode)
+    encoded = sim.encode_secret(hexcode, sim.basis_state(3, 2).amps, zero=zero)
     assert np.abs(encoded.amps - zero.amps).max() < 1e-12
 
 
-def test_encode_routes_agree(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
+def test_encode_routes_agree(hexcode):
+    zero = sim.logical_zero(hexcode)
     rng = np.random.default_rng(23)
     for digits in ((1, 0), (2, 2)):
         secret = sim.basis_state(3, 2, digits).amps
-        direct = sim.encode_secret(hexcode, hexconv, secret, zero=zero)
-        via, residual = sim.encode_secret_via_dealer(hexcode, hexconv, secret, zero=zero)
+        direct = sim.encode_secret(hexcode, secret, zero=zero)
+        via, residual = sim.encode_secret_via_dealer(hexcode, secret, zero=zero)
         assert residual < 1e-10
         assert np.abs(direct.amps - via.amps).max() < 1e-10
     for _ in range(3):
         secret = sim.random_secret(3, 2, rng)
-        direct = sim.encode_secret(hexcode, hexconv, secret, zero=zero)
-        via, residual = sim.encode_secret_via_dealer(hexcode, hexconv, secret, zero=zero)
+        direct = sim.encode_secret(hexcode, secret, zero=zero)
+        via, residual = sim.encode_secret_via_dealer(hexcode, secret, zero=zero)
         assert residual < 1e-10
         assert np.abs(direct.amps - via.amps).max() < 1e-10
 
 
 def test_encoded_states_stay_stabilized(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
+    zero = sim.logical_zero(hexcode)
     rng = np.random.default_rng(29)
     secret = sim.random_secret(3, 2, rng)
-    encoded = sim.encode_secret(hexcode, hexconv, secret, zero=zero)
+    encoded = sim.encode_secret(hexcode, secret, zero=zero)
     for g in hexconv.stabilizer_generators():
         out = sim.apply_phased_pauli(encoded, g)
         assert np.abs(out.amps - encoded.amps).max() < 1e-9
@@ -394,9 +393,9 @@ def test_reduced_density_maximally_entangled():
         assert abs(sim.purity(rho) - 1 / p) < 1e-12
 
 
-def test_encoded_share_subset_is_mixed(hexcode, hexconv):
-    zero = sim.logical_zero(hexcode, hexconv)
-    encoded = sim.encode_secret(hexcode, hexconv, sim.basis_state(3, 2).amps, zero=zero)
+def test_encoded_share_subset_is_mixed(hexcode):
+    zero = sim.logical_zero(hexcode)
+    encoded = sim.encode_secret(hexcode, sim.basis_state(3, 2).amps, zero=zero)
     rho = oracles.reduced_density(encoded, AVAILABLE)
     assert sim.purity(rho) < 0.999
 
@@ -448,13 +447,12 @@ def _ancilla_oracle(code, circuit, encoded):
 
 
 @pytest.mark.parametrize("p, n, k, seed", [(3, 6, 2, None), (2, 7, 2, 1), (2, 6, 3, 0), (5, 4, 2, 0)])
-def test_ancilla_first_layout_matches_partial_trace(hexcode, hexconv, p, n, k, seed):
+def test_ancilla_first_layout_matches_partial_trace(hexcode, p, n, k, seed):
     code = hexcode if seed is None else symplectic.random_self_orthogonal_code(p, n, k, seed)
-    conv = hexconv if seed is None else pauli.make_convention(code)
     rng = np.random.default_rng(41)
-    encoded = sim.encode_secret(code, conv, sim.random_secret(p, k, rng)).amps
+    encoded = sim.encode_secret(code, sim.random_secret(p, k, rng)).amps
     circs = [
-        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, conv, members))
+        circuits.synthesize_reconstruction(circuits.plan_reconstruction(code, members))
         for members in symplectic.all_qualified_sets(code)
     ]
     assert len(circs) >= 4
@@ -527,15 +525,14 @@ def test_ancilla_layers_match_per_gate_oracle(p, n, k, batch):
         assert np.abs(got - expected.reshape(got.shape)).max() < 1e-12, circuit.gates
 
 
-def _first_plans(code, conv, count=2):
+def _first_plans(code, count=2):
     sets = symplectic.all_qualified_sets(code)
-    return circuits.plan_sets(code, conv, sets[:count])
+    return circuits.plan_sets(code, sets[:count])
 
 
-def _batch_case(hexcode, hexconv, p, n, k, seed):
+def _batch_case(hexcode, p, n, k, seed):
     code = hexcode if seed is None else symplectic.random_self_orthogonal_code(p, n, k, seed)
-    conv = hexconv if seed is None else pauli.make_convention(code)
-    return code, conv, 3
+    return code, 3
 
 
 # (p, n, k, code seed), each run with batches of up to 2 B + 1 = 7 secrets; seed None is the bundled code
@@ -543,24 +540,24 @@ _BATCH_CASES = [(2, 12, 2, 0), (3, 6, 2, None), (5, 4, 2, 0), (5, 5, 2, 0)]
 
 
 @pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
-def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n, k, seed):
-    code, conv, batch = _batch_case(hexcode, hexconv, p, n, k, seed)
-    plans = _first_plans(code, conv)
+def test_batched_verification_equals_one_secret_per_call(hexcode, p, n, k, seed):
+    code, batch = _batch_case(hexcode, p, n, k, seed)
+    plans = _first_plans(code)
     rng = np.random.default_rng(59)
     secrets = [sim.random_secret(p, k, rng) for _ in range(2 * batch + 1)]
     secrets[0] = sim.basis_state(p, k).amps  # zero coefficients ride in a batch too
-    single = [sim.verify_reconstruction(code, conv, plans, [secret]) for secret in secrets]
-    zero = sim.logical_zero(code, conv)
-    encoded = sim._encode_rows(code, conv, np.array(secrets), zero)
+    single = [sim.verify_reconstruction(plans, [secret]) for secret in secrets]
+    zero = sim.logical_zero(code)
+    encoded = sim._encode_rows(code, np.array(secrets), zero)
     for row, secret in zip(encoded, secrets):  # bit-identical to the one-row encoder
-        assert np.array_equal(row, sim.encode_secret(code, conv, secret, zero=zero).amps)
+        assert np.array_equal(row, sim.encode_secret(code, secret, zero=zero).amps)
     # The Fourier gate's tensordot can round differently for a batch of B and
     # of 1 (final states differ by up to 7e-18 on the bundled code), so the
     # fidelities and purities, all near 1, agree to a few ulps, not bit for
     # bit. A batching bug moves them by O(1), far outside the bound.
     ulps = 4 * np.finfo(float).eps
     for trials in (1, batch, batch + 1, 2 * batch + 1):
-        reports = sim.verify_reconstruction(code, conv, plans, secrets[:trials])
+        reports = sim.verify_reconstruction(plans, secrets[:trials])
         for i, report in enumerate(reports):
             assert len(report.fidelity) == len(report.purity) == trials
             fidelity = [one[i].fidelity[0] for one in single[:trials]]
@@ -569,15 +566,15 @@ def test_batched_verification_equals_one_secret_per_call(hexcode, hexconv, p, n,
             assert np.abs(np.subtract(report.purity, purity)).max() <= ulps
             assert min(report.fidelity) > 1 - 1e-9
     # the whole secret space, beside the sampled secrets
-    for fidelity in sim.entanglement_fidelity(code, conv, plans):
+    for fidelity in sim.entanglement_fidelity(plans):
         assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
 
 @pytest.mark.parametrize("p, n, k, seed", _BATCH_CASES)
 def test_batched_verification_fails_every_secret_of_a_broken_circuit(
-    monkeypatch, hexcode, hexconv, p, n, k, seed
+    monkeypatch, hexcode, p, n, k, seed
 ):
-    code, conv, batch = _batch_case(hexcode, hexconv, p, n, k, seed)
+    code, batch = _batch_case(hexcode, p, n, k, seed)
     synthesize = circuits.synthesize_reconstruction
 
     def off_by_one(plan):  # the first PPOW gate's exponent, plus one
@@ -587,11 +584,11 @@ def test_batched_verification_fails_every_secret_of_a_broken_circuit(
         gates[i] = circuits.phase_pow(gates[i].qudits[0], gates[i].params[0] + 1)
         return dataclasses.replace(circuit, gates=tuple(gates))
 
-    plans = _first_plans(code, conv)
+    plans = _first_plans(code)
     monkeypatch.setattr(circuits, "synthesize_reconstruction", off_by_one)
     rng = np.random.default_rng(61)
     secrets = [sim.random_secret(p, k, rng) for _ in range(2 * batch + 1)]
-    for report in sim.verify_reconstruction(code, conv, plans, secrets):
+    for report in sim.verify_reconstruction(plans, secrets):
         assert len(report.fidelity) == 2 * batch + 1
         assert all(fidelity < 1 - 1e-9 for fidelity in report.fidelity), report.fidelity
 
@@ -609,10 +606,10 @@ def _off_by_one(circuit, kind):
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 
-def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode, hexconv):
+def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode):
     sets = symplectic.all_qualified_sets(hexcode)
     assert len(sets) == 22
-    fidelities = sim.entanglement_fidelity(hexcode, hexconv, circuits.plan_sets(hexcode, hexconv, sets))
+    fidelities = sim.entanglement_fidelity(circuits.plan_sets(hexcode, sets))
     assert len(fidelities) == 22
     assert all(1 - 1e-12 <= f <= 1 + 1e-12 for f in fidelities), fidelities
 
@@ -621,30 +618,29 @@ def test_entanglement_fidelity_is_one_on_every_bundled_set(hexcode, hexconv):
 @pytest.mark.parametrize("p, n, k, seed", [(2, 9, 2, 1), (3, 9, 2, 0), (5, 4, 2, 0)])
 def test_entanglement_fidelity_is_one_on_an_n_minus_1_set(p, n, k, seed):
     code = symplectic.random_self_orthogonal_code(p, n, k, seed)
-    conv = pauli.make_convention(code)
     members = next(
         members
         for members in combinations(range(1, n + 1), n - 1)
         if symplectic.erasure_correctable(code, symplectic.complement(members, n))
     )
-    (fidelity,) = sim.entanglement_fidelity(code, conv, circuits.plan_reconstruction(code, conv, members))
+    (fidelity,) = sim.entanglement_fidelity(circuits.plan_reconstruction(code, members))
     assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["PPOW", "CPAULIINV"])
-def test_entanglement_fidelity_fails_a_broken_circuit(monkeypatch, hexcode, hexconv, kind):
+def test_entanglement_fidelity_fails_a_broken_circuit(monkeypatch, hexcode, kind):
     synthesize = circuits.synthesize_reconstruction
     monkeypatch.setattr(
         circuits, "synthesize_reconstruction", lambda plan: _off_by_one(synthesize(plan), kind)
     )
-    plans = _first_plans(hexcode, hexconv, count=4)
-    for fidelity in sim.entanglement_fidelity(hexcode, hexconv, plans):
+    plans = _first_plans(hexcode, count=4)
+    for fidelity in sim.entanglement_fidelity(plans):
         assert fidelity < 1 - 1e-9
 
 
-def test_verify_reconstruction_reference(hexcode, hexconv):
-    plan = circuits.plan_reconstruction(hexcode, hexconv, AVAILABLE)
-    (report,) = sim.verify_reconstruction(hexcode, hexconv, plan, [sim.basis_state(3, 2).amps])
+def test_verify_reconstruction_reference(hexcode):
+    plan = circuits.plan_reconstruction(hexcode, AVAILABLE)
+    (report,) = sim.verify_reconstruction(plan, [sim.basis_state(3, 2).amps])
     assert report.available == AVAILABLE
     (fidelity,), (purity,) = report.fidelity, report.purity
     assert fidelity > 1 - 1e-9
@@ -653,12 +649,12 @@ def test_verify_reconstruction_reference(hexcode, hexconv):
     assert report.single_qudit_gates == 8
 
 
-def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
+def test_verify_reconstruction_random_secrets_all_quads(hexcode):
     rng = np.random.default_rng(37)
     secrets = [sim.random_secret(3, 2, rng) for _ in range(3)]
     quads = list(combinations(range(1, 7), 4))
-    plans = circuits.plan_sets(hexcode, hexconv, quads)
-    reports = sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
+    plans = circuits.plan_sets(hexcode, quads)
+    reports = sim.verify_reconstruction(plans, secrets)
     assert [report.available for report in reports] == quads
     for members, report in zip(quads, reports):
         assert len(report.fidelity) == len(report.purity) == 3, members
@@ -666,7 +662,7 @@ def test_verify_reconstruction_random_secrets_all_quads(hexcode, hexconv):
             assert fidelity > 1 - 1e-9, members
             assert abs(purity - 1) < 1e-9, members
     # the whole secret space of every quad, beside the sampled secrets
-    for members, fidelity in zip(quads, sim.entanglement_fidelity(hexcode, hexconv, plans)):
+    for members, fidelity in zip(quads, sim.entanglement_fidelity(plans)):
         assert 1 - 1e-12 <= fidelity <= 1 + 1e-12, members
 
 
@@ -676,24 +672,25 @@ def test_size_guard_env_override(monkeypatch):
         sim.basis_state(3, 3)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", "27")
     assert sim.basis_state(3, 3).norm() == 1
-    for value in ("0", "-4", "abc"):  # a guard no state can pass is bad input
+    # a guard no state can pass is bad input, and so is any but ASCII decimal digits
+    for value in ("0", "-4", "abc", "1_000000", "+99999", " 99999", "\u0669\u0669\u0669\u0669\u0669"):
         monkeypatch.setenv("QSS_MAX_AMPLITUDES", value)
         with pytest.raises(QssError, match="^QSS_MAX_AMPLITUDES must be a positive integer"):
             sim.basis_state(3, 3)
 
 
-def test_guard_bounds_the_working_buffer(monkeypatch, hexcode, hexconv):
+def test_guard_bounds_the_working_buffer(monkeypatch, hexcode):
     # 3^8 amplitudes per secret for verify_reconstruction, 3^10 for the 9 basis secrets of entanglement_fidelity
-    plans = _first_plans(hexcode, hexconv, count=1)
+    plans = _first_plans(hexcode, count=1)
     secrets = [sim.basis_state(3, 2).amps] * 3
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", str(3 * 3**8 - 1))
     with pytest.raises(TooLargeError, match=r"^3\^8 x 3 amplitudes exceed the guard"):
-        sim.verify_reconstruction(hexcode, hexconv, plans, secrets)
-    assert len(sim.verify_reconstruction(hexcode, hexconv, plans, secrets[:2])[0].fidelity) == 2
+        sim.verify_reconstruction(plans, secrets)
+    assert len(sim.verify_reconstruction(plans, secrets[:2])[0].fidelity) == 2
     with pytest.raises(TooLargeError, match=r"^3\^10 amplitudes exceed the guard"):
-        sim.entanglement_fidelity(hexcode, hexconv, plans)
+        sim.entanglement_fidelity(plans)
     monkeypatch.setenv("QSS_MAX_AMPLITUDES", str(3**10))
-    (fidelity,) = sim.entanglement_fidelity(hexcode, hexconv, plans)
+    (fidelity,) = sim.entanglement_fidelity(plans)
     assert 1 - 1e-12 <= fidelity <= 1 + 1e-12
 
 
